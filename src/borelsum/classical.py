@@ -139,8 +139,7 @@ def _first_omitted_estimate(b_next, lam, z, N, prec=None) -> mp.mpf:
     """
     with working_precision(prec):
         zc = as_mpc(z)
-        kernel = mp.exp(mp.loggamma(lam * zc) + mp.loggamma(N + 2)
-                        - mp.loggamma(lam * zc + N + 1))
+        kernel = (N + 1) * gamma_ratio(lam * zc, N, 1, prec)
         return abs(b_next) * abs(kernel) / mp.re(zc)
 
 

@@ -192,7 +192,7 @@ _common = [
     click.option("--r", "r", type=float, default=None, help="strip half-width"),
     click.option("--C", "C", type=float, default=None,
                  help="ramified least-term constant (max of the branch A's)"),
-    click.option("--precision-bits", type=int, default=256),
+    click.option("--precision-bits", type=click.IntRange(min=53), default=256),
     click.option("--tol", type=float, default=None, help="oracle quadrature tolerance"),
     click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                  default="text"),
@@ -248,10 +248,11 @@ def cmd_table(series, builtin, depth, method, lam, theta, z_mod, z_arg,
 @cli.command("compare-bounds")
 @click.option("--A", "A", type=float, default=1.0)
 @click.option("--B", "B", type=float, default=1.0)
-@click.option("--z-mod", type=float, default=None, help="|z| (default |10+10i|)")
+@click.option("--z-mod", type=click.FloatRange(min=0, min_open=True), default=None,
+              help="|z| (default |10+10i|)")
 @click.option("--z-arg", type=float, default=None, help="arg z (default pi/4)")
 @click.option("--n-max", type=int, default=30)
-@click.option("--precision-bits", type=int, default=256)
+@click.option("--precision-bits", type=click.IntRange(min=53), default=256)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text")
 @click.option("--out", type=click.Path(), default=None)
 def cmd_compare_bounds(A, B, z_mod, z_arg, n_max, precision_bits, fmt, out):
@@ -261,7 +262,9 @@ def cmd_compare_bounds(A, B, z_mod, z_arg, n_max, precision_bits, fmt, out):
         if z_mod is None and z_arg is None:
             z = mp.mpc(10, 10)
         else:
-            z = as_mpf(z_mod or 1) * mp.exp(1j * as_mpf(z_arg or 0))
+            mod = abs(mp.mpc(10, 10)) if z_mod is None else as_mpf(z_mod)
+            arg = mp.pi / 4 if z_arg is None else as_mpf(z_arg)
+            z = mod * mp.exp(1j * arg)
         rows = bound_comparison_table(A, B, z, n_max, prec)
     if fmt == "json":
         text = json.dumps([{"n": r.n,
@@ -288,7 +291,7 @@ def cmd_compare_bounds(A, B, z_mod, z_arg, n_max, precision_bits, fmt, out):
 
 @cli.command("reproduce")
 @click.argument("target", type=click.Choice(list(repro.TARGETS) + ["all"]))
-@click.option("--precision-bits", type=int, default=256)
+@click.option("--precision-bits", type=click.IntRange(min=53), default=256)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_reproduce(target, precision_bits, out):
     """Re-run a stored reference configuration and grade each row."""

@@ -5,7 +5,7 @@ computed in exact integer/rational arithmetic and converted to floating
 values only at the last step.
 
 The d-coefficients are the expansion coefficients of a fractional power
-against the beta-kernel basis,
+against the beta-kernel basis, defined by
 
     1/z^r = Gamma(z)/Gamma(r+z) + sum_{j>=1} d_{r,j} Gamma(z)/Gamma(r+j+z),
 
@@ -15,6 +15,11 @@ against the beta-kernel basis,
 where B_{j,p} are partial exponential Bell polynomials.  For rational r the
 gamma factors collapse to rational rising/falling products, so d_{r,j} is an
 exact rational; 1/Gamma(r-p) at a pole contributes an exact zero factor.
+
+The library evaluates d only through the row recurrence of
+:func:`d_coefficient_row`, cached per r.  The Bell form above is the
+definition the test suite checks those rows against; :func:`bell_partial`
+stays here as that oracle's building block.
 """
 
 from __future__ import annotations
@@ -139,88 +144,68 @@ def bell_partial(j: int, p: int, args: BellArguments | None = None) -> Fraction:
     return (args or _FIXED_ARGS).bell(j, p)
 
 
-def _falling(r: Fraction, p: int) -> Fraction:
-    """(r-1)(r-2)...(r-p) = Gamma(r)/Gamma(r-p); exactly 0 across a pole."""
-    v = Fraction(1)
-    for i in range(1, p + 1):
-        v *= (r - i)
-    return v
+class _DRow:
+    """Exact d_{r,0..j} for one r, extended in place when a deeper j is asked for.
+
+    Keeps c_n = [w^n] h(w)^(r-1) and the rising product r(r+1)...(r+n-1),
+    so growing resumes the power recurrence instead of restarting it.
+    """
+
+    def __init__(self, r: Fraction):
+        self.r = r
+        self.c = [Fraction(1)]
+        self.d = [Fraction(1)]
+        self.rising = Fraction(1)
+
+    def grow(self, j_max: int) -> None:
+        c, p, q = self.c, self.r.numerator, self.r.denominator
+        for n in range(len(c), j_max + 1):
+            # n c_n = sum_{k=1}^{n} (r k - n) h_k c_{n-k},  h_k = 1/(k+1)
+            acc = Fraction(0)
+            for k in range(1, n + 1):
+                if c[n - k]:
+                    acc += Fraction(p * k - n * q, q * (k + 1)) * c[n - k]
+            c.append(acc / n)
+            self.rising *= self.r + n - 1
+            self.d.append(c[n] * self.rising)
 
 
-def _rising(r: Fraction, j: int) -> Fraction:
-    """r(r+1)...(r+j-1) = Gamma(r+j)/Gamma(r)."""
-    v = Fraction(1)
-    for i in range(j):
-        v *= (r + i)
-    return v
-
-
-_D_CACHE: dict[tuple[Fraction, int], Fraction] = {}
+_D_ROWS: dict[Fraction, _DRow] = {}
 _D_LOCK = threading.Lock()
 
 
-def d_coefficient_exact(r: Fraction | int, j: int) -> Fraction:
-    """d_{r,j} as an exact rational (r rational, r > 0).
+def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
+    """[d_{r,0}, ..., d_{r,j_max}], exact.
 
-    The 1/Gamma(r-p) factors are expressed through the falling product
-    Gamma(r)/Gamma(r-p) = (r-1)...(r-p), which vanishes exactly when r-p
-    hits a nonpositive integer, and Gamma(r+j)/Gamma(r) through the rising
-    product, leaving a pure rational.
+    Evaluates the Bell-row combination of the definition through its
+    exponential generating function: with h(w) = -ln(1-w)/w = sum_k w^k/(k+1),
+
+        sum_p B_{j,p}(1!/2, ...) Gamma(r)/Gamma(r-p) = j! [w^j] h(w)^(r-1),
+
+    so d_{r,j} = [w^j] h(w)^(r-1) * r(r+1)...(r+j-1), and the row comes out
+    of the power recurrence for h^(r-1) (Knuth, TAOCP vol. 2, 4.7) in
+    O(j_max^2) rational operations.  Rows are cached per r and only ever
+    extended, so a deeper request continues where the last one stopped.
     """
     r = Fraction(r)
     if r <= 0:
-        raise DomainError("d_coefficient requires r > 0")
-    if j < 0:
+        raise DomainError("d_coefficient_row requires r > 0")
+    if j_max < 0:
         raise DomainError("j must be nonnegative")
-    if j == 0:
-        return Fraction(1)
-    key = (r, j)
     with _D_LOCK:
-        got = _D_CACHE.get(key)
-    if got is not None:
-        return got
-    inner = Fraction(0)
-    for p in range(1, j + 1):
-        fall = _falling(r, p)
-        if fall:
-            inner += bell_partial(j, p) * fall
-    # inner = sum_p B_{j,p} Gamma(r)/Gamma(r-p), so
-    # d = (inner/Gamma(r)) * Gamma(r+j)/j! = inner * rising(r,j) / j!
-    val = inner * _rising(r, j) / factorial(j)
-    with _D_LOCK:
-        _D_CACHE[key] = val
-    return val
+        row = _D_ROWS.get(r)
+        if row is None:
+            row = _D_ROWS[r] = _DRow(r)
+        row.grow(j_max)
+        return row.d[:j_max + 1]
+
+
+def d_coefficient_exact(r: Fraction | int, j: int) -> Fraction:
+    """d_{r,j} as an exact rational (r rational, r > 0), read off the cached row."""
+    return d_coefficient_row(r, j)[j]
 
 
 def d_coefficient(r: Fraction | int, j: int,
                   prec: PrecisionConfig | None = None) -> mp.mpf:
     """d_{r,j} as a floating value at working precision (see the exact form)."""
     return as_mpf(d_coefficient_exact(r, j), prec)
-
-
-def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
-    """[d_{r,0}, ..., d_{r,j_max}], exact.
-
-    Evaluates the same Bell-row combination through its exponential
-    generating function: with h(w) = -ln(1-w)/w = sum_k w^k/(k+1),
-
-        sum_p B_{j,p}(1!/2, ...) Gamma(r)/Gamma(r-p) = j! [w^j] h(w)^(r-1),
-
-    so the row comes out of the standard power recurrence for h^alpha in
-    O(j_max^2) rational operations instead of O(j_max^3) Bell builds.
-    Cross-checked against :func:`d_coefficient_exact` in the test suite.
-    """
-    r = Fraction(r)
-    if r <= 0:
-        raise DomainError("d_coefficient_row requires r > 0")
-    alpha = r - 1
-    # c_n = [w^n] h^alpha:  n c_n = sum_{k=1}^{n} ((alpha+1)k - n) h_k c_{n-k}
-    h = [Fraction(1, k + 1) for k in range(j_max + 1)]
-    c = [Fraction(1)] + [Fraction(0)] * j_max
-    for n in range(1, j_max + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            if c[n - k]:
-                acc += ((alpha + 1) * k - n) * h[k] * c[n - k]
-        c[n] = acc / n
-    return [c[j] * _rising(r, j) for j in range(j_max + 1)]

@@ -49,8 +49,11 @@ class PrecisionConfig:
         if self.mantissa_bits < 53:
             raise ValueError("mantissa_bits must be at least 53")
         if self.default_tolerance == 0.0:
+            # 56 bits above epsilon, but at most a quarter of the mantissa:
+            # at 53 bits a 56-bit margin would leave a tolerance above 1
+            guard = min(56, self.mantissa_bits // 4)
             object.__setattr__(self, "default_tolerance",
-                               float(mp.mpf(2) ** -(self.mantissa_bits - 56)))
+                               float(mp.mpf(2) ** -(self.mantissa_bits - guard)))
         if not self.default_tolerance > 0:
             raise ValueError("default_tolerance must be positive")
 

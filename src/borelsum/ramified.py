@@ -27,14 +27,15 @@ divergence diagnostics: term growth past the smallest term flips
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath as mp
 
-from .classical import (SummationResult, _first_omitted_estimate,
-                        check_lambda_permitted, factorial_expansion,
-                        least_term_index, r_fact)
-from .combinatorics import d_coefficient_exact
+from .classical import (SummationResult, check_lambda_permitted,
+                        factorial_expansion, factorial_series_sum,
+                        least_term_index)
+from .combinatorics import d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PrecisionConfig, as_mpf, ensure_finite, gamma_ratio,
                        working_precision)
@@ -47,8 +48,9 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
                prec: PrecisionConfig | None = None) -> SummationResult:
     """Assemble a_0 + sum_l z^((m-l)/m) * (factorial series of branch l at z projected).
 
-    Each branch is truncated at per-branch depth N; the heuristic error is
-    the z-weighted sum of the per-branch first-omitted-term estimates.
+    Each branch is a :func:`factorial_series_sum` at per-branch depth N; the
+    heuristic error and the rigorous bound are the z-weighted sums of the
+    per-branch ones, the condition number the worst branch's.
     Needs flat coefficients up to a_{l + m(N+1)} for every branch.
     """
     if N < 0:
@@ -60,10 +62,7 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
             f"branch depth N = {N} needs flat coefficients up to a_{needed}, "
             f"series stores a_0..a_{f.n_max}")
     with working_precision(prec):
-        lv = as_mpf(lam)
-        check_lambda_permitted(lv, envelope)
-        zdot = z.projection(prec)
-        if not mp.re(zdot) > 0:
+        if not mp.re(z.projection(prec)) > 0:
             raise DomainError("branch_sum needs Re(z projected) > 0")
         a0, branches = branch_split(f)
         estimate = mp.mpc(a0)
@@ -71,18 +70,14 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
         rigorous = mp.mpf(0) if envelope is not None and envelope.lam is not None else None
         cond = mp.mpf(1)
         for l, fl in enumerate(branches, start=1):
-            exp_l = factorial_expansion(fl, lv, N + 1, prec)
-            part = exp_l.a0 + lv * mp.fsum(
-                (gamma_ratio(lv * zdot, n, 1, prec) * exp_l.b[n] for n in range(N + 1)),
-                absolute=False)
+            part = factorial_series_sum(factorial_expansion(fl, lam, N + 1, prec),
+                                        z, N, envelope, prec)
             weight = power(z, f.m - l, f.m, prec)
-            estimate += weight * part
-            heuristic += abs(weight) * _first_omitted_estimate(
-                exp_l.b[N + 1], lv, zdot, N, prec)
+            estimate += weight * part.estimate
+            heuristic += abs(weight) * part.heuristic_error
             if rigorous is not None:
-                rigorous += abs(weight) * r_fact(lv, envelope.A, envelope.B, N, zdot, prec)
-            if exp_l.condition:
-                cond = max(cond, max(exp_l.condition[:N + 2]))
+                rigorous += abs(weight) * part.rigorous_bound
+            cond = max(cond, part.condition_number)
         return SummationResult(estimate=ensure_finite(estimate), N=N,
                                method="branch", rigorous_bound=rigorous,
                                heuristic_error=heuristic, condition_number=cond)
@@ -98,16 +93,20 @@ def generalized_coefficients(f: FormalSeries, n_max: int | None = None,
     if n_max is None:
         n_max = f.n_max
     f.require_depth(n_max)
+    m, a = f.m, f.coefficients
+    # d_{l/m, j} enters d_n at n = l + j m, so row l/m is needed up to j = (n_max - l)/m
+    rows = {l: d_coefficient_row(Fraction(l, m), (n_max - l) // m)
+            for l in range(1, n_max - m + 1) if a[l] != 0}
     with working_precision(prec):
         out: list[mp.mpc] = []
         for n in range(1, n_max + 1):
-            acc = mp.mpc(f.coefficients[n])
-            for j in range(1, (n - 1) // f.m + 1):
-                l = n - j * f.m
-                if l >= 1 and f.coefficients[l] != 0:
-                    dr = d_coefficient_exact(Fraction(l, f.m), j)
-                    acc += mp.mpf(dr.numerator) / dr.denominator * f.coefficients[l]
-            out.append(acc * mp.rgamma(mp.mpf(n) / f.m))
+            acc = mp.mpc(a[n])
+            for j in range(1, (n - 1) // m + 1):
+                l = n - j * m
+                if l in rows:
+                    dr = rows[l][j]
+                    acc += mp.mpf(dr.numerator) / dr.denominator * a[l]
+            out.append(acc * mp.rgamma(mp.mpf(n) / m))
         return out
 
 
@@ -168,12 +167,7 @@ def rotated_generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: in
         th = as_mpf(theta)
         result = generalized_factorial_sum(rotate(f, th, prec), lam,
                                            z.rotated(th), N, envelope, prec)
-    return SummationResult(estimate=result.estimate, N=result.N,
-                           method="generalized-rotated",
-                           rigorous_bound=result.rigorous_bound,
-                           heuristic_error=result.heuristic_error,
-                           condition_number=result.condition_number,
-                           diverging=result.diverging)
+    return dataclasses.replace(result, method="generalized-rotated")
 
 
 def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,

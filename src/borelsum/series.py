@@ -60,12 +60,6 @@ class RamifiedPoint:
             delta = mp.fmod(self.argument - other.argument, period)
             return min(abs(delta), abs(period - abs(delta))) <= tolv * max(1, period)
 
-    def scaled(self, factor) -> "RamifiedPoint":
-        f = as_mpf(factor)
-        if not f > 0:
-            raise DomainError("scaling factor must be positive")
-        return RamifiedPoint(self.modulus * f, self.argument)
-
 
 @dataclass(frozen=True)
 class GrowthEnvelope:

@@ -111,6 +111,35 @@ def test_compare_bounds_default_and_domain():
     run_cli("compare-bounds", "--z-mod", "0.5", "--z-arg", "0", expect=2)
 
 
+def test_compare_bounds_rejects_nonpositive_modulus():
+    for mod in ("0", "-3"):
+        proc = run_cli("compare-bounds", "--z-mod", mod, "--B", "0.5", expect=1)
+        assert "--z-mod" in proc.stderr
+
+
+def test_compare_bounds_fills_the_missing_flag_from_its_default():
+    from borelsum import bound_comparison_table, working_precision
+    from borelsum.numerics import DEFAULT_PRECISION
+    for flags, mod, arg in ((("--z-arg", "0.3"), None, 0.3),
+                            (("--z-mod", "20"), 20, None)):
+        out = run_cli("compare-bounds", *flags, "--n-max", "3", "--format", "json").stdout
+        with working_precision(DEFAULT_PRECISION):
+            modv = abs(mp.mpc(10, 10)) if mod is None else mp.mpf(mod)
+            argv = mp.pi / 4 if arg is None else mp.mpf(arg)
+            rows = bound_comparison_table(1.0, 1.0, modv * mp.exp(1j * argv), 3)
+            expected = [mp.nstr(r.log_r_fact, 10) for r in rows]
+        assert [rec["log10_r_fact"] for rec in json.loads(out)] == expected
+
+
+def test_precision_below_53_bits_is_a_usage_error():
+    for args in (("sum", "--builtin", "euler", "--method", "oracle", "--z-mod", "3"),
+                 ("compare-bounds",),
+                 ("reproduce", "fig2")):
+        proc = run_cli(*args, "--precision-bits", "52", expect=1)
+        assert "--precision-bits" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_reproduce_clean_targets_exit_0():
     run_cli("reproduce", "table3", expect=0)
     run_cli("reproduce", "fig2", expect=0)

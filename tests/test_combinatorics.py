@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -6,7 +8,9 @@ import pytest
 
 from borelsum import (BellArguments, DomainError, bell_partial,
                       d_coefficient, d_coefficient_exact, d_coefficient_row,
-                      stirling_first)
+                      example2_series, generalized_coefficients, psi_series,
+                      stirling_first, working_precision)
+from borelsum import combinatorics
 
 # ---------------------------------------------------------------------------
 # Stirling numbers
@@ -157,13 +161,98 @@ def test_d_coefficient_domain():
         d_coefficient_exact(Fraction(-1, 2), 3)
 
 
+def _d_bell(r, j):
+    """d_{r,j} by its definition, independent of the library's row recurrence:
+    sum_p B_{j,p} (r-1)...(r-p) * r(r+1)...(r+j-1) / j!."""
+    r = Fraction(r)
+    if j == 0:
+        return Fraction(1)
+    inner, falling = Fraction(0), Fraction(1)
+    for p in range(1, j + 1):
+        falling *= r - p  # Gamma(r)/Gamma(r-p), exactly 0 past a pole
+        inner += bell_partial(j, p) * falling
+    rising = Fraction(1)
+    for i in range(j):
+        rising *= r + i
+    return inner * rising / factorial(j)
+
+
 def test_d_row_matches_pointwise_exactly():
     # generating-function route == Bell-sum route, exact equality
     for r in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(2), Fraction(5)):
         row = d_coefficient_row(r, 40)
         for j in range(0, 41, 7):
-            assert row[j] == d_coefficient_exact(r, j)
-        assert row[1] == d_coefficient_exact(r, 1)
+            assert row[j] == _d_bell(r, j)
+        assert row[1] == _d_bell(r, 1)
+
+
+def _generalized_from_bell(f, n_max):
+    """d_1..d_{n_max} of the generalized expansion with every d_{l/m,j} from
+    the Bell definition, in the library's order of operations."""
+    m, a = f.m, f.coefficients
+    out = []
+    for n in range(1, n_max + 1):
+        acc = mp.mpc(a[n])
+        for j in range(1, (n - 1) // m + 1):
+            l = n - j * m
+            if a[l] != 0:
+                dr = _d_bell(Fraction(l, m), j)
+                acc += mp.mpf(dr.numerator) / dr.denominator * a[l]
+        out.append(acc * mp.rgamma(mp.mpf(n) / m))
+    return out
+
+
+@pytest.mark.parametrize("series, n_max", [(example2_series, 41), (psi_series, 40)])
+def test_generalized_coefficients_match_bell_definition(series, n_max, prec):
+    # every d_{l/m,j} generalized_coefficients uses, checked exactly against
+    # the Bell form, and the kernel coefficients built from them bit for bit
+    f = series(n_max, prec)
+    for n in range(1, n_max + 1):
+        for j in range(1, (n - 1) // f.m + 1):
+            r = Fraction(n - j * f.m, f.m)
+            assert d_coefficient_exact(r, j) == _d_bell(r, j)
+    with working_precision(prec):
+        expected = _generalized_from_bell(f, n_max)
+    assert generalized_coefficients(f, n_max, prec) == expected
+
+
+def test_d_rows_grow_to_the_same_values(monkeypatch, prec):
+    # the table4/table5 call pattern: a shallow request, then a deeper one
+    f = example2_series(41, prec)
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    shallow = generalized_coefficients(f, 11, prec)
+    grown = generalized_coefficients(f, 41, prec)
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    fresh = generalized_coefficients(f, 41, prec)
+    assert grown == fresh
+    assert shallow == fresh[:11]
+
+
+def test_d_rows_grow_consistently_across_threads(monkeypatch):
+    # more threads than cores, switching often, all growing the same rows
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    requests = [(Fraction(l, 3), j) for l in (1, 2, 4) for j in (3, 25, 9, 30, 17)]
+    results = []
+
+    def worker(i):
+        for r, j in requests[i:] + requests[:i]:
+            results.append((r, j, d_coefficient_row(r, j)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6 * len(requests)
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    for r, j, row in results:
+        assert row == d_coefficient_row(r, j)
 
 
 def test_expansion_identity_moderate_depth(prec320):

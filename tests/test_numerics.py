@@ -16,6 +16,14 @@ def test_precision_config_invariants():
         PrecisionConfig(64, default_tolerance=-1.0)
 
 
+def test_default_tolerance_stays_below_one_at_low_precision():
+    # 56 bits above epsilon, capped at a quarter of the mantissa
+    assert PrecisionConfig(53).default_tolerance == 2.0 ** -40
+    assert PrecisionConfig(64).default_tolerance == 2.0 ** -48
+    assert PrecisionConfig(128).default_tolerance == 2.0 ** -96
+    assert PrecisionConfig(256).default_tolerance == 2.0 ** -200
+
+
 def test_log_gamma_exact_points(workprec):
     assert abs(log_gamma(1)) < mp.mpf(2) ** -240
     assert abs(log_gamma(5) - mp.log(24)) < mp.mpf(2) ** -240

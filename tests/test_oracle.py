@@ -3,10 +3,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from borelsum import (DomainError, PSI_LAMBDA_SUP, QuadratureError,
-                      RamifiedPoint, euler_series, example2_series,
-                      laplace_quadrature, least_term_index, partial_sum,
-                      psi_scaled_coefficients, psi_series, r_as)
+from borelsum import (DomainError, PSI_LAMBDA_SUP, PrecisionConfig,
+                      QuadratureError, RamifiedPoint, euler_series,
+                      example2_series, laplace_quadrature, least_term_index,
+                      partial_sum, psi_scaled_coefficients, psi_series, r_as)
 from borelsum.oracle import BUILTIN_EVALUATORS, BorelEvaluator
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,20 @@ def test_quadrature_unreachable_tolerance(prec):
     with pytest.raises(QuadratureError):
         laplace_quadrature(BUILTIN_EVALUATORS["euler"], 0, mp.mpf(3),
                            mp.mpf(10) ** -200, prec)
+
+
+@pytest.mark.parametrize("bits", [53, 64, 96])
+def test_quadrature_default_tolerance_at_low_precision(bits, prec):
+    # without an explicit tol the quadrature must still be good to about
+    # three quarters of the mantissa (53 bits: e^3 E1(3) to ~1e-11)
+    low = PrecisionConfig(bits)
+    v = laplace_quadrature(BUILTIN_EVALUATORS["euler"], 0, 3, prec=low)
+    v2 = laplace_quadrature(BUILTIN_EVALUATORS["example2"], 0, 5, prec=low)
+    with mp.workprec(256):
+        target = mp.mpf(2) ** -(bits * 3 // 4 - 2)
+        assert abs(v - mp.exp(3) * mp.e1(3)) < target
+        ref = laplace_quadrature(BUILTIN_EVALUATORS["example2"], 0, 5, prec=prec)
+        assert abs(v2 - ref) < target
 
 
 def test_custom_evaluator(workprec, prec):
