@@ -114,7 +114,8 @@ def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
     every stored coefficient (N = n_max - 1).
     """
     if f.m != 1:
-        raise DomainError("factorial_expansion needs an unramified (m = 1) series")
+        raise DomainError("factorial_expansion needs an unramified (m = 1) series; "
+                          "use branch or generalized for m > 1")
     if N is None:
         N = f.n_max - 1
     if N < 0:

@@ -26,7 +26,7 @@ from . import reproduce as repro
 from .classical import (SummationResult, bound_comparison_table,
                         factorial_expansion, factorial_series_sum)
 from .errors import BorelSumError, DomainError
-from .numerics import PrecisionConfig, as_mpf, working_precision
+from .numerics import PrecisionConfig, working_precision
 from .oracle import (BUILTIN_EVALUATORS, BUILTIN_SERIES, PSI_LAMBDA_SUP,
                      laplace_quadrature)
 from .ramified import (branch_sum, generalized_factorial_sum,
@@ -35,6 +35,10 @@ from .ramified import (branch_sum, generalized_factorial_sum,
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, load_series
 
 METHODS = ("least-term", "factorial", "generalized", "branch", "oracle")
+
+# the fixed csv columns; json prints every record whole, text every field
+SUM_COLUMNS = ("N", "estimate_re", "estimate_im", "heuristic_error", "rigorous_bound")
+BOUND_COLUMNS = ("n", "log10_r_as_ln2", "log10_r_as_halfpi", "log10_r_fact")
 
 
 class ReproductionFailure(click.ClickException):
@@ -78,9 +82,6 @@ def _evaluate(method, f, builtin, lam, theta, z, N, r, C, envelope, tol, prec) -
             res = dataclasses.replace(res, rigorous_bound=rig)
         return res
     if method == "factorial":
-        if f.m != 1:
-            raise DomainError("the factorial method needs an m = 1 series; "
-                              "use branch or generalized for m > 1")
         expansion = factorial_expansion(f, lam, N + 1, prec)
         zdot = z.projection(prec)
         return factorial_series_sum(expansion, zdot, N, envelope=envelope, prec=prec)
@@ -116,40 +117,39 @@ def _result_record(res: SummationResult, digits: int) -> dict:
     return rec
 
 
-def _render_results(results: list[SummationResult], fmt: str, prec: PrecisionConfig,
-                    m: int | None = None) -> str:
-    digits = int(prec.mantissa_bits * 0.30103) + 2
+def _flatten(rec: dict) -> dict:
+    """One level of nesting folded into the keys: estimate.re -> estimate_re."""
+    flat = {}
+    for key, value in rec.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}_{k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _render(records: list[dict], columns, fmt: str) -> str:
+    """json: every record whole; csv: the fixed ``columns``; text: every
+    field of the records, one aligned row each under a header."""
     if fmt == "json":
-        return json.dumps([_result_record(r, digits) for r in results], indent=1)
+        return json.dumps(records, indent=1)
+    rows = [_flatten(rec) for rec in records]
+    if fmt == "text":
+        columns = list(dict.fromkeys(key for row in rows for key in row))
+    table = [list(columns)] + [[_cell(row.get(c)) for c in columns] for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["N", "estimate_re", "estimate_im",
-                         "heuristic_error", "rigorous_bound"])
-        for r in results:
-            writer.writerow([
-                r.N,
-                mp.nstr(mp.re(r.estimate), digits),
-                mp.nstr(mp.im(r.estimate), digits),
-                mp.nstr(r.heuristic_error, 8) if r.heuristic_error is not None else "",
-                mp.nstr(r.rigorous_bound, 8) if r.rigorous_bound is not None else "",
-            ])
+        csv.writer(buf, lineterminator="\n").writerows(table)
         return buf.getvalue()
-    lines = []
-    for r in results:
-        parts = [f"N={r.N}", f"estimate = {mp.nstr(r.estimate, min(digits, 25))}",
-                 f"method = {r.method}"]
-        # flat index vs per-branch depth: report both for ramified generalized sums
-        if r.method.startswith("generalized") and m and m > 1:
-            parts.append(f"(flat index; per-branch depth ~ {r.N // m})")
-        if r.heuristic_error is not None:
-            parts.append(f"error ~ {mp.nstr(r.heuristic_error, 3)}")
-        if r.rigorous_bound is not None:
-            parts.append(f"bound <= {mp.nstr(r.rigorous_bound, 3)}")
-        if r.diverging:
-            parts.append("DIVERGING")
-        lines.append("  ".join(parts))
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+                   for line in table)
 
 
 def _emit(text: str, out) -> None:
@@ -173,6 +173,11 @@ def _parse_range(spec_str: str) -> list[int]:
         raise click.UsageError(f"cannot parse N range {spec_str!r}")
 
 
+_precision_bits = click.option("--precision-bits", type=click.IntRange(min=53), default=256)
+_format = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
+                       default="text")
+_out = click.option("--out", type=click.Path(), default=None, help="write output to a file")
+
 _common = [
     click.option("--series", type=click.Path(), default=None,
                  help="JSON series file {m, coefficients}"),
@@ -192,11 +197,10 @@ _common = [
     click.option("--r", "r", type=float, default=None, help="strip half-width"),
     click.option("--C", "C", type=float, default=None,
                  help="ramified least-term constant (max of the branch A's)"),
-    click.option("--precision-bits", type=click.IntRange(min=53), default=256),
+    _precision_bits,
     click.option("--tol", type=float, default=None, help="oracle quadrature tolerance"),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-                 default="text"),
-    click.option("--out", type=click.Path(), default=None, help="write output to a file"),
+    _format,
+    _out,
 ]
 
 
@@ -204,6 +208,20 @@ def _with_common(fn):
     for opt in reversed(_common):
         fn = opt(fn)
     return fn
+
+
+def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
+              A, B, r, C, precision_bits, tol, fmt, out) -> None:
+    """The body of ``sum`` and ``table``: one record per truncation index."""
+    prec = PrecisionConfig(precision_bits)
+    z = RamifiedPoint(z_mod, z_arg)
+    f = None if method == "oracle" else _load_input(series, builtin, depth, prec)
+    envelope = _envelope_from_flags(A, B, r, PSI_LAMBDA_SUP if builtin == "psi" else None)
+    digits = int(prec.mantissa_bits * 0.30103) + 2
+    records = [_result_record(_evaluate(method, f, builtin, lam, theta, z, N, r, C,
+                                        envelope, tol, prec), digits)
+               for N in Ns]
+    _emit(_render(records, SUM_COLUMNS, fmt), out)
 
 
 @click.group()
@@ -214,35 +232,18 @@ def cli():
 @cli.command("sum")
 @_with_common
 @click.option("--N", "N", type=int, default=20, help="truncation index")
-def cmd_sum(series, builtin, depth, method, lam, theta, z_mod, z_arg,
-            A, B, r, C, precision_bits, tol, fmt, out, N):
+def cmd_sum(N, **opts):
     """Evaluate one summation and print the result."""
-    prec = PrecisionConfig(precision_bits)
-    z = RamifiedPoint(z_mod, z_arg)
-    f = None
-    if method != "oracle":
-        f = _load_input(series, builtin, depth, prec)
-    envelope = _envelope_from_flags(A, B, r, PSI_LAMBDA_SUP if builtin == "psi" else None)
-    res = _evaluate(method, f, builtin, lam, theta, z, N, r, C, envelope, tol, prec)
-    _emit(_render_results([res], fmt, prec, f.m if f else None), out)
+    _sum_rows([N], **opts)
 
 
 @cli.command("table")
 @_with_common
 @click.option("--N-range", "n_range", type=str, required=True,
               help="comma list '10,14,18' or 'start:stop:step'")
-def cmd_table(series, builtin, depth, method, lam, theta, z_mod, z_arg,
-              A, B, r, C, precision_bits, tol, fmt, out, n_range):
+def cmd_table(n_range, **opts):
     """One row per truncation index, deterministic order."""
-    prec = PrecisionConfig(precision_bits)
-    z = RamifiedPoint(z_mod, z_arg)
-    f = None
-    if method != "oracle":
-        f = _load_input(series, builtin, depth, prec)
-    envelope = _envelope_from_flags(A, B, r, PSI_LAMBDA_SUP if builtin == "psi" else None)
-    results = [_evaluate(method, f, builtin, lam, theta, z, N, r, C, envelope, tol, prec)
-               for N in _parse_range(n_range)]
-    _emit(_render_results(results, fmt, prec, f.m if f else None), out)
+    _sum_rows(_parse_range(n_range), **opts)
 
 
 @cli.command("compare-bounds")
@@ -252,47 +253,27 @@ def cmd_table(series, builtin, depth, method, lam, theta, z_mod, z_arg,
               help="|z| (default |10+10i|)")
 @click.option("--z-arg", type=float, default=None, help="arg z (default pi/4)")
 @click.option("--n-max", type=int, default=30)
-@click.option("--precision-bits", type=click.IntRange(min=53), default=256)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
+@_precision_bits
+@_format
+@_out
 def cmd_compare_bounds(A, B, z_mod, z_arg, n_max, precision_bits, fmt, out):
     """Tabulate log10 of the two strip bounds and the factorial bound."""
     prec = PrecisionConfig(precision_bits)
     with working_precision(prec):
-        if z_mod is None and z_arg is None:
-            z = mp.mpc(10, 10)
-        else:
-            mod = abs(mp.mpc(10, 10)) if z_mod is None else as_mpf(z_mod)
-            arg = mp.pi / 4 if z_arg is None else as_mpf(z_arg)
-            z = mod * mp.exp(1j * arg)
+        z = RamifiedPoint(abs(mp.mpc(10, 10)) if z_mod is None else z_mod,
+                          mp.pi / 4 if z_arg is None else z_arg).projection(prec)
         rows = bound_comparison_table(A, B, z, n_max, prec)
-    if fmt == "json":
-        text = json.dumps([{"n": r.n,
-                            "log10_r_as_ln2": mp.nstr(r.log_r_as_ln2, 10),
-                            "log10_r_as_halfpi": mp.nstr(r.log_r_as_halfpi, 10),
-                            "log10_r_fact": mp.nstr(r.log_r_fact, 10)} for r in rows],
-                          indent=1)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "log10_r_as_ln2", "log10_r_as_halfpi", "log10_r_fact"])
-        for row in rows:
-            w.writerow([row.n, mp.nstr(row.log_r_as_ln2, 10),
-                        mp.nstr(row.log_r_as_halfpi, 10), mp.nstr(row.log_r_fact, 10)])
-        text = buf.getvalue()
-    else:
-        lines = [f"{'n':>3}  {'log10 R_as(ln2)':>16}  {'log10 R_as(pi/2)':>17}  {'log10 R_fact':>13}"]
-        for row in rows:
-            lines.append(f"{row.n:>3}  {mp.nstr(row.log_r_as_ln2, 8):>16}  "
-                         f"{mp.nstr(row.log_r_as_halfpi, 8):>17}  {mp.nstr(row.log_r_fact, 8):>13}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    records = [{"n": row.n,
+                "log10_r_as_ln2": mp.nstr(row.log_r_as_ln2, 10),
+                "log10_r_as_halfpi": mp.nstr(row.log_r_as_halfpi, 10),
+                "log10_r_fact": mp.nstr(row.log_r_fact, 10)} for row in rows]
+    _emit(_render(records, BOUND_COLUMNS, fmt), out)
 
 
 @cli.command("reproduce")
 @click.argument("target", type=click.Choice(list(repro.TARGETS) + ["all"]))
-@click.option("--precision-bits", type=click.IntRange(min=53), default=256)
-@click.option("--out", type=click.Path(), default=None)
+@_precision_bits
+@_out
 def cmd_reproduce(target, precision_bits, out):
     """Re-run a stored reference configuration and grade each row."""
     prec = PrecisionConfig(precision_bits)
@@ -318,15 +299,10 @@ def main(argv=None):
     try:
         cli(args=argv, standalone_mode=False)
         return 0
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(1)
-    except ReproductionFailure as exc:
-        click.echo(f"error: {exc.message}", err=True)
-        sys.exit(3)
     except click.ClickException as exc:
         exc.show()
-        sys.exit(exc.exit_code if exc.exit_code != 2 else 1)
+        # click's usage errors carry exit code 2, which here means a domain error
+        sys.exit(1 if exc.exit_code == 2 else exc.exit_code)
     except click.exceptions.Abort:
         sys.exit(1)
     except BorelSumError as exc:

@@ -1,11 +1,14 @@
 """Configurable-precision complex arithmetic and gamma-function kernels.
 
-Everything downstream (factorial-series kernels, error bounds, quadrature)
-funnels its special-function needs through this module: ``log_gamma``,
-``reciprocal_gamma`` and the ratio ``gamma_ratio``.  Ratios are always
-formed from log-gamma differences, never from two plain gamma evaluations:
-``Gamma(lambda*z + N + 1)`` overflows double exponent range near ``N = 100``
-and loses all accuracy long before that.
+Every factorial-series kernel, in the sums and in the error bounds, is a
+``gamma_ratio``.  Ratios are always formed from log-gamma differences,
+never from two plain gamma evaluations: ``Gamma(lambda*z + N + 1)``
+overflows double exponent range near ``N = 100`` and loses all accuracy
+long before that.  Single gammas are called from mpmath directly:
+``mp.rgamma`` in ``generalized_coefficients``, ``mp.gamma`` in
+``r_fact_asymptotic`` and ``example2_series``.
+``log_gamma`` and ``reciprocal_gamma`` are public helpers with pole checks;
+the library itself does not call them.
 
 Values are ``mpmath`` numbers.  A :class:`PrecisionConfig` names the working
 mantissa size; operations run under ``mpmath.workprec`` so results carry the
@@ -35,31 +38,27 @@ Numeric = Union[int, float, str, Fraction, mp.mpf, mp.mpc, complex]
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working mantissa precision (bits) plus a default tolerance.
-
-    ``default_tolerance`` is what table sweeps and quadratures aim for when
-    the caller does not pass an explicit ``tol``; it must stay well above
-    the working epsilon ``2**(-mantissa_bits)``.
-    """
+    """Working mantissa precision in bits."""
 
     mantissa_bits: int = DEFAULT_BITS
-    default_tolerance: float = 0.0  # 0 means "derive from mantissa_bits"
 
     def __post_init__(self):
         if self.mantissa_bits < 53:
             raise ValueError("mantissa_bits must be at least 53")
-        if self.default_tolerance == 0.0:
-            # 56 bits above epsilon, but at most a quarter of the mantissa:
-            # at 53 bits a 56-bit margin would leave a tolerance above 1
-            guard = min(56, self.mantissa_bits // 4)
-            object.__setattr__(self, "default_tolerance",
-                               float(mp.mpf(2) ** -(self.mantissa_bits - guard)))
-        if not self.default_tolerance > 0:
-            raise ValueError("default_tolerance must be positive")
 
     @property
     def epsilon(self) -> mp.mpf:
         return mp.mpf(2) ** -self.mantissa_bits
+
+    @property
+    def default_tolerance(self) -> mp.mpf:
+        """What quadratures aim for when the caller passes no ``tol``.
+
+        56 bits above epsilon, but at most a quarter of the mantissa: at 53
+        bits a 56-bit margin would leave a tolerance above 1.
+        """
+        bits = self.mantissa_bits
+        return mp.mpf(2) ** -(bits - min(56, bits // 4))
 
 
 DEFAULT_PRECISION = PrecisionConfig()

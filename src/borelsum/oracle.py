@@ -78,7 +78,7 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
     the precision's default tolerance), else :class:`QuadratureError`.
     """
     with working_precision(prec) as cfg:
-        tolv = as_mpf(tol) if tol is not None else as_mpf(cfg.default_tolerance)
+        tolv = as_mpf(tol) if tol is not None else cfg.default_tolerance
         if not tolv > 0:
             raise DomainError("tol must be positive")
         th = as_mpf(theta)
@@ -111,7 +111,8 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
 
 
 def _euler_transform(zeta: RamifiedPoint) -> mp.mpc:
-    return 1 / (1 + zeta.projection())
+    # formed at the ambient precision, as the quadrature runs with guard bits
+    return 1 / (1 + zeta.modulus * mp.exp(1j * zeta.argument))
 
 
 def _example2_transform(zeta: RamifiedPoint) -> mp.mpc:

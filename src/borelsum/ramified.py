@@ -34,7 +34,7 @@ import mpmath as mp
 
 from .classical import (SummationResult, check_lambda_permitted,
                         factorial_expansion, factorial_series_sum,
-                        least_term_index)
+                        least_term_index, r_as)
 from .combinatorics import d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PrecisionConfig, as_mpf, ensure_finite, gamma_ratio,
@@ -186,15 +186,20 @@ def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,
             raise DomainError("least-term summation needs Re(z projected) > 0")
         estimate = partial_sum(f, z, f.m * n, prec)
         peak = max(abs(f.coefficients[l + f.m * n]) for l in range(1, f.m + 1))
-        weights = mp.fsum(mp.power(z.modulus, mp.mpf(i) / f.m) for i in range(f.m))
-        heuristic = peak * weights / (mp.power(z.modulus, n) * mp.re(zdot))
+        heuristic = peak * _branch_weights(z, f.m) / (mp.power(z.modulus, n) * mp.re(zdot))
         return SummationResult(estimate=ensure_finite(estimate), N=f.m * n,
                                method="least-term", heuristic_error=heuristic)
 
 
+def _branch_weights(z: RamifiedPoint, m: int) -> mp.mpf:
+    """sum_{i=0}^{m-1} |z|^(i/m): the branch prefactors of a ramified bound."""
+    return mp.fsum(mp.power(z.modulus, mp.mpf(i) / m) for i in range(m))
+
+
 def r_as_ramified(r, C, B, n: int, z: RamifiedPoint, m: int,
                   prec: PrecisionConfig | None = None) -> mp.mpf:
-    """Ramified least-term bound
+    """Ramified least-term bound: ``r_as`` with A = C at z projected, times
+    the branch weights,
 
         C e^(B r) (n!/r^n) (sum_{i=0}^{m-1} |z|^(i/m)) / (|z|^n (Re z. - B)).
     """
@@ -202,13 +207,4 @@ def r_as_ramified(r, C, B, n: int, z: RamifiedPoint, m: int,
         raise DomainError("m must be a positive integer")
     z = as_point(z, prec)
     with working_precision(prec):
-        rv, Cv, Bv = as_mpf(r), as_mpf(C), as_mpf(B)
-        if not (rv > 0 and Cv > 0 and Bv > 0):
-            raise DomainError("r_as_ramified needs positive r, C, B")
-        zdot = z.projection(prec)
-        if not mp.re(zdot) > Bv:
-            raise DomainError("r_as_ramified needs Re(z projected) > B")
-        weights = mp.fsum(mp.power(z.modulus, mp.mpf(i) / m) for i in range(m))
-        return ensure_finite(
-            Cv * mp.exp(Bv * rv) * mp.factorial(n) / mp.power(rv, n)
-            * weights / (mp.power(z.modulus, n) * (mp.re(zdot) - Bv)))
+        return r_as(r, C, B, n, z.projection(prec), prec) * _branch_weights(z, m)

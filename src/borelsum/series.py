@@ -206,7 +206,7 @@ def partial_sum(f: FormalSeries, z: PointLike, N: int,
     zp = as_point(z, prec)
     with working_precision(prec):
         return ensure_finite(mp.fsum(
-            (f.coefficients[k] * power(zp, -k, f.m) for k in range(N + 1)),
+            (f.coefficients[k] * power(zp, -k, f.m, prec) for k in range(N + 1)),
             absolute=False))
 
 

@@ -1,16 +1,23 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
+import pytest
 
 PKG = [sys.executable, "-m", "borelsum.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, expect=0):
-    proc = subprocess.run(PKG + list(args), capture_output=True, text=True)
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(PKG + list(args), capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc
 
@@ -163,3 +170,63 @@ def test_out_file(tmp_path):
             "--out", str(target))
     rec = json.loads(target.read_text())[0]
     assert rec["N"] == 10
+
+
+GOLDEN_COMMANDS = {
+    "compare_bounds": ("compare-bounds", "--n-max", "3"),
+    "sum_euler": ("sum", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
+                  "--N", "10", "--A", "4", "--B", "0.05"),
+    "table_example2": ("table", "--builtin", "example2", "--method", "generalized",
+                       "--z-mod", "5", "--N-range", "10,12"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_output(name, fmt):
+    out = run_cli(*GOLDEN_COMMANDS[name], "--format", fmt).stdout
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text()
+
+
+def test_sum_is_a_one_row_table():
+    where = ("--builtin", "psi", "--method", "branch", "--lambda", "2.885390081777927",
+             "--z-mod", "12", "--A", "1", "--B", "1", "--format", "json")
+    assert run_cli("sum", "--N", "14", *where).stdout == \
+        run_cli("table", "--N-range", "14", *where).stdout
+
+
+def test_text_shows_every_field_of_the_record():
+    for args, with_diverging in ((GOLDEN_COMMANDS["sum_euler"], False),
+                                 (GOLDEN_COMMANDS["table_example2"], True)):
+        records = json.loads(run_cli(*args, "--format", "json").stdout)
+        header, *rows = run_cli(*args, "--format", "text").stdout.splitlines()
+        assert header.split() == ["N", "estimate_re", "estimate_im"] + \
+            [k for k in records[0] if k not in ("N", "estimate")]
+        assert ("diverging" in header.split()) == with_diverging
+        for rec, row in zip(records, rows, strict=True):
+            cells = row.split()
+            assert cells[0] == str(rec["N"])
+            assert cells[1] == rec["estimate"]["re"]
+            assert rec["method"] in cells
+            if with_diverging:
+                assert cells[-1] == json.dumps(rec["diverging"])
+
+
+def test_compare_bounds_text_has_the_json_columns():
+    header, *rows = run_cli("compare-bounds", "--n-max", "3").stdout.splitlines()
+    records = json.loads(run_cli("compare-bounds", "--n-max", "3", "--format", "json").stdout)
+    assert header.split() == list(records[0])
+    assert [row.split() for row in rows] == [[str(v) for v in rec.values()] for rec in records]
+
+
+def test_factorial_method_on_ramified_series_names_the_other_routes():
+    proc = run_cli("sum", "--builtin", "psi", "--method", "factorial",
+                   "--z-mod", "12", expect=2)
+    assert "use branch or generalized" in proc.stderr
+
+
+def test_precision_above_double_exponent_range():
+    # a float default tolerance underflows to 0 past ~1130 bits
+    proc = run_cli("compare-bounds", "--n-max", "1", "--precision-bits", "1200")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stdout.splitlines()) == 3

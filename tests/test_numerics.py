@@ -12,8 +12,6 @@ def test_precision_config_invariants():
     assert cfg.default_tolerance > 0
     with pytest.raises(ValueError):
         PrecisionConfig(52)
-    with pytest.raises(ValueError):
-        PrecisionConfig(64, default_tolerance=-1.0)
 
 
 def test_default_tolerance_stays_below_one_at_low_precision():

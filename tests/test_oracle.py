@@ -6,7 +6,8 @@ import pytest
 from borelsum import (DomainError, PSI_LAMBDA_SUP, PrecisionConfig,
                       QuadratureError, RamifiedPoint, euler_series,
                       example2_series, laplace_quadrature, least_term_index,
-                      partial_sum, psi_scaled_coefficients, psi_series, r_as)
+                      partial_sum, psi_scaled_coefficients, psi_series, r_as,
+                      working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS, BorelEvaluator
 
 # ---------------------------------------------------------------------------
@@ -78,6 +79,15 @@ def test_quadrature_default_tolerance_at_low_precision(bits, prec):
         assert abs(v - mp.exp(3) * mp.e1(3)) < target
         ref = laplace_quadrature(BUILTIN_EVALUATORS["example2"], 0, 5, prec=prec)
         assert abs(v2 - ref) < target
+
+
+def test_quadrature_default_tolerance_at_512_bits():
+    # the Euler transform is formed at the quadrature's own precision, so the
+    # default tolerance 2^-456 is reachable
+    hi = PrecisionConfig(512)
+    v = laplace_quadrature(BUILTIN_EVALUATORS["euler"], 0, 3, prec=hi)
+    with working_precision(hi):
+        assert abs(v - mp.exp(3) * mp.e1(3)) < hi.default_tolerance
 
 
 def test_custom_evaluator(workprec, prec):

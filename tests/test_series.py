@@ -164,6 +164,18 @@ def test_partial_sum_psi_head(workprec):
     assert abs(got - want) < mp.mpf(2) ** -230
 
 
+def test_partial_sum_keeps_the_callers_precision():
+    # above the 256-bit default every power z^(-k/m) must run at 512 bits
+    prec = PrecisionConfig(512)
+    with working_precision(prec):
+        f = FormalSeries(3, [mp.mpf(k + 1) / 7 for k in range(31)])
+        z = RamifiedPoint(12, mp.mpf(3) / 10)
+        got = partial_sum(f, z, 30, prec)
+        w = 1 / mp.cbrt(z.projection(prec))  # principal root: arg z / 3
+        want = mp.fsum(a * w ** k for k, a in enumerate(f.coefficients))
+        assert abs(got - want) < mp.mpf(2) ** -490 * abs(want)
+
+
 def test_ramified_point_equivalence(workprec, prec):
     a = RamifiedPoint(2, mp.mpf("0.5"))
     b = RamifiedPoint(2, mp.mpf("0.5") + 4 * mp.pi)  # full turn of the 2-cover
