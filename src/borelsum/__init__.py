@@ -24,7 +24,8 @@ from .combinatorics import (BellArguments, StirlingTable, bell_partial,
 from .errors import (BorelSumError, DomainError,
                      InsufficientCoefficientsError, PoleError, QuadratureError)
 from .numerics import (DEFAULT_PRECISION, PrecisionConfig, gamma_ratio,
-                       log_gamma, reciprocal_gamma, working_precision)
+                       gamma_ratios, log_gamma, reciprocal_gamma,
+                       working_precision)
 from .oracle import (BUILTIN_EVALUATORS, BUILTIN_SERIES, PSI_LAMBDA_SUP,
                      BorelEvaluator, euler_series, example2_series,
                      laplace_quadrature, psi_scaled_coefficients, psi_series)

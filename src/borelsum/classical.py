@@ -24,6 +24,7 @@ stored reference tables below some depth are simply unreachable.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,7 +34,7 @@ import mpmath as mp
 from .combinatorics import stirling_first
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PrecisionConfig, as_mpc, as_mpf, ensure_finite,
-                       gamma_ratio, working_precision)
+                       gamma_ratio, gamma_ratios, working_precision)
 from .series import FormalSeries, GrowthEnvelope, PointLike, as_point, scale
 
 
@@ -79,6 +80,18 @@ class FactorialExpansion:
         return len(self.b) - 1
 
 
+def _transform_term(av: Sequence[mp.mpc], n: int) -> tuple[mp.mpc, mp.mpf]:
+    """b_n from a_1..a_{n+1} (``av[:n + 1]``), and its condition number
+    sum_k |term_k| / |b_n|, at the ambient precision."""
+    terms = [(-1) ** (n - k + 1) * stirling_first(n, k - 1) * av[k - 1]
+             for k in range(1, n + 2)]
+    nfact = mp.factorial(n)
+    b_n = mp.fsum(terms, absolute=False) / nfact
+    gross = mp.fsum(terms, absolute=True) / nfact
+    cond = gross / abs(b_n) if b_n != 0 else mp.inf if gross != 0 else mp.mpf(1)
+    return b_n, cond
+
+
 def stirling_transform(a: Sequence, prec: PrecisionConfig | None = None,
                        with_condition: bool = False):
     """Map coefficients a_1..a_{N+1} (list WITHOUT the constant term) to
@@ -90,20 +103,37 @@ def stirling_transform(a: Sequence, prec: PrecisionConfig | None = None,
     """
     with working_precision(prec):
         av = [as_mpc(x) for x in a]
-        bs: list[mp.mpc] = []
-        conds: list[mp.mpf] = []
+        bs, conds = [], []
         for n in range(len(av)):
-            terms = [(-1) ** (n - k + 1) * stirling_first(n, k - 1) * av[k - 1]
-                     for k in range(1, n + 2)]
-            nfact = mp.factorial(n)
-            b_n = mp.fsum(terms, absolute=False) / nfact
+            b_n, cond = _transform_term(av, n)
             bs.append(b_n)
-            if with_condition:
-                gross = mp.fsum(terms, absolute=True) / nfact
-                conds.append(gross / abs(b_n) if b_n != 0 else mp.inf if gross != 0 else mp.mpf(1))
+            conds.append(cond)
         if with_condition:
             return bs, conds
         return bs
+
+
+class _FactorialRow:
+    """b_0.. and their condition numbers for one series, lambda and
+    precision, extended in place when a deeper N is asked for."""
+
+    def __init__(self, f: FormalSeries, lam: mp.mpf, prec: PrecisionConfig):
+        self.prec = prec
+        with working_precision(prec):
+            fs = scale(f, lam, prec) if lam != 1 else f
+            self.a = [as_mpc(x) for x in fs.coefficients[1:]]
+        self.b: list[mp.mpc] = []
+        self.condition: list[mp.mpf] = []
+        self.lock = threading.Lock()
+
+    def prefix(self, N: int) -> tuple[tuple[mp.mpc, ...], tuple[mp.mpf, ...]]:
+        """(b_0..b_N, their condition numbers)."""
+        with self.lock, working_precision(self.prec):
+            for n in range(len(self.b), N + 1):
+                b_n, cond = _transform_term(self.a, n)
+                self.b.append(b_n)
+                self.condition.append(cond)
+            return tuple(self.b[:N + 1]), tuple(self.condition[:N + 1])
 
 
 def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
@@ -111,7 +141,9 @@ def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
     """Build the lambda-scaled factorial expansion of an m = 1 series.
 
     Produces b_0..b_N; needs coefficients a_1..a_{N+1}.  By default uses
-    every stored coefficient (N = n_max - 1).
+    every stored coefficient (N = n_max - 1).  The Stirling transform runs
+    once per series, lambda and precision: its rows are cached on ``f`` and
+    only ever extended, and each call returns their first N + 1 entries.
     """
     if f.m != 1:
         raise DomainError("factorial_expansion needs an unramified (m = 1) series; "
@@ -121,27 +153,25 @@ def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
     if N < 0:
         raise DomainError("series must store at least a_0, a_1")
     f.require_depth(N + 1)
-    with working_precision(prec):
+    with working_precision(prec) as cfg:
         lv = as_mpf(lam)
-        fs = scale(f, lv, prec) if lv != 1 else f
-        b, cond = stirling_transform(fs.coefficients[1:N + 2], prec, with_condition=True)
-        return FactorialExpansion(lam=lv, b=tuple(b), a0=f.coefficients[0],
-                                  condition=tuple(cond))
+        row = f._derived(("factorial", lv, cfg.mantissa_bits),
+                         lambda: _FactorialRow(f, lv, cfg))
+        b, cond = row.prefix(N)
+        return FactorialExpansion(lam=lv, b=b, a0=f.coefficients[0], condition=cond)
 
 
-def _first_omitted_estimate(b_next, lam, z, N, prec=None) -> mp.mpf:
+def _first_omitted_estimate(b_next, kernel, z) -> mp.mpf:
     """Practical first-omitted-term error estimate of the factorial series.
 
-    |b_{N+1}| |Gamma(lambda z)| Gamma(N+2) / (Re z |Gamma(lambda z + N + 1)|):
-    the (N+1)-st coefficient against the running kernel, with the tail of
-    the Laplace integral contributing the 1/Re z factor.  This matches the
-    printed error columns of the reference tables to their two significant
-    digits (factorial and branch methods).
+    |b_{N+1}| |Gamma(lambda z)| Gamma(N+2) / (Re z |Gamma(lambda z + N + 1)|),
+    from the last kernel K_N = Gamma(lambda z) Gamma(N+1) / Gamma(lambda z + N + 1)
+    of the sum as (N+1) K_N: the (N+1)-st coefficient against the running
+    kernel, with the tail of the Laplace integral contributing the 1/Re z
+    factor.  This matches the printed error columns of the reference tables
+    to their two significant digits (factorial and branch methods).
     """
-    with working_precision(prec):
-        zc = as_mpc(z)
-        kernel = (N + 1) * gamma_ratio(lam * zc, N, 1, prec)
-        return abs(b_next) * abs(kernel) / mp.re(zc)
+    return abs(b_next) * abs(kernel) / mp.re(z)
 
 
 def check_lambda_permitted(lam, envelope: GrowthEnvelope | None) -> None:
@@ -179,10 +209,20 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
         if not mp.re(zc) > 0:
             raise DomainError("factorial series needs Re z > 0")
         check_lambda_permitted(e.lam, envelope)
-        total = mp.fsum((gamma_ratio(e.lam * zc, n, 1, prec) * e.b[n]
-                         for n in range(N + 1)), absolute=False)
+        return _factorial_sum(e, zc, N, gamma_ratios(e.lam * zc, 1, N + 1, prec),
+                              envelope, prec)
+
+
+def _factorial_sum(e: FactorialExpansion, zc: mp.mpc, N: int, kernels: list,
+                   envelope: GrowthEnvelope | None, prec: PrecisionConfig | None
+                   ) -> SummationResult:
+    """The body of :func:`factorial_series_sum` at z = ``zc`` (Re zc > 0),
+    given the kernels Gamma(lambda z) Gamma(n+1) / Gamma(lambda z + n + 1)
+    for n <= N; ``e`` stores b_0..b_{N+1}."""
+    with working_precision(prec):
+        total = mp.fsum((kernels[n] * e.b[n] for n in range(N + 1)), absolute=False)
         estimate = e.a0 + e.lam * total
-        heuristic = _first_omitted_estimate(e.b[N + 1], e.lam, zc, N, prec)
+        heuristic = _first_omitted_estimate(e.b[N + 1], (N + 1) * kernels[N], zc)
         rigorous = None
         if envelope is not None and envelope.lam is not None:
             rigorous = r_fact(e.lam, envelope.A, envelope.B, N, zc, prec)

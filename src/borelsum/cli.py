@@ -167,10 +167,14 @@ def _parse_range(spec_str: str) -> list[int]:
             parts = [int(p) for p in spec_str.split(":")]
             start, stop = parts[0], parts[1]
             step = parts[2] if len(parts) > 2 else 1
-            return list(range(start, stop + 1, step))
-        return [int(p) for p in spec_str.split(",")]
+            Ns = list(range(start, stop + 1, step))
+        else:
+            Ns = [int(p) for p in spec_str.split(",")]
     except ValueError:
         raise click.UsageError(f"cannot parse N range {spec_str!r}")
+    if not Ns:
+        raise click.UsageError(f"N range {spec_str!r} is empty")
+    return Ns
 
 
 _precision_bits = click.option("--precision-bits", type=click.IntRange(min=53), default=256)
@@ -213,6 +217,9 @@ def _with_common(fn):
 def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
               A, B, r, C, precision_bits, tol, fmt, out) -> None:
     """The body of ``sum`` and ``table``: one record per truncation index."""
+    if C is not None and B is None:
+        raise click.UsageError(
+            "--C needs --B (with --A): the ramified bound uses the growth rate B")
     prec = PrecisionConfig(precision_bits)
     z = RamifiedPoint(z_mod, z_arg)
     f = None if method == "oracle" else _load_input(series, builtin, depth, prec)
@@ -252,7 +259,7 @@ def cmd_table(n_range, **opts):
 @click.option("--z-mod", type=click.FloatRange(min=0, min_open=True), default=None,
               help="|z| (default |10+10i|)")
 @click.option("--z-arg", type=float, default=None, help="arg z (default pi/4)")
-@click.option("--n-max", type=int, default=30)
+@click.option("--n-max", type=click.IntRange(min=0), default=30)
 @_precision_bits
 @_format
 @_out

@@ -1,10 +1,13 @@
 """Configurable-precision complex arithmetic and gamma-function kernels.
 
-Every factorial-series kernel, in the sums and in the error bounds, is a
-``gamma_ratio``.  Ratios are always formed from log-gamma differences,
-never from two plain gamma evaluations: ``Gamma(lambda*z + N + 1)``
-overflows double exponent range near ``N = 100`` and loses all accuracy
-long before that.  Single gammas are called from mpmath directly:
+A factorial-series kernel Gamma(z) Gamma(s+n) / Gamma(z+s+n) is either a
+single ``gamma_ratio`` (the error bounds) or an element of a
+``gamma_ratios`` chain (the partial sums: n = 0..N in one pass, by the
+two-term recurrence in n).  Neither is ever formed from two plain gamma
+evaluations: ``Gamma(lambda*z + N + 1)`` overflows double exponent range
+near ``N = 100`` and loses all accuracy long before that.  A single ratio
+is a log-gamma difference; a chain starts from one (or from exactly 1/z
+when s = 1).  Single gammas are called from mpmath directly:
 ``mp.rgamma`` in ``generalized_coefficients``, ``mp.gamma`` in
 ``r_fact_asymptotic`` and ``example2_series``.
 ``log_gamma`` and ``reciprocal_gamma`` are public helpers with pole checks;
@@ -157,3 +160,37 @@ def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
             val = mp.exp(mp.loggamma(zc) + mp.loggamma(sf + n)
                          - mp.loggamma(zc + sf + n))
         return ensure_finite(+mp.mpc(val))
+
+
+def gamma_ratios(z: Numeric, s: Numeric, count: int,
+                 prec: PrecisionConfig | None = None) -> list[mp.mpc]:
+    """[Gamma(z) Gamma(s+n) / Gamma(z+s+n) for n < count], s > 0.
+
+    Element n equals ``gamma_ratio(z, n, s)``: the chain starts from the
+    same log-gamma differences (from exactly 1/z when s = 1) and continues
+    with K_{n+1} = K_n (s+n) / (z+s+n).  The whole chain runs with the same
+    64 guard bits as ``gamma_ratio``, where its n roundings stay far below
+    the one rounding of each element to the working precision.
+    """
+    if count < 0:
+        raise DomainError("count must be nonnegative")
+    with working_precision(prec):
+        zc = as_mpc(z)
+        sf = as_mpf(s)
+        if not sf > 0:
+            raise DomainError("gamma_ratios needs s > 0")
+        # with s > 0, z + s + n hits a pole for some n >= 0 only if z + s does
+        if _is_nonpositive_int(zc) or _is_nonpositive_int(zc + sf):
+            raise PoleError(f"gamma_ratios pole at z = {zc}, s = {sf}")
+        if count == 0:
+            return []
+        with mp.extraprec(64):
+            if sf == 1:
+                k = 1 / zc
+            else:
+                k = mp.exp(mp.loggamma(zc) + mp.loggamma(sf) - mp.loggamma(zc + sf))
+            chain = [k]
+            for n in range(count - 1):
+                k = k * (sf + n) / (zc + sf + n)
+                chain.append(k)
+        return [ensure_finite(+mp.mpc(k)) for k in chain]

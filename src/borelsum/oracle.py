@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Callable
 
 import mpmath as mp
@@ -190,6 +189,9 @@ _PSI_PIVOT_POWER = 7  # max(deg A0, deg A1 - 1, deg A2 - 2)
 _psi_lock = threading.Lock()
 _psi_scaled: list[Fraction] = [Fraction(1)]
 _psi_chi: list[Fraction] = [Fraction(1)]
+# _psi_binom[n] = (-3)^j binom(-n/3, j) at the last j used for atil_n; the
+# next one is (-3)^(j+1) binom(-n/3, j+1) = _psi_binom[n] (n + 3j) / (j+1)
+_psi_binom: list[Fraction] = [Fraction(1)]
 
 
 def _psi_bracket(p: int, k: int) -> Fraction:
@@ -197,13 +199,6 @@ def _psi_bracket(p: int, k: int) -> Fraction:
     val -= k * Fraction(_PSI_A1.get(p + k + 1, 0))
     val += k * (k + 1) * Fraction(_PSI_A2.get(p + k + 2, 0))
     return val
-
-
-def _binom_fraction(top: Fraction, j: int) -> Fraction:
-    v = Fraction(1)
-    for i in range(j):
-        v *= top - i
-    return v / factorial(j)
 
 
 def psi_scaled_coefficients(depth: int) -> list[Fraction]:
@@ -226,12 +221,15 @@ def psi_scaled_coefficients(depth: int) -> list[Fraction]:
         while len(_psi_scaled) <= depth:
             k = len(_psi_scaled)
             s = _psi_chi[k]
+            # atil_n enters atil_k at j = (k - n)/2, one j higher than at atil_(k-2)
             for j in range(1, k // 2 + 1):
                 n = k - 2 * j
                 if n == 0:
                     continue
-                s -= _psi_scaled[n] * Fraction(-3) ** j * _binom_fraction(Fraction(-n, 3), j)
+                _psi_binom[n] *= Fraction(n + 3 * (j - 1), j)
+                s -= _psi_scaled[n] * _psi_binom[n]
             _psi_scaled.append(s)
+            _psi_binom.append(Fraction(1))
         return list(_psi_scaled[:depth + 1])
 
 

@@ -32,12 +32,11 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .classical import (SummationResult, check_lambda_permitted,
-                        factorial_expansion, factorial_series_sum,
-                        least_term_index, r_as)
+from .classical import (SummationResult, _factorial_sum, check_lambda_permitted,
+                        factorial_expansion, least_term_index, r_as)
 from .combinatorics import d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PrecisionConfig, as_mpf, ensure_finite, gamma_ratio,
+from .numerics import (PrecisionConfig, as_mpf, ensure_finite, gamma_ratios,
                        working_precision)
 from .series import (FormalSeries, GrowthEnvelope, RamifiedPoint, as_point,
                      branch_split, partial_sum, power, rotate, scale)
@@ -48,7 +47,8 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
                prec: PrecisionConfig | None = None) -> SummationResult:
     """Assemble a_0 + sum_l z^((m-l)/m) * (factorial series of branch l at z projected).
 
-    Each branch is a :func:`factorial_series_sum` at per-branch depth N; the
+    Each branch is a factorial series sum at per-branch depth N, all at the
+    same lambda z projected, so one kernel chain serves every branch; the
     heuristic error and the rigorous bound are the z-weighted sums of the
     per-branch ones, the condition number the worst branch's.
     Needs flat coefficients up to a_{l + m(N+1)} for every branch.
@@ -62,16 +62,20 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
             f"branch depth N = {N} needs flat coefficients up to a_{needed}, "
             f"series stores a_0..a_{f.n_max}")
     with working_precision(prec):
-        if not mp.re(z.projection(prec)) > 0:
+        zdot = z.projection(prec)
+        if not mp.re(zdot) > 0:
             raise DomainError("branch_sum needs Re(z projected) > 0")
+        lv = as_mpf(lam)
+        check_lambda_permitted(lv, envelope)
         a0, branches = branch_split(f)
+        expansions = [factorial_expansion(fl, lv, N + 1, prec) for fl in branches]
+        kernels = gamma_ratios(lv * zdot, 1, N + 1, prec)
         estimate = mp.mpc(a0)
         heuristic = mp.mpf(0)
         rigorous = mp.mpf(0) if envelope is not None and envelope.lam is not None else None
         cond = mp.mpf(1)
-        for l, fl in enumerate(branches, start=1):
-            part = factorial_series_sum(factorial_expansion(fl, lam, N + 1, prec),
-                                        z, N, envelope, prec)
+        for l, e in enumerate(expansions, start=1):
+            part = _factorial_sum(e, zdot, N, kernels, envelope, prec)
             weight = power(z, f.m - l, f.m, prec)
             estimate += weight * part.estimate
             heuristic += abs(weight) * part.heuristic_error
@@ -123,6 +127,28 @@ def _divergence_flag(term_mags: list[mp.mpf]) -> bool:
     return i_min < len(term_mags) - 3 and tail > 4 * term_mags[i_min]
 
 
+def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
+    """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count], with n/m
+    rounded to the working precision.
+
+    Each residue class of n mod m is a ``gamma_ratios`` chain in steps of 1
+    in n/m.  A chain restarts wherever the rounded n/m is not exactly the
+    previous one plus 1, which can happen only where n/m passes a power of
+    two and its rounding grid coarsens; for m a power of two it never does.
+    """
+    with working_precision(prec):
+        s = [mp.mpf(n) / m for n in range(1, count + 1)]
+        out = [None] * count
+        for l in range(1, m + 1):
+            ns = range(l, count + 1, m)
+            with mp.extraprec(64):  # s + 1 is exact with 64 extra bits
+                starts = [i for i, n in enumerate(ns) if i == 0 or s[n - 1] != s[n - 1 - m] + 1]
+            for i, j in zip(starts, starts[1:] + [len(ns)]):
+                for n, k in zip(ns[i:j], gamma_ratios(w, s[ns[i] - 1], j - i, prec)):
+                    out[n - 1] = k
+        return out
+
+
 def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
                               envelope: GrowthEnvelope | None = None,
                               prec: PrecisionConfig | None = None) -> SummationResult:
@@ -143,12 +169,11 @@ def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
             raise DomainError("generalized_factorial_sum needs Re(z projected) > 0")
         fs = scale(f, lv, prec) if lv != 1 else f
         d = generalized_coefficients(fs, N + 1, prec)
-        w = lv * zdot
-        terms = [lv * gamma_ratio(w, 0, mp.mpf(n) / f.m, prec) * d[n - 1]
-                 for n in range(1, N + 1)]
+        kernels = _beta_kernels(lv * zdot, f.m, N + 1, prec)
+        terms = [lv * kernels[n - 1] * d[n - 1] for n in range(1, N + 1)]
         estimate = f.coefficients[0] + mp.fsum(terms, absolute=False)
         mags = [abs(t) for t in terms]
-        heuristic = abs(lv * gamma_ratio(w, 0, mp.mpf(N + 1) / f.m, prec) * d[N])
+        heuristic = abs(lv * kernels[N] * d[N])
         gross = mp.fsum(mags)
         cond = gross / abs(estimate) if estimate != 0 else mp.inf
         return SummationResult(estimate=ensure_finite(estimate), N=N,

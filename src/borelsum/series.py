@@ -13,8 +13,9 @@ power map z^(k/m) = modulus^(k/m) * exp(i k/m * argument).
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Callable, Iterable, Union
 
 import mpmath as mp
 
@@ -33,6 +34,8 @@ class RamifiedPoint:
     def __post_init__(self):
         object.__setattr__(self, "modulus", as_mpf(self.modulus))
         object.__setattr__(self, "argument", as_mpf(self.argument))
+        if not (mp.isfinite(self.modulus) and mp.isfinite(self.argument)):
+            raise DomainError("RamifiedPoint modulus and argument must be finite")
         if not self.modulus > 0:
             raise DomainError("RamifiedPoint modulus must be positive")
 
@@ -115,9 +118,14 @@ def power(z: RamifiedPoint, k: int, m: int,
 
 
 class FormalSeries:
-    """Coefficients a_0..a_nmax of sum_n a_n z^(-n/m), ramification order m."""
+    """Coefficients a_0..a_nmax of sum_n a_n z^(-n/m), ramification order m.
 
-    __slots__ = ("m", "coefficients")
+    The coefficients never change.  Data derived from them (the branch split,
+    the factorial rows of :func:`borelsum.classical.factorial_expansion`) is
+    cached on the object by :meth:`_derived`, so it lives and dies with it.
+    """
+
+    __slots__ = ("m", "coefficients", "_cache", "_lock")
 
     def __init__(self, m: int, coefficients: Iterable):
         if m < 1:
@@ -125,11 +133,28 @@ class FormalSeries:
         coeffs = tuple(as_mpc(c) for c in coefficients)
         if not coeffs:
             raise DomainError("a FormalSeries needs at least the constant term")
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "coefficients", coeffs)
+        self.__setstate__((int(m), coeffs))
 
     def __setattr__(self, *a):  # immutable value type
         raise AttributeError("FormalSeries is immutable")
+
+    def __getstate__(self):  # copies and pickles leave the cache behind
+        return self.m, self.coefficients
+
+    def __setstate__(self, state):
+        m, coeffs = state
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    def _derived(self, key, build: Callable[[], object]):
+        """What ``build()`` returned on the first call with ``key``."""
+        with self._lock:
+            value = self._cache.get(key)
+            if value is None:
+                value = self._cache[key] = build()
+            return value
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -185,16 +210,14 @@ def branch_split(f: FormalSeries) -> tuple[mp.mpc, list[FormalSeries]]:
     Branch l (1 <= l <= m) holds a_{l,j} = a_{l + m(j-1)} at index j, so
     f(z) = a_0 + sum_l z^((m-l)/m) f_l(z projected).  Branches keep every
     coefficient the parent stores; depths may differ by one between branches.
+    Branch coefficients are rounded to the ambient precision.  The branches
+    are cached on ``f`` per precision: every call returns the same objects,
+    and with them whatever they have cached themselves.
     """
-    branches = []
-    for l in range(1, f.m + 1):
-        coeffs = [mp.mpc(0)]
-        j = 1
-        while l + f.m * (j - 1) <= f.n_max:
-            coeffs.append(f.coefficients[l + f.m * (j - 1)])
-            j += 1
-        branches.append(FormalSeries(1, coeffs))
-    return f.coefficients[0], branches
+    def split():
+        return tuple(FormalSeries(1, (mp.mpc(0),) + f.coefficients[l::f.m])
+                     for l in range(1, f.m + 1))
+    return f.coefficients[0], list(f._derived(("branches", mp.mp.prec), split))
 
 
 def partial_sum(f: FormalSeries, z: PointLike, N: int,

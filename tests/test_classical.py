@@ -1,3 +1,6 @@
+import pickle
+import sys
+import threading
 import warnings
 
 import mpmath as mp
@@ -9,7 +12,7 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       RamifiedPoint, b_bound, bound_comparison_table,
                       euler_series, factorial_expansion, factorial_series_sum,
                       laplace_quadrature, least_term_index, partial_sum, r_as,
-                      r_fact, r_fact_asymptotic, stirling_transform,
+                      r_fact, r_fact_asymptotic, scale, stirling_transform,
                       working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS
 
@@ -236,3 +239,67 @@ def test_bound_comparison_table_shape(workprec):
     assert col3[30] < col1[30]
     with pytest.raises(DomainError):
         bound_comparison_table(1, 1, mp.mpc(0.5, 10), 5)
+
+
+# ---------------------------------------------------------------------------
+# factorial rows cached on the series
+# ---------------------------------------------------------------------------
+
+
+def _reciprocal_series(depth, prec):
+    # coefficients 1/(k+3): not exact at any precision, so rows of two
+    # precisions differ in their values
+    with working_precision(prec):
+        return FormalSeries(1, [mp.mpf(1) / (k + 3) for k in range(depth + 1)])
+
+
+def test_factorial_rows_are_kept_apart_by_lambda_and_precision():
+    f = _reciprocal_series(40, PrecisionConfig(512))
+    keys = [(1, 256), (2, 256), (1, 512), (2, 512), ("0.5", 113)]
+    for N in (12, 30, 20):  # every row exists before the others grow
+        for lam, bits in keys:
+            prec = PrecisionConfig(bits)
+            cached = factorial_expansion(f, lam, N, prec)
+            with working_precision(prec):
+                lv = mp.mpf(lam)
+                fs = scale(f, lv, prec) if lv != 1 else f
+            b, cond = stirling_transform(fs.coefficients[1:N + 2], prec, with_condition=True)
+            assert (cached.lam, cached.b, cached.condition) == (lv, tuple(b), tuple(cond))
+
+
+def test_factorial_rows_grow_consistently_across_threads(prec):
+    # more threads than cores, switching often, all growing the same two rows
+    f = _reciprocal_series(60, prec)
+    requests = [(lam, N) for lam in (1, 2) for N in (7, 40, 18, 55, 3, 29)]
+    results = []
+
+    def worker(i):
+        for lam, N in requests[i:] + requests[:i]:
+            results.append((lam, N, factorial_expansion(f, lam, N, prec)))
+
+    old, old_prec = sys.getswitchinterval(), mp.mp.prec
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+        # threads interleave mpmath's process-global precision switches, so
+        # the last one to leave may not restore the precision it found
+        mp.mp.prec = old_prec
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6 * len(requests)
+    for lam, N, e in results:
+        assert e == factorial_expansion(_reciprocal_series(60, prec), lam, N, prec)
+
+
+def test_a_series_with_cached_rows_pickles(prec):
+    f = _reciprocal_series(20, prec)
+    e = factorial_expansion(f, 2, 15, prec)
+    with mp.workprec(53):  # unpickling must not round the coefficients
+        g = pickle.loads(pickle.dumps(f))
+    assert g.coefficients == f.coefficients
+    assert factorial_expansion(g, 2, 15, prec) == e

@@ -230,3 +230,26 @@ def test_precision_above_double_exponent_range():
     proc = run_cli("compare-bounds", "--n-max", "1", "--precision-bits", "1200")
     assert "Traceback" not in proc.stderr
     assert len(proc.stdout.splitlines()) == 3
+
+
+def test_ramified_constant_without_growth_rate_is_a_usage_error():
+    proc = run_cli("sum", "--builtin", "psi", "--method", "least-term", "--r", "2",
+                   "--z-mod", "12", "--C", "1", expect=1)
+    assert "--C" in proc.stderr
+
+
+def test_empty_ranges_are_usage_errors():
+    proc = run_cli("table", "--builtin", "euler", "--method", "factorial",
+                   "--z-mod", "3", "--N-range", "5:4", expect=1)
+    assert "empty" in proc.stderr and proc.stdout == ""
+    proc = run_cli("compare-bounds", "--n-max", "-1", "--format", "json", expect=1)
+    assert "--n-max" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--z-mod", "inf"), ("--z-mod", "nan"),
+                                         ("--z-arg", "inf"), ("--z-arg", "nan")])
+def test_non_finite_point_is_a_domain_error(flag, value):
+    where = {"--z-mod": "12", "--z-arg": "0", flag: value}
+    proc = run_cli("sum", "--builtin", "psi", "--method", "branch", "--N", "5",
+                   *(f"{k}={v}" for k, v in where.items()), expect=2)
+    assert "finite" in proc.stderr

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from borelsum import (DomainError, PoleError, PrecisionConfig, gamma_ratio,
-                      log_gamma, reciprocal_gamma, working_precision)
+                      gamma_ratios, log_gamma, reciprocal_gamma,
+                      working_precision)
 
 
 def test_precision_config_invariants():
@@ -89,6 +90,52 @@ def test_gamma_ratio_preconditions():
         gamma_ratio(-2, 3, 0)
     with pytest.raises(PoleError):
         gamma_ratio(-5, 2, 3)  # z + s + n = 0
+
+
+def _gamma_ratio_families(prec):
+    """(z, s, count) of the kernels the sums use: psi branch sweeps
+    (lambda z, s = 1), Euler factorial sums (complex z, s = 1) and the
+    example2 beta kernels (lambda z e^(i pi/3), s = 1/2 and 1)."""
+    with working_precision(prec):
+        psi = [(lam * mp.mpf(mod), 1, 42) for lam in (mp.mpf(2.885390081777927), mp.mpf(4))
+               for mod in (10, 12, 13.375)]
+        euler = [(mp.mpf(2.5), 1, 202), (mp.mpf(7.125) * mp.exp(1j * mp.mpf(-0.625)), 1, 60)]
+        w = mp.mpf("0.6") * 5 * mp.exp(1j * mp.pi / 3)
+        example2 = [(w, mp.mpf(1) / 2, 76), (w, 1, 76), (mp.mpf(5), mp.mpf(1) / 2, 56)]
+    return psi + euler + example2
+
+
+def test_gamma_ratios_equal_gamma_ratio_bit_for_bit(prec):
+    for z, s, count in _gamma_ratio_families(prec):
+        chain = gamma_ratios(z, s, count, prec)
+        assert len(chain) == count
+        for n, k in enumerate(chain):
+            single = gamma_ratio(z, n, s, prec)
+            assert (k.real, k.imag) == (single.real, single.imag), (z, s, n)
+
+
+def test_gamma_ratios_at_other_precisions():
+    for bits in (53, 113, 512):
+        prec = PrecisionConfig(bits)
+        with working_precision(prec):
+            z = mp.mpf(12) * mp.mpf(2.885390081777927)
+        assert gamma_ratios(z, 1, 41, prec) == [gamma_ratio(z, n, 1, prec) for n in range(41)]
+
+
+def test_gamma_ratios_preconditions():
+    assert gamma_ratios(2, 1, 0) == []
+    with pytest.raises(DomainError):
+        gamma_ratios(2, 1, -1)
+    with pytest.raises(DomainError):
+        gamma_ratios(2, 0, 3)  # s = 0: the n = 0 element is Gamma(0)
+    with pytest.raises(DomainError):
+        gamma_ratios(2, -1, 3)
+    with pytest.raises(PoleError):
+        gamma_ratios(0, 1, 3)
+    with pytest.raises(PoleError):
+        gamma_ratios(-3, mp.mpf(1) / 2, 3)
+    with pytest.raises(PoleError):
+        gamma_ratios(mp.mpf(-5) / 2, mp.mpf(1) / 2, 3)  # z + s = -2
 
 
 @settings(max_examples=40, deadline=None)

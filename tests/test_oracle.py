@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -133,6 +134,34 @@ def test_psi_scaled_exact_head():
     # (scripts/verify_psi_derivation.py)
     assert psi_scaled_coefficients(6)[4:] == [
         Fraction(-53, 12), Fraction(95, 6), Fraction(-33791, 4608)]
+
+
+def _psi_scaled_by_binomials(depth):
+    """atil_0..atil_depth with every (-3)^j binom(-n/3, j) formed from its
+    definition: the library keeps a running product per n instead."""
+    from borelsum.oracle import _psi_chi
+    psi_scaled_coefficients(depth)  # fills the exact chi_k of the u-expansion
+    chi = _psi_chi[:depth + 1]
+
+    def binom(top, j):
+        v = Fraction(1)
+        for i in range(j):
+            v *= top - i
+        return v / factorial(j)
+
+    scaled = [Fraction(1)]
+    for k in range(1, depth + 1):
+        s = chi[k]
+        for j in range(1, k // 2 + 1):
+            n = k - 2 * j
+            if n:
+                s -= scaled[n] * Fraction(-3) ** j * binom(Fraction(-n, 3), j)
+        scaled.append(s)
+    return scaled
+
+
+def test_psi_scaled_coefficients_match_the_binomial_form():
+    assert psi_scaled_coefficients(160) == _psi_scaled_by_binomials(160)
 
 
 def test_psi_series_surds(workprec):

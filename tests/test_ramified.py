@@ -6,14 +6,15 @@ import pytest
 
 from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       InsufficientCoefficientsError, PSI_LAMBDA_SUP,
-                      PrecisionConfig, RamifiedPoint, branch_sum,
+                      PrecisionConfig, RamifiedPoint, branch_split, branch_sum,
                       euler_series, example2_series, factorial_expansion,
-                      factorial_series_sum, generalized_coefficients,
+                      factorial_series_sum, gamma_ratio, generalized_coefficients,
                       generalized_factorial_sum, laplace_quadrature,
-                      least_term_sum_ramified, psi_series, r_as,
+                      least_term_sum_ramified, power, psi_series, r_as,
                       r_as_ramified, rotated_generalized_sum,
                       stirling_transform, working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS
+from borelsum.ramified import _beta_kernels
 
 
 def test_branch_sum_m1_reduces_to_factorial(workprec, prec):
@@ -271,3 +272,63 @@ def test_r_as_ramified(workprec):
     assert abs(a - b) / b < mp.mpf(2) ** -100
     with pytest.raises(DomainError):
         r_as_ramified(1, 1, 9, 3, z, 3)  # Re z <= B
+
+
+# ---------------------------------------------------------------------------
+# sweeps reuse the rows cached on the series
+# ---------------------------------------------------------------------------
+
+
+def test_psi_sweep_on_one_series_matches_a_fresh_series_per_row(prec):
+    lam, z, depth = mp.mpf(2.885390081777927), RamifiedPoint(11.25, 0), 3 * 42
+    f = psi_series(depth, prec)
+    # N = 5..40, then down again after the rows have grown to 41
+    for N in list(range(5, 41)) + [12, 5, 33]:
+        swept = branch_sum(f, lam, z, N, prec=prec)
+        fresh = branch_sum(psi_series(depth, prec), lam, z, N, prec=prec)
+        assert swept == fresh, N
+
+
+def test_branch_sum_equals_its_weighted_branch_factorial_sums(prec):
+    # one kernel chain for all branches == one factorial_series_sum per branch
+    f, z, lam, N = psi_series(3 * 22, prec), RamifiedPoint(13.375, 0.25), 4, 20
+    env = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP, domain="ramified")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = branch_sum(f, lam, z, N, envelope=env, prec=prec)
+        with working_precision(prec):
+            a0, branches = branch_split(f)
+            estimate, heuristic, rigorous = mp.mpc(a0), mp.mpf(0), mp.mpf(0)
+            for l, fl in enumerate(branches, start=1):
+                part = factorial_series_sum(factorial_expansion(fl, lam, N + 1, prec),
+                                            z, N, env, prec)
+                weight = power(z, f.m - l, f.m, prec)
+                estimate += weight * part.estimate
+                heuristic += abs(weight) * part.heuristic_error
+                rigorous += abs(weight) * part.rigorous_bound
+    assert (res.estimate, res.heuristic_error, res.rigorous_bound) == \
+        (estimate, heuristic, rigorous)
+
+
+def test_branch_split_is_cached_per_precision(prec):
+    f = psi_series(12, PrecisionConfig(512))
+    with working_precision(prec):
+        a0, first = branch_split(f)
+        _, again = branch_split(f)
+    with working_precision(PrecisionConfig(512)):
+        _, wide = branch_split(f)
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    assert not any(a is b for a, b in zip(first, wide, strict=True))
+    # at the series' own precision the branches hold its coefficients unrounded
+    assert [b.coefficients[1:] for b in wide] == [f.coefficients[l::3] for l in (1, 2, 3)]
+
+
+def test_generalized_kernels_equal_gamma_ratio_bit_for_bit(prec):
+    # residue chains against one gamma_ratio per flat index, at n/m rounded
+    # to the working precision: psi (m = 3, restarts) and example2 (m = 2)
+    with working_precision(prec):
+        cases = [(mp.mpf(2.885390081777927) * 12, 3, 76),
+                 (mp.mpf("0.6") * 5 * mp.exp(1j * mp.pi / 3), 2, 80)]
+        for w, m, count in cases:
+            singles = [gamma_ratio(w, 0, mp.mpf(n) / m, prec) for n in range(1, count + 1)]
+            assert _beta_kernels(w, m, count, prec) == singles, m

@@ -16,6 +16,9 @@ def test_ramified_point_validation():
         RamifiedPoint(0, 1.0)
     with pytest.raises(DomainError):
         RamifiedPoint(-2, 0.0)
+    for modulus, argument in ((mp.inf, 0), (mp.nan, 0), (1, mp.inf), (1, mp.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            RamifiedPoint(modulus, argument)
 
 
 def test_power_examples(workprec):
