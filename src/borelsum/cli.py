@@ -61,13 +61,11 @@ def _load_input(series_path, builtin, depth, prec) -> FormalSeries:
         raise click.UsageError(str(exc))
 
 
-def _envelope_from_flags(A, B, r, lam_sup) -> GrowthEnvelope | None:
+def _envelope_from_flags(A, B, lam_sup) -> GrowthEnvelope | None:
     if A is None and B is None:
         return None
     if A is None or B is None:
         raise click.UsageError("--A and --B must be given together")
-    if r is not None:
-        return GrowthEnvelope(A=A, B=B, r=r, domain="strip")
     # without a known validity factor the lambda warning never fires
     return GrowthEnvelope(A=A, B=B, lam=lam_sup or float("inf"), domain="region")
 
@@ -220,10 +218,14 @@ def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
     if C is not None and B is None:
         raise click.UsageError(
             "--C needs --B (with --A): the ramified bound uses the growth rate B")
+    if r is not None and method != "least-term":
+        raise click.UsageError(
+            "--r applies only to --method least-term: the other methods' bounds "
+            "use the region envelope")
     prec = PrecisionConfig(precision_bits)
     z = RamifiedPoint(z_mod, z_arg)
     f = None if method == "oracle" else _load_input(series, builtin, depth, prec)
-    envelope = _envelope_from_flags(A, B, r, PSI_LAMBDA_SUP if builtin == "psi" else None)
+    envelope = _envelope_from_flags(A, B, PSI_LAMBDA_SUP if builtin == "psi" else None)
     digits = int(prec.mantissa_bits * 0.30103) + 2
     records = [_result_record(_evaluate(method, f, builtin, lam, theta, z, N, r, C,
                                         envelope, tol, prec), digits)

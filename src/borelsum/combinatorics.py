@@ -17,16 +17,20 @@ gamma factors collapse to rational rising/falling products, so d_{r,j} is an
 exact rational; 1/Gamma(r-p) at a pole contributes an exact zero factor.
 
 The library evaluates d only through the row recurrence of
-:func:`d_coefficient_row`, cached per r.  The Bell form above is the
-definition the test suite checks those rows against; :func:`bell_partial`
-stays here as that oracle's building block.
+:func:`d_coefficient_row`, cached per r.  It runs in integer arithmetic:
+the coefficients of a row are integer numerators over one shared
+denominator, so an entry takes a few gcds in place of a Fraction sum's
+gcds for every term.  The results are the same exact Fractions.  The Bell
+form above is the definition the test suite checks those rows against;
+:func:`bell_partial` stays here as that oracle's building block.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 import mpmath as mp
@@ -144,30 +148,55 @@ def bell_partial(j: int, p: int, args: BellArguments | None = None) -> Fraction:
     return (args or _FIXED_ARGS).bell(j, p)
 
 
+class _SharedDenominatorRow:
+    """Exact rationals v_0, v_1, ... held as integer numerators over one
+    shared denominator, so a recurrence over them runs in integer arithmetic.
+
+    ``num[i] / den`` is v_i, and ``den`` is the lcm of the denominators
+    appended so far.  Appending a value whose denominator does not divide
+    ``den`` rescales ``den`` and every stored numerator.
+    """
+
+    def __init__(self, first: Fraction):
+        self.num = [first.numerator]
+        self.den = first.denominator
+
+    def append(self, value: Fraction) -> None:
+        scale = value.denominator // gcd(self.den, value.denominator)
+        if scale != 1:
+            self.den *= scale
+            self.num = [x * scale for x in self.num]
+        self.num.append(value.numerator * (self.den // value.denominator))
+
+
 class _DRow:
     """Exact d_{r,0..j} for one r, extended in place when a deeper j is asked for.
 
-    Keeps c_n = [w^n] h(w)^(r-1) and the rising product r(r+1)...(r+n-1),
+    Keeps c_n = [w^n] h(w)^(r-1) as integer numerators over one shared
+    denominator, the integer q^n r(r+1)...(r+n-1) (r = p/q) and lcm(1..n+1),
     so growing resumes the power recurrence instead of restarting it.
     """
 
     def __init__(self, r: Fraction):
         self.r = r
-        self.c = [Fraction(1)]
+        self.c = _SharedDenominatorRow(Fraction(1))
         self.d = [Fraction(1)]
-        self.rising = Fraction(1)
+        self.rising = 1
+        self.lcm = 1
 
     def grow(self, j_max: int) -> None:
         c, p, q = self.c, self.r.numerator, self.r.denominator
-        for n in range(len(c), j_max + 1):
-            # n c_n = sum_{k=1}^{n} (r k - n) h_k c_{n-k},  h_k = 1/(k+1)
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if c[n - k]:
-                    acc += Fraction(p * k - n * q, q * (k + 1)) * c[n - k]
-            c.append(acc / n)
-            self.rising *= self.r + n - 1
-            self.d.append(c[n] * self.rising)
+        for n in range(len(self.d), j_max + 1):
+            # n c_n = sum_{k=1}^{n} (r k - n) h_k c_{n-k},  h_k = 1/(k+1); with
+            # L = lcm(2..n+1) every L h_k is an integer, so the sum is one
+            # integer S and c_n = S / (n q L den)
+            self.lcm = L = lcm(self.lcm, n + 1)
+            s = sum(map(mul, [(p * k - n * q) * (L // (k + 1)) for k in range(1, n + 1)],
+                        reversed(c.num)))
+            cn = Fraction(s, n * q * L * c.den)
+            c.append(cn)
+            self.rising *= p + (n - 1) * q
+            self.d.append(Fraction(cn.numerator * self.rising, cn.denominator * q ** n))
 
 
 _D_ROWS: dict[Fraction, _DRow] = {}
@@ -184,8 +213,9 @@ def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
 
     so d_{r,j} = [w^j] h(w)^(r-1) * r(r+1)...(r+j-1), and the row comes out
     of the power recurrence for h^(r-1) (Knuth, TAOCP vol. 2, 4.7) in
-    O(j_max^2) rational operations.  Rows are cached per r and only ever
-    extended, so a deeper request continues where the last one stopped.
+    O(j_max^2) integer operations and one reduced Fraction per entry.  Rows
+    are cached per r and only ever extended, so a deeper request continues
+    where the last one stopped.
     """
     r = Fraction(r)
     if r <= 0:

@@ -24,7 +24,8 @@ Built-in series:
   and validated against an independent symbolic derivation in
   scripts/verify_psi_derivation.py; the scaled coefficients
   a_n (3/2)^(n/3) are exact rationals, the first few being
-  1, -4, 8, -325/48, -53/12, 95/6, -33791/4608.
+  1, -4, 8, -325/48, -53/12, 95/6, -33791/4608.  Both recurrences run in
+  integer numerators over one shared denominator per sequence.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Callable
 
 import mpmath as mp
 
+from .combinatorics import _SharedDenominatorRow
 from .errors import DomainError, QuadratureError
 from .numerics import PrecisionConfig, as_mpc, as_mpf, ensure_finite, working_precision
 from .series import FormalSeries, RamifiedPoint
@@ -187,49 +189,57 @@ _PSI_A0 = {6: 64, 4: -443, 3: 32, 2: 950, 1: -96, 0: -563}
 _PSI_PIVOT_POWER = 7  # max(deg A0, deg A1 - 1, deg A2 - 2)
 
 _psi_lock = threading.Lock()
+# chi_k and atil_k as integer numerators over one shared denominator each
+_psi_chi = _SharedDenominatorRow(Fraction(1))
+_psi_atil = _SharedDenominatorRow(Fraction(1))
 _psi_scaled: list[Fraction] = [Fraction(1)]
-_psi_chi: list[Fraction] = [Fraction(1)]
-# _psi_binom[n] = (-3)^j binom(-n/3, j) at the last j used for atil_n; the
-# next one is (-3)^(j+1) binom(-n/3, j+1) = _psi_binom[n] (n + 3j) / (j+1)
-_psi_binom: list[Fraction] = [Fraction(1)]
+# _psi_binom[n] = n (n + 3) ... (n + 3(j - 1)) at the last j used for atil_n,
+# so (-3)^j binom(-n/3, j) = _psi_binom[n] / j!
+_psi_binom: list[int] = [1]
 
 
-def _psi_bracket(p: int, k: int) -> Fraction:
-    val = Fraction(_PSI_A0.get(p + k, 0))
-    val -= k * Fraction(_PSI_A1.get(p + k + 1, 0))
-    val += k * (k + 1) * Fraction(_PSI_A2.get(p + k + 2, 0))
-    return val
+def _psi_bracket(p: int, k: int) -> int:
+    """Coefficient of chi_k in the equation at the power u^p; zero unless
+    0 <= p + k <= _PSI_PIVOT_POWER, as the lowest powers of A0, A1, A2 are
+    0, 1, 2."""
+    return (_PSI_A0.get(p + k, 0) - k * _PSI_A1.get(p + k + 1, 0)
+            + k * (k + 1) * _PSI_A2.get(p + k + 2, 0))
 
 
 def psi_scaled_coefficients(depth: int) -> list[Fraction]:
-    """Exact scaled coefficients [atil_0..atil_depth], atil_n = a_n (3/2)^(n/3)."""
+    """Exact scaled coefficients [atil_0..atil_depth], atil_n = a_n (3/2)^(n/3).
+
+    Both steps run in integers over a shared denominator: chi_k from the at
+    most _PSI_PIVOT_POWER previous chi with a nonzero bracket, and atil_k
+    from chi_k less every atil_n (-3)^j binom(-n/3, j), n = k - 2j, summed
+    over the common denominator j_max! of the binomials.
+    """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     with _psi_lock:
-        while len(_psi_chi) <= depth:
-            k = len(_psi_chi)
+        chi, atil, binom = _psi_chi, _psi_atil, _psi_binom
+        while len(_psi_scaled) <= depth:
+            k = len(_psi_scaled)
             p = _PSI_PIVOT_POWER - k
             pivot = _psi_bracket(p, k)
             if pivot == 0:
                 raise ArithmeticError(f"recurrence pivot vanished at k = {k}")
-            acc = Fraction(0)
-            for kk in range(k):
-                coef = _psi_bracket(p, kk)
-                if coef:
-                    acc += coef * _psi_chi[kk]
-            _psi_chi.append(-acc / pivot)
-        while len(_psi_scaled) <= depth:
-            k = len(_psi_scaled)
-            s = _psi_chi[k]
-            # atil_n enters atil_k at j = (k - n)/2, one j higher than at atil_(k-2)
-            for j in range(1, k // 2 + 1):
+            s = sum(_psi_bracket(p, kk) * chi.num[kk]
+                    for kk in range(max(0, k - _PSI_PIVOT_POWER), k))
+            chi_k = Fraction(-s, pivot * chi.den)
+            chi.append(chi_k)
+            # atil_n enters atil_k at j = (k - n)/2, one j higher than at atil_(k-2);
+            # w = j_max!/j! puts every 1/j! over j_max!
+            s, w = 0, 1
+            for j in range((k - 1) // 2, 0, -1):
                 n = k - 2 * j
-                if n == 0:
-                    continue
-                _psi_binom[n] *= Fraction(n + 3 * (j - 1), j)
-                s -= _psi_scaled[n] * _psi_binom[n]
-            _psi_scaled.append(s)
-            _psi_binom.append(Fraction(1))
+                binom[n] *= n + 3 * (j - 1)
+                s += atil.num[n] * binom[n] * w
+                w *= j
+            atil_k = chi_k - Fraction(s, atil.den * w)
+            atil.append(atil_k)
+            _psi_scaled.append(atil_k)
+            binom.append(1)
         return list(_psi_scaled[:depth + 1])
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .classical import (SummationResult, _factorial_sum, check_lambda_permitted,
-                        factorial_expansion, least_term_index, r_as)
+                        factorial_expansion, least_term_index, r_as, r_fact)
 from .combinatorics import d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PrecisionConfig, as_mpf, ensure_finite, gamma_ratios,
@@ -70,17 +70,21 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
         a0, branches = branch_split(f)
         expansions = [factorial_expansion(fl, lv, N + 1, prec) for fl in branches]
         kernels = gamma_ratios(lv * zdot, 1, N + 1, prec)
+        # every branch has the same bound: one r_fact, weighted per branch
+        bound = rigorous = None
+        if envelope is not None and envelope.lam is not None:
+            bound = r_fact(lv, envelope.A, envelope.B, N, zdot, prec)
+            rigorous = mp.mpf(0)
         estimate = mp.mpc(a0)
         heuristic = mp.mpf(0)
-        rigorous = mp.mpf(0) if envelope is not None and envelope.lam is not None else None
         cond = mp.mpf(1)
         for l, e in enumerate(expansions, start=1):
-            part = _factorial_sum(e, zdot, N, kernels, envelope, prec)
+            part = _factorial_sum(e, zdot, N, kernels, None, prec)
             weight = power(z, f.m - l, f.m, prec)
             estimate += weight * part.estimate
             heuristic += abs(weight) * part.heuristic_error
-            if rigorous is not None:
-                rigorous += abs(weight) * part.rigorous_bound
+            if bound is not None:
+                rigorous += abs(weight) * bound
             cond = max(cond, part.condition_number)
         return SummationResult(estimate=ensure_finite(estimate), N=N,
                                method="branch", rigorous_bound=rigorous,

@@ -238,6 +238,20 @@ def test_ramified_constant_without_growth_rate_is_a_usage_error():
     assert "--C" in proc.stderr
 
 
+def test_strip_width_outside_least_term_is_a_usage_error():
+    # the bound of these methods uses the region envelope, so --r would be dropped
+    for builtin, method in [("euler", "factorial"), ("euler", "oracle"),
+                            ("psi", "branch"), ("psi", "generalized")]:
+        proc = run_cli("sum", "--builtin", builtin, "--method", method, "--N", "20",
+                       "--depth", "70", "--A", "4", "--B", "0.05", "--r", "0.5",
+                       "--z-mod", "3", "--format", "json", expect=1)
+        assert "--r" in proc.stderr and proc.stdout == "", method
+    proc = run_cli("sum", "--builtin", "euler", "--method", "factorial", "--N", "20",
+                   "--depth", "30", "--A", "4", "--B", "0.05", "--z-mod", "3",
+                   "--format", "json")
+    assert json.loads(proc.stdout)[0]["rigorous_bound"] == "0.0076211494"
+
+
 def test_empty_ranges_are_usage_errors():
     proc = run_cli("table", "--builtin", "euler", "--method", "factorial",
                    "--z-mod", "3", "--N-range", "5:4", expect=1)

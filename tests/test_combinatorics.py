@@ -186,6 +186,51 @@ def test_d_row_matches_pointwise_exactly():
         assert row[1] == _d_bell(r, 1)
 
 
+def _d_power_recurrence(r, j_max):
+    """[d_{r,0..j_max}] by the power recurrence for h(w)^(r-1) in Fraction
+    arithmetic, one Fraction per operation: the library runs the same
+    recurrence in integers over a shared denominator."""
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    c, d, rising = [Fraction(1)], [Fraction(1)], Fraction(1)
+    for n in range(1, j_max + 1):
+        # n c_n = sum_{k=1}^{n} (r k - n) h_k c_{n-k},  h_k = 1/(k+1)
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            if c[n - k]:
+                acc += Fraction(p * k - n * q, q * (k + 1)) * c[n - k]
+        c.append(acc / n)
+        rising *= r + n - 1
+        d.append(c[n] * rising)
+    return d
+
+
+# every row the workloads read: example2 at N = 150 (r = l/2, j <= (151 - l)/2),
+# the psi generalized reference at N = 75 (r = l/3, j <= (76 - l)/3), and
+# integer r to a depth of 75
+_WORKLOAD_ROWS = ([(Fraction(l, 2), (151 - l) // 2) for l in range(1, 151)]
+                  + [(Fraction(l, 3), (76 - l) // 3) for l in range(1, 77)]
+                  + [(Fraction(r), 75) for r in range(1, 76)])
+
+
+def test_d_rows_equal_the_fraction_power_recurrence(monkeypatch):
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    for r, j_max in _WORKLOAD_ROWS:
+        assert d_coefficient_row(r, j_max) == _d_power_recurrence(r, j_max), (r, j_max)
+
+
+def test_d_rows_grown_in_steps_equal_fresh_rows(monkeypatch):
+    # each growth resumes over the shared denominator left by the last one
+    rs = (Fraction(1, 2), Fraction(2, 3), Fraction(7, 3), Fraction(149, 2), Fraction(3))
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    grown = {}
+    for j in (0, 1, 2, 5, 6, 17, 40, 41, 75):
+        grown = {r: d_coefficient_row(r, j) for r in rs}
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    assert grown == {r: d_coefficient_row(r, 75) for r in rs}
+    assert all(grown[r] == _d_power_recurrence(r, 75) for r in rs)
+
+
 def _generalized_from_bell(f, n_max):
     """d_1..d_{n_max} of the generalized expansion with every d_{l/m,j} from
     the Bell definition, in the library's order of operations."""

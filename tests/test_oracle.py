@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -136,12 +140,29 @@ def test_psi_scaled_exact_head():
         Fraction(-53, 12), Fraction(95, 6), Fraction(-33791, 4608)]
 
 
+def _psi_chi_full_loop(depth):
+    """chi_0..chi_depth of the u-expansion by the Fraction recurrence over
+    every previous chi_kk: the library visits only the kk whose bracket can
+    be nonzero, in integers."""
+    from borelsum.oracle import _PSI_A0, _PSI_A1, _PSI_A2
+
+    def bracket(p, k):
+        return (Fraction(_PSI_A0.get(p + k, 0)) - k * Fraction(_PSI_A1.get(p + k + 1, 0))
+                + k * (k + 1) * Fraction(_PSI_A2.get(p + k + 2, 0)))
+
+    chi = [Fraction(1)]
+    for k in range(1, depth + 1):
+        p = 7 - k  # the power whose equation pivots on chi_k
+        acc = sum((bracket(p, kk) * chi[kk] for kk in range(k)), Fraction(0))
+        chi.append(-acc / bracket(p, k))
+    return chi
+
+
 def _psi_scaled_by_binomials(depth):
-    """atil_0..atil_depth with every (-3)^j binom(-n/3, j) formed from its
-    definition: the library keeps a running product per n instead."""
-    from borelsum.oracle import _psi_chi
-    psi_scaled_coefficients(depth)  # fills the exact chi_k of the u-expansion
-    chi = _psi_chi[:depth + 1]
+    """atil_0..atil_depth from the full-loop chi with every
+    (-3)^j binom(-n/3, j) formed from its definition: the library keeps a
+    running integer product per n instead."""
+    chi = _psi_chi_full_loop(depth)
 
     def binom(top, j):
         v = Fraction(1)
@@ -161,7 +182,20 @@ def _psi_scaled_by_binomials(depth):
 
 
 def test_psi_scaled_coefficients_match_the_binomial_form():
-    assert psi_scaled_coefficients(160) == _psi_scaled_by_binomials(160)
+    assert psi_scaled_coefficients(200) == _psi_scaled_by_binomials(200)
+
+
+def test_psi_derivation_script_passes():
+    # the independent sympy derivation of the recurrence and its first terms
+    pytest.importorskip("sympy")
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"),
+                                                os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "verify_psi_derivation.py")],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "independent agreement extends through n = 12" in proc.stdout
 
 
 def test_psi_series_surds(workprec):

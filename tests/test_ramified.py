@@ -11,7 +11,7 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       factorial_series_sum, gamma_ratio, generalized_coefficients,
                       generalized_factorial_sum, laplace_quadrature,
                       least_term_sum_ramified, power, psi_series, r_as,
-                      r_as_ramified, rotated_generalized_sum,
+                      r_as_ramified, r_fact, rotated_generalized_sum,
                       stirling_transform, working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS
 from borelsum.ramified import _beta_kernels
@@ -308,6 +308,29 @@ def test_branch_sum_equals_its_weighted_branch_factorial_sums(prec):
                 rigorous += abs(weight) * part.rigorous_bound
     assert (res.estimate, res.heuristic_error, res.rigorous_bound) == \
         (estimate, heuristic, rigorous)
+
+
+def test_branch_sum_computes_one_r_fact_for_all_branches(monkeypatch, prec):
+    from borelsum import ramified
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return r_fact(*args, **kwargs)
+
+    monkeypatch.setattr(ramified, "r_fact", counted)
+    f, z, N = psi_series(3 * 16, prec), RamifiedPoint(14, 0), 14
+    env = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP, domain="ramified")
+    res = branch_sum(f, 1, z, N, envelope=env, prec=prec)
+    assert len(calls) == 1
+    assert branch_sum(f, 1, z, N, prec=prec).rigorous_bound is None
+    assert len(calls) == 1
+    with working_precision(prec):
+        bound = r_fact(1, 1, 1, N, z.projection(prec), prec)
+        per_branch = mp.mpf(0)
+        for l in range(1, f.m + 1):
+            per_branch += abs(power(z, f.m - l, f.m, prec)) * bound
+    assert res.rigorous_bound == per_branch
 
 
 def test_branch_split_is_cached_per_precision(prec):
