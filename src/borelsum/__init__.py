@@ -18,14 +18,13 @@ from .classical import (BoundRow, FactorialExpansion, SummationResult,
                         b_bound, bound_comparison_table, factorial_expansion,
                         factorial_series_sum, least_term_index, r_as, r_fact,
                         r_fact_asymptotic, stirling_transform)
-from .combinatorics import (BellArguments, StirlingTable, bell_partial,
-                            d_coefficient, d_coefficient_exact,
-                            d_coefficient_row, stirling_first)
+from .combinatorics import (BellArguments, bell_partial, d_coefficient,
+                            d_coefficient_exact, d_coefficient_row,
+                            stirling_first)
 from .errors import (BorelSumError, DomainError,
                      InsufficientCoefficientsError, PoleError, QuadratureError)
 from .numerics import (DEFAULT_PRECISION, PrecisionConfig, gamma_ratio,
-                       gamma_ratios, log_gamma, reciprocal_gamma,
-                       working_precision)
+                       gamma_ratios, working_precision)
 from .oracle import (BUILTIN_EVALUATORS, BUILTIN_SERIES, PSI_LAMBDA_SUP,
                      BorelEvaluator, euler_series, example2_series,
                      laplace_quadrature, psi_scaled_coefficients, psi_series)

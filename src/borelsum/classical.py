@@ -24,14 +24,13 @@ stored reference tables below some depth are simply unreachable.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
 
-from .combinatorics import stirling_first
+from .combinatorics import _GrowingRow, stirling_first
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PrecisionConfig, as_mpc, as_mpf, ensure_finite,
                        gamma_ratio, gamma_ratios, working_precision)
@@ -113,27 +112,19 @@ def stirling_transform(a: Sequence, prec: PrecisionConfig | None = None,
         return bs
 
 
-class _FactorialRow:
-    """b_0.. and their condition numbers for one series, lambda and
-    precision, extended in place when a deeper N is asked for."""
+class _FactorialRow(_GrowingRow):
+    """(b_n, condition number of b_n) for one series, lambda and precision."""
 
     def __init__(self, f: FormalSeries, lam: mp.mpf, prec: PrecisionConfig):
         self.prec = prec
         with working_precision(prec):
             fs = scale(f, lam, prec) if lam != 1 else f
             self.a = [as_mpc(x) for x in fs.coefficients[1:]]
-        self.b: list[mp.mpc] = []
-        self.condition: list[mp.mpf] = []
-        self.lock = threading.Lock()
+        super().__init__(self.step(0))
 
-    def prefix(self, N: int) -> tuple[tuple[mp.mpc, ...], tuple[mp.mpf, ...]]:
-        """(b_0..b_N, their condition numbers)."""
-        with self.lock, working_precision(self.prec):
-            for n in range(len(self.b), N + 1):
-                b_n, cond = _transform_term(self.a, n)
-                self.b.append(b_n)
-                self.condition.append(cond)
-            return tuple(self.b[:N + 1]), tuple(self.condition[:N + 1])
+    def step(self, n: int) -> tuple[mp.mpc, mp.mpf]:
+        with working_precision(self.prec):
+            return _transform_term(self.a, n)
 
 
 def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
@@ -157,7 +148,7 @@ def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
         lv = as_mpf(lam)
         row = f._derived(("factorial", lv, cfg.mantissa_bits),
                          lambda: _FactorialRow(f, lv, cfg))
-        b, cond = row.prefix(N)
+        b, cond = zip(*row.upto(N)[:N + 1])
         return FactorialExpansion(lam=lv, b=b, a0=f.coefficients[0], condition=cond)
 
 

@@ -23,6 +23,10 @@ denominator, so an entry takes a few gcds in place of a Fraction sum's
 gcds for every term.  The results are the same exact Fractions.  The Bell
 form above is the definition the test suite checks those rows against;
 :func:`bell_partial` stays here as that oracle's building block.
+
+Every cached recurrence (Stirling rows, d-rows, the factorial rows of
+``classical``, the psi coefficients of ``oracle``) is a ``_GrowingRow``,
+grown in place under its own lock.
 """
 
 from __future__ import annotations
@@ -39,51 +43,16 @@ from .errors import DomainError
 from .numerics import PrecisionConfig, as_mpf
 
 
-class StirlingTable:
-    """Triangular table of signed first-kind Stirling numbers s(n, k).
-
-    Convention: prod_{i=0}^{n-1} (x - i) = sum_k s(n, k) x^k, so
-    s(n+1, k) = s(n, k-1) - n*s(n, k).  Rows are exact integers, grown on
-    demand and immutable once built.
-    """
-
-    def __init__(self, n_max: int = 0):
-        self._rows: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
-        self.grow(n_max)
-
-    @property
-    def n_max(self) -> int:
-        return len(self._rows) - 1
-
-    def grow(self, n_max: int) -> None:
-        with self._lock:
-            while self.n_max < n_max:
-                prev = self._rows[-1]
-                n = len(self._rows) - 1
-                row = [0] * (n + 2)
-                for k in range(n + 2):
-                    above = prev[k - 1] if 1 <= k <= n + 1 else 0
-                    left = prev[k] if k <= n else 0
-                    row[k] = above - n * left
-                self._rows.append(row)
-
-    def value(self, n: int, k: int) -> int:
-        if k < 0 or k > n:
-            raise DomainError(f"stirling_first requires 0 <= k <= n, got ({n}, {k})")
-        if n > self.n_max:
-            self.grow(max(n, 2 * self.n_max))
-        return self._rows[n][k]
-
-
-_STIRLING = StirlingTable()
-
-
 def stirling_first(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k), exact."""
+    """Signed Stirling number of the first kind s(n, k), exact.
+
+    Convention: prod_{i=0}^{n-1} (x - i) = sum_k s(n, k) x^k.
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    return _STIRLING.value(n, k)
+    if k < 0 or k > n:
+        raise DomainError(f"stirling_first requires 0 <= k <= n, got ({n}, {k})")
+    return _STIRLING.upto(n)[n][k]
 
 
 class BellArguments:
@@ -148,6 +117,32 @@ def bell_partial(j: int, p: int, args: BellArguments | None = None) -> Fraction:
     return (args or _FIXED_ARGS).bell(j, p)
 
 
+class _GrowingRow:
+    """v_0, v_1, ... of one recurrence, extended in place when a longer
+    prefix is asked for.
+
+    Subclasses keep the recurrence's running state and define ``step(n)``,
+    which returns v_n once v_0..v_{n-1} are in ``values``.  Growth runs
+    under the row's own lock and resumes where the last request stopped; a
+    read of a row already long enough takes no lock, as ``values`` only
+    ever gains entries at its end.
+    """
+
+    def __init__(self, first):
+        self.values = [first]
+        self._lock = threading.Lock()
+
+    def upto(self, n: int) -> list:
+        """The live list of values, holding at least v_0..v_n; read it, never
+        change it."""
+        values = self.values
+        if len(values) <= n:
+            with self._lock:
+                for i in range(len(values), n + 1):
+                    values.append(self.step(i))
+        return values
+
+
 class _SharedDenominatorRow:
     """Exact rationals v_0, v_1, ... held as integer numerators over one
     shared denominator, so a recurrence over them runs in integer arithmetic.
@@ -169,8 +164,20 @@ class _SharedDenominatorRow:
         self.num.append(value.numerator * (self.den // value.denominator))
 
 
-class _DRow:
-    """Exact d_{r,0..j} for one r, extended in place when a deeper j is asked for.
+class _StirlingRows(_GrowingRow):
+    """Row n is [s(n, 0), ..., s(n, n)], by s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)."""
+
+    def step(self, n: int) -> list[int]:
+        prev = self.values[n - 1]
+        return [(prev[k - 1] if k else 0) - (n - 1) * (prev[k] if k < n else 0)
+                for k in range(n + 1)]
+
+
+_STIRLING = _StirlingRows([1])
+
+
+class _DRow(_GrowingRow):
+    """Exact d_{r,0}, d_{r,1}, ... for one r.
 
     Keeps c_n = [w^n] h(w)^(r-1) as integer numerators over one shared
     denominator, the integer q^n r(r+1)...(r+n-1) (r = p/q) and lcm(1..n+1),
@@ -178,29 +185,27 @@ class _DRow:
     """
 
     def __init__(self, r: Fraction):
+        super().__init__(Fraction(1))
         self.r = r
         self.c = _SharedDenominatorRow(Fraction(1))
-        self.d = [Fraction(1)]
-        self.rising = 1
-        self.lcm = 1
+        self.rising = self.lcm = 1
 
-    def grow(self, j_max: int) -> None:
+    def step(self, n: int) -> Fraction:
         c, p, q = self.c, self.r.numerator, self.r.denominator
-        for n in range(len(self.d), j_max + 1):
-            # n c_n = sum_{k=1}^{n} (r k - n) h_k c_{n-k},  h_k = 1/(k+1); with
-            # L = lcm(2..n+1) every L h_k is an integer, so the sum is one
-            # integer S and c_n = S / (n q L den)
-            self.lcm = L = lcm(self.lcm, n + 1)
-            s = sum(map(mul, [(p * k - n * q) * (L // (k + 1)) for k in range(1, n + 1)],
-                        reversed(c.num)))
-            cn = Fraction(s, n * q * L * c.den)
-            c.append(cn)
-            self.rising *= p + (n - 1) * q
-            self.d.append(Fraction(cn.numerator * self.rising, cn.denominator * q ** n))
+        # n c_n = sum_{k=1}^{n} (r k - n) h_k c_{n-k},  h_k = 1/(k+1); with
+        # L = lcm(2..n+1) every L h_k is an integer, so the sum is one
+        # integer S and c_n = S / (n q L den)
+        self.lcm = L = lcm(self.lcm, n + 1)
+        s = sum(map(mul, [(p * k - n * q) * (L // (k + 1)) for k in range(1, n + 1)],
+                    reversed(c.num)))
+        cn = Fraction(s, n * q * L * c.den)
+        c.append(cn)
+        self.rising *= p + (n - 1) * q
+        return Fraction(cn.numerator * self.rising, cn.denominator * q ** n)
 
 
 _D_ROWS: dict[Fraction, _DRow] = {}
-_D_LOCK = threading.Lock()
+_D_LOCK = threading.Lock()  # guards _D_ROWS; each row grows under its own lock
 
 
 def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
@@ -226,8 +231,7 @@ def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
         row = _D_ROWS.get(r)
         if row is None:
             row = _D_ROWS[r] = _DRow(r)
-        row.grow(j_max)
-        return row.d[:j_max + 1]
+    return row.upto(j_max)[:j_max + 1]
 
 
 def d_coefficient_exact(r: Fraction | int, j: int) -> Fraction:

@@ -10,8 +10,6 @@ is a log-gamma difference; a chain starts from one (or from exactly 1/z
 when s = 1).  Single gammas are called from mpmath directly:
 ``mp.rgamma`` in ``generalized_coefficients``, ``mp.gamma`` in
 ``r_fact_asymptotic`` and ``example2_series``.
-``log_gamma`` and ``reciprocal_gamma`` are public helpers with pole checks;
-the library itself does not call them.
 
 Values are ``mpmath`` numbers.  A :class:`PrecisionConfig` names the working
 mantissa size; operations run under ``mpmath.workprec`` so results carry the
@@ -34,8 +32,6 @@ from .errors import DomainError, PoleError
 # and still needs ~20 significant digits in the result.
 DEFAULT_BITS = 256
 
-ComplexValue = mp.mpc
-RealValue = mp.mpf
 Numeric = Union[int, float, str, Fraction, mp.mpf, mp.mpc, complex]
 
 
@@ -50,15 +46,12 @@ class PrecisionConfig:
             raise ValueError("mantissa_bits must be at least 53")
 
     @property
-    def epsilon(self) -> mp.mpf:
-        return mp.mpf(2) ** -self.mantissa_bits
-
-    @property
     def default_tolerance(self) -> mp.mpf:
         """What quadratures aim for when the caller passes no ``tol``.
 
-        56 bits above epsilon, but at most a quarter of the mantissa: at 53
-        bits a 56-bit margin would leave a tolerance above 1.
+        56 bits above the unit roundoff 2^-bits, but at most a quarter of
+        the mantissa: at 53 bits a 56-bit margin would leave a tolerance
+        above 1.
         """
         bits = self.mantissa_bits
         return mp.mpf(2) ** -(bits - min(56, bits // 4))
@@ -101,7 +94,7 @@ def as_mpc(x: Numeric, prec: PrecisionConfig | None = None) -> mp.mpc:
 
 
 def ensure_finite(value):
-    """Reject NaN/Inf escaping an operation (ComplexValue invariant)."""
+    """Reject NaN/Inf escaping an operation."""
     if not mp.isfinite(value):
         raise DomainError(f"non-finite value produced: {value}")
     return value
@@ -112,27 +105,6 @@ def _is_nonpositive_int(x) -> bool:
         return False
     xr = mp.re(x)
     return xr <= 0 and mp.isint(xr)
-
-
-def log_gamma(z: Numeric, prec: PrecisionConfig | None = None) -> mp.mpc:
-    """Principal branch of ln Gamma(z).
-
-    Raises :class:`PoleError` on the poles z = 0, -1, -2, ...
-    """
-    with working_precision(prec):
-        zc = as_mpc(z)
-        if _is_nonpositive_int(zc):
-            raise PoleError(f"log_gamma pole at z = {zc}")
-        return ensure_finite(mp.loggamma(zc))
-
-
-def reciprocal_gamma(x: Numeric, prec: PrecisionConfig | None = None) -> mp.mpf:
-    """1/Gamma(x) for real x; exactly 0 at the poles of Gamma (entire, no errors)."""
-    with working_precision(prec):
-        xr = as_mpf(x)
-        if xr <= 0 and mp.isint(xr):
-            return mp.mpf(0)
-        return ensure_finite(mp.rgamma(xr))
 
 
 def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,

@@ -25,19 +25,19 @@ Built-in series:
   scripts/verify_psi_derivation.py; the scaled coefficients
   a_n (3/2)^(n/3) are exact rationals, the first few being
   1, -4, 8, -325/48, -53/12, 95/6, -33791/4608.  Both recurrences run in
-  integer numerators over one shared denominator per sequence.
+  integer numerators over one shared denominator per sequence, and the
+  coefficients are cached as one row that grows in place.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import mpmath as mp
 
-from .combinatorics import _SharedDenominatorRow
+from .combinatorics import _GrowingRow, _SharedDenominatorRow
 from .errors import DomainError, QuadratureError
 from .numerics import PrecisionConfig, as_mpc, as_mpf, ensure_finite, working_precision
 from .series import FormalSeries, RamifiedPoint
@@ -188,22 +188,51 @@ _PSI_A1 = {8: -16, 6: 112, 5: -8, 4: -240, 3: 40, 2: 144, 1: -48}
 _PSI_A0 = {6: 64, 4: -443, 3: 32, 2: 950, 1: -96, 0: -563}
 _PSI_PIVOT_POWER = 7  # max(deg A0, deg A1 - 1, deg A2 - 2)
 
-_psi_lock = threading.Lock()
-# chi_k and atil_k as integer numerators over one shared denominator each
-_psi_chi = _SharedDenominatorRow(Fraction(1))
-_psi_atil = _SharedDenominatorRow(Fraction(1))
-_psi_scaled: list[Fraction] = [Fraction(1)]
-# _psi_binom[n] = n (n + 3) ... (n + 3(j - 1)) at the last j used for atil_n,
-# so (-3)^j binom(-n/3, j) = _psi_binom[n] / j!
-_psi_binom: list[int] = [1]
-
-
 def _psi_bracket(p: int, k: int) -> int:
     """Coefficient of chi_k in the equation at the power u^p; zero unless
     0 <= p + k <= _PSI_PIVOT_POWER, as the lowest powers of A0, A1, A2 are
     0, 1, 2."""
     return (_PSI_A0.get(p + k, 0) - k * _PSI_A1.get(p + k + 1, 0)
             + k * (k + 1) * _PSI_A2.get(p + k + 2, 0))
+
+
+class _PsiRow(_GrowingRow):
+    """atil_0, atil_1, ...; chi_k and atil_k kept as integer numerators over
+    one shared denominator each."""
+
+    def __init__(self):
+        super().__init__(Fraction(1))
+        self.chi = _SharedDenominatorRow(Fraction(1))
+        self.atil = _SharedDenominatorRow(Fraction(1))
+        # binom[n] = n (n + 3) ... (n + 3(j - 1)) at the last j used for atil_n,
+        # so (-3)^j binom(-n/3, j) = binom[n] / j!
+        self.binom = [1]
+
+    def step(self, k: int) -> Fraction:
+        chi, atil, binom = self.chi, self.atil, self.binom
+        p = _PSI_PIVOT_POWER - k
+        pivot = _psi_bracket(p, k)
+        if pivot == 0:
+            raise ArithmeticError(f"recurrence pivot vanished at k = {k}")
+        s = sum(_psi_bracket(p, kk) * chi.num[kk]
+                for kk in range(max(0, k - _PSI_PIVOT_POWER), k))
+        chi_k = Fraction(-s, pivot * chi.den)
+        chi.append(chi_k)
+        # atil_n enters atil_k at j = (k - n)/2, one j higher than at atil_(k-2);
+        # w = j_max!/j! puts every 1/j! over j_max!
+        s, w = 0, 1
+        for j in range((k - 1) // 2, 0, -1):
+            n = k - 2 * j
+            binom[n] *= n + 3 * (j - 1)
+            s += atil.num[n] * binom[n] * w
+            w *= j
+        atil_k = chi_k - Fraction(s, atil.den * w)
+        atil.append(atil_k)
+        binom.append(1)
+        return atil_k
+
+
+_PSI = _PsiRow()
 
 
 def psi_scaled_coefficients(depth: int) -> list[Fraction]:
@@ -216,31 +245,7 @@ def psi_scaled_coefficients(depth: int) -> list[Fraction]:
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    with _psi_lock:
-        chi, atil, binom = _psi_chi, _psi_atil, _psi_binom
-        while len(_psi_scaled) <= depth:
-            k = len(_psi_scaled)
-            p = _PSI_PIVOT_POWER - k
-            pivot = _psi_bracket(p, k)
-            if pivot == 0:
-                raise ArithmeticError(f"recurrence pivot vanished at k = {k}")
-            s = sum(_psi_bracket(p, kk) * chi.num[kk]
-                    for kk in range(max(0, k - _PSI_PIVOT_POWER), k))
-            chi_k = Fraction(-s, pivot * chi.den)
-            chi.append(chi_k)
-            # atil_n enters atil_k at j = (k - n)/2, one j higher than at atil_(k-2);
-            # w = j_max!/j! puts every 1/j! over j_max!
-            s, w = 0, 1
-            for j in range((k - 1) // 2, 0, -1):
-                n = k - 2 * j
-                binom[n] *= n + 3 * (j - 1)
-                s += atil.num[n] * binom[n] * w
-                w *= j
-            atil_k = chi_k - Fraction(s, atil.den * w)
-            atil.append(atil_k)
-            _psi_scaled.append(atil_k)
-            binom.append(1)
-        return list(_psi_scaled[:depth + 1])
+    return _PSI.upto(depth)[:depth + 1]
 
 
 # sup of the homothety factors for which the branch Borel transforms stay

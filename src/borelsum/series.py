@@ -47,22 +47,6 @@ class RamifiedPoint:
     def rotated(self, theta) -> "RamifiedPoint":
         return RamifiedPoint(self.modulus, self.argument + as_mpf(theta))
 
-    def equivalent(self, other: "RamifiedPoint", m: int, tol=None,
-                   prec: PrecisionConfig | None = None) -> bool:
-        """Same point of the m-sheeted cover: equal moduli and arguments
-        congruent modulo 2*pi*m.
-
-        ``tol`` defaults to roundoff at half the working precision; pass a
-        looser value when the arguments were built at lower precision.
-        """
-        with working_precision(prec) as cfg:
-            tolv = as_mpf(tol) if tol is not None else mp.mpf(2) ** -(cfg.mantissa_bits // 2)
-            if abs(self.modulus - other.modulus) > tolv * max(1, self.modulus):
-                return False
-            period = 2 * mp.pi * m
-            delta = mp.fmod(self.argument - other.argument, period)
-            return min(abs(delta), abs(period - abs(delta))) <= tolv * max(1, period)
-
 
 @dataclass(frozen=True)
 class GrowthEnvelope:
@@ -163,14 +147,6 @@ class FormalSeries:
     def n_max(self) -> int:
         return len(self.coefficients) - 1
 
-    def coefficient(self, n: int) -> mp.mpc:
-        if n < 0:
-            raise DomainError("coefficient index must be nonnegative")
-        if n > self.n_max:
-            raise InsufficientCoefficientsError(
-                f"coefficient a_{n} requested but series stores only up to a_{self.n_max}")
-        return self.coefficients[n]
-
     def require_depth(self, n: int) -> None:
         if n > self.n_max:
             raise InsufficientCoefficientsError(
@@ -254,22 +230,30 @@ def series_from_json(text: str, prec: PrecisionConfig | None = None) -> FormalSe
         raise DomainError('series file must be an object {"m": ..., "coefficients": ...}')
     m = payload["m"]
     rows = payload["coefficients"]
-    if not isinstance(m, int) or not isinstance(rows, list):
+    if type(m) is not int or not isinstance(rows, list):
         raise DomainError("series file has wrong field types")
     with working_precision(prec):
         coeffs = []
         for row in rows:
             if not (isinstance(row, (list, tuple)) and len(row) == 2):
                 raise DomainError("each coefficient must be a [re, im] pair")
-            coeffs.append(mp.mpc(as_mpf(str(row[0])), as_mpf(str(row[1]))))
+            try:
+                coeffs.append(mp.mpc(as_mpf(str(row[0])), as_mpf(str(row[1]))))
+            except ValueError as exc:
+                raise DomainError(f"coefficient {row!r} is not a pair of numbers") from exc
     return FormalSeries(m, coeffs)
 
 
 def load_series(fp: Union[str, IO[str]], prec: PrecisionConfig | None = None) -> FormalSeries:
-    if isinstance(fp, str):
-        with open(fp, "r", encoding="utf-8") as fh:
-            return series_from_json(fh.read(), prec)
-    return series_from_json(fp.read(), prec)
+    try:
+        if isinstance(fp, str):
+            with open(fp, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = fp.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"series file is not UTF-8 text: {exc}") from exc
+    return series_from_json(text, prec)
 
 
 def dump_series(f: FormalSeries, fp: Union[str, IO[str]], dps: int | None = None) -> None:

@@ -170,20 +170,20 @@ def test_criterion_09c_d_identities():
 def _float_row_tail(r: Fraction, jmax: int, bits: int = 192):
     """Floating continuation of the exact d-row recurrence (Miller power
     rule for h^(r-1), h_k = 1/(k+1)); cross-checked against the exact rows
-    below before use."""
+    below before use.  The recurrence runs on integers scaled by 2^224
+    (each term truncated once) and is converted to mpf at the end."""
+    p, q = r.numerator, r.denominator
+    c = [1 << 224]
+    for n in range(1, jmax + 1):
+        c.append(sum((p * k - n * q) * c[n - k] // (k + 1)
+                     for k in range(1, n + 1)) // (n * q))
     with mp.workprec(bits):
-        alpha = mp.mpf(r.numerator) / r.denominator - 1
-        h = [mp.mpf(1) / (k + 1) for k in range(jmax + 1)]
-        c = [mp.mpf(1)] + [mp.mpf(0)] * jmax
-        for n in range(1, jmax + 1):
-            c[n] = mp.fsum(((alpha + 1) * k - n) * h[k] * c[n - k]
-                           for k in range(1, n + 1)) / n
         out = [mp.mpf(1)]
         rise = mp.mpf(1)
-        rm = mp.mpf(r.numerator) / r.denominator
+        rm = mp.mpf(p) / q
         for j in range(1, jmax + 1):
             rise *= rm + (j - 1)
-            out.append(c[j] * rise)
+            out.append(mp.ldexp(c[j], -224) * rise)
         return out
 
 

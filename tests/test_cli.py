@@ -86,6 +86,16 @@ def test_malformed_series_file_exits_1(tmp_path):
             "--z-mod", "3", "--N", "5", expect=1)
 
 
+def test_malformed_series_values_exit_1_without_traceback(tmp_path):
+    path = tmp_path / "bad.json"
+    for content in (b'{"m": 1, "coefficients": [["0", "0"], ["abc", "0"]]}',
+                    b'{"m": 1, "coefficients": [["0", "0"]], "note": "\xff"}'):
+        path.write_bytes(content)
+        proc = run_cli("sum", "--series", str(path), "--method", "factorial",
+                       "--z-mod", "3", "--N", "0", expect=1)
+        assert "Traceback" not in proc.stderr
+
+
 def test_missing_input_exits_1():
     run_cli("sum", "--method", "factorial", "--z-mod", "3", expect=1)
     run_cli("sum", "--builtin", "euler", "--method", "nope", "--z-mod", "3",

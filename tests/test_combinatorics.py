@@ -8,9 +8,10 @@ import pytest
 
 from borelsum import (BellArguments, DomainError, bell_partial,
                       d_coefficient, d_coefficient_exact, d_coefficient_row,
-                      example2_series, generalized_coefficients, psi_series,
-                      stirling_first, working_precision)
-from borelsum import combinatorics
+                      example2_series, generalized_coefficients,
+                      psi_scaled_coefficients, psi_series, stirling_first,
+                      working_precision)
+from borelsum import combinatorics, oracle
 
 # ---------------------------------------------------------------------------
 # Stirling numbers
@@ -273,15 +274,33 @@ def test_d_rows_grow_to_the_same_values(monkeypatch, prec):
     assert shallow == fresh[:11]
 
 
-def test_d_rows_grow_consistently_across_threads(monkeypatch):
+# each row kind: (give it an empty cache, its requests, one read through the API)
+_ROW_KINDS = {
+    "d-rows": (lambda patch: patch.setattr(combinatorics, "_D_ROWS", {}),
+               [(Fraction(l, 3), j) for l in (1, 2, 4) for j in (30, 120, 45, 150, 80)],
+               d_coefficient_row),
+    "stirling": (lambda patch: patch.setattr(combinatorics, "_STIRLING",
+                                             combinatorics._StirlingRows([1])),
+                 [(n, k) for n in (60, 250, 150, 400, 20) for k in (0, 1, n // 3, n)],
+                 stirling_first),
+    "psi": (lambda patch: patch.setattr(oracle, "_PSI", oracle._PsiRow()),
+            [(depth,) for depth in (40, 160, 75, 200, 12)],
+            psi_scaled_coefficients),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ROW_KINDS))
+def test_rows_grow_consistently_across_threads(monkeypatch, kind):
     # more threads than cores, switching often, all growing the same rows
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
-    requests = [(Fraction(l, 3), j) for l in (1, 2, 4) for j in (3, 25, 9, 30, 17)]
+    reset, requests, read = _ROW_KINDS[kind]
+    reset(monkeypatch)
     results = []
+    start = threading.Barrier(6)
 
     def worker(i):
-        for r, j in requests[i:] + requests[:i]:
-            results.append((r, j, d_coefficient_row(r, j)))
+        start.wait(timeout=60)
+        for args in requests[i:] + requests[:i]:
+            results.append((args, read(*args)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -295,9 +314,9 @@ def test_d_rows_grow_consistently_across_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 6 * len(requests)
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
-    for r, j, row in results:
-        assert row == d_coefficient_row(r, j)
+    reset(monkeypatch)
+    for args, value in results:
+        assert value == read(*args)
 
 
 def test_expansion_identity_moderate_depth(prec320):

@@ -48,7 +48,7 @@ def test_formal_series_validation(workprec):
     f = FormalSeries(2, [1, 2, 3])
     assert f.n_max == 2
     with pytest.raises(InsufficientCoefficientsError):
-        f.coefficient(3)
+        f.require_depth(3)
 
 
 def test_rotate_identity_and_phase(workprec):
@@ -179,16 +179,6 @@ def test_partial_sum_keeps_the_callers_precision():
         assert abs(got - want) < mp.mpf(2) ** -490 * abs(want)
 
 
-def test_ramified_point_equivalence(workprec, prec):
-    a = RamifiedPoint(2, mp.mpf("0.5"))
-    b = RamifiedPoint(2, mp.mpf("0.5") + 4 * mp.pi)  # full turn of the 2-cover
-    c = RamifiedPoint(2, mp.mpf("0.5") + 2 * mp.pi)  # second sheet
-    assert a.equivalent(b, 2, prec=prec)
-    assert not a.equivalent(c, 2, prec=prec)
-    assert a.equivalent(c, 1, prec=prec)
-    assert not a.equivalent(RamifiedPoint(3, mp.mpf("0.5")), 2, prec=prec)
-
-
 def test_growth_envelope_validation():
     GrowthEnvelope(A=1, B=1, r=0.5, domain="strip")
     GrowthEnvelope(A=1, B=1, lam=2.0, domain="region")
@@ -220,3 +210,17 @@ def test_series_json_malformed():
         load_series(io.StringIO(json.dumps({"m": 2})))
     with pytest.raises(DomainError):
         load_series(io.StringIO(json.dumps({"m": 1, "coefficients": [["1"]]})))
+
+
+@pytest.mark.parametrize("content", [
+    b'{"m": 1, "coefficients": [["1", "0"], ["abc", "0"]]}',
+    b'{"m": 1, "coefficients": [[null, "0"]]}',
+    b'{"m": 1, "coefficients": [["1", {}]]}',
+    b'{"m": true, "coefficients": [["1", "0"]]}',
+    b'{"m": 1, "coefficients": [["1", "0"]], "note": "\xff\xfe"}',
+], ids=["word", "null", "object", "bool-m", "not-utf8"])
+def test_load_series_rejects_malformed_files(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(DomainError):
+        load_series(str(path))
