@@ -1,0 +1,50 @@
+"""Check that the working tree prints the same numbers as an earlier commit.
+
+Runs every distinct cold-CLI command of the benchmark workloads
+(perfbench/spec.py, seeds 1-3) plus ``reproduce all``, once on the working
+tree's src/ and once on ``git archive REV src``, and lists each command whose
+stdout or exit code differs.  Exits 1 when any does.
+
+    python3 scripts/same_numbers.py REV
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import spec  # noqa: E402
+
+
+def commands() -> list[tuple[str, ...]]:
+    argvs = [tuple(cmd["argv"]) for w in spec.WORKLOADS for seed in (1, 2, 3)
+             for cmd in spec.cold_commands(w, spec.points(w, seed))]
+    return list(dict.fromkeys(argvs + [("reproduce", "all")]))
+
+
+def run(src: Path, argv) -> tuple[int, str]:
+    proc = subprocess.run([sys.executable, "-m", "borelsum.cli", *argv], cwd=src,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return proc.returncode, proc.stdout
+
+
+def main(rev: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev, "src"],
+                                   stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout, check=True)
+        if archive.wait():
+            sys.exit(f"git archive {rev} failed")
+        argvs = commands()
+        differ = [a for a in argvs if run(ROOT / "src", a) != run(Path(tmp) / "src", a)]
+    for argv in differ:
+        print("DIFFERS:", " ".join(argv))
+    print(f"{len(argvs) - len(differ)} of {len(argvs)} commands give the same stdout and exit code")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else "HEAD"))

@@ -72,7 +72,7 @@ class FactorialExpansion:
     lam: mp.mpf
     b: tuple[mp.mpc, ...]
     a0: mp.mpc
-    condition: tuple[mp.mpf, ...] | None = None
+    condition: tuple[mp.mpf, ...]
 
     @property
     def depth(self) -> int:
@@ -172,12 +172,19 @@ def check_lambda_permitted(lam, envelope: GrowthEnvelope | None) -> None:
     practice, so they are allowed; the warning keeps the theory's guarantee
     boundary visible.
     """
-    if envelope is not None and envelope.lam is not None:
-        if as_mpf(lam) > as_mpf(envelope.lam) * (1 + mp.mpf(2) ** -40):
-            warnings.warn(
-                f"lambda = {float(lam):g} exceeds the envelope's permitted factor "
-                f"{float(envelope.lam):g}; convergence is no longer guaranteed",
-                stacklevel=3)
+    if envelope is not None and as_mpf(lam) > as_mpf(envelope.lam) * (1 + mp.mpf(2) ** -40):
+        warnings.warn(
+            f"lambda = {float(lam):g} exceeds the envelope's permitted factor "
+            f"{float(envelope.lam):g}; convergence is no longer guaranteed",
+            stacklevel=3)
+
+
+def _summation_point(z: PointLike, prec: PrecisionConfig | None) -> mp.mpc:
+    """z projected to C*, where every summation route needs Re > 0."""
+    zc = as_point(z, prec).projection(prec)
+    if not mp.re(zc) > 0:
+        raise DomainError(f"summation needs Re(z projected) > 0, got {mp.nstr(mp.re(zc), 8)}")
+    return zc
 
 
 def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
@@ -196,9 +203,7 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
         raise InsufficientCoefficientsError(
             f"expansion stores b_0..b_{e.depth}; N = {N} needs b_{N + 1} for its estimate")
     with working_precision(prec):
-        zc = as_point(z, prec).projection(prec)
-        if not mp.re(zc) > 0:
-            raise DomainError("factorial series needs Re z > 0")
+        zc = _summation_point(z, prec)
         check_lambda_permitted(e.lam, envelope)
         return _factorial_sum(e, zc, N, gamma_ratios(e.lam * zc, 1, N + 1, prec),
                               envelope, prec)
@@ -215,9 +220,9 @@ def _factorial_sum(e: FactorialExpansion, zc: mp.mpc, N: int, kernels: list,
         estimate = e.a0 + e.lam * total
         heuristic = _first_omitted_estimate(e.b[N + 1], (N + 1) * kernels[N], zc)
         rigorous = None
-        if envelope is not None and envelope.lam is not None:
+        if envelope is not None:
             rigorous = r_fact(e.lam, envelope.A, envelope.B, N, zc, prec)
-        cond = max(e.condition[:N + 2]) if e.condition else None
+        cond = max(e.condition[:N + 2])
         return SummationResult(estimate=ensure_finite(estimate), N=N,
                                method="factorial", rigorous_bound=rigorous,
                                heuristic_error=heuristic, condition_number=cond)
@@ -227,7 +232,15 @@ def _factorial_sum(e: FactorialExpansion, zc: mp.mpc, N: int, kernels: list,
 # explicit bounds
 # ---------------------------------------------------------------------------
 
-def _require_halfplane(z, B, prec=None) -> mp.mpc:
+def _positive(fn: str, **values) -> list[mp.mpf]:
+    """The values as mpf at the ambient precision, each finite and > 0."""
+    out = [as_mpf(v) for v in values.values()]
+    if not all(mp.isfinite(v) and v > 0 for v in out):
+        raise DomainError(f"{fn} needs finite positive {', '.join(values)}")
+    return out
+
+
+def _require_halfplane(z, B) -> mp.mpc:
     zc = as_mpc(z)
     if not mp.re(zc) > as_mpf(B):
         raise DomainError(f"bound needs Re z > B, got Re z = {mp.re(zc)}, B = {B}")
@@ -240,10 +253,8 @@ def r_as(r, A, B, n: int, z, prec: PrecisionConfig | None = None) -> mp.mpf:
         A e^(B r) (n!/r^n) / ( |z|^n (Re z - B) ).
     """
     with working_precision(prec):
-        rv, Av, Bv = as_mpf(r), as_mpf(A), as_mpf(B)
-        if not (rv > 0 and Av > 0 and Bv > 0):
-            raise DomainError("r_as needs positive r, A, B")
-        zc = _require_halfplane(z, Bv, prec)
+        rv, Av, Bv = _positive("r_as", r=r, A=A, B=B)
+        zc = _require_halfplane(z, Bv)
         return ensure_finite(
             Av * mp.exp(Bv * rv) * mp.factorial(n) / mp.power(rv, n)
             / (mp.power(abs(zc), n) * (mp.re(zc) - Bv)))
@@ -258,10 +269,8 @@ def r_fact(lam, A, B, N: int, z, prec: PrecisionConfig | None = None) -> mp.mpf:
     Reduces to the unscaled bound at lam = 1.
     """
     with working_precision(prec):
-        lv, Av, Bv = as_mpf(lam), as_mpf(A), as_mpf(B)
-        if not (lv > 0 and Av > 0 and Bv > 0):
-            raise DomainError("r_fact needs positive lambda, A, B")
-        zc = _require_halfplane(z, Bv, prec)
+        lv, Av, Bv = _positive("r_fact", lam=lam, A=A, B=B)
+        zc = _require_halfplane(z, Bv)
         lB = lv * Bv
         shape = mp.power(N + lB + 1, N + lB + 1) / mp.power(N + 1, N)
         kernel = abs(gamma_ratio(lv * zc, N, 1, prec))
@@ -278,10 +287,8 @@ def r_fact_asymptotic(lam, A, B, N: int, z,
     if N < 1:
         raise DomainError("the asymptotic form needs N >= 1")
     with working_precision(prec):
-        lv, Av, Bv = as_mpf(lam), as_mpf(A), as_mpf(B)
-        if not (lv > 0 and Av > 0 and Bv > 0):
-            raise DomainError("r_fact_asymptotic needs positive lambda, A, B")
-        zc = _require_halfplane(z, Bv, prec)
+        lv, Av, Bv = _positive("r_fact_asymptotic", lam=lam, A=A, B=B)
+        zc = _require_halfplane(z, Bv)
         lB = lv * Bv
         expo = lv * (mp.re(zc) - Bv) - 1
         return ensure_finite(
@@ -294,9 +301,7 @@ def b_bound(lam, A, B, n: int, prec: PrecisionConfig | None = None) -> mp.mpf:
     if n < 1:
         raise DomainError("b_bound needs n >= 1")
     with working_precision(prec):
-        lv, Av, Bv = as_mpf(lam), as_mpf(A), as_mpf(B)
-        if not (lv > 0 and Av > 0 and Bv > 0):
-            raise DomainError("b_bound needs positive lambda, A, B")
+        lv, Av, Bv = _positive("b_bound", lam=lam, A=A, B=B)
         lB = lv * Bv
         return ensure_finite(
             Av * mp.power(n + lB, n + lB) / (mp.power(lB, lB) * mp.power(n, n)))
@@ -304,9 +309,7 @@ def b_bound(lam, A, B, n: int, prec: PrecisionConfig | None = None) -> mp.mpf:
 
 def least_term_index(r, z) -> int:
     """Optimal strip truncation index floor(r |z|)."""
-    rv = as_mpf(r)
-    if not rv > 0:
-        raise DomainError("least_term_index needs r > 0")
+    rv, = _positive("least_term_index", r=r)
     zm = z.modulus if hasattr(z, "modulus") else abs(as_mpc(z))
     return int(mp.floor(rv * zm))
 
@@ -328,7 +331,7 @@ def bound_comparison_table(A, B, z, n_max: int,
     against the factorial-series bound on the same envelope.
     """
     with working_precision(prec):
-        zc = _require_halfplane(z, B, prec)
+        zc = _require_halfplane(z, B)
         rows = []
         for n in range(n_max + 1):
             rows.append(BoundRow(

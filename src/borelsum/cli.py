@@ -70,13 +70,13 @@ def _envelope_from_flags(A, B, lam_sup) -> GrowthEnvelope | None:
     return GrowthEnvelope(A=A, B=B, lam=lam_sup or float("inf"), domain="region")
 
 
-def _evaluate(method, f, builtin, lam, theta, z, N, r, C, envelope, tol, prec) -> SummationResult:
+def _evaluate(method, f, builtin, lam, theta, z, N, r, envelope, tol, prec) -> SummationResult:
     if method == "least-term":
         if r is None:
             raise click.UsageError("--r is required for the least-term method")
         res = least_term_sum_ramified(f, r, z, prec=prec)
-        if C is not None and envelope is not None:
-            rig = r_as_ramified(r, C, envelope.B, res.N // f.m, z, f.m, prec)
+        if envelope is not None:
+            rig = r_as_ramified(r, envelope.A, envelope.B, res.N // f.m, z, f.m, prec)
             res = dataclasses.replace(res, rigorous_bound=rig)
         return res
     if method == "factorial":
@@ -90,7 +90,7 @@ def _evaluate(method, f, builtin, lam, theta, z, N, r, C, envelope, tol, prec) -
             return rotated_generalized_sum(f, theta, lam, z, N, envelope=envelope, prec=prec)
         return generalized_factorial_sum(f, lam, z, N, envelope=envelope, prec=prec)
     if method == "oracle":
-        if builtin is None or builtin not in BUILTIN_EVALUATORS:
+        if builtin not in BUILTIN_EVALUATORS:
             raise click.UsageError(
                 f"--method oracle needs --builtin out of {sorted(BUILTIN_EVALUATORS)}")
         g = BUILTIN_EVALUATORS[builtin]
@@ -194,11 +194,11 @@ _common = [
     click.option("--z-mod", type=float, required=True, help="|z|"),
     click.option("--z-arg", type=float, default=0.0,
                  help="arg z, unreduced (covers all sheets)"),
-    click.option("--A", "A", type=float, default=None, help="envelope constant A"),
+    click.option("--A", "A", type=float, default=None,
+                 help="envelope constant A on the method's domain: the --r strip for "
+                      "least-term (largest branch A when m > 1), else the lambda-region"),
     click.option("--B", "B", type=float, default=None, help="envelope growth rate B"),
     click.option("--r", "r", type=float, default=None, help="strip half-width"),
-    click.option("--C", "C", type=float, default=None,
-                 help="ramified least-term constant (max of the branch A's)"),
     _precision_bits,
     click.option("--tol", type=float, default=None, help="oracle quadrature tolerance"),
     _format,
@@ -213,11 +213,8 @@ def _with_common(fn):
 
 
 def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
-              A, B, r, C, precision_bits, tol, fmt, out) -> None:
+              A, B, r, precision_bits, tol, fmt, out) -> None:
     """The body of ``sum`` and ``table``: one record per truncation index."""
-    if C is not None and B is None:
-        raise click.UsageError(
-            "--C needs --B (with --A): the ramified bound uses the growth rate B")
     if r is not None and method != "least-term":
         raise click.UsageError(
             "--r applies only to --method least-term: the other methods' bounds "
@@ -227,7 +224,7 @@ def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
     f = None if method == "oracle" else _load_input(series, builtin, depth, prec)
     envelope = _envelope_from_flags(A, B, PSI_LAMBDA_SUP if builtin == "psi" else None)
     digits = int(prec.mantissa_bits * 0.30103) + 2
-    records = [_result_record(_evaluate(method, f, builtin, lam, theta, z, N, r, C,
+    records = [_result_record(_evaluate(method, f, builtin, lam, theta, z, N, r,
                                         envelope, tol, prec), digits)
                for N in Ns]
     _emit(_render(records, SUM_COLUMNS, fmt), out)

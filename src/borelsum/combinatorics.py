@@ -40,7 +40,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import DomainError
-from .numerics import PrecisionConfig, as_mpf
+from .numerics import PrecisionConfig, as_mpf, working_precision
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -242,4 +242,5 @@ def d_coefficient_exact(r: Fraction | int, j: int) -> Fraction:
 def d_coefficient(r: Fraction | int, j: int,
                   prec: PrecisionConfig | None = None) -> mp.mpf:
     """d_{r,j} as a floating value at working precision (see the exact form)."""
-    return as_mpf(d_coefficient_exact(r, j), prec)
+    with working_precision(prec):
+        return as_mpf(d_coefficient_exact(r, j))

@@ -13,7 +13,9 @@ when s = 1).  Single gammas are called from mpmath directly:
 
 Values are ``mpmath`` numbers.  A :class:`PrecisionConfig` names the working
 mantissa size; operations run under ``mpmath.workprec`` so results carry the
-requested precision regardless of the caller's global mpmath state.
+requested precision regardless of the caller's global mpmath state.  The
+conversions ``as_mpf`` and ``as_mpc`` take no precision of their own: they
+round at the ambient one, so callers convert inside ``working_precision``.
 """
 
 from __future__ import annotations
@@ -68,29 +70,17 @@ def working_precision(prec: PrecisionConfig | None):
         yield cfg
 
 
-def as_mpf(x: Numeric, prec: PrecisionConfig | None = None) -> mp.mpf:
-    """Convert to mpf; Fractions and decimal strings convert without an
-    intermediate double rounding.
-
-    Without an explicit ``prec`` the conversion inherits the caller's
-    ambient precision, so helpers running inside a high-precision context
-    never quietly downgrade a value to the library default.
-    """
-    if prec is None:
-        if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / x.denominator
-        return mp.mpf(x)
-    with working_precision(prec):
-        return as_mpf(x)
+def as_mpf(x: Numeric) -> mp.mpf:
+    """Convert to mpf at the caller's ambient precision; Fractions and
+    decimal strings convert without an intermediate double rounding."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
 
 
-def as_mpc(x: Numeric, prec: PrecisionConfig | None = None) -> mp.mpc:
-    if prec is None:
-        if isinstance(x, Fraction):
-            return mp.mpc(mp.mpf(x.numerator) / x.denominator)
-        return mp.mpc(x)
-    with working_precision(prec):
-        return as_mpc(x)
+def as_mpc(x: Numeric) -> mp.mpc:
+    """Convert to mpc at the ambient precision, as :func:`as_mpf` does."""
+    return mp.mpc(as_mpf(x)) if isinstance(x, Fraction) else mp.mpc(x)
 
 
 def ensure_finite(value):

@@ -51,20 +51,15 @@ from .series import FormalSeries, RamifiedPoint
 class BorelEvaluator:
     """A Borel transform evaluable along rays of the m-sheeted cover.
 
-    ``fn`` maps a cover point zeta = (rho, theta) to a complex value.  The
-    growth pair (A, B) bounds |fn| <= A e^(B rho) on the valid rays and
-    drives the truncation of the Laplace integral; ``singularities`` is
-    documentation only.
+    ``fn`` maps a cover point zeta = (rho, theta) to a complex value; (A, B)
+    bounds |fn| <= A e^(B rho) on the rays it is integrated along and drives
+    the truncation of the Laplace integral; ``a0`` is the constant term.
     """
 
-    name: str
     fn: Callable[[RamifiedPoint], mp.mpc]
-    m: int = 1
     A: float = 1.0
     B: float = 0.0
     a0: complex = 0
-    valid_rays: str = "all directions"
-    singularities: tuple = ()
 
     def __call__(self, zeta: RamifiedPoint) -> mp.mpc:
         return self.fn(zeta)
@@ -127,16 +122,11 @@ def _const1_transform(zeta: RamifiedPoint) -> mp.mpc:
 
 
 BUILTIN_EVALUATORS: dict[str, BorelEvaluator] = {
-    "euler": BorelEvaluator(name="euler", fn=_euler_transform, m=1,
-                            A=4.0, B=0.05, a0=0,
-                            valid_rays="arg zeta in (-pi, pi), away from -1",
-                            singularities=(-1,)),
-    "example2": BorelEvaluator(name="example2", fn=_example2_transform, m=2,
-                               A=2.0, B=0.25, a0=0,
-                               valid_rays="arg zeta in (-2*pi, 2*pi) on the double cover",
-                               singularities=("modulus 1, argument 2*pi",)),
-    "const1": BorelEvaluator(name="const1", fn=_const1_transform, m=1,
-                             A=1.0, B=0.0, a0=0),
+    # m = 1, one pole at zeta = -1: valid for arg zeta in (-pi, pi)
+    "euler": BorelEvaluator(fn=_euler_transform, A=4.0, B=0.05),
+    # m = 2, branch point at modulus 1, argument 2*pi: arg zeta in (-2*pi, 2*pi)
+    "example2": BorelEvaluator(fn=_example2_transform, A=2.0, B=0.25),
+    "const1": BorelEvaluator(fn=_const1_transform, A=1.0, B=0.0),
 }
 
 
@@ -258,11 +248,8 @@ def psi_series(depth: int, prec: PrecisionConfig | None = None) -> FormalSeries:
     """Coefficients a_0..a_depth of the m = 3 WKB series psi (a_0 = 1)."""
     scaled = psi_scaled_coefficients(depth)
     with working_precision(prec):
-        coeffs = []
-        for n, frac in enumerate(scaled):
-            base = mp.mpf(frac.numerator) / frac.denominator
-            coeffs.append(mp.mpc(base * mp.power(mp.mpf(2) / 3, mp.mpf(n) / 3)))
-        return FormalSeries(3, coeffs)
+        return FormalSeries(3, (as_mpf(frac) * mp.power(mp.mpf(2) / 3, mp.mpf(n) / 3)
+                                for n, frac in enumerate(scaled)))
 
 
 BUILTIN_SERIES: dict[str, Callable[[int, PrecisionConfig | None], FormalSeries]] = {

@@ -32,8 +32,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .classical import (SummationResult, _factorial_sum, check_lambda_permitted,
-                        factorial_expansion, least_term_index, r_as, r_fact)
+from .classical import (SummationResult, _factorial_sum, _summation_point,
+                        check_lambda_permitted, factorial_expansion,
+                        least_term_index, r_as, r_fact)
 from .combinatorics import d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PrecisionConfig, as_mpf, ensure_finite, gamma_ratios,
@@ -62,9 +63,7 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
             f"branch depth N = {N} needs flat coefficients up to a_{needed}, "
             f"series stores a_0..a_{f.n_max}")
     with working_precision(prec):
-        zdot = z.projection(prec)
-        if not mp.re(zdot) > 0:
-            raise DomainError("branch_sum needs Re(z projected) > 0")
+        zdot = _summation_point(z, prec)
         lv = as_mpf(lam)
         check_lambda_permitted(lv, envelope)
         a0, branches = branch_split(f)
@@ -72,7 +71,7 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
         kernels = gamma_ratios(lv * zdot, 1, N + 1, prec)
         # every branch has the same bound: one r_fact, weighted per branch
         bound = rigorous = None
-        if envelope is not None and envelope.lam is not None:
+        if envelope is not None:
             bound = r_fact(lv, envelope.A, envelope.B, N, zdot, prec)
             rigorous = mp.mpf(0)
         estimate = mp.mpc(a0)
@@ -112,8 +111,7 @@ def generalized_coefficients(f: FormalSeries, n_max: int | None = None,
             for j in range(1, (n - 1) // m + 1):
                 l = n - j * m
                 if l in rows:
-                    dr = rows[l][j]
-                    acc += mp.mpf(dr.numerator) / dr.denominator * a[l]
+                    acc += as_mpf(rows[l][j]) * a[l]
             out.append(acc * mp.rgamma(mp.mpf(n) / m))
         return out
 
@@ -168,9 +166,7 @@ def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     with working_precision(prec):
         lv = as_mpf(lam)
         check_lambda_permitted(lv, envelope)
-        zdot = z.projection(prec)
-        if not mp.re(zdot) > 0:
-            raise DomainError("generalized_factorial_sum needs Re(z projected) > 0")
+        zdot = _summation_point(z, prec)
         fs = scale(f, lv, prec) if lv != 1 else f
         d = generalized_coefficients(fs, N + 1, prec)
         kernels = _beta_kernels(lv * zdot, f.m, N + 1, prec)
@@ -210,9 +206,7 @@ def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,
     n = least_term_index(r, z)
     f.require_depth(f.m * n + f.m)
     with working_precision(prec):
-        zdot = z.projection(prec)
-        if not mp.re(zdot) > 0:
-            raise DomainError("least-term summation needs Re(z projected) > 0")
+        zdot = _summation_point(z, prec)
         estimate = partial_sum(f, z, f.m * n, prec)
         peak = max(abs(f.coefficients[l + f.m * n]) for l in range(1, f.m + 1))
         heuristic = peak * _branch_weights(z, f.m) / (mp.power(z.modulus, n) * mp.re(zdot))
@@ -225,15 +219,15 @@ def _branch_weights(z: RamifiedPoint, m: int) -> mp.mpf:
     return mp.fsum(mp.power(z.modulus, mp.mpf(i) / m) for i in range(m))
 
 
-def r_as_ramified(r, C, B, n: int, z: RamifiedPoint, m: int,
+def r_as_ramified(r, A, B, n: int, z: RamifiedPoint, m: int,
                   prec: PrecisionConfig | None = None) -> mp.mpf:
-    """Ramified least-term bound: ``r_as`` with A = C at z projected, times
-    the branch weights,
+    """Ramified least-term bound: ``r_as`` at z projected, times the branch
+    weights, with (A, B) the envelope on the strip (A the largest branch one),
 
-        C e^(B r) (n!/r^n) (sum_{i=0}^{m-1} |z|^(i/m)) / (|z|^n (Re z. - B)).
+        A e^(B r) (n!/r^n) (sum_{i=0}^{m-1} |z|^(i/m)) / (|z|^n (Re z. - B)).
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
     z = as_point(z, prec)
     with working_precision(prec):
-        return r_as(r, C, B, n, z.projection(prec), prec) * _branch_weights(z, m)
+        return r_as(r, A, B, n, z.projection(prec), prec) * _branch_weights(z, m)

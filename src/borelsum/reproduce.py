@@ -68,8 +68,6 @@ _TABLE5 = {
 _TABLE5_REFERENCE = "0.2357006"
 _LEASTTERM = ("0.26256292290", "0.23e-9")
 
-_PSI_LAMBDA_TABLE1 = ("2/ln2", lambda: 2 / mp.log(2))
-
 
 @dataclass
 class ReproRow:

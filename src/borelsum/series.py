@@ -8,6 +8,10 @@ silent truncation would corrupt every error estimate built on top.
 A :class:`RamifiedPoint` is (modulus, argument) with the argument kept as a
 plain unreduced real; it only acquires the "mod 2*pi*m" meaning through the
 power map z^(k/m) = modulus^(k/m) * exp(i k/m * argument).
+
+A :class:`GrowthEnvelope` is the growth pair (A, B) of a Borel transform on
+the lambda-region, with the largest permitted lambda, as the factorial-type
+sums read it; the least-term strip bounds take (A, B) as plain arguments.
 """
 
 from __future__ import annotations
@@ -50,30 +54,22 @@ class RamifiedPoint:
 
 @dataclass(frozen=True)
 class GrowthEnvelope:
-    """Validity data for a Borel transform: |f~(zeta)| <= A e^(B |zeta|).
+    """Growth data of a Borel transform: |f~(zeta)| <= A e^(B |zeta|).
 
-    ``domain`` records where the bound holds: a strip of half-width ``r``
-    around the summation ray ("strip"), the homothety by ``lam`` of the
-    log-of-disk region ("region"), or its ramified lift ("ramified").
-    Exactly the parameter matching the domain kind must be set.
+    ``domain`` records where the bound holds: the homothety by ``lam`` of
+    the log-of-disk region ("region") or its ramified lift ("ramified").
+    ``lam`` is the validity factor a summation lambda is checked against.
     """
 
     A: float
     B: float
-    r: float | None = None
-    lam: float | None = None
+    lam: float
     domain: str = "region"
 
     def __post_init__(self):
-        if not (self.A > 0 and self.B > 0):
-            raise DomainError("envelope requires A > 0 and B > 0")
-        if self.domain == "strip":
-            if self.r is None or not self.r > 0:
-                raise DomainError("a strip envelope needs r > 0")
-        elif self.domain in ("region", "ramified"):
-            if self.lam is None or not self.lam > 0:
-                raise DomainError(f"a {self.domain} envelope needs lam > 0")
-        else:
+        if not (self.A > 0 and self.B > 0 and self.lam > 0):
+            raise DomainError("envelope requires A > 0, B > 0 and lam > 0")
+        if self.domain not in ("region", "ramified"):
             raise DomainError(f"unknown envelope domain {self.domain!r}")
 
 

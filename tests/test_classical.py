@@ -223,8 +223,9 @@ def test_least_term_index_values(workprec):
     assert least_term_index(2, RamifiedPoint(12, 0)) == 24
     assert least_term_index(mp.log(2), mp.mpc(10, 10)) == 9
     assert least_term_index(mp.mpf("0.1"), mp.mpf(5)) == 0
-    with pytest.raises(DomainError):
-        least_term_index(0, mp.mpf(5))
+    for r in (0, float("inf"), mp.inf, mp.nan):
+        with pytest.raises(DomainError):
+            least_term_index(r, mp.mpf(5))
 
 
 def test_bound_comparison_table_shape(workprec):

@@ -182,12 +182,21 @@ def test_out_file(tmp_path):
     assert rec["N"] == 10
 
 
+LEAST_TERM_PSI = ("sum", "--builtin", "psi", "--method", "least-term", "--z-mod", "12")
+
 GOLDEN_COMMANDS = {
     "compare_bounds": ("compare-bounds", "--n-max", "3"),
     "sum_euler": ("sum", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
                   "--N", "10", "--A", "4", "--B", "0.05"),
     "table_example2": ("table", "--builtin", "example2", "--method", "generalized",
                        "--z-mod", "5", "--N-range", "10,12"),
+    "table_psi_branch": ("table", "--builtin", "psi", "--method", "branch",
+                         "--lambda", "2.885390081777927", "--z-mod", "12",
+                         "--N-range", "10,14", "--A", "1", "--B", "1"),
+    "sum_psi_least_term": LEAST_TERM_PSI + ("--r", "2", "--A", "1", "--B", "1"),
+    "sum_example2_rotated": ("sum", "--builtin", "example2", "--method", "generalized",
+                             "--theta", "1.0471975511965976", "--lambda", "0.6",
+                             "--z-mod", "5", "--N", "50"),
 }
 
 
@@ -196,6 +205,11 @@ GOLDEN_COMMANDS = {
 def test_golden_output(name, fmt):
     out = run_cli(*GOLDEN_COMMANDS[name], "--format", fmt).stdout
     assert out == (GOLDEN / f"{name}.{fmt}").read_text()
+
+
+def test_reproduce_all_golden():
+    proc = run_cli("reproduce", "all", expect=3)
+    assert proc.stdout == (GOLDEN / "reproduce_all.txt").read_text()
 
 
 def test_sum_is_a_one_row_table():
@@ -242,10 +256,29 @@ def test_precision_above_double_exponent_range():
     assert len(proc.stdout.splitlines()) == 3
 
 
-def test_ramified_constant_without_growth_rate_is_a_usage_error():
-    proc = run_cli("sum", "--builtin", "psi", "--method", "least-term", "--r", "2",
-                   "--z-mod", "12", "--C", "1", expect=1)
-    assert "--C" in proc.stderr
+def test_least_term_bound_reads_the_envelope():
+    from borelsum import RamifiedPoint, r_as_ramified
+    rec = json.loads(run_cli(*LEAST_TERM_PSI, "--r", "2", "--A", "1", "--B", "1",
+                             "--format", "json").stdout)[0]
+    assert rec["N"] == 72
+    want = r_as_ramified(2, 1, 1, 72 // 3, RamifiedPoint(12, 0), 3)
+    assert rec["rigorous_bound"] == mp.nstr(want, 8)
+
+
+def test_envelope_constant_without_growth_rate_is_a_usage_error():
+    proc = run_cli(*LEAST_TERM_PSI, "--r", "2", "--A", "1", expect=1)
+    assert "--A and --B" in proc.stderr and proc.stdout == ""
+
+
+def test_ramified_constant_flag_is_gone():
+    proc = run_cli(*LEAST_TERM_PSI, "--r", "2", "--A", "1", "--B", "1", "--C", "1",
+                   expect=1)
+    assert "--C" in proc.stderr and proc.stdout == ""
+
+
+def test_non_finite_strip_width_is_a_domain_error():
+    proc = run_cli(*LEAST_TERM_PSI, "--r", "inf", expect=2)
+    assert "finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_strip_width_outside_least_term_is_a_usage_error():

@@ -96,8 +96,7 @@ def test_quadrature_default_tolerance_at_512_bits():
 
 
 def test_custom_evaluator(workprec, prec):
-    g = BorelEvaluator(name="exp", fn=lambda zeta: mp.exp(-zeta.projection()),
-                       A=1.0, B=0.0)
+    g = BorelEvaluator(fn=lambda zeta: mp.exp(-zeta.projection()), A=1.0, B=0.0)
     v = laplace_quadrature(g, 0, mp.mpf(2), 1e-20, prec)
     assert abs(v - mp.mpf(1) / 3) < mp.mpf("1e-20")  # int e^(-3t) dt
 

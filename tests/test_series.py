@@ -180,14 +180,16 @@ def test_partial_sum_keeps_the_callers_precision():
 
 
 def test_growth_envelope_validation():
-    GrowthEnvelope(A=1, B=1, r=0.5, domain="strip")
-    GrowthEnvelope(A=1, B=1, lam=2.0, domain="region")
-    with pytest.raises(DomainError):
-        GrowthEnvelope(A=0, B=1, r=0.5, domain="strip")
-    with pytest.raises(DomainError):
-        GrowthEnvelope(A=1, B=1, domain="strip")
-    with pytest.raises(DomainError):
-        GrowthEnvelope(A=1, B=1, lam=1.0, domain="nonsense")
+    GrowthEnvelope(A=1, B=1, lam=2.0)
+    GrowthEnvelope(A=1, B=1, lam=float("inf"), domain="ramified")
+    nan = float("nan")
+    for bad in ({"A": 0}, {"B": -1}, {"lam": 0}, {"lam": -2.0},
+                {"A": nan}, {"B": nan}, {"lam": nan}, {"domain": "strip"},
+                {"domain": "nonsense"}):
+        with pytest.raises(DomainError):
+            GrowthEnvelope(**{"A": 1, "B": 1, "lam": 2.0, **bad})
+    with pytest.raises(TypeError):  # lam has no default
+        GrowthEnvelope(A=1, B=1)
 
 
 def test_series_json_roundtrip(tmp_path, prec):
