@@ -3,7 +3,8 @@
 Runs every distinct cold-CLI command of the benchmark workloads
 (perfbench/spec.py, seeds 1-3) plus ``reproduce all``, once on the working
 tree's src/ and once on ``git archive REV src``, and lists each command whose
-stdout or exit code differs.  Exits 1 when any does.
+stdout or exit code differs, with its first differing stdout line from each
+side (or the two exit codes).  Exits 1 when any does.
 
     python3 scripts/same_numbers.py REV
 """
@@ -12,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,9 +41,14 @@ def main(rev: str) -> int:
         if archive.wait():
             sys.exit(f"git archive {rev} failed")
         argvs = commands()
-        differ = [a for a in argvs if run(ROOT / "src", a) != run(Path(tmp) / "src", a)]
-    for argv in differ:
+        results = [(a, run(ROOT / "src", a), run(Path(tmp) / "src", a)) for a in argvs]
+    differ = [r for r in results if r[1] != r[2]]
+    for argv, (code, out), (rev_code, rev_out) in differ:
         print("DIFFERS:", " ".join(argv))
+        pairs = [(f"exit {code}", f"exit {rev_code}")] + list(
+            zip_longest(out.split("\n"), rev_out.split("\n")))
+        here, there = next(pair for pair in pairs if pair[0] != pair[1])
+        print(f"  here:   {here}\n  at {rev}: {there}")
     print(f"{len(argvs) - len(differ)} of {len(argvs)} commands give the same stdout and exit code")
     return 1 if differ else 0
 

@@ -3,8 +3,8 @@
 Public surface:
 
 * :mod:`borelsum.numerics`: precision configuration and gamma kernels;
-* :mod:`borelsum.combinatorics`: exact Stirling numbers, Bell polynomials,
-  and the d-coefficients of the generalized expansion;
+* :mod:`borelsum.combinatorics`: exact Stirling numbers, Bell polynomials at
+  x_l = l!/(l+1), and the d-coefficients of the generalized expansion;
 * :mod:`borelsum.series`: formal series in z^(-1/m), cover points,
   coefficient transforms, and the JSON series format;
 * :mod:`borelsum.classical`: the m = 1 factorial-series machinery and the
@@ -18,9 +18,8 @@ from .classical import (BoundRow, FactorialExpansion, SummationResult,
                         b_bound, bound_comparison_table, factorial_expansion,
                         factorial_series_sum, least_term_index, r_as, r_fact,
                         r_fact_asymptotic, stirling_transform)
-from .combinatorics import (BellArguments, bell_partial, d_coefficient,
-                            d_coefficient_exact, d_coefficient_row,
-                            stirling_first)
+from .combinatorics import (bell_partial, d_coefficient, d_coefficient_exact,
+                            d_coefficient_row, stirling_first)
 from .errors import (BorelSumError, DomainError,
                      InsufficientCoefficientsError, PoleError, QuadratureError)
 from .numerics import (DEFAULT_PRECISION, PrecisionConfig, gamma_ratio,

@@ -34,7 +34,7 @@ from .combinatorics import _GrowingRow, stirling_first
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PrecisionConfig, as_mpc, as_mpf, ensure_finite,
                        gamma_ratio, gamma_ratios, working_precision)
-from .series import FormalSeries, GrowthEnvelope, PointLike, as_point, scale
+from .series import FormalSeries, GrowthEnvelope, PointLike, RamifiedPoint, scale
 
 
 @dataclass(frozen=True)
@@ -179,12 +179,14 @@ def check_lambda_permitted(lam, envelope: GrowthEnvelope | None) -> None:
             stacklevel=3)
 
 
-def _summation_point(z: PointLike, prec: PrecisionConfig | None) -> mp.mpc:
-    """z projected to C*, where every summation route needs Re > 0."""
-    zc = as_point(z, prec).projection(prec)
-    if not mp.re(zc) > 0:
-        raise DomainError(f"summation needs Re(z projected) > 0, got {mp.nstr(mp.re(zc), 8)}")
-    return zc
+def _halfplane(z: PointLike, B, prec: PrecisionConfig | None) -> mp.mpc:
+    """The point of C* where a sum (B = 0) or a bound is taken: a cover point
+    projected once, a complex number exactly as given; finite, with Re > B."""
+    with working_precision(prec):
+        zc = z.projection(prec) if isinstance(z, RamifiedPoint) else as_mpc(z)
+        if not (mp.isfinite(zc) and mp.re(zc) > as_mpf(B)):
+            raise DomainError(f"needs finite z with Re z > {mp.nstr(B, 8)}, got {mp.nstr(zc, 8)}")
+        return zc
 
 
 def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
@@ -192,10 +194,11 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
                          prec: PrecisionConfig | None = None) -> SummationResult:
     """Partial factorial-series sum a_0 + lambda sum_{n<=N} (kernel) b_n.
 
-    Caller is responsible for Re z > max(B, 1/lambda) when convergence to
-    the Borel sum is claimed.  ``heuristic_error`` is the first-omitted-term
-    estimate (needs b_{N+1}); ``rigorous_bound`` is emitted when a region
-    envelope is supplied.
+    z is a cover point or a complex number with Re z > 0; the caller is
+    responsible for Re z > max(B, 1/lambda) when convergence to the Borel
+    sum is claimed.  ``heuristic_error`` is the first-omitted-term estimate
+    (needs b_{N+1}); ``rigorous_bound`` is emitted when a region envelope
+    is supplied.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -203,7 +206,7 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
         raise InsufficientCoefficientsError(
             f"expansion stores b_0..b_{e.depth}; N = {N} needs b_{N + 1} for its estimate")
     with working_precision(prec):
-        zc = _summation_point(z, prec)
+        zc = _halfplane(z, 0, prec)
         check_lambda_permitted(e.lam, envelope)
         return _factorial_sum(e, zc, N, gamma_ratios(e.lam * zc, 1, N + 1, prec),
                               envelope, prec)
@@ -229,7 +232,7 @@ def _factorial_sum(e: FactorialExpansion, zc: mp.mpc, N: int, kernels: list,
 
 
 # ---------------------------------------------------------------------------
-# explicit bounds
+# explicit bounds, at z a cover point or a complex number with Re z > B
 # ---------------------------------------------------------------------------
 
 def _positive(fn: str, **values) -> list[mp.mpf]:
@@ -240,27 +243,20 @@ def _positive(fn: str, **values) -> list[mp.mpf]:
     return out
 
 
-def _require_halfplane(z, B) -> mp.mpc:
-    zc = as_mpc(z)
-    if not mp.re(zc) > as_mpf(B):
-        raise DomainError(f"bound needs Re z > B, got Re z = {mp.re(zc)}, B = {B}")
-    return zc
-
-
-def r_as(r, A, B, n: int, z, prec: PrecisionConfig | None = None) -> mp.mpf:
+def r_as(r, A, B, n: int, z: PointLike, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Least-term remainder bound on a strip of half-width r:
 
         A e^(B r) (n!/r^n) / ( |z|^n (Re z - B) ).
     """
     with working_precision(prec):
         rv, Av, Bv = _positive("r_as", r=r, A=A, B=B)
-        zc = _require_halfplane(z, Bv)
+        zc = _halfplane(z, Bv, prec)
         return ensure_finite(
             Av * mp.exp(Bv * rv) * mp.factorial(n) / mp.power(rv, n)
             / (mp.power(abs(zc), n) * (mp.re(zc) - Bv)))
 
 
-def r_fact(lam, A, B, N: int, z, prec: PrecisionConfig | None = None) -> mp.mpf:
+def r_fact(lam, A, B, N: int, z: PointLike, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Factorial-series remainder bound
 
         (A/(lam B)^(lam B)) ((N+lam B+1)^(N+lam B+1) / (N+1)^N)
@@ -270,14 +266,14 @@ def r_fact(lam, A, B, N: int, z, prec: PrecisionConfig | None = None) -> mp.mpf:
     """
     with working_precision(prec):
         lv, Av, Bv = _positive("r_fact", lam=lam, A=A, B=B)
-        zc = _require_halfplane(z, Bv)
+        zc = _halfplane(z, Bv, prec)
         lB = lv * Bv
         shape = mp.power(N + lB + 1, N + lB + 1) / mp.power(N + 1, N)
         kernel = abs(gamma_ratio(lv * zc, N, 1, prec))
         return ensure_finite(Av / mp.power(lB, lB) * shape * kernel / (mp.re(zc) - Bv))
 
 
-def r_fact_asymptotic(lam, A, B, N: int, z,
+def r_fact_asymptotic(lam, A, B, N: int, z: PointLike,
                       prec: PrecisionConfig | None = None) -> mp.mpf:
     """Large-N equivalent of ``r_fact``:
 
@@ -288,7 +284,7 @@ def r_fact_asymptotic(lam, A, B, N: int, z,
         raise DomainError("the asymptotic form needs N >= 1")
     with working_precision(prec):
         lv, Av, Bv = _positive("r_fact_asymptotic", lam=lam, A=A, B=B)
-        zc = _require_halfplane(z, Bv)
+        zc = _halfplane(z, Bv, prec)
         lB = lv * Bv
         expo = lv * (mp.re(zc) - Bv) - 1
         return ensure_finite(
@@ -322,7 +318,7 @@ class BoundRow:
     log_r_fact: mp.mpf
 
 
-def bound_comparison_table(A, B, z, n_max: int,
+def bound_comparison_table(A, B, z: PointLike, n_max: int,
                            prec: PrecisionConfig | None = None) -> list[BoundRow]:
     """Rows (n, log10 R_as(ln 2), log10 R_as(pi/2), log10 R_fact(1, n)).
 
@@ -331,7 +327,7 @@ def bound_comparison_table(A, B, z, n_max: int,
     against the factorial-series bound on the same envelope.
     """
     with working_precision(prec):
-        zc = _require_halfplane(z, B)
+        zc = _halfplane(z, B, prec)
         rows = []
         for n in range(n_max + 1):
             rows.append(BoundRow(

@@ -21,6 +21,7 @@ import sys
 
 import click
 import mpmath as mp
+from click.core import ParameterSource
 
 from . import reproduce as repro
 from .classical import (SummationResult, bound_comparison_table,
@@ -34,7 +35,11 @@ from .ramified import (branch_sum, generalized_factorial_sum,
                        rotated_generalized_sum)
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, load_series
 
-METHODS = ("least-term", "factorial", "generalized", "branch", "oracle")
+# the method flags each method reads; given with another method, each is a usage error
+METHOD_FLAGS = {"least-term": ("--r", "--A", "--B"), "factorial": ("--lambda", "--A", "--B"),
+                "generalized": ("--lambda", "--theta"), "branch": ("--lambda", "--A", "--B"),
+                "oracle": ("--theta", "--tol")}
+METHODS = tuple(METHOD_FLAGS)
 
 # the fixed csv columns; json prints every record whole, text every field
 SUM_COLUMNS = ("N", "estimate_re", "estimate_im", "heuristic_error", "rigorous_bound")
@@ -81,8 +86,7 @@ def _evaluate(method, f, builtin, lam, theta, z, N, r, envelope, tol, prec) -> S
         return res
     if method == "factorial":
         expansion = factorial_expansion(f, lam, N + 1, prec)
-        zdot = z.projection(prec)
-        return factorial_series_sum(expansion, zdot, N, envelope=envelope, prec=prec)
+        return factorial_series_sum(expansion, z, N, envelope=envelope, prec=prec)
     if method == "branch":
         return branch_sum(f, lam, z, N, envelope=envelope, prec=prec)
     if method == "generalized":
@@ -215,10 +219,13 @@ def _with_common(fn):
 def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
               A, B, r, precision_bits, tol, fmt, out) -> None:
     """The body of ``sum`` and ``table``: one record per truncation index."""
-    if r is not None and method != "least-term":
-        raise click.UsageError(
-            "--r applies only to --method least-term: the other methods' bounds "
-            "use the region envelope")
+    ctx = click.get_current_context()
+    others = set().union(*METHOD_FLAGS.values()) - set(METHOD_FLAGS[method])
+    unread = [p.opts[0] for p in ctx.command.params if p.opts[0] in others
+              and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
+    if unread:
+        raise click.UsageError(f"--method {method} does not read {', '.join(unread)}; "
+                               f"it reads {', '.join(METHOD_FLAGS[method])}")
     prec = PrecisionConfig(precision_bits)
     z = RamifiedPoint(z_mod, z_arg)
     f = None if method == "oracle" else _load_input(series, builtin, depth, prec)
@@ -267,7 +274,7 @@ def cmd_compare_bounds(A, B, z_mod, z_arg, n_max, precision_bits, fmt, out):
     prec = PrecisionConfig(precision_bits)
     with working_precision(prec):
         z = RamifiedPoint(abs(mp.mpc(10, 10)) if z_mod is None else z_mod,
-                          mp.pi / 4 if z_arg is None else z_arg).projection(prec)
+                          mp.pi / 4 if z_arg is None else z_arg)
         rows = bound_comparison_table(A, B, z, n_max, prec)
     records = [{"n": row.n,
                 "log10_r_as_ln2": mp.nstr(row.log_r_as_ln2, 10),

@@ -22,7 +22,7 @@ the coefficients of a row are integer numerators over one shared
 denominator, so an entry takes a few gcds in place of a Fraction sum's
 gcds for every term.  The results are the same exact Fractions.  The Bell
 form above is the definition the test suite checks those rows against;
-:func:`bell_partial` stays here as that oracle's building block.
+:func:`bell_partial` gives its B_{j,p} at x_l = l!/(l+1), cached.
 
 Every cached recurrence (Stirling rows, d-rows, the factorial rows of
 ``classical``, the psi coefficients of ``oracle``) is a ``_GrowingRow``,
@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd, lcm
 from operator import mul
-from typing import Sequence
 
 import mpmath as mp
 
@@ -55,66 +55,17 @@ def stirling_first(n: int, k: int) -> int:
     return _STIRLING.upto(n)[n][k]
 
 
-class BellArguments:
-    """Argument sequence for the partial Bell polynomials.
-
-    The fixed sequence of the d-coefficient formula is x_l = l!/(l+1)
-    (exact rationals); custom sequences are accepted for testing.
-    """
-
-    def __init__(self, values: Sequence[Fraction] | None = None):
-        if values is None:
-            self._values: list[Fraction] = []
-            self._fixed = True
-        else:
-            self._values = [Fraction(v) for v in values]
-            self._fixed = False
-        # memo table for B_{j,p} on this argument sequence
-        self._bell: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-        self._lock = threading.Lock()
-
-    def x(self, l: int) -> Fraction:
-        if l < 1:
-            raise DomainError("Bell arguments are indexed from 1")
-        if self._fixed:
-            while len(self._values) < l:
-                i = len(self._values) + 1
-                self._values.append(Fraction(factorial(i), i + 1))
-        elif l > len(self._values):
-            raise DomainError(f"argument sequence has only {len(self._values)} entries")
-        return self._values[l - 1]
-
-    def bell(self, j: int, p: int) -> Fraction:
-        if p < 1 or p > j:
-            raise DomainError(f"bell_partial requires 1 <= p <= j, got ({j}, {p})")
-        with self._lock:
-            return self._bell_locked(j, p)
-
-    def _bell_locked(self, j: int, p: int) -> Fraction:
-        key = (j, p)
-        got = self._bell.get(key)
-        if got is not None:
-            return got
-        if p == 0:
-            val = Fraction(1) if j == 0 else Fraction(0)
-        else:
-            # B_{j,p} = sum_i C(j-1, i-1) x_i B_{j-i, p-1}
-            val = Fraction(0)
-            for i in range(1, j - p + 2):
-                inner = self._bell_locked(j - i, p - 1)
-                if inner:
-                    val += comb(j - 1, i - 1) * self.x(i) * inner
-        self._bell[key] = val
-        return val
-
-
-_FIXED_ARGS = BellArguments()
-
-
-def bell_partial(j: int, p: int, args: BellArguments | None = None) -> Fraction:
+@cache
+def bell_partial(j: int, p: int) -> Fraction:
     """Partial exponential Bell polynomial B_{j,p} at the fixed sequence
-    x_l = l!/(l+1) (or at ``args``), exact rational."""
-    return (args or _FIXED_ARGS).bell(j, p)
+    x_l = l!/(l+1), exact: B_{j,1} = x_j and
+    B_{j,p} = sum_i C(j-1, i-1) x_i B_{j-i,p-1}."""
+    if p < 1 or p > j:
+        raise DomainError(f"bell_partial requires 1 <= p <= j, got ({j}, {p})")
+    if p == 1:
+        return Fraction(factorial(j), j + 1)
+    return sum(comb(j - 1, i - 1) * bell_partial(i, 1) * bell_partial(j - i, p - 1)
+               for i in range(1, j - p + 2))
 
 
 class _GrowingRow:

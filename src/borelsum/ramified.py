@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .classical import (SummationResult, _factorial_sum, _summation_point,
+from .classical import (SummationResult, _factorial_sum, _halfplane,
                         check_lambda_permitted, factorial_expansion,
                         least_term_index, r_as, r_fact)
 from .combinatorics import d_coefficient_row
@@ -63,7 +63,7 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
             f"branch depth N = {N} needs flat coefficients up to a_{needed}, "
             f"series stores a_0..a_{f.n_max}")
     with working_precision(prec):
-        zdot = _summation_point(z, prec)
+        zdot = _halfplane(z, 0, prec)
         lv = as_mpf(lam)
         check_lambda_permitted(lv, envelope)
         a0, branches = branch_split(f)
@@ -161,12 +161,11 @@ def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
-    z = as_point(z, prec)
     f.require_depth(N + 1)
     with working_precision(prec):
         lv = as_mpf(lam)
         check_lambda_permitted(lv, envelope)
-        zdot = _summation_point(z, prec)
+        zdot = _halfplane(z, 0, prec)
         fs = scale(f, lv, prec) if lv != 1 else f
         d = generalized_coefficients(fs, N + 1, prec)
         kernels = _beta_kernels(lv * zdot, f.m, N + 1, prec)
@@ -206,7 +205,7 @@ def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,
     n = least_term_index(r, z)
     f.require_depth(f.m * n + f.m)
     with working_precision(prec):
-        zdot = _summation_point(z, prec)
+        zdot = _halfplane(z, 0, prec)
         estimate = partial_sum(f, z, f.m * n, prec)
         peak = max(abs(f.coefficients[l + f.m * n]) for l in range(1, f.m + 1))
         heuristic = peak * _branch_weights(z, f.m) / (mp.power(z.modulus, n) * mp.re(zdot))
@@ -230,4 +229,4 @@ def r_as_ramified(r, A, B, n: int, z: RamifiedPoint, m: int,
         raise DomainError("m must be a positive integer")
     z = as_point(z, prec)
     with working_precision(prec):
-        return r_as(r, A, B, n, z.projection(prec), prec) * _branch_weights(z, m)
+        return r_as(r, A, B, n, z, prec) * _branch_weights(z, m)

@@ -26,11 +26,11 @@ from borelsum import (DomainError, InsufficientCoefficientsError,
                       r_fact, r_fact_asymptotic, stirling_first,
                       working_precision)
 from borelsum import reproduce as repro
-from borelsum.combinatorics import BellArguments, bell_partial, d_coefficient_exact
+from borelsum.combinatorics import bell_partial, d_coefficient_exact
 from borelsum.oracle import BUILTIN_EVALUATORS
 
 from conftest import sampled_region_envelope_euler
-from test_combinatorics import _bell_bruteforce
+from test_combinatorics import _bell_bruteforce, _x
 
 PREC = PrecisionConfig(256)
 PREC2 = PrecisionConfig(512)
@@ -155,8 +155,7 @@ def test_criterion_09a_stirling_polynomial_identity():
 
 
 def test_criterion_09b_bell_partition_bruteforce():
-    args = BellArguments()
-    ok = all(bell_partial(j, p) == _bell_bruteforce(j, p, args.x)
+    ok = all(bell_partial(j, p) == _bell_bruteforce(j, p, _x)
              for j in range(1, 9) for p in range(1, j + 1))
     report("9b (Bell polynomials vs partition enumeration, j<=8)", ok)
 

@@ -11,8 +11,9 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       InsufficientCoefficientsError, PrecisionConfig,
                       RamifiedPoint, b_bound, bound_comparison_table,
                       euler_series, factorial_expansion, factorial_series_sum,
-                      laplace_quadrature, least_term_index, partial_sum, r_as,
-                      r_fact, r_fact_asymptotic, scale, stirling_transform,
+                      generalized_factorial_sum, laplace_quadrature,
+                      least_term_index, partial_sum, r_as, r_fact,
+                      r_fact_asymptotic, scale, stirling_transform,
                       working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS
 
@@ -240,6 +241,32 @@ def test_bound_comparison_table_shape(workprec):
     assert col3[30] < col1[30]
     with pytest.raises(DomainError):
         bound_comparison_table(1, 1, mp.mpc(0.5, 10), 5)
+
+
+@pytest.mark.parametrize("bad", [mp.inf, mp.nan])
+def test_a_non_finite_point_is_a_domain_error_never_a_number(workprec, bad):
+    z = mp.mpc(bad, 0)
+    f = euler_series(12)
+    e = factorial_expansion(f, 1)
+    calls = {"r_as": lambda: r_as(1, 1, 1, 5, z),
+             "r_fact": lambda: r_fact(1, 1, 1, 5, z),
+             "r_fact_asymptotic": lambda: r_fact_asymptotic(1, 1, 1, 5, z),
+             "bound_comparison_table": lambda: bound_comparison_table(1, 1, z, 3),
+             "factorial_series_sum": lambda: factorial_series_sum(e, z, 5),
+             "generalized_factorial_sum": lambda: generalized_factorial_sum(f, 1, z, 5)}
+    for name, call in calls.items():
+        with pytest.raises(DomainError, match="finite"):
+            call()
+            pytest.fail(f"{name} returned a number at z = {z}")
+
+
+def test_a_complex_point_is_used_exactly_as_given(prec):
+    from borelsum.classical import _halfplane
+    # arg z != 0: a polar round trip would move the last bits of this point
+    for mod, arg in ((8.75, -0.25), (7.5, 0.375), (4.375, -0.375)):
+        zc = RamifiedPoint(mod, arg).projection(prec)
+        assert _halfplane(zc, 0, prec) == zc
+        assert _halfplane(RamifiedPoint(mod, arg), 0, prec) == zc
 
 
 # ---------------------------------------------------------------------------

@@ -310,3 +310,31 @@ def test_non_finite_point_is_a_domain_error(flag, value):
     proc = run_cli("sum", "--builtin", "psi", "--method", "branch", "--N", "5",
                    *(f"{k}={v}" for k, v in where.items()), expect=2)
     assert "finite" in proc.stderr
+
+
+@pytest.mark.parametrize("args, unread", [
+    (("--builtin", "example2", "--method", "generalized", "--N", "10", "--A", "2",
+      "--B", "0.25"), ("--A", "--B")),
+    (("--builtin", "example2", "--method", "oracle", "--A", "2", "--B", "0.25"),
+     ("--A", "--B")),
+    (("--builtin", "euler", "--method", "factorial", "--theta", "1", "--tol", "1e-3"),
+     ("--theta", "--tol")),
+    (("--builtin", "psi", "--method", "least-term", "--r", "2", "--lambda", "2"),
+     ("--lambda",)),
+])
+def test_a_flag_the_method_does_not_read_is_a_usage_error(args, unread):
+    proc = run_cli("sum", "--z-mod", "5", *args, expect=1)
+    assert "does not read" in proc.stderr and proc.stdout == ""
+    assert all(flag in proc.stderr for flag in unread)
+
+
+def test_factorial_route_sums_at_the_parsed_cover_point():
+    from borelsum import (PrecisionConfig, RamifiedPoint, euler_series,
+                          factorial_expansion, factorial_series_sum)
+    rec = json.loads(run_cli("sum", "--builtin", "euler", "--method", "factorial",
+                             "--N", "200", "--depth", "210", "--A", "4.0", "--B", "0.05",
+                             "--z-mod=8.75", "--z-arg=-0.25", "--format", "json").stdout)[0]
+    prec = PrecisionConfig(256)
+    e = factorial_expansion(euler_series(210, prec), 1, 201, prec)
+    want = factorial_series_sum(e, RamifiedPoint(8.75, -0.25), 200, prec=prec).estimate
+    assert rec["estimate"] == {"re": mp.nstr(mp.re(want), 79), "im": mp.nstr(mp.im(want), 79)}

@@ -6,8 +6,8 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from borelsum import (BellArguments, DomainError, bell_partial,
-                      d_coefficient, d_coefficient_exact, d_coefficient_row,
+from borelsum import (DomainError, bell_partial, d_coefficient,
+                      d_coefficient_exact, d_coefficient_row,
                       example2_series, generalized_coefficients,
                       psi_scaled_coefficients, psi_series, stirling_first,
                       working_precision)
@@ -93,11 +93,15 @@ def _bell_bruteforce(j, p, x):
     return total
 
 
+def _x(l: int) -> Fraction:
+    """The fixed Bell argument sequence x_l = l!/(l+1) of the d-coefficients."""
+    return Fraction(factorial(l), l + 1)
+
+
 def test_bell_fixed_arguments():
-    args = BellArguments()
-    assert args.x(1) == Fraction(1, 2)
-    assert args.x(2) == Fraction(2, 3)
-    assert args.x(7) == Fraction(factorial(7), 8)
+    assert _x(1) == Fraction(1, 2) and _x(2) == Fraction(2, 3)
+    for j in range(1, 12):
+        assert bell_partial(j, 1) == _x(j)
 
 
 def test_bell_simple_values():
@@ -115,17 +119,9 @@ def test_bell_out_of_range():
 
 
 def test_bell_vs_partition_enumeration():
-    args = BellArguments()
     for j in range(1, 9):
         for p in range(1, j + 1):
-            assert bell_partial(j, p) == _bell_bruteforce(j, p, args.x)
-
-
-def test_bell_custom_arguments():
-    # B_{j,p}(1,1,1,...) are the Stirling numbers of the second kind
-    ones = BellArguments([Fraction(1)] * 10)
-    assert bell_partial(4, 2, ones) == 7
-    assert bell_partial(5, 3, ones) == 25
+            assert bell_partial(j, p) == _bell_bruteforce(j, p, _x)
 
 
 # ---------------------------------------------------------------------------
