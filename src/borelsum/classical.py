@@ -94,22 +94,14 @@ def _transform_term(av: Sequence[mp.mpc], n: int) -> tuple[mp.mpc, mp.mpf]:
 def stirling_transform(a: Sequence, prec: PrecisionConfig | None = None,
                        with_condition: bool = False):
     """Map coefficients a_1..a_{N+1} (list WITHOUT the constant term) to
-    factorial coefficients b_0..b_N.
-
-    Exact Stirling integers multiply working-precision coefficients; terms
-    are accumulated with mpmath's compensated ``fsum``.  With
-    ``with_condition`` also returns sum_k|term| / |b_n| per coefficient.
+    factorial coefficients b_0..b_N: the rows of :func:`factorial_expansion`
+    at lambda = 1.  With ``with_condition`` also returns sum_k|term| / |b_n|
+    per coefficient.
     """
     with working_precision(prec):
-        av = [as_mpc(x) for x in a]
-        bs, conds = [], []
-        for n in range(len(av)):
-            b_n, cond = _transform_term(av, n)
-            bs.append(b_n)
-            conds.append(cond)
-        if with_condition:
-            return bs, conds
-        return bs
+        f = FormalSeries(1, [0, *a])
+    e = factorial_expansion(f, 1, len(a) - 1, prec)
+    return (list(e.b), list(e.condition)) if with_condition else list(e.b)
 
 
 class _FactorialRow(_GrowingRow):

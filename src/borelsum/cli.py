@@ -35,9 +35,14 @@ from .ramified import (branch_sum, generalized_factorial_sum,
                        rotated_generalized_sum)
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, load_series
 
-# the method flags each method reads; given with another method, each is a usage error
-METHOD_FLAGS = {"least-term": ("--r", "--A", "--B"), "factorial": ("--lambda", "--A", "--B"),
-                "generalized": ("--lambda", "--theta"), "branch": ("--lambda", "--A", "--B"),
+# the flags each method reads beyond those every method reads (--builtin, the
+# point, the precision and the output); given with another method, each is a
+# usage error
+_SERIES_FLAGS = ("--series", "--depth", "--N", "--N-range")
+METHOD_FLAGS = {"least-term": ("--r", "--A", "--B", *_SERIES_FLAGS),
+                "factorial": ("--lambda", "--A", "--B", *_SERIES_FLAGS),
+                "generalized": ("--lambda", "--theta", *_SERIES_FLAGS),
+                "branch": ("--lambda", "--A", "--B", *_SERIES_FLAGS),
                 "oracle": ("--theta", "--tol")}
 METHODS = tuple(METHOD_FLAGS)
 
@@ -93,14 +98,13 @@ def _evaluate(method, f, builtin, lam, theta, z, N, r, envelope, tol, prec) -> S
         if theta:
             return rotated_generalized_sum(f, theta, lam, z, N, envelope=envelope, prec=prec)
         return generalized_factorial_sum(f, lam, z, N, envelope=envelope, prec=prec)
-    if method == "oracle":
-        if builtin not in BUILTIN_EVALUATORS:
-            raise click.UsageError(
-                f"--method oracle needs --builtin out of {sorted(BUILTIN_EVALUATORS)}")
-        g = BUILTIN_EVALUATORS[builtin]
-        val = laplace_quadrature(g, theta or 0.0, z.projection(prec), tol, prec)
-        return SummationResult(estimate=val, N=0, method="oracle")
-    raise click.UsageError(f"unknown method {method!r}; choose from {METHODS}")
+    # the oracle: click.Choice has admitted no other method
+    if builtin not in BUILTIN_EVALUATORS:
+        raise click.UsageError(
+            f"--method oracle needs --builtin out of {sorted(BUILTIN_EVALUATORS)}")
+    val = laplace_quadrature(BUILTIN_EVALUATORS[builtin], theta or 0.0, z.projection(prec),
+                             tol, prec)
+    return SummationResult(estimate=val, N=0, method="oracle")
 
 
 def _result_record(res: SummationResult, digits: int) -> dict:
@@ -228,7 +232,7 @@ def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
                                f"it reads {', '.join(METHOD_FLAGS[method])}")
     prec = PrecisionConfig(precision_bits)
     z = RamifiedPoint(z_mod, z_arg)
-    f = None if method == "oracle" else _load_input(series, builtin, depth, prec)
+    f = _load_input(series, builtin, depth, prec) if "--series" in METHOD_FLAGS[method] else None
     envelope = _envelope_from_flags(A, B, PSI_LAMBDA_SUP if builtin == "psi" else None)
     digits = int(prec.mantissa_bits * 0.30103) + 2
     records = [_result_record(_evaluate(method, f, builtin, lam, theta, z, N, r,

@@ -75,8 +75,8 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
     """
     with working_precision(prec) as cfg:
         tolv = as_mpf(tol) if tol is not None else cfg.default_tolerance
-        if not tolv > 0:
-            raise DomainError("tol must be positive")
+        if not (mp.isfinite(tolv) and tolv > 0):
+            raise DomainError("tol must be finite and positive")
         th = as_mpf(theta)
         zc = as_mpc(z)
         w = zc * mp.exp(1j * th)

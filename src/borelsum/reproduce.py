@@ -2,8 +2,10 @@
 
 Each target re-runs one stored reference configuration and grades the result
 against the stored digits: estimates must land within one unit in the last
-stored digit, error columns within a factor of two.  Stored digits are kept
-verbatim as strings; tolerances derive from the strings themselves.
+stored digit (or within a stated absolute tolerance), error columns within a
+factor of two, distances at most a bound, and diagnostics must be set.  Each
+rule has one row builder.  Stored digits are kept verbatim as strings;
+tolerances derive from the strings themselves.
 
 Targets
 -------
@@ -32,8 +34,6 @@ from .oracle import PSI_LAMBDA_SUP, psi_series, example2_series
 from .ramified import (branch_sum, generalized_factorial_sum,
                        least_term_sum_ramified, rotated_generalized_sum)
 from .series import GrowthEnvelope, RamifiedPoint
-
-TARGETS = ("table1", "table2", "table3", "table4", "table5", "fig2", "leastterm-psi")
 
 # printed rows: N -> (estimate, error-column)
 _TABLE1 = {
@@ -95,30 +95,46 @@ def _within_ulp(value, printed: str) -> bool:
     return abs(value - mp.mpf(printed)) <= _ulp(printed) * (1 + mp.mpf(2) ** -30)
 
 
-def _within_factor2(value, printed: str) -> bool:
+# one builder per grading rule: its test, its printed form and its note
+
+def _ulp_row(label: str, value, printed: str, digits: int = 21) -> ReproRow:
+    """Within one unit in the last printed digit."""
+    return ReproRow(label, mp.nstr(value, digits), printed, bool(_within_ulp(value, printed)))
+
+
+def _factor2_row(label: str, value, printed: str) -> ReproRow:
+    """Within a factor of two of an error column."""
     ref = mp.mpf(printed)
-    return ref / 2 <= value <= ref * 2
+    return ReproRow(label, mp.nstr(value, 3), printed, bool(ref / 2 <= value <= ref * 2),
+                    note="factor-2 comparison")
 
 
-def _fmt(x, digits=21) -> str:
-    return mp.nstr(mp.mpf(x) if mp.im(mp.mpc(x)) == 0 else mp.mpc(x), digits)
+def _tolerance_row(label: str, value, printed: str, tol: str) -> ReproRow:
+    """Within an absolute tolerance of a printed value."""
+    return ReproRow(label, mp.nstr(value, 21), f"{printed} +- {tol}",
+                    bool(abs(value - mp.mpf(printed)) <= mp.mpf(tol)))
+
+
+def _bound_row(label: str, value, bound, shown: str | None = None) -> ReproRow:
+    """At most a bound, shown as ``shown`` when it is written as a product."""
+    return ReproRow(label, mp.nstr(value, 3), f"<= {shown or bound}",
+                    bool(value <= mp.mpf(bound)))
+
+
+def _flag_row(label: str, flag) -> ReproRow:
+    """A diagnostic expected to be set."""
+    return ReproRow(label, str(bool(flag)), "True", bool(flag))
 
 
 def _psi_branch_rows(table, lam, prec,
                      envelope: GrowthEnvelope | None = None) -> list[ReproRow]:
     rows: list[ReproRow] = []
-    n_top = max(table)
-    f = psi_series(3 * (n_top + 2), prec)
+    f = psi_series(3 * (max(table) + 2), prec)
     z = RamifiedPoint(12, 0)
     for N, (est_str, err_str) in sorted(table.items()):
         res = branch_sum(f, lam, z, N, envelope=envelope, prec=prec)
-        rows.append(ReproRow(
-            label=f"N={N} estimate", computed=_fmt(mp.re(res.estimate)),
-            expected=est_str, passed=bool(_within_ulp(mp.re(res.estimate), est_str))))
-        rows.append(ReproRow(
-            label=f"N={N} error", computed=mp.nstr(res.heuristic_error, 3),
-            expected=err_str, passed=bool(_within_factor2(res.heuristic_error, err_str)),
-            note="factor-2 comparison"))
+        rows += [_ulp_row(f"N={N} estimate", mp.re(res.estimate), est_str),
+                 _factor2_row(f"N={N} error", res.heuristic_error, err_str)]
     return rows
 
 
@@ -138,8 +154,7 @@ def _run_table2(prec) -> list[ReproRow]:
         warnings.simplefilter("always")
         rows = _psi_branch_rows(_TABLE2, 4, prec, envelope=envelope)
     warned = any("exceeds the envelope" in str(w.message) for w in caught)
-    rows.append(ReproRow("lambda warning emitted", str(warned), "True", warned))
-    return rows
+    return rows + [_flag_row("lambda warning emitted", warned)]
 
 
 def _run_table3(prec) -> list[ReproRow]:
@@ -151,14 +166,9 @@ def _run_table3(prec) -> list[ReproRow]:
     rows: list[ReproRow] = []
     for n, (est_str, err_str) in sorted(_TABLE3.items()):
         res = generalized_factorial_sum(f, lam, z, 3 * n, prec=prec)
-        deviation = abs(res.estimate - ref)
-        rows.append(ReproRow(f"n={n} (flat N={3*n}) estimate",
-                             _fmt(mp.re(res.estimate)), est_str,
-                             bool(_within_ulp(mp.re(res.estimate), est_str))))
-        rows.append(ReproRow(f"n={n} deviation from reference",
-                             mp.nstr(deviation, 3), err_str,
-                             bool(_within_factor2(deviation, err_str)),
-                             note="factor-2 comparison"))
+        rows += [_ulp_row(f"n={n} (flat N={3*n}) estimate", mp.re(res.estimate), est_str),
+                 _factor2_row(f"n={n} deviation from reference", abs(res.estimate - ref),
+                              err_str)]
     return rows
 
 
@@ -166,16 +176,10 @@ def _run_table4(prec) -> list[ReproRow]:
     f = example2_series(110, prec)
     z = RamifiedPoint(5, 0)
     rows: list[ReproRow] = []
-    last = None
     for N, (est_str, tol_str) in sorted(_TABLE4.items()):
         res = generalized_factorial_sum(f, 1, z, N, prec=prec)
-        ok = abs(mp.re(res.estimate) - mp.mpf(est_str)) <= mp.mpf(tol_str)
-        rows.append(ReproRow(f"N={N} estimate", _fmt(mp.re(res.estimate)),
-                             f"{est_str} +- {tol_str}", bool(ok)))
-        last = res
-    rows.append(ReproRow("divergence diagnostic at N=100", str(bool(last.diverging)),
-                         "True", bool(last.diverging)))
-    return rows
+        rows.append(_tolerance_row(f"N={N} estimate", mp.re(res.estimate), est_str, tol_str))
+    return rows + [_flag_row("divergence diagnostic at N=100", res.diverging)]
 
 
 def _run_table5(prec) -> list[ReproRow]:
@@ -187,16 +191,10 @@ def _run_table5(prec) -> list[ReproRow]:
         theta = mp.pi / 3
         for N, (re_str, im_str, err_str) in sorted(_TABLE5.items()):
             res = rotated_generalized_sum(f, theta, as_mpf("0.6"), z, N, prec=prec)
-            ok_re = _within_ulp(mp.re(res.estimate), re_str)
-            ok_im = _within_ulp(mp.im(res.estimate), im_str)
-            dev = abs(res.estimate - ref)
-            ok_dev = dev <= 2 * mp.mpf(err_str)
-            rows.append(ReproRow(f"N={N} estimate (re)", _fmt(mp.re(res.estimate)),
-                                 re_str, bool(ok_re)))
-            rows.append(ReproRow(f"N={N} estimate (im)", mp.nstr(mp.im(res.estimate), 6),
-                                 im_str, bool(ok_im)))
-            rows.append(ReproRow(f"N={N} |estimate - {_TABLE5_REFERENCE}|",
-                                 mp.nstr(dev, 3), f"<= 2 x {err_str}", bool(ok_dev)))
+            rows += [_ulp_row(f"N={N} estimate (re)", mp.re(res.estimate), re_str),
+                     _ulp_row(f"N={N} estimate (im)", mp.im(res.estimate), im_str, 6),
+                     _bound_row(f"N={N} |estimate - {_TABLE5_REFERENCE}|",
+                                abs(res.estimate - ref), 2 * mp.mpf(err_str), f"2 x {err_str}")]
     return rows
 
 
@@ -214,8 +212,7 @@ def _run_fig2(prec) -> list[ReproRow]:
     return [
         ReproRow("strip ln2 curve argmin", str(argmin1), "9 or 10", argmin1 in (9, 10)),
         ReproRow("strip pi/2 curve argmin", str(argmin2), "21..23", argmin2 in (21, 22, 23)),
-        ReproRow("factorial bound strictly decreasing for n >= 5",
-                 str(decreasing), "True", decreasing),
+        _flag_row("factorial bound strictly decreasing for n >= 5", decreasing),
         ReproRow("factorial bound below ln2 strip bound at n = 30",
                  f"{col3[30]:.3f} < {col1[30]:.3f}", "True", crossover),
     ]
@@ -223,21 +220,12 @@ def _run_fig2(prec) -> list[ReproRow]:
 
 def _run_leastterm(prec) -> list[ReproRow]:
     f = psi_series(78, prec)
-    z = RamifiedPoint(12, 0)
-    res = least_term_sum_ramified(f, 2, z, prec=prec)
+    res = least_term_sum_ramified(f, 2, RamifiedPoint(12, 0), prec=prec)
     est_str, err_str = _LEASTTERM
-    ok_est = abs(mp.re(res.estimate) - mp.mpf(est_str)) <= mp.mpf("1e-11")
-    ok_err = _within_factor2(res.heuristic_error, err_str)
     best = mp.mpf(_TABLE3_REFERENCE)
-    ok_best = abs(res.estimate - best) <= mp.mpf("2.3e-10")
-    return [
-        ReproRow("n=24 partial sum", _fmt(mp.re(res.estimate)),
-                 f"{est_str} +- 1e-11", bool(ok_est)),
-        ReproRow("error estimate", mp.nstr(res.heuristic_error, 3), err_str,
-                 bool(ok_err), note="factor-2 comparison"),
-        ReproRow("distance to best branch value", mp.nstr(abs(res.estimate - best), 3),
-                 "<= 2.3e-10", bool(ok_best)),
-    ]
+    return [_tolerance_row("n=24 partial sum", mp.re(res.estimate), est_str, "1e-11"),
+            _factor2_row("error estimate", res.heuristic_error, err_str),
+            _bound_row("distance to best branch value", abs(res.estimate - best), "2.3e-10")]
 
 
 _RUNNERS = {
@@ -249,6 +237,7 @@ _RUNNERS = {
     "fig2": _run_fig2,
     "leastterm-psi": _run_leastterm,
 }
+TARGETS = tuple(_RUNNERS)
 
 
 def run_target(name: str, prec: PrecisionConfig | None = None) -> list[ReproRow]:

@@ -210,16 +210,17 @@ def partial_sum(f: FormalSeries, z: PointLike, N: int,
 # with decimal strings so coefficients survive beyond double precision.
 # ---------------------------------------------------------------------------
 
-def series_to_json(f: FormalSeries, dps: int | None = None) -> str:
-    digits = dps or int(mp.mp.dps) + 5
-    rows = [[mp.nstr(mp.re(c), digits), mp.nstr(mp.im(c), digits)]
-            for c in f.coefficients]
-    return json.dumps({"m": f.m, "coefficients": rows}, indent=1)
-
-
-def series_from_json(text: str, prec: PrecisionConfig | None = None) -> FormalSeries:
+def load_series(fp: Union[str, IO[str]], prec: PrecisionConfig | None = None) -> FormalSeries:
+    """Read a series file; every coefficient is rounded once, at ``prec``."""
     try:
+        if isinstance(fp, str):
+            with open(fp, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = fp.read()
         payload = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"series file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed series file: {exc}") from exc
     if not isinstance(payload, dict) or "m" not in payload or "coefficients" not in payload:
@@ -237,23 +238,16 @@ def series_from_json(text: str, prec: PrecisionConfig | None = None) -> FormalSe
                 coeffs.append(mp.mpc(as_mpf(str(row[0])), as_mpf(str(row[1]))))
             except ValueError as exc:
                 raise DomainError(f"coefficient {row!r} is not a pair of numbers") from exc
-    return FormalSeries(m, coeffs)
+        return FormalSeries(m, coeffs)
 
 
-def load_series(fp: Union[str, IO[str]], prec: PrecisionConfig | None = None) -> FormalSeries:
-    try:
-        if isinstance(fp, str):
-            with open(fp, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = fp.read()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"series file is not UTF-8 text: {exc}") from exc
-    return series_from_json(text, prec)
-
-
-def dump_series(f: FormalSeries, fp: Union[str, IO[str]], dps: int | None = None) -> None:
-    text = series_to_json(f, dps)
+def dump_series(f: FormalSeries, fp: Union[str, IO[str]],
+                prec: PrecisionConfig | None = None) -> None:
+    """Write a series file with enough digits to read ``prec`` back exactly."""
+    with working_precision(prec):
+        digits = mp.mp.dps + 5
+    rows = [[mp.nstr(mp.re(c), digits), mp.nstr(mp.im(c), digits)] for c in f.coefficients]
+    text = json.dumps({"m": f.m, "coefficients": rows}, indent=1)
     if isinstance(fp, str):
         with open(fp, "w", encoding="utf-8") as fh:
             fh.write(text)

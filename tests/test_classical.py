@@ -30,6 +30,12 @@ def test_transform_one_over_z(workprec):
     assert all(abs(x) == 0 for x in b[1:])
 
 
+def test_transform_of_no_coefficients_is_a_domain_error():
+    # the rows of factorial_expansion need at least a_1
+    with pytest.raises(DomainError):
+        stirling_transform([])
+
+
 def test_transform_one_over_z2(workprec):
     # s(n,1) = (-1)^(n-1) (n-1)! gives b_n = 1/n
     b = stirling_transform([0, 1] + [0] * 10)

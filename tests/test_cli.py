@@ -77,6 +77,14 @@ def test_series_file_roundtrip(tmp_path):
                           "--method", "factorial", "--z-mod", "3", "--N", "6",
                           "--format", "json").stdout
     assert json.loads(out_file)[0]["estimate"] == json.loads(out_builtin)[0]["estimate"]
+    # a dumped psi file sums to the built-in's every digit
+    from borelsum import PrecisionConfig, dump_series, psi_series
+    psi_path = str(tmp_path / "psi.json")
+    dump_series(psi_series(80, PrecisionConfig(256)), psi_path, PrecisionConfig(256))
+    args = ("--method", "generalized", "--lambda", "2.885390081777927", "--z-mod", "12",
+            "--N", "75")
+    assert (run_cli("sum", "--series", psi_path, *args).stdout
+            == run_cli("sum", "--builtin", "psi", "--depth", "80", *args).stdout)
 
 
 def test_malformed_series_file_exits_1(tmp_path):
@@ -106,6 +114,10 @@ def test_domain_error_exits_2():
     # oracle with Re(z e^(i theta)) <= B
     run_cli("sum", "--builtin", "example2", "--method", "oracle",
             "--z-mod", "0.2", expect=2)
+    # an infinite tol would truncate the ray at 8/c and print a wrong value
+    proc = run_cli("sum", "--builtin", "euler", "--method", "oracle", "--z-mod", "3",
+                   "--tol", "inf", expect=2)
+    assert "finite" in proc.stderr and proc.stdout == ""
 
 
 def test_least_term_requires_r():
@@ -321,11 +333,22 @@ def test_non_finite_point_is_a_domain_error(flag, value):
      ("--theta", "--tol")),
     (("--builtin", "psi", "--method", "least-term", "--r", "2", "--lambda", "2"),
      ("--lambda",)),
+    (("--series", "/nonexistent.json", "--builtin", "euler", "--method", "oracle"),
+     ("--series",)),
+    (("--builtin", "euler", "--method", "oracle", "--depth", "5"), ("--depth",)),
+    (("--builtin", "euler", "--method", "oracle", "--N", "7"), ("--N",)),
 ])
 def test_a_flag_the_method_does_not_read_is_a_usage_error(args, unread):
     proc = run_cli("sum", "--z-mod", "5", *args, expect=1)
     assert "does not read" in proc.stderr and proc.stdout == ""
     assert all(flag in proc.stderr for flag in unread)
+
+
+def test_table_with_the_oracle_is_a_usage_error():
+    # the quadrature has no truncation index: each row would repeat it as N = 0
+    proc = run_cli("table", "--builtin", "euler", "--method", "oracle", "--z-mod", "3",
+                   "--N-range", "1:4", expect=1)
+    assert "does not read --N-range" in proc.stderr and proc.stdout == ""
 
 
 def test_factorial_route_sums_at_the_parsed_cover_point():

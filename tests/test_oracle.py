@@ -64,6 +64,9 @@ def test_quadrature_domain_error(workprec, prec):
         # rotated ray pushes Re(z e^(i theta)) below B
         laplace_quadrature(BUILTIN_EVALUATORS["example2"], mp.pi / 2.01, mp.mpf(5),
                            1e-6, prec)
+    for tol in (mp.inf, mp.nan):  # an infinite tol would truncate the ray at 8/c
+        with pytest.raises(DomainError, match="finite"):
+            laplace_quadrature(BUILTIN_EVALUATORS["euler"], 0, mp.mpf(3), tol, prec)
 
 
 def test_quadrature_unreachable_tolerance(prec):

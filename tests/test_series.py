@@ -203,6 +203,13 @@ def test_series_json_roundtrip(tmp_path, prec):
         assert g.m == 2 and len(g) == 3
         assert abs(g.coefficients[1] - c) < mp.mpf("1e-60")
         assert abs(g.coefficients[2] - f.coefficients[2]) < mp.mpf("1e-60")
+    # from mpmath's default context a file still reaches the working precision:
+    # the one written above, and one written and read back there, exactly
+    g = load_series(path, prec)
+    with working_precision(prec):
+        assert abs(g.coefficients[1] - c) < mp.mpf("1e-60")
+    dump_series(f, path, prec)
+    assert load_series(path, prec).coefficients == f.coefficients
 
 
 def test_series_json_malformed():
