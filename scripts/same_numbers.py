@@ -1,8 +1,9 @@
 """Check that the working tree prints the same numbers as an earlier commit.
 
 Runs every distinct cold-CLI command of the benchmark workloads
-(perfbench/spec.py, seeds 1-3) plus ``reproduce all``, once on the working
-tree's src/ and once on ``git archive REV src``, and lists each command whose
+(perfbench/spec.py, seeds 1-3), ``reproduce all`` and one command for each
+route those leave out (``EXTRA``), once on the working tree's src/ and once
+on ``git archive REV src``, and lists each command whose
 stdout or exit code differs, with its first differing stdout line from each
 side (or the two exit codes).  Exits 1 when any does.
 
@@ -21,10 +22,26 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import spec  # noqa: E402
 
 
+# the psi generalized route (the only built-in whose kernel chains restart),
+# rotated example2 at full depth, the least-term bound and the rotated oracle
+_JSON = ("--format", "json")
+EXTRA = [
+    *(("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
+       "--z-mod", mod, "--N-range", "6,12,24,48,69,75", *_JSON) for mod in ("12", "11.25")),
+    ("sum", "--builtin", "example2", "--method", "generalized", "--theta", "1.0471975511965976",
+     "--lambda", "0.6", "--z-mod", "4.5", "--N", "150", *_JSON),
+    ("sum", "--builtin", "psi", "--method", "least-term", "--z-mod", "12", "--r", "2",
+     "--A", "1", "--B", "1", *_JSON),
+    ("sum", "--builtin", "example2", "--method", "oracle", "--theta", "1.0471975511965976",
+     "--z-mod", "5", *_JSON),
+    ("sum", "--builtin", "const1", "--method", "oracle", "--z-mod", "2", *_JSON),
+]
+
+
 def commands() -> list[tuple[str, ...]]:
     argvs = [tuple(cmd["argv"]) for w in spec.WORKLOADS for seed in (1, 2, 3)
              for cmd in spec.cold_commands(w, spec.points(w, seed))]
-    return list(dict.fromkeys(argvs + [("reproduce", "all")]))
+    return list(dict.fromkeys(argvs + [("reproduce", "all"), *EXTRA]))
 
 
 def run(src: Path, argv) -> tuple[int, str]:

@@ -91,17 +91,14 @@ def _transform_term(av: Sequence[mp.mpc], n: int) -> tuple[mp.mpc, mp.mpf]:
     return b_n, cond
 
 
-def stirling_transform(a: Sequence, prec: PrecisionConfig | None = None,
-                       with_condition: bool = False):
+def stirling_transform(a: Sequence, prec: PrecisionConfig | None = None) -> list[mp.mpc]:
     """Map coefficients a_1..a_{N+1} (list WITHOUT the constant term) to
     factorial coefficients b_0..b_N: the rows of :func:`factorial_expansion`
-    at lambda = 1.  With ``with_condition`` also returns sum_k|term| / |b_n|
-    per coefficient.
+    at lambda = 1, whose ``condition`` holds each b_n's condition number.
     """
     with working_precision(prec):
         f = FormalSeries(1, [0, *a])
-    e = factorial_expansion(f, 1, len(a) - 1, prec)
-    return (list(e.b), list(e.condition)) if with_condition else list(e.b)
+    return list(factorial_expansion(f, 1, len(a) - 1, prec).b)
 
 
 class _FactorialRow(_GrowingRow):

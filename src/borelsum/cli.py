@@ -96,8 +96,8 @@ def _evaluate(method, f, builtin, lam, theta, z, N, r, envelope, tol, prec) -> S
         return branch_sum(f, lam, z, N, envelope=envelope, prec=prec)
     if method == "generalized":
         if theta:
-            return rotated_generalized_sum(f, theta, lam, z, N, envelope=envelope, prec=prec)
-        return generalized_factorial_sum(f, lam, z, N, envelope=envelope, prec=prec)
+            return rotated_generalized_sum(f, theta, lam, z, N, prec=prec)
+        return generalized_factorial_sum(f, lam, z, N, prec=prec)
     # the oracle: click.Choice has admitted no other method
     if builtin not in BUILTIN_EVALUATORS:
         raise click.UsageError(
@@ -160,8 +160,11 @@ def _render(records: list[dict], columns, fmt: str) -> str:
 
 def _emit(text: str, out) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --out file: {exc}")
     else:
         click.echo(text, nl=not text.endswith("\n"))
 

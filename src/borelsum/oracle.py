@@ -1,12 +1,13 @@
 """Ground truth: direct Laplace-integral quadrature and built-in test series.
 
-``laplace_quadrature`` evaluates a Borel sum a_0 + int_0^(inf e^(i theta))
-g(zeta) e^(-z zeta) dzeta by a double-exponential (tanh-sinh) rule on a
-finite segment [0, T], with T chosen from the evaluator's growth envelope
-so the dropped tail A e^((B - c) T)/(c - B), c = Re(z e^(i theta)), sits
-far below the requested tolerance.  The tanh-sinh change of variable never
-evaluates the integrand at the endpoints, which is what makes integrable
-zeta^(1/m - 1) behaviour at 0 harmless.
+``laplace_quadrature`` evaluates the Borel sum of a series with a_0 = 0,
+int_0^(inf e^(i theta)) g(zeta) e^(-z zeta) dzeta, by a double-exponential
+(tanh-sinh) rule on a finite segment [0, T], with T chosen from the
+evaluator's growth envelope so the dropped tail A e^((B - c) T)/(c - B),
+c = Re(z e^(i theta)), sits far below the requested tolerance.  The
+tanh-sinh change of variable never evaluates the integrand at the
+endpoints, which is what makes integrable zeta^(1/m - 1) behaviour at 0
+harmless.
 
 Built-in series:
 
@@ -53,13 +54,12 @@ class BorelEvaluator:
 
     ``fn`` maps a cover point zeta = (rho, theta) to a complex value; (A, B)
     bounds |fn| <= A e^(B rho) on the rays it is integrated along and drives
-    the truncation of the Laplace integral; ``a0`` is the constant term.
+    the truncation of the Laplace integral.
     """
 
     fn: Callable[[RamifiedPoint], mp.mpc]
     A: float = 1.0
     B: float = 0.0
-    a0: complex = 0
 
     def __call__(self, zeta: RamifiedPoint) -> mp.mpc:
         return self.fn(zeta)
@@ -67,7 +67,7 @@ class BorelEvaluator:
 
 def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
                        prec: PrecisionConfig | None = None) -> mp.mpc:
-    """a_0 + int over the ray arg zeta = theta of g(zeta) e^(-z zeta) dzeta.
+    """int over the ray arg zeta = theta of g(zeta) e^(-z zeta) dzeta.
 
     Requires Re(z e^(i theta)) > B for the evaluator's growth rate.  The
     result's absolute error is estimated and must reach ``tol`` (default:
@@ -101,7 +101,7 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
                                    error=True, maxdegree=maxdegree)
                 best = val
                 if err < tolv / 2:
-                    return ensure_finite(mp.mpc(g.a0) + mp.exp(1j * th) * mp.mpc(best))
+                    return ensure_finite(mp.exp(1j * th) * mp.mpc(best))
         raise QuadratureError(
             f"quadrature error estimate {mp.nstr(err, 3)} did not reach tol = {mp.nstr(tolv, 3)}")
 

@@ -141,7 +141,7 @@ def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[m
     with working_precision(prec):
         s = [mp.mpf(n) / m for n in range(1, count + 1)]
         out = [None] * count
-        for l in range(1, m + 1):
+        for l in range(1, min(m, count) + 1):  # classes past count hold no n
             ns = range(l, count + 1, m)
             with mp.extraprec(64):  # s + 1 is exact with 64 extra bits
                 starts = [i for i, n in enumerate(ns) if i == 0 or s[n - 1] != s[n - 1 - m] + 1]
@@ -152,19 +152,17 @@ def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[m
 
 
 def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
-                              envelope: GrowthEnvelope | None = None,
                               prec: PrecisionConfig | None = None) -> SummationResult:
     """Generalized factorial series truncated at flat index n <= N.
 
     Needs d_{N+1}, hence coefficients up to a_{N+1}, for the
-    first-omitted-term estimate.
+    first-omitted-term estimate; no growth envelope enters it.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
     f.require_depth(N + 1)
     with working_precision(prec):
         lv = as_mpf(lam)
-        check_lambda_permitted(lv, envelope)
         zdot = _halfplane(z, 0, prec)
         fs = scale(f, lv, prec) if lv != 1 else f
         d = generalized_coefficients(fs, N + 1, prec)
@@ -182,7 +180,6 @@ def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
 
 
 def rotated_generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: int,
-                            envelope: GrowthEnvelope | None = None,
                             prec: PrecisionConfig | None = None) -> SummationResult:
     """Sum in the rotated direction: the generalized series of the rotated
     coefficients, evaluated at z e^(i theta)."""
@@ -190,7 +187,7 @@ def rotated_generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: in
     with working_precision(prec):
         th = as_mpf(theta)
         result = generalized_factorial_sum(rotate(f, th, prec), lam,
-                                           z.rotated(th), N, envelope, prec)
+                                           z.rotated(th), N, prec)
     return dataclasses.replace(result, method="generalized-rotated")
 
 
@@ -202,9 +199,9 @@ def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,
     max_l |a_{l+mn}| * (sum_{i<m} |z|^(i/m)) / (|z|^n Re(z projected)).
     """
     z = as_point(z, prec)
-    n = least_term_index(r, z)
-    f.require_depth(f.m * n + f.m)
     with working_precision(prec):
+        n = least_term_index(r, z)
+        f.require_depth(f.m * n + f.m)
         zdot = _halfplane(z, 0, prec)
         estimate = partial_sum(f, z, f.m * n, prec)
         peak = max(abs(f.coefficients[l + f.m * n]) for l in range(1, f.m + 1))

@@ -139,8 +139,7 @@ def _psi_branch_rows(table, lam, prec,
 
 
 def _run_table1(prec) -> list[ReproRow]:
-    with working_precision(prec):
-        lam = 2 / mp.log(2)  # the sup of the permitted homothety factors
+    lam = 2 / mp.log(2)  # the sup of the permitted homothety factors
     return _psi_branch_rows(_TABLE1, lam, prec)
 
 
@@ -158,8 +157,7 @@ def _run_table2(prec) -> list[ReproRow]:
 
 
 def _run_table3(prec) -> list[ReproRow]:
-    with working_precision(prec):
-        lam = 2 / mp.log(2)
+    lam = 2 / mp.log(2)
     f = psi_series(3 * 25 + 2, prec)
     z = RamifiedPoint(12, 0)
     ref = mp.mpf(_TABLE3_REFERENCE)
@@ -187,24 +185,20 @@ def _run_table5(prec) -> list[ReproRow]:
     z = RamifiedPoint(5, 0)
     ref = mp.mpf(_TABLE5_REFERENCE)
     rows: list[ReproRow] = []
-    with working_precision(prec):
-        theta = mp.pi / 3
-        for N, (re_str, im_str, err_str) in sorted(_TABLE5.items()):
-            res = rotated_generalized_sum(f, theta, as_mpf("0.6"), z, N, prec=prec)
-            rows += [_ulp_row(f"N={N} estimate (re)", mp.re(res.estimate), re_str),
-                     _ulp_row(f"N={N} estimate (im)", mp.im(res.estimate), im_str, 6),
-                     _bound_row(f"N={N} |estimate - {_TABLE5_REFERENCE}|",
-                                abs(res.estimate - ref), 2 * mp.mpf(err_str), f"2 x {err_str}")]
+    for N, (re_str, im_str, err_str) in sorted(_TABLE5.items()):
+        res = rotated_generalized_sum(f, mp.pi / 3, as_mpf("0.6"), z, N, prec=prec)
+        rows += [_ulp_row(f"N={N} estimate (re)", mp.re(res.estimate), re_str),
+                 _ulp_row(f"N={N} estimate (im)", mp.im(res.estimate), im_str, 6),
+                 _bound_row(f"N={N} |estimate - {_TABLE5_REFERENCE}|",
+                            abs(res.estimate - ref), 2 * mp.mpf(err_str), f"2 x {err_str}")]
     return rows
 
 
 def _run_fig2(prec) -> list[ReproRow]:
-    with working_precision(prec):
-        z = mp.mpc(10, 10)
-        rows_tbl = bound_comparison_table(1, 1, z, 30, prec)
-        col1 = [float(r.log_r_as_ln2) for r in rows_tbl]
-        col2 = [float(r.log_r_as_halfpi) for r in rows_tbl]
-        col3 = [float(r.log_r_fact) for r in rows_tbl]
+    rows_tbl = bound_comparison_table(1, 1, mp.mpc(10, 10), 30, prec)
+    col1 = [float(r.log_r_as_ln2) for r in rows_tbl]
+    col2 = [float(r.log_r_as_halfpi) for r in rows_tbl]
+    col3 = [float(r.log_r_fact) for r in rows_tbl]
     argmin1 = col1.index(min(col1))
     argmin2 = col2.index(min(col2))
     decreasing = all(col3[n + 1] < col3[n] for n in range(5, 30))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Union
+from typing import Callable, Iterable, Union
 
 import mpmath as mp
 
@@ -210,15 +210,11 @@ def partial_sum(f: FormalSeries, z: PointLike, N: int,
 # with decimal strings so coefficients survive beyond double precision.
 # ---------------------------------------------------------------------------
 
-def load_series(fp: Union[str, IO[str]], prec: PrecisionConfig | None = None) -> FormalSeries:
+def load_series(path: str, prec: PrecisionConfig | None = None) -> FormalSeries:
     """Read a series file; every coefficient is rounded once, at ``prec``."""
     try:
-        if isinstance(fp, str):
-            with open(fp, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = fp.read()
-        payload = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
     except UnicodeDecodeError as exc:
         raise DomainError(f"series file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -241,15 +237,10 @@ def load_series(fp: Union[str, IO[str]], prec: PrecisionConfig | None = None) ->
         return FormalSeries(m, coeffs)
 
 
-def dump_series(f: FormalSeries, fp: Union[str, IO[str]],
-                prec: PrecisionConfig | None = None) -> None:
+def dump_series(f: FormalSeries, path: str, prec: PrecisionConfig | None = None) -> None:
     """Write a series file with enough digits to read ``prec`` back exactly."""
     with working_precision(prec):
         digits = mp.mp.dps + 5
     rows = [[mp.nstr(mp.re(c), digits), mp.nstr(mp.im(c), digits)] for c in f.coefficients]
-    text = json.dumps({"m": f.m, "coefficients": rows}, indent=1)
-    if isinstance(fp, str):
-        with open(fp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        fp.write(text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"m": f.m, "coefficients": rows}, indent=1))

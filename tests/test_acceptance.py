@@ -256,20 +256,15 @@ def test_criterion_09g_asymptotic_ratio():
 
 
 def test_criterion_09h_precision_doubling():
-    # doubling the mantissa moves no reproduced estimate beyond its row
-    # tolerance, and the pass/fail pattern is identical
+    # doubling the mantissa moves no printed digit of any row of any target,
+    # and no verdict
     ok = True
     for target in repro.TARGETS:
         rows_lo = rows_for(target, PREC)
         rows_hi = rows_for(target, PREC2)
         assert [r.label for r in rows_lo] == [r.label for r in rows_hi]
-        for lo, hi in zip(rows_lo, rows_hi):
-            ok = ok and (lo.passed == hi.passed)
-            if "estimate" in lo.label and "(im)" not in lo.label:
-                with working_precision(PREC2):
-                    shift = abs(mp.mpf(lo.computed) - mp.mpf(hi.computed))
-                    tol = repro._ulp(hi.expected) if not lo.note else mp.mpf(hi.expected)
-                    ok = ok and shift <= tol
+        ok = ok and all(lo.computed == hi.computed and lo.passed == hi.passed
+                        for lo, hi in zip(rows_lo, rows_hi))
     report("9h (precision-doubling stability of every reproduced table)", ok)
 
 

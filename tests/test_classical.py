@@ -75,7 +75,7 @@ def test_transform_linearity(a, alpha, beta):
 
 def test_transform_condition_number(workprec):
     f = euler_series(30)
-    b, cond = stirling_transform(f.coefficients[1:], with_condition=True)
+    cond = factorial_expansion(f, 1, 29).condition
     assert all(c >= 1 for c in cond)
     # the Euler transform cancels heavily at depth; condition grows
     assert cond[25] > cond[2]
@@ -297,8 +297,9 @@ def test_factorial_rows_are_kept_apart_by_lambda_and_precision():
             with working_precision(prec):
                 lv = mp.mpf(lam)
                 fs = scale(f, lv, prec) if lv != 1 else f
-            b, cond = stirling_transform(fs.coefficients[1:N + 2], prec, with_condition=True)
-            assert (cached.lam, cached.b, cached.condition) == (lv, tuple(b), tuple(cond))
+                fs = FormalSeries(1, fs.coefficients[:N + 2])  # a new series: no cached row
+            fresh = factorial_expansion(fs, 1, N, prec)
+            assert (cached.lam, cached.b, cached.condition) == (lv, fresh.b, fresh.condition)
 
 
 def test_factorial_rows_grow_consistently_across_threads(prec):

@@ -14,9 +14,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*args, expect=0):
+def run_cli(*args, expect=0, timeout=None):
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(PKG + list(args), capture_output=True, text=True,
+    proc = subprocess.run(PKG + list(args), capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc
@@ -192,6 +192,22 @@ def test_out_file(tmp_path):
             "--out", str(target))
     rec = json.loads(target.read_text())[0]
     assert rec["N"] == 10
+    # a missing directory or a directory is a usage error, not a traceback
+    for bad in (tmp_path / "missing" / "result.txt", tmp_path):
+        for args in (("sum", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
+                      "--N", "10"), ("compare-bounds", "--n-max", "3"), ("reproduce", "fig2")):
+            proc = run_cli(*args, "--out", str(bad), expect=1)
+            assert "Traceback" not in proc.stderr
+            assert "cannot write --out file" in proc.stderr
+
+
+def test_a_huge_m_does_not_stall_the_generalized_route(tmp_path):
+    # the kernels loop over the residue classes that hold an index, not over all m
+    path = tmp_path / "huge_m.json"
+    coefficients = [["0", "0"], ["1", "0"], ["1", "0"]]
+    path.write_text(json.dumps({"m": 10 ** 9, "coefficients": coefficients}))
+    run_cli("sum", "--series", str(path), "--method", "generalized", "--z-mod", "3", "--N", "1",
+            timeout=60)
 
 
 LEAST_TERM_PSI = ("sum", "--builtin", "psi", "--method", "least-term", "--z-mod", "12")
@@ -209,6 +225,9 @@ GOLDEN_COMMANDS = {
     "sum_example2_rotated": ("sum", "--builtin", "example2", "--method", "generalized",
                              "--theta", "1.0471975511965976", "--lambda", "0.6",
                              "--z-mod", "5", "--N", "50"),
+    "table_psi_generalized": ("table", "--builtin", "psi", "--method", "generalized",
+                              "--lambda", "2.885390081777927", "--z-mod", "12",
+                              "--N-range", "6,12,24,48,69,75"),
 }
 
 

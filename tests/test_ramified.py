@@ -250,6 +250,14 @@ def test_least_term_degenerate(workprec):
     assert abs(res.estimate - f.coefficients[0]) == 0
 
 
+def test_least_term_index_is_taken_at_the_working_precision(prec):
+    # from mpmath's default 53 bits r = 3 - 2^-100 would round to 3 first
+    with working_precision(prec):
+        r = 3 - mp.mpf(2) ** -100
+    res = least_term_sum_ramified(euler_series(10), r, RamifiedPoint(1, 0), prec=prec)
+    assert res.N == 2  # floor(r |z|)
+
+
 def test_least_term_insufficient(workprec):
     f = psi_series(30)
     with pytest.raises(InsufficientCoefficientsError):
