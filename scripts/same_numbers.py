@@ -1,7 +1,8 @@
 """Check that the working tree prints the same numbers as an earlier commit.
 
 Runs every distinct cold-CLI command of the benchmark workloads
-(perfbench/spec.py, seeds 1-3), ``reproduce all`` and one command for each
+(perfbench/spec.py, seeds 1-3), every golden command of tests/test_cli.py
+(``GOLDEN_COMMANDS``, in json), ``reproduce all`` and one command for each
 route those leave out (``EXTRA``), once on the working tree's src/ and once
 on ``git archive REV src``, and lists each command whose
 stdout or exit code differs, with its first differing stdout line from each
@@ -18,20 +19,20 @@ from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 import spec  # noqa: E402
+from test_cli import GOLDEN_COMMANDS  # noqa: E402
 
 
-# the psi generalized route (the only built-in whose kernel chains restart),
-# rotated example2 at full depth, the least-term bound and the rotated oracle
+# the psi generalized route (the only built-in whose kernel chains restart) off
+# the golden point, rotated example2 at full depth and the two oracles no
+# golden runs
 _JSON = ("--format", "json")
 EXTRA = [
-    *(("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
-       "--z-mod", mod, "--N-range", "6,12,24,48,69,75", *_JSON) for mod in ("12", "11.25")),
+    ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
+     "--z-mod", "11.25", "--N-range", "6,12,24,48,69,75", *_JSON),
     ("sum", "--builtin", "example2", "--method", "generalized", "--theta", "1.0471975511965976",
      "--lambda", "0.6", "--z-mod", "4.5", "--N", "150", *_JSON),
-    ("sum", "--builtin", "psi", "--method", "least-term", "--z-mod", "12", "--r", "2",
-     "--A", "1", "--B", "1", *_JSON),
     ("sum", "--builtin", "example2", "--method", "oracle", "--theta", "1.0471975511965976",
      "--z-mod", "5", *_JSON),
     ("sum", "--builtin", "const1", "--method", "oracle", "--z-mod", "2", *_JSON),
@@ -41,7 +42,8 @@ EXTRA = [
 def commands() -> list[tuple[str, ...]]:
     argvs = [tuple(cmd["argv"]) for w in spec.WORKLOADS for seed in (1, 2, 3)
              for cmd in spec.cold_commands(w, spec.points(w, seed))]
-    return list(dict.fromkeys(argvs + [("reproduce", "all"), *EXTRA]))
+    goldens = [(*argv, *_JSON) for argv in GOLDEN_COMMANDS.values()]
+    return list(dict.fromkeys(argvs + goldens + [("reproduce", "all"), *EXTRA]))
 
 
 def run(src: Path, argv) -> tuple[int, str]:

@@ -37,9 +37,9 @@ from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, load_series
 
 # the flags each method reads beyond those every method reads (--builtin, the
 # point, the precision and the output); given with another method, each is a
-# usage error
+# usage error.  Least-term picks its own truncation index, so reads no N.
 _SERIES_FLAGS = ("--series", "--depth", "--N", "--N-range")
-METHOD_FLAGS = {"least-term": ("--r", "--A", "--B", *_SERIES_FLAGS),
+METHOD_FLAGS = {"least-term": ("--r", "--A", "--B", "--series", "--depth"),
                 "factorial": ("--lambda", "--A", "--B", *_SERIES_FLAGS),
                 "generalized": ("--lambda", "--theta", *_SERIES_FLAGS),
                 "branch": ("--lambda", "--A", "--B", *_SERIES_FLAGS),
@@ -77,7 +77,7 @@ def _envelope_from_flags(A, B, lam_sup) -> GrowthEnvelope | None:
     if A is None or B is None:
         raise click.UsageError("--A and --B must be given together")
     # without a known validity factor the lambda warning never fires
-    return GrowthEnvelope(A=A, B=B, lam=lam_sup or float("inf"), domain="region")
+    return GrowthEnvelope(A=A, B=B, lam=lam_sup or float("inf"))
 
 
 def _evaluate(method, f, builtin, lam, theta, z, N, r, envelope, tol, prec) -> SummationResult:
@@ -169,14 +169,14 @@ def _emit(text: str, out) -> None:
         click.echo(text, nl=not text.endswith("\n"))
 
 
-def _parse_range(spec_str: str) -> list[int]:
-    """Either comma-separated indices '10,14,18' or 'start:stop:step'."""
+def _parse_range(spec_str: str) -> list[int] | range:
+    """Either comma-separated indices '10,14,18' or 'start:stop:step', the
+    stop included either way; a range stays lazy, however far its stop."""
     try:
         if ":" in spec_str:
             parts = [int(p) for p in spec_str.split(":")]
-            start, stop = parts[0], parts[1]
-            step = parts[2] if len(parts) > 2 else 1
-            Ns = list(range(start, stop + 1, step))
+            start, stop, step = parts if len(parts) == 3 else (*parts, 1)
+            Ns = range(start, stop + (1 if step > 0 else -1), step)
         else:
             Ns = [int(p) for p in spec_str.split(",")]
     except ValueError:
@@ -195,7 +195,8 @@ _common = [
     click.option("--series", type=click.Path(), default=None,
                  help="JSON series file {m, coefficients}"),
     click.option("--builtin", type=str, default=None,
-                 help="built-in series/evaluator: euler, example2, psi (series), const1 (oracle)"),
+                 help=f"built-in series ({', '.join(BUILTIN_SERIES)}) or oracle "
+                      f"evaluator ({', '.join(BUILTIN_EVALUATORS)})"),
     click.option("--depth", type=int, default=160,
                  help="coefficient depth for built-in series"),
     click.option("--method", type=click.Choice(METHODS), required=True),
@@ -227,12 +228,15 @@ def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
               A, B, r, precision_bits, tol, fmt, out) -> None:
     """The body of ``sum`` and ``table``: one record per truncation index."""
     ctx = click.get_current_context()
+    given = [p.opts[0] for p in ctx.command.params
+             if ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
     others = set().union(*METHOD_FLAGS.values()) - set(METHOD_FLAGS[method])
-    unread = [p.opts[0] for p in ctx.command.params if p.opts[0] in others
-              and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
+    unread = [flag for flag in given if flag in others]
     if unread:
         raise click.UsageError(f"--method {method} does not read {', '.join(unread)}; "
                                f"it reads {', '.join(METHOD_FLAGS[method])}")
+    if "--series" in given and "--depth" in given:
+        raise click.UsageError("a --series file does not read --depth; it sizes a --builtin series")
     prec = PrecisionConfig(precision_bits)
     z = RamifiedPoint(z_mod, z_arg)
     f = _load_input(series, builtin, depth, prec) if "--series" in METHOD_FLAGS[method] else None

@@ -1,13 +1,13 @@
 """Configurable-precision complex arithmetic and gamma-function kernels.
 
-A factorial-series kernel Gamma(z) Gamma(s+n) / Gamma(z+s+n) is either a
-single ``gamma_ratio`` (the error bounds) or an element of a
-``gamma_ratios`` chain (the partial sums: n = 0..N in one pass, by the
-two-term recurrence in n).  Neither is ever formed from two plain gamma
-evaluations: ``Gamma(lambda*z + N + 1)`` overflows double exponent range
-near ``N = 100`` and loses all accuracy long before that.  A single ratio
-is a log-gamma difference; a chain starts from one (or from exactly 1/z
-when s = 1).  Single gammas are called from mpmath directly:
+A factorial-series kernel Gamma(z) Gamma(s+n) / Gamma(z+s+n) has one
+evaluator, the ``gamma_ratios`` chain (the partial sums: n = 0..N in one
+pass, by the two-term recurrence in n).  A single kernel (the error bounds)
+is ``gamma_ratio``, the chain of length one at offset s + n.  No kernel is
+ever formed from two plain gamma evaluations: ``Gamma(lambda*z + N + 1)``
+overflows double exponent range near ``N = 100`` and loses all accuracy
+long before that.  A chain starts from a log-gamma difference (or from
+exactly 1/z when s = 1).  Single gammas are called from mpmath directly:
 ``mp.rgamma`` in ``generalized_coefficients``, ``mp.gamma`` in
 ``r_fact_asymptotic`` and ``example2_series``.
 
@@ -99,46 +99,40 @@ def _is_nonpositive_int(x) -> bool:
 
 def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
                 prec: PrecisionConfig | None = None) -> mp.mpc:
-    """Gamma(z) Gamma(s+n) / Gamma(z+s+n), via log-gamma differences.
+    """Gamma(z) Gamma(s+n) / Gamma(z+s+n), the one-element ``gamma_ratios``
+    chain at offset s + n.
 
     With s = 1 this is the factorial-series kernel
     Gamma(z) Gamma(n+1) / Gamma(z+n+1); with fractional offsets
     (s = n/m, n = 0) it is the generalized kernel Gamma(z)Gamma(s)/Gamma(z+s).
-    Stays finite for arbitrarily large n because only log-gammas are formed;
-    the exponential amplifies the logs' roundoff by their magnitude, so the
-    combination is evaluated with guard bits and rounded once, keeping the
-    result within a few ulp at the requested precision.
+    s is rounded to the working precision and s + n is formed exactly under
+    the chain's guard bits: rounding the sum as well would move the kernel.
     """
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
     with working_precision(prec):
-        zc = as_mpc(z)
         sf = as_mpf(s)
-        if sf < 0 or (sf == 0 and n < 1):
-            raise DomainError("require s > 0, or s = 0 with n >= 1")
-        if _is_nonpositive_int(zc) or _is_nonpositive_int(zc + sf + n):
-            raise PoleError(f"gamma_ratio pole at z = {zc}, s+n = {sf + n}")
+        if n < 0 or sf < 0:
+            raise DomainError("gamma_ratio needs n >= 0 and s >= 0")
         with mp.extraprec(64):
-            val = mp.exp(mp.loggamma(zc) + mp.loggamma(sf + n)
-                         - mp.loggamma(zc + sf + n))
-        return ensure_finite(+mp.mpc(val))
+            offset = sf + n
+    return gamma_ratios(z, offset, 1, prec)[0]
 
 
 def gamma_ratios(z: Numeric, s: Numeric, count: int,
                  prec: PrecisionConfig | None = None) -> list[mp.mpc]:
     """[Gamma(z) Gamma(s+n) / Gamma(z+s+n) for n < count], s > 0.
 
-    Element n equals ``gamma_ratio(z, n, s)``: the chain starts from the
-    same log-gamma differences (from exactly 1/z when s = 1) and continues
-    with K_{n+1} = K_n (s+n) / (z+s+n).  The whole chain runs with the same
-    64 guard bits as ``gamma_ratio``, where its n roundings stay far below
-    the one rounding of each element to the working precision.
+    The one kernel evaluator: the chain starts from a log-gamma difference
+    (from exactly 1/z when s = 1) and continues with
+    K_{n+1} = K_n (s+n) / (z+s+n).  The offset s converts, and the whole
+    chain runs, with 64 guard bits, where the chain's n roundings stay far
+    below the one rounding of each element to the working precision.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
     with working_precision(prec):
         zc = as_mpc(z)
-        sf = as_mpf(s)
+        with mp.extraprec(64):
+            sf = as_mpf(s)
         if not sf > 0:
             raise DomainError("gamma_ratios needs s > 0")
         # with s > 0, z + s + n hits a pole for some n >= 0 only if z + s does

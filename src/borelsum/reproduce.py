@@ -148,7 +148,7 @@ def _run_table2(prec) -> list[ReproRow]:
     # empirically, still reproduce the printed digits.  A and B below are
     # placeholders carrying the validity factor; the resulting bound column
     # is not graded (no concrete growth constants are known for psi).
-    envelope = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP, domain="ramified")
+    envelope = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = _psi_branch_rows(_TABLE2, 4, prec, envelope=envelope)

@@ -356,18 +356,45 @@ def test_non_finite_point_is_a_domain_error(flag, value):
      ("--series",)),
     (("--builtin", "euler", "--method", "oracle", "--depth", "5"), ("--depth",)),
     (("--builtin", "euler", "--method", "oracle", "--N", "7"), ("--N",)),
+    # least-term truncates at its own index m floor(r |z|)
+    (("--builtin", "psi", "--method", "least-term", "--r", "2", "--N", "7"), ("--N",)),
+    # a series file holds its own coefficients
+    (("--series", "FILE", "--method", "factorial", "--N", "2", "--depth", "5"),
+     ("--series", "--depth")),
 ])
-def test_a_flag_the_method_does_not_read_is_a_usage_error(args, unread):
+def test_a_flag_the_method_does_not_read_is_a_usage_error(args, unread, tmp_path):
+    path = tmp_path / "euler.json"
+    path.write_text(json.dumps({"m": 1, "coefficients": [[str(c), "0"] for c in
+                                                         (0, 1, -1, 2, -6, 24)]}))
+    args = [str(path) if arg == "FILE" else arg for arg in args]
     proc = run_cli("sum", "--z-mod", "5", *args, expect=1)
     assert "does not read" in proc.stderr and proc.stdout == ""
     assert all(flag in proc.stderr for flag in unread)
 
 
 def test_table_with_the_oracle_is_a_usage_error():
-    # the quadrature has no truncation index: each row would repeat it as N = 0
-    proc = run_cli("table", "--builtin", "euler", "--method", "oracle", "--z-mod", "3",
-                   "--N-range", "1:4", expect=1)
-    assert "does not read --N-range" in proc.stderr and proc.stdout == ""
+    # the quadrature has no truncation index and least-term picks its own:
+    # each row would repeat the one value
+    for where in (("--builtin", "euler", "--method", "oracle", "--z-mod", "3"),
+                  ("--builtin", "psi", "--method", "least-term", "--r", "2", "--z-mod", "12")):
+        proc = run_cli("table", *where, "--N-range", "1:4", expect=1)
+        assert "does not read --N-range" in proc.stderr and proc.stdout == ""
+
+
+def test_a_range_names_exactly_the_indices_it_says():
+    where = ("table", "--builtin", "euler", "--method", "factorial", "--z-mod", "3")
+    out = run_cli(*where, "--N-range", "5:1:-1", "--format", "json").stdout
+    assert [rec["N"] for rec in json.loads(out)] == [5, 4, 3, 2, 1]
+    # a fourth field would be dropped
+    proc = run_cli(*where, "--N-range", "1:3:1:9", expect=1)
+    assert "cannot parse" in proc.stderr and proc.stdout == ""
+
+
+def test_a_huge_range_stop_runs_until_the_series_runs_out():
+    # the range stays lazy: N = 159 needs a_161 of the depth-160 series
+    proc = run_cli("table", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
+                   "--N-range", f"150:{10 ** 19}", expect=2)
+    assert "a_161" in proc.stderr and "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_factorial_route_sums_at_the_parsed_cover_point():

@@ -71,14 +71,18 @@ def test_gamma_ratio_preconditions():
 def _gamma_ratio_families(prec):
     """(z, s, count) of the kernels the sums use: psi branch sweeps
     (lambda z, s = 1), Euler factorial sums (complex z, s = 1) and the
-    example2 beta kernels (lambda z e^(i pi/3), s = 1/2 and 1)."""
+    example2 beta kernels (lambda z e^(i pi/3), s = 1/2 and 1), and two
+    non-dyadic offsets, where s + n rounded to the working precision would
+    move the single kernel off the chain."""
     with working_precision(prec):
         psi = [(lam * mp.mpf(mod), 1, 42) for lam in (mp.mpf(2.885390081777927), mp.mpf(4))
                for mod in (10, 12, 13.375)]
         euler = [(mp.mpf(2.5), 1, 202), (mp.mpf(7.125) * mp.exp(1j * mp.mpf(-0.625)), 1, 60)]
         w = mp.mpf("0.6") * 5 * mp.exp(1j * mp.pi / 3)
         example2 = [(w, mp.mpf(1) / 2, 76), (w, 1, 76), (mp.mpf(5), mp.mpf(1) / 2, 56)]
-    return psi + euler + example2
+        thirds = [(mp.mpc(3, 4), mp.mpf(1) / 3, 40),
+                  (12 * mp.mpf(2.885390081777927), mp.mpf(5) / 3, 40)]
+    return psi + euler + example2 + thirds
 
 
 def test_gamma_ratios_equal_gamma_ratio_bit_for_bit(prec):
