@@ -99,14 +99,12 @@ def _is_nonpositive_int(x) -> bool:
 
 def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
                 prec: PrecisionConfig | None = None) -> mp.mpc:
-    """Gamma(z) Gamma(s+n) / Gamma(z+s+n), the one-element ``gamma_ratios``
-    chain at offset s + n.
+    """Gamma(z) Gamma(s+n) / Gamma(z+s+n), the one-element chain at s + n.
 
-    With s = 1 this is the factorial-series kernel
-    Gamma(z) Gamma(n+1) / Gamma(z+n+1); with fractional offsets
-    (s = n/m, n = 0) it is the generalized kernel Gamma(z)Gamma(s)/Gamma(z+s).
-    s is rounded to the working precision and s + n is formed exactly under
-    the chain's guard bits: rounding the sum as well would move the kernel.
+    With s = 1 this is the factorial-series kernel; with s = n/m, n = 0 it
+    is the generalized kernel Gamma(z)Gamma(s)/Gamma(z+s).  s is rounded to
+    the working precision, as in ``gamma_ratios``, and s + n is formed
+    exactly under the guard bits, so both see the same offset for any s.
     """
     with working_precision(prec):
         sf = as_mpf(s)
@@ -114,39 +112,40 @@ def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
             raise DomainError("gamma_ratio needs n >= 0 and s >= 0")
         with mp.extraprec(64):
             offset = sf + n
-    return gamma_ratios(z, offset, 1, prec)[0]
+        return _chain(as_mpc(z), offset, 1)[0]
 
 
 def gamma_ratios(z: Numeric, s: Numeric, count: int,
                  prec: PrecisionConfig | None = None) -> list[mp.mpc]:
-    """[Gamma(z) Gamma(s+n) / Gamma(z+s+n) for n < count], s > 0.
-
-    The one kernel evaluator: the chain starts from a log-gamma difference
-    (from exactly 1/z when s = 1) and continues with
-    K_{n+1} = K_n (s+n) / (z+s+n).  The offset s converts, and the whole
-    chain runs, with 64 guard bits, where the chain's n roundings stay far
-    below the one rounding of each element to the working precision.
-    """
+    """[Gamma(z) Gamma(s+n) / Gamma(z+s+n) for n < count], s > 0, with s
+    rounded to the working precision."""
     if count < 0:
         raise DomainError("count must be nonnegative")
     with working_precision(prec):
-        zc = as_mpc(z)
-        with mp.extraprec(64):
-            sf = as_mpf(s)
-        if not sf > 0:
-            raise DomainError("gamma_ratios needs s > 0")
-        # with s > 0, z + s + n hits a pole for some n >= 0 only if z + s does
-        if _is_nonpositive_int(zc) or _is_nonpositive_int(zc + sf):
-            raise PoleError(f"gamma_ratios pole at z = {zc}, s = {sf}")
-        if count == 0:
-            return []
-        with mp.extraprec(64):
-            if sf == 1:
-                k = 1 / zc
-            else:
-                k = mp.exp(mp.loggamma(zc) + mp.loggamma(sf) - mp.loggamma(zc + sf))
-            chain = [k]
-            for n in range(count - 1):
-                k = k * (sf + n) / (zc + sf + n)
-                chain.append(k)
-        return [ensure_finite(+mp.mpc(k)) for k in chain]
+        return _chain(as_mpc(z), as_mpf(s), count)
+
+
+def _chain(zc: mp.mpc, sf: mp.mpf, count: int) -> list[mp.mpc]:
+    """The one kernel evaluator, for converted z and s: the chain starts from
+    a log-gamma difference (from exactly 1/z when s = 1) and continues with
+    K_{n+1} = K_n (s+n) / (z+s+n).  The whole chain runs with 64 guard bits,
+    where its n roundings stay far below the one rounding of each element to
+    the ambient precision.
+    """
+    if not sf > 0:
+        raise DomainError("gamma_ratios needs s > 0")
+    # with s > 0, z + s + n hits a pole for some n >= 0 only if z + s does
+    if _is_nonpositive_int(zc) or _is_nonpositive_int(zc + sf):
+        raise PoleError(f"gamma_ratios pole at z = {zc}, s = {sf}")
+    if count == 0:
+        return []
+    with mp.extraprec(64):
+        if sf == 1:
+            k = 1 / zc
+        else:
+            k = mp.exp(mp.loggamma(zc) + mp.loggamma(sf) - mp.loggamma(zc + sf))
+        chain = [k]
+        for n in range(count - 1):
+            k = k * (sf + n) / (zc + sf + n)
+            chain.append(k)
+    return [ensure_finite(+mp.mpc(k)) for k in chain]

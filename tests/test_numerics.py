@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,9 +73,10 @@ def test_gamma_ratio_preconditions():
 def _gamma_ratio_families(prec):
     """(z, s, count) of the kernels the sums use: psi branch sweeps
     (lambda z, s = 1), Euler factorial sums (complex z, s = 1) and the
-    example2 beta kernels (lambda z e^(i pi/3), s = 1/2 and 1), and two
+    example2 beta kernels (lambda z e^(i pi/3), s = 1/2 and 1), and
     non-dyadic offsets, where s + n rounded to the working precision would
-    move the single kernel off the chain."""
+    move the single kernel off the chain; the exact Fraction offset must be
+    rounded the same way by both."""
     with working_precision(prec):
         psi = [(lam * mp.mpf(mod), 1, 42) for lam in (mp.mpf(2.885390081777927), mp.mpf(4))
                for mod in (10, 12, 13.375)]
@@ -81,11 +84,14 @@ def _gamma_ratio_families(prec):
         w = mp.mpf("0.6") * 5 * mp.exp(1j * mp.pi / 3)
         example2 = [(w, mp.mpf(1) / 2, 76), (w, 1, 76), (mp.mpf(5), mp.mpf(1) / 2, 56)]
         thirds = [(mp.mpc(3, 4), mp.mpf(1) / 3, 40),
-                  (12 * mp.mpf(2.885390081777927), mp.mpf(5) / 3, 40)]
+                  (12 * mp.mpf(2.885390081777927), mp.mpf(5) / 3, 40),
+                  (mp.mpc(3, 4), Fraction(1, 3), 40)]
     return psi + euler + example2 + thirds
 
 
 def test_gamma_ratios_equal_gamma_ratio_bit_for_bit(prec):
+    # element 0 is the shared start; each n >= 1 sets the recurrence against
+    # a log-gamma start at s + n
     for z, s, count in _gamma_ratio_families(prec):
         chain = gamma_ratios(z, s, count, prec)
         assert len(chain) == count
@@ -122,14 +128,18 @@ def test_gamma_ratios_preconditions():
 @given(st.complex_numbers(min_magnitude=0.1, max_magnitude=50,
                           allow_nan=False, allow_infinity=False))
 def test_gamma_ratio_functional_equation(z):
-    # Gamma(z) Gamma(1) / Gamma(z + 1) = 1/z in the right half-plane: the
-    # guard bits keep the log-gamma differences' roundoff below one ulp
+    # Gamma(z) Gamma(2) / Gamma(z + 2) = 1/(z(z + 1)) in the right
+    # half-plane: offset 2 starts from the log-gamma difference, whose
+    # roundoff the guard bits keep below one ulp; the check runs with guard
+    # bits too, so it measures only the kernel's own rounding
     if z.real <= 0.05:
         z = complex(abs(z.real) + 0.1, z.imag)
     prec = PrecisionConfig(256)
     with working_precision(prec):
         zc = mp.mpc(z)
-        assert abs(gamma_ratio(zc, 1, 0, prec) * zc - 1) < 10 * mp.mpf(2) ** -256
+        k = gamma_ratio(zc, 2, 0, prec)
+        with mp.extraprec(64):
+            assert abs(k * zc * (zc + 1) - 1) < 10 * mp.mpf(2) ** -256
 
 
 def test_leaf_conversion_inherits_ambient_precision():
