@@ -6,7 +6,10 @@ Runs every distinct cold-CLI command of the benchmark workloads
 route those leave out (``EXTRA``), once on the working tree's src/ and once
 on ``git archive REV src``, and lists each command whose
 stdout or exit code differs, with its first differing stdout line from each
-side (or the two exit codes).  Exits 1 when any does.
+side (or the two exit codes).  It then runs one seed-1 library pass of every
+benchmark workload (perfbench/workloads.py, imported read-only) on each side,
+prints every ``Workload.values`` entry to 90 digits and names the first value
+that differs.  Exits 1 when any command or value does.
 
     python3 scripts/same_numbers.py REV
 """
@@ -18,6 +21,7 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
+sys.dont_write_bytecode = True  # leave perfbench/ and tests/ as they are
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 import spec  # noqa: E402
@@ -25,16 +29,13 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 
 
 # the psi generalized route (the only built-in whose kernel chains restart) off
-# the golden point, rotated example2 at full depth and the two oracles no
-# golden runs
+# the golden point, rotated example2 at full depth and the oracle no golden runs
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
      "--z-mod", "11.25", "--N-range", "6,12,24,48,69,75", *_JSON),
     ("sum", "--builtin", "example2", "--method", "generalized", "--theta", "1.0471975511965976",
      "--lambda", "0.6", "--z-mod", "4.5", "--N", "150", *_JSON),
-    ("sum", "--builtin", "example2", "--method", "oracle", "--theta", "1.0471975511965976",
-     "--z-mod", "5", *_JSON),
     ("sum", "--builtin", "const1", "--method", "oracle", "--z-mod", "2", *_JSON),
 ]
 
@@ -46,10 +47,34 @@ def commands() -> list[tuple[str, ...]]:
     return list(dict.fromkeys(argvs + goldens + [("reproduce", "all"), *EXTRA]))
 
 
-def run(src: Path, argv) -> tuple[int, str]:
-    proc = subprocess.run([sys.executable, "-m", "borelsum.cli", *argv], cwd=src,
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+# one seed-1 pass of each workload, one line per value: "workload[i] value"
+VALUES = """
+import mpmath as mp
+import spec, workloads
+for name in spec.WORKLOADS:
+    w = workloads.BY_NAME[name](spec.points(name, 1))
+    for i, v in enumerate(w.values(w.run_pass()[0])):
+        print(f"{name}[{i}]", mp.nstr(v, 90) if isinstance(v, (mp.mpf, mp.mpc)) else repr(v))
+"""
+
+
+def run(src: Path, argv, path: str = "") -> tuple[int, str]:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), path])),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, *argv], cwd=src, capture_output=True, text=True,
+                          env=env)
     return proc.returncode, proc.stdout
+
+
+def cli(src: Path, argv) -> tuple[int, str]:
+    return run(src, ["-m", "borelsum.cli", *argv])
+
+
+def library_values(src: Path) -> list[str]:
+    code, out = run(src, ["-c", VALUES], str(ROOT / "perfbench"))
+    if code:
+        sys.exit(f"the library pass on {src} exited {code}")
+    return out.splitlines()
 
 
 def main(rev: str) -> int:
@@ -60,7 +85,8 @@ def main(rev: str) -> int:
         if archive.wait():
             sys.exit(f"git archive {rev} failed")
         argvs = commands()
-        results = [(a, run(ROOT / "src", a), run(Path(tmp) / "src", a)) for a in argvs]
+        results = [(a, cli(ROOT / "src", a), cli(Path(tmp) / "src", a)) for a in argvs]
+        values = library_values(ROOT / "src"), library_values(Path(tmp) / "src")
     differ = [r for r in results if r[1] != r[2]]
     for argv, (code, out), (rev_code, rev_out) in differ:
         print("DIFFERS:", " ".join(argv))
@@ -69,7 +95,13 @@ def main(rev: str) -> int:
         here, there = next(pair for pair in pairs if pair[0] != pair[1])
         print(f"  here:   {here}\n  at {rev}: {there}")
     print(f"{len(argvs) - len(differ)} of {len(argvs)} commands give the same stdout and exit code")
-    return 1 if differ else 0
+    pairs = list(zip_longest(*values))
+    first = next((pair for pair in pairs if pair[0] != pair[1]), None)
+    if first is not None:
+        print(f"DIFFERS: library value\n  here:   {first[0]}\n  at {rev}: {first[1]}")
+    same = sum(here == there for here, there in pairs)
+    print(f"{same} of {len(pairs)} library values of the seed-1 workload passes are identical")
+    return 1 if differ or first is not None else 0
 
 
 if __name__ == "__main__":

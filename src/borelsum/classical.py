@@ -106,9 +106,7 @@ class _FactorialRow(_GrowingRow):
 
     def __init__(self, f: FormalSeries, lam: mp.mpf, prec: PrecisionConfig):
         self.prec = prec
-        with working_precision(prec):
-            fs = scale(f, lam, prec) if lam != 1 else f
-            self.a = [as_mpc(x) for x in fs.coefficients[1:]]
+        self.a = scale(f, lam, prec).coefficients[1:]
         super().__init__(self.step(0))
 
     def step(self, n: int) -> tuple[mp.mpc, mp.mpf]:

@@ -102,7 +102,7 @@ def _evaluate(method, f, builtin, lam, theta, z, N, r, envelope, tol, prec) -> S
     if builtin not in BUILTIN_EVALUATORS:
         raise click.UsageError(
             f"--method oracle needs --builtin out of {sorted(BUILTIN_EVALUATORS)}")
-    val = laplace_quadrature(BUILTIN_EVALUATORS[builtin], theta or 0.0, z.projection(prec),
+    val = laplace_quadrature(BUILTIN_EVALUATORS[builtin], theta, z.projection(prec),
                              tol, prec)
     return SummationResult(estimate=val, N=0, method="oracle")
 

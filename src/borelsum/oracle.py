@@ -41,7 +41,7 @@ import mpmath as mp
 from .combinatorics import _GrowingRow, _SharedDenominatorRow
 from .errors import DomainError, QuadratureError
 from .numerics import PrecisionConfig, as_mpc, as_mpf, ensure_finite, working_precision
-from .series import FormalSeries, RamifiedPoint
+from .series import FormalSeries
 
 # ---------------------------------------------------------------------------
 # Borel evaluators and quadrature
@@ -52,17 +52,15 @@ from .series import FormalSeries, RamifiedPoint
 class BorelEvaluator:
     """A Borel transform evaluable along rays of the m-sheeted cover.
 
-    ``fn`` maps a cover point zeta = (rho, theta) to a complex value; (A, B)
-    bounds |fn| <= A e^(B rho) on the rays it is integrated along and drives
-    the truncation of the Laplace integral.
+    ``fn`` maps the cover point zeta = rho e^(i theta), passed as the pair
+    (rho, theta) with theta unreduced, to a complex value; (A, B) bounds
+    |fn| <= A e^(B rho) on the rays it is integrated along and drives the
+    truncation of the Laplace integral.
     """
 
-    fn: Callable[[RamifiedPoint], mp.mpc]
+    fn: Callable[[tuple[mp.mpf, mp.mpf]], mp.mpc]
     A: float = 1.0
     B: float = 0.0
-
-    def __call__(self, zeta: RamifiedPoint) -> mp.mpc:
-        return self.fn(zeta)
 
 
 def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
@@ -89,35 +87,32 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
         T = max(T, 8 / c)
 
         def integrand(rho):
-            zeta = RamifiedPoint(rho, th) if rho > 0 else None
-            val = g(zeta) if zeta is not None else mp.mpc(0)
-            return val * mp.exp(-w * rho)
+            return g.fn((rho, th)) * mp.exp(-w * rho)
 
         # extra digits so the rule's own roundoff stays below tol
         with mp.workprec(cfg.mantissa_bits + 20):
-            best = None
             for maxdegree in (8, 10, 12):
                 val, err = mp.quad(integrand, [0, min(1 / c, T / 2), T],
                                    error=True, maxdegree=maxdegree)
-                best = val
                 if err < tolv / 2:
-                    return ensure_finite(mp.exp(1j * th) * mp.mpc(best))
+                    return ensure_finite(mp.exp(1j * th) * mp.mpc(val))
         raise QuadratureError(
             f"quadrature error estimate {mp.nstr(err, 3)} did not reach tol = {mp.nstr(tolv, 3)}")
 
 
-def _euler_transform(zeta: RamifiedPoint) -> mp.mpc:
+def _euler_transform(zeta: tuple[mp.mpf, mp.mpf]) -> mp.mpc:
     # formed at the ambient precision, as the quadrature runs with guard bits
-    return 1 / (1 + zeta.modulus * mp.exp(1j * zeta.argument))
+    rho, theta = zeta
+    return 1 / (1 + rho * mp.exp(1j * theta))
 
 
-def _example2_transform(zeta: RamifiedPoint) -> mp.mpc:
+def _example2_transform(zeta: tuple[mp.mpf, mp.mpf]) -> mp.mpc:
     # (1 + zeta^(1/2))^(1/2) read on the cover: zeta^(1/2) uses the full argument
-    root = mp.sqrt(zeta.modulus) * mp.exp(1j * zeta.argument / 2)
-    return mp.sqrt(1 + root)
+    rho, theta = zeta
+    return mp.sqrt(1 + mp.sqrt(rho) * mp.exp(1j * theta / 2))
 
 
-def _const1_transform(zeta: RamifiedPoint) -> mp.mpc:
+def _const1_transform(zeta: tuple[mp.mpf, mp.mpf]) -> mp.mpc:
     return mp.mpc(1)
 
 

@@ -121,12 +121,8 @@ def _divergence_flag(term_mags: list[mp.mpf]) -> bool:
     convergence regime (or never had one)."""
     if len(term_mags) < 4:
         return False
-    nonzero = [t for t in term_mags if t > 0]
-    if not nonzero:
-        return False
     i_min = min(range(len(term_mags)), key=lambda i: term_mags[i] if term_mags[i] > 0 else mp.inf)
-    tail = term_mags[-1]
-    return i_min < len(term_mags) - 3 and tail > 4 * term_mags[i_min]
+    return i_min < len(term_mags) - 3 and term_mags[-1] > 4 * term_mags[i_min]
 
 
 def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
@@ -160,12 +156,10 @@ def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
-    f.require_depth(N + 1)
     with working_precision(prec):
         lv = as_mpf(lam)
         zdot = _halfplane(z, 0, prec)
-        fs = scale(f, lv, prec) if lv != 1 else f
-        d = generalized_coefficients(fs, N + 1, prec)
+        d = generalized_coefficients(scale(f, lv, prec), N + 1, prec)
         kernels = _beta_kernels(lv * zdot, f.m, N + 1, prec)
         terms = [lv * kernels[n - 1] * d[n - 1] for n in range(1, N + 1)]
         estimate = f.coefficients[0] + mp.fsum(terms, absolute=False)

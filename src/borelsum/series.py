@@ -30,14 +30,16 @@ from .numerics import (PrecisionConfig, as_mpc, as_mpf, ensure_finite,
 
 @dataclass(frozen=True)
 class RamifiedPoint:
-    """Point |z| e^(i arg z) of the m-sheeted cover of C*; argument unreduced."""
+    """Point |z| e^(i arg z) of the m-sheeted cover of C*; argument unreduced.
+    An ``mp.mpf`` is kept as given, other numbers convert at the ambient precision."""
 
     modulus: mp.mpf
     argument: mp.mpf
 
     def __post_init__(self):
-        object.__setattr__(self, "modulus", as_mpf(self.modulus))
-        object.__setattr__(self, "argument", as_mpf(self.argument))
+        for name in ("modulus", "argument"):
+            if not isinstance(getattr(self, name), mp.mpf):
+                object.__setattr__(self, name, as_mpf(getattr(self, name)))
         if not (mp.isfinite(self.modulus) and mp.isfinite(self.argument)):
             raise DomainError("RamifiedPoint modulus and argument must be finite")
         if not self.modulus > 0:
@@ -165,11 +167,11 @@ def rotate(f: FormalSeries, theta, prec: PrecisionConfig | None = None) -> Forma
 
 
 def scale(f: FormalSeries, lam, prec: PrecisionConfig | None = None) -> FormalSeries:
-    """Homothety coefficients: a_n -> lambda^(n/m - 1) a_n, lambda > 0."""
+    """Homothety coefficients: a_n -> lambda^(n/m - 1) a_n, lambda finite and > 0."""
     with working_precision(prec):
         lv = as_mpf(lam)
-        if not lv > 0:
-            raise DomainError("lambda must be positive")
+        if not (mp.isfinite(lv) and lv > 0):
+            raise DomainError("lambda must be finite and positive")
         return FormalSeries(
             f.m,
             (mp.power(lv, mp.mpf(n) / f.m - 1) * a

@@ -4,11 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.  Expected-value tables live in borelsum.reproduce.
 
 Known red cell: the stored reference row N=40 of table1 is internally
-inconsistent with the other five rows (see notes in the repository's
-review ledger); the exactly computed partial sum at per-branch depth 40
-differs from the stored digits by ~5 units in the last digit, and the
-error-column formula that matches the seven other error cells to two
-significant figures gives 1.1e-18 there instead of the stored 0.2e-18.
+inconsistent with the other five rows (see the table1 caveat under
+"Reference reproductions" in README.md); the exactly computed partial sum
+at per-branch depth 40 differs from the stored digits by ~5 units in the
+last digit, and the error-column formula that matches the seven other
+error cells to two significant figures gives 1.1e-18 there instead of the
+stored 0.2e-18.
 That one row is asserted in a strict xfail so the discrepancy stays
 visible without faking a pass.
 """

@@ -228,6 +228,10 @@ GOLDEN_COMMANDS = {
     "table_psi_generalized": ("table", "--builtin", "psi", "--method", "generalized",
                               "--lambda", "2.885390081777927", "--z-mod", "12",
                               "--N-range", "6,12,24,48,69,75"),
+    "sum_example2_oracle": ("sum", "--builtin", "example2", "--method", "oracle",
+                            "--theta", "1.0471975511965976", "--z-mod", "5"),
+    "sum_euler_oracle": ("sum", "--builtin", "euler", "--method", "oracle", "--z-mod", "3",
+                         "--z-arg", "0.5"),
 }
 
 
@@ -335,12 +339,15 @@ def test_empty_ranges_are_usage_errors():
 
 
 @pytest.mark.parametrize("flag, value", [("--z-mod", "inf"), ("--z-mod", "nan"),
-                                         ("--z-arg", "inf"), ("--z-arg", "nan")])
+                                         ("--z-arg", "inf"), ("--z-arg", "nan"),
+                                         ("--lambda", "inf"), ("--lambda", "nan")])
 def test_non_finite_point_is_a_domain_error(flag, value):
     where = {"--z-mod": "12", "--z-arg": "0", flag: value}
     proc = run_cli("sum", "--builtin", "psi", "--method", "branch", "--N", "5",
                    *(f"{k}={v}" for k, v in where.items()), expect=2)
     assert "finite" in proc.stderr
+    if flag == "--lambda":
+        assert "lambda" in proc.stderr
 
 
 @pytest.mark.parametrize("args, unread", [

@@ -99,7 +99,8 @@ def test_quadrature_default_tolerance_at_512_bits():
 
 
 def test_custom_evaluator(workprec, prec):
-    g = BorelEvaluator(fn=lambda zeta: mp.exp(-zeta.projection()), A=1.0, B=0.0)
+    # e^(-zeta) at the cover point zeta = rho e^(i theta), given as (rho, theta)
+    g = BorelEvaluator(fn=lambda zeta: mp.exp(-zeta[0] * mp.exp(1j * zeta[1])), A=1.0, B=0.0)
     v = laplace_quadrature(g, 0, mp.mpf(2), 1e-20, prec)
     assert abs(v - mp.mpf(1) / 3) < mp.mpf("1e-20")  # int e^(-3t) dt
 

@@ -14,7 +14,7 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       r_as_ramified, r_fact, rotated_generalized_sum,
                       stirling_transform, working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS
-from borelsum.ramified import _beta_kernels
+from borelsum.ramified import _beta_kernels, _divergence_flag
 
 
 def test_branch_sum_m1_reduces_to_factorial(workprec, prec):
@@ -184,6 +184,19 @@ def test_generalized_divergence_detection(workprec, prec):
     r100 = generalized_factorial_sum(f, 1, z, 100, prec=prec)
     assert abs(r10.estimate - r100.estimate) > mp.mpf("0.07")
     assert r100.diverging is True
+
+
+@pytest.mark.parametrize("mags, flag", [
+    ([0, 0, 0, 0, 0], False),              # no nonzero term to grow from
+    ([], False),                           # N = 0: no terms at all
+    ([1, 0.125, 4], False),                # fewer than four terms say nothing
+    ([1, 0.25, 0.5, 0.25, 2], True),       # growth past 4x the smallest term
+    ([1, 0.25, 0.5, 0.25, 1], False),      # growth to exactly 4x is not past it
+    ([0, 1, 0.25, 0.5, 0.5, 2], True),     # a zero term is not the smallest
+    ([1, 0.5, 0.25, 0.125, 16, 256], False),  # smallest within the last three
+])
+def test_divergence_flag(workprec, mags, flag):
+    assert _divergence_flag([mp.mpf(t) for t in mags]) is flag
 
 
 def test_pipeline_agreement_psi(workprec, prec):

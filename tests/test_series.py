@@ -18,6 +18,17 @@ def test_ramified_point_validation():
             RamifiedPoint(modulus, argument)
 
 
+def test_a_point_keeps_the_mpf_it_is_given():
+    with mp.workprec(256):
+        modulus, argument = mp.mpf(12) + mp.mpf(1) / 3, mp.pi / 3
+    # built at the ambient 53 bits, which would round 12 + 1/3 by ~6e-16
+    z = RamifiedPoint(modulus, argument)
+    assert z.modulus == modulus and z.argument == argument
+    z = RamifiedPoint(12, 0.5)
+    assert (type(z.modulus), type(z.argument)) == (mp.mpf, mp.mpf)
+    assert z.modulus == 12 and z.argument == 0.5
+
+
 def test_power_examples(workprec):
     eps = mp.mpf(2) ** -240
     assert abs(power(RamifiedPoint(4, 0), 1, 2) - 2) < eps
