@@ -4,20 +4,24 @@ Runs every distinct cold-CLI command of the benchmark workloads
 (perfbench/spec.py, seeds 1-3), every golden command of tests/test_cli.py
 (``GOLDEN_COMMANDS``, in json), ``reproduce all`` and one command for each
 route those leave out (``EXTRA``), once on the working tree's src/ and once
-on ``git archive REV src``, and lists each command whose
-stdout or exit code differs, with its first differing stdout line from each
-side (or the two exit codes).  It then runs one seed-1 library pass of every
-benchmark workload (perfbench/workloads.py, imported read-only) on each side,
-prints every ``Workload.values`` entry to 90 digits and names the first value
-that differs.  Exits 1 when any command or value does.
+on ``git archive REV src``, and lists each command whose stdout or exit
+code differs, with its first differing stdout line from each side (or the
+two exit codes) and, where the two stdouts differ only in their numbers, the
+largest relative difference between corresponding numbers.  It then runs one
+seed-1 library pass of every benchmark workload (perfbench/workloads.py,
+imported read-only) on each side, prints every ``Workload.values`` entry to
+90 digits and names the first value that differs.  Exits 1 when any command
+or value does.
 
     python3 scripts/same_numbers.py REV
 """
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
 
@@ -28,7 +32,7 @@ import spec  # noqa: E402
 from test_cli import GOLDEN_COMMANDS  # noqa: E402
 
 
-# the psi generalized route (the only built-in whose kernel chains restart) off
+# the psi generalized route (the only built-in whose chain offsets l/m round) off
 # the golden point, rotated example2 at full depth and the oracle no golden runs
 _JSON = ("--format", "json")
 EXTRA = [
@@ -56,6 +60,19 @@ for name in spec.WORKLOADS:
     for i, v in enumerate(w.values(w.run_pass()[0])):
         print(f"{name}[{i}]", mp.nstr(v, 90) if isinstance(v, (mp.mpf, mp.mpc)) else repr(v))
 """
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_relative_difference(out: str, rev_out: str) -> Fraction | None:
+    """max |a - b| / max(|a|, |b|) over the corresponding numbers of two
+    outputs, read exactly; None when the text between the numbers differs."""
+    if _NUMBER.split(out) != _NUMBER.split(rev_out):
+        return None
+    pairs = zip(map(Fraction, _NUMBER.findall(out)), map(Fraction, _NUMBER.findall(rev_out)))
+    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b),
+               default=Fraction(0))
 
 
 def run(src: Path, argv, path: str = "") -> tuple[int, str]:
@@ -94,6 +111,9 @@ def main(rev: str) -> int:
             zip_longest(out.split("\n"), rev_out.split("\n")))
         here, there = next(pair for pair in pairs if pair[0] != pair[1])
         print(f"  here:   {here}\n  at {rev}: {there}")
+        size = largest_relative_difference(out, rev_out)
+        print("  the text between the numbers differs" if size is None else
+              f"  largest relative difference between numbers: {float(size):.3g}")
     print(f"{len(argvs) - len(differ)} of {len(argvs)} commands give the same stdout and exit code")
     pairs = list(zip_longest(*values))
     first = next((pair for pair in pairs if pair[0] != pair[1]), None)

@@ -314,6 +314,7 @@ def bound_comparison_table(A, B, z: PointLike, n_max: int,
     against the factorial-series bound on the same envelope.
     """
     with working_precision(prec):
+        A, B = _positive("bound_comparison_table", A=A, B=B)
         zc = _halfplane(z, B, prec)
         rows = []
         for n in range(n_max + 1):

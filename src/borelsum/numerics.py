@@ -101,8 +101,9 @@ def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
                 prec: PrecisionConfig | None = None) -> mp.mpc:
     """Gamma(z) Gamma(s+n) / Gamma(z+s+n), the one-element chain at s + n.
 
-    With s = 1 this is the factorial-series kernel; with s = n/m, n = 0 it
-    is the generalized kernel Gamma(z)Gamma(s)/Gamma(z+s).  s is rounded to
+    With s = 1 this is the factorial-series kernel at index n; with
+    s = Fraction(l, m), 1 <= l <= m, it is the generalized kernel at flat
+    index l + nm, element n of the chain at offset l/m.  s is rounded to
     the working precision, as in ``gamma_ratios``, and s + n is formed
     exactly under the guard bits, so both see the same offset for any s.
     """

@@ -76,6 +76,8 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
         if not (mp.isfinite(tolv) and tolv > 0):
             raise DomainError("tol must be finite and positive")
         th = as_mpf(theta)
+        if not mp.isfinite(th):
+            raise DomainError("theta must be finite")
         zc = as_mpc(z)
         w = zc * mp.exp(1j * th)
         c = mp.re(w)

@@ -13,7 +13,9 @@ Two independent routes to the same Borel sum:
 
   where d_n = (a_n + sum_{l+jm=n, l,j>=1} d_{l/m, j} a_l) / Gamma(n/m)
   and the d_{r,j} are the exact rational coefficients from
-  :mod:`borelsum.combinatorics`.
+  :mod:`borelsum.combinatorics`.  In each residue class n = l + jm the
+  kernels form one chain, K_{j+1} = K_j (l/m + j) / (lambda z + l/m + j):
+  the factorial kernel's recurrence with offset l/m in place of 1.
 
 The two truncation conventions differ on purpose: branch sums truncate each
 branch at the same per-branch depth N, generalized sums truncate at flat
@@ -49,9 +51,11 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     """Assemble a_0 + sum_l z^((m-l)/m) * (factorial series of branch l at z projected).
 
     Each branch is a factorial series sum at per-branch depth N, all at the
-    same lambda z projected, so one kernel chain serves every branch; the
-    heuristic error and the rigorous bound are the z-weighted sums of the
-    per-branch ones, the condition number the worst branch's.
+    same lambda z projected, so one kernel chain serves every branch.  The
+    heuristic error is the z-weighted sum of the per-branch ones, the
+    condition number the worst branch's; the rigorous bound is the one
+    ``r_fact`` every branch shares times sum_{i<m} |z|^(i/m), the same form
+    as ``r_as_ramified``.
     Needs flat coefficients up to a_{l + m(N+1)} for every branch.
     """
     if N < 0:
@@ -69,11 +73,8 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
         a0, branches = branch_split(f)
         expansions = [factorial_expansion(fl, lv, N + 1, prec) for fl in branches]
         kernels = gamma_ratios(lv * zdot, 1, N + 1, prec)
-        # every branch has the same bound: one r_fact, weighted per branch
-        bound = rigorous = None
-        if envelope is not None:
-            bound = r_fact(lv, envelope.A, envelope.B, N, zdot, prec)
-            rigorous = mp.mpf(0)
+        rigorous = (None if envelope is None else
+                    r_fact(lv, envelope.A, envelope.B, N, zdot, prec) * _branch_weights(z, f.m))
         estimate = mp.mpc(a0)
         heuristic = mp.mpf(0)
         cond = mp.mpf(1)
@@ -82,8 +83,6 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
             weight = power(z, f.m - l, f.m, prec)
             estimate += weight * part.estimate
             heuristic += abs(weight) * part.heuristic_error
-            if bound is not None:
-                rigorous += abs(weight) * bound
             cond = max(cond, part.condition_number)
         return SummationResult(estimate=ensure_finite(estimate), N=N,
                                method="branch", rigorous_bound=rigorous,
@@ -126,25 +125,16 @@ def _divergence_flag(term_mags: list[mp.mpf]) -> bool:
 
 
 def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
-    """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count], with n/m
-    rounded to the working precision.
+    """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count].
 
-    Each residue class of n mod m is a ``gamma_ratios`` chain in steps of 1
-    in n/m.  A chain restarts wherever the rounded n/m is not exactly the
-    previous one plus 1, which can happen only where n/m passes a power of
-    two and its rounding grid coarsens; for m a power of two it never does.
+    Each residue class n = l + jm is one ``gamma_ratios`` chain at offset
+    l/m, the factorial kernel's recurrence with l/m in place of 1: the
+    kernel at n is chain element j, ``gamma_ratio(w, j, Fraction(l, m))``.
     """
-    with working_precision(prec):
-        s = [mp.mpf(n) / m for n in range(1, count + 1)]
-        out = [None] * count
-        for l in range(1, min(m, count) + 1):  # classes past count hold no n
-            ns = range(l, count + 1, m)
-            with mp.extraprec(64):  # s + 1 is exact with 64 extra bits
-                starts = [i for i, n in enumerate(ns) if i == 0 or s[n - 1] != s[n - 1 - m] + 1]
-            for i, j in zip(starts, starts[1:] + [len(ns)]):
-                for n, k in zip(ns[i:j], gamma_ratios(w, s[ns[i] - 1], j - i, prec)):
-                    out[n - 1] = k
-        return out
+    out = [None] * count
+    for l in range(1, min(m, count) + 1):  # classes past count hold no n
+        out[l - 1::m] = gamma_ratios(w, Fraction(l, m), len(range(l, count + 1, m)), prec)
+    return out
 
 
 def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,

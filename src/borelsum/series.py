@@ -162,6 +162,8 @@ def rotate(f: FormalSeries, theta, prec: PrecisionConfig | None = None) -> Forma
     """
     with working_precision(prec):
         th = as_mpf(theta)
+        if not mp.isfinite(th):
+            raise DomainError("theta must be finite")
         phase = [mp.exp(1j * n * th / f.m) for n in range(len(f))]
         return FormalSeries(f.m, (a * p for a, p in zip(f.coefficients, phase)))
 

@@ -350,6 +350,21 @@ def test_non_finite_point_is_a_domain_error(flag, value):
         assert "lambda" in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("method", ["generalized", "oracle"])
+def test_non_finite_theta_is_named(method, value):
+    # checked before the rotated series or the ray is built from it
+    N = ("--N", "10") if method == "generalized" else ()
+    proc = run_cli("sum", "--builtin", "example2", "--method", method, "--z-mod", "5", *N,
+                   f"--theta={value}", expect=2)
+    assert "theta must be finite" in proc.stderr and proc.stdout == ""
+
+
+def test_compare_bounds_names_a_non_finite_B():
+    proc = run_cli("compare-bounds", "--B", "nan", expect=2)
+    assert "positive A, B" in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize("args, unread", [
     (("--builtin", "example2", "--method", "generalized", "--N", "10", "--A", "2",
       "--B", "0.25"), ("--A", "--B")),

@@ -14,7 +14,7 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       r_as_ramified, r_fact, rotated_generalized_sum,
                       stirling_transform, working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS
-from borelsum.ramified import _beta_kernels, _divergence_flag
+from borelsum.ramified import _beta_kernels, _branch_weights, _divergence_flag
 
 
 def test_branch_sum_m1_reduces_to_factorial(workprec, prec):
@@ -311,7 +311,8 @@ def test_psi_sweep_on_one_series_matches_a_fresh_series_per_row(prec):
 
 
 def test_branch_sum_equals_its_weighted_branch_factorial_sums(prec):
-    # one kernel chain for all branches == one factorial_series_sum per branch
+    # one kernel chain for all branches == one factorial_series_sum per branch;
+    # every branch has the same bound, weighted by sum_{i<m} |z|^(i/m)
     f, z, lam, N = psi_series(3 * 22, prec), RamifiedPoint(13.375, 0.25), 4, 20
     env = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP, domain="ramified")
     with warnings.catch_warnings():
@@ -319,16 +320,22 @@ def test_branch_sum_equals_its_weighted_branch_factorial_sums(prec):
         res = branch_sum(f, lam, z, N, envelope=env, prec=prec)
         with working_precision(prec):
             a0, branches = branch_split(f)
-            estimate, heuristic, rigorous = mp.mpc(a0), mp.mpf(0), mp.mpf(0)
+            estimate, heuristic, per_branch = mp.mpc(a0), mp.mpf(0), mp.mpf(0)
+            bounds = set()
             for l, fl in enumerate(branches, start=1):
                 part = factorial_series_sum(factorial_expansion(fl, lam, N + 1, prec),
                                             z, N, env, prec)
                 weight = power(z, f.m - l, f.m, prec)
                 estimate += weight * part.estimate
                 heuristic += abs(weight) * part.heuristic_error
-                rigorous += abs(weight) * part.rigorous_bound
+                per_branch += abs(weight) * part.rigorous_bound
+                bounds.add(part.rigorous_bound)
+            (bound,) = bounds
+            rigorous = bound * _branch_weights(z, f.m)
     assert (res.estimate, res.heuristic_error, res.rigorous_bound) == \
         (estimate, heuristic, rigorous)
+    # the branch-by-branch sum is the same bound up to its own roundings
+    assert abs(res.rigorous_bound - per_branch) < mp.mpf(2) ** -250 * per_branch
 
 
 def test_branch_sum_computes_one_r_fact_for_all_branches(monkeypatch, prec):
@@ -347,11 +354,8 @@ def test_branch_sum_computes_one_r_fact_for_all_branches(monkeypatch, prec):
     assert branch_sum(f, 1, z, N, prec=prec).rigorous_bound is None
     assert len(calls) == 1
     with working_precision(prec):
-        bound = r_fact(1, 1, 1, N, z.projection(prec), prec)
-        per_branch = mp.mpf(0)
-        for l in range(1, f.m + 1):
-            per_branch += abs(power(z, f.m - l, f.m, prec)) * bound
-    assert res.rigorous_bound == per_branch
+        expected = r_fact(1, 1, 1, N, z.projection(prec), prec) * _branch_weights(z, f.m)
+    assert res.rigorous_bound == expected
 
 
 def test_branch_split_is_cached_per_precision(prec):
@@ -367,12 +371,31 @@ def test_branch_split_is_cached_per_precision(prec):
     assert [b.coefficients[1:] for b in wide] == [f.coefficients[l::3] for l in (1, 2, 3)]
 
 
-def test_generalized_kernels_equal_gamma_ratio_bit_for_bit(prec):
-    # residue chains against one gamma_ratio per flat index, at n/m rounded
-    # to the working precision: psi (m = 3, restarts) and example2 (m = 2)
-    with working_precision(prec):
-        cases = [(mp.mpf(2.885390081777927) * 12, 3, 76),
-                 (mp.mpf("0.6") * 5 * mp.exp(1j * mp.pi / 3), 2, 80)]
-        for w, m, count in cases:
-            singles = [gamma_ratio(w, 0, mp.mpf(n) / m, prec) for n in range(1, count + 1)]
-            assert _beta_kernels(w, m, count, prec) == singles, m
+def test_generalized_kernels_equal_gamma_ratio_bit_for_bit():
+    # the kernel at n = l + jm is element j of the chain at offset l/m:
+    # psi (m = 3), example2 (m = 2), m = 5 and 7, and a count below m
+    for prec in map(PrecisionConfig, (53, 113, 256, 512)):
+        with working_precision(prec):
+            psi_w = mp.mpf(2.885390081777927) * 12
+            ex2_w = mp.mpf("0.6") * 5 * mp.exp(1j * mp.pi / 3)
+            cases = [(psi_w, 3, 76), (ex2_w, 2, 80), (mp.mpc(7.5, -2), 5, 61),
+                     (mp.mpc("3.25", "0.5"), 7, 57), (psi_w, 7, 4)]
+            for w, m, count in cases:
+                singles = [gamma_ratio(w, (n - 1) // m, Fraction((n - 1) % m + 1, m), prec)
+                           for n in range(1, count + 1)]
+                assert _beta_kernels(w, m, count, prec) == singles, (prec, m)
+
+
+def test_psi_generalized_sum_carries_250_bits():
+    # the 256-bit sum against the same sum at 768 bits, at the golden point
+    # and off it, N up to the depth the golden table prints
+    lam = 2.885390081777927
+    narrow, wide = PrecisionConfig(256), PrecisionConfig(768)
+    f256, f768 = psi_series(76, narrow), psi_series(76, wide)
+    for z_mod in (12, 11.25):
+        z = RamifiedPoint(z_mod, 0)
+        for N in (12, 24, 48, 75):
+            got = generalized_factorial_sum(f256, lam, z, N, narrow).estimate
+            want = generalized_factorial_sum(f768, lam, z, N, wide).estimate
+            with working_precision(wide):
+                assert abs(got - want) < mp.mpf(2) ** -250 * abs(want), (z_mod, N)
