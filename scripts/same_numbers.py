@@ -10,8 +10,9 @@ two exit codes) and, where the two stdouts differ only in their numbers, the
 largest relative difference between corresponding numbers.  It then runs one
 seed-1 library pass of every benchmark workload (perfbench/workloads.py,
 imported read-only) on each side, prints every ``Workload.values`` entry to
-90 digits and names the first value that differs.  Exits 1 when any command
-or value does.
+90 digits and names the first value that differs.  Last it prints the line
+count of src/borelsum/*.py on each side.  Exits 1 when any command or value
+differs.
 
     python3 scripts/same_numbers.py REV
 """
@@ -94,6 +95,11 @@ def library_values(src: Path) -> list[str]:
     return out.splitlines()
 
 
+def source_lines(src: Path) -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in (src / "borelsum").glob("*.py"))
+
+
 def main(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev, "src"],
@@ -104,6 +110,7 @@ def main(rev: str) -> int:
         argvs = commands()
         results = [(a, cli(ROOT / "src", a), cli(Path(tmp) / "src", a)) for a in argvs]
         values = library_values(ROOT / "src"), library_values(Path(tmp) / "src")
+        lines = source_lines(ROOT / "src"), source_lines(Path(tmp) / "src")
     differ = [r for r in results if r[1] != r[2]]
     for argv, (code, out), (rev_code, rev_out) in differ:
         print("DIFFERS:", " ".join(argv))
@@ -121,6 +128,7 @@ def main(rev: str) -> int:
         print(f"DIFFERS: library value\n  here:   {first[0]}\n  at {rev}: {first[1]}")
     same = sum(here == there for here, there in pairs)
     print(f"{same} of {len(pairs)} library values of the seed-1 workload passes are identical")
+    print(f"src/borelsum/*.py: {lines[0]} lines here, {lines[1]} at {rev}")
     return 1 if differ or first is not None else 0
 
 

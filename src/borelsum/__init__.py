@@ -30,8 +30,8 @@ from .oracle import (BUILTIN_EVALUATORS, BUILTIN_SERIES, PSI_LAMBDA_SUP,
 from .ramified import (branch_sum, generalized_coefficients,
                        generalized_factorial_sum, least_term_sum_ramified,
                        r_as_ramified, rotated_generalized_sum)
-from .series import (FormalSeries, GrowthEnvelope, RamifiedPoint, as_point,
-                     branch_split, dump_series, load_series, partial_sum,
-                     power, rotate, scale)
+from .series import (FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split,
+                     dump_series, load_series, partial_sum, power, rotate,
+                     scale)
 
 __version__ = "0.1.0"

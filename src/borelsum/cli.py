@@ -18,6 +18,7 @@ import dataclasses
 import io
 import json
 import sys
+import warnings
 
 import click
 import mpmath as mp
@@ -320,6 +321,8 @@ def cmd_reproduce(target, precision_bits, out):
 
 
 def main(argv=None):
+    # a library warning is one line, like an error, not a source excerpt
+    warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
     try:
         cli(args=argv, standalone_mode=False)
         return 0

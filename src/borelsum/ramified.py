@@ -41,8 +41,8 @@ from .combinatorics import d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PrecisionConfig, as_mpf, ensure_finite, gamma_ratios,
                        working_precision)
-from .series import (FormalSeries, GrowthEnvelope, RamifiedPoint, as_point,
-                     branch_split, partial_sum, power, rotate, scale)
+from .series import (FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split,
+                     partial_sum, power, rotate, scale)
 
 
 def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
@@ -60,7 +60,6 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
-    z = as_point(z, prec)
     needed = f.m + f.m * (N + 1)
     if needed > f.n_max:
         raise InsufficientCoefficientsError(
@@ -167,7 +166,6 @@ def rotated_generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: in
                             prec: PrecisionConfig | None = None) -> SummationResult:
     """Sum in the rotated direction: the generalized series of the rotated
     coefficients, evaluated at z e^(i theta)."""
-    z = as_point(z, prec)
     with working_precision(prec):
         th = as_mpf(theta)
         result = generalized_factorial_sum(rotate(f, th, prec), lam,
@@ -182,7 +180,6 @@ def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,
     The practical error estimate is
     max_l |a_{l+mn}| * (sum_{i<m} |z|^(i/m)) / (|z|^n Re(z projected)).
     """
-    z = as_point(z, prec)
     with working_precision(prec):
         n = least_term_index(r, z)
         f.require_depth(f.m * n + f.m)
@@ -208,6 +205,5 @@ def r_as_ramified(r, A, B, n: int, z: RamifiedPoint, m: int,
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
-    z = as_point(z, prec)
     with working_precision(prec):
         return r_as(r, A, B, n, z, prec) * _branch_weights(z, m)

@@ -7,7 +7,10 @@ silent truncation would corrupt every error estimate built on top.
 
 A :class:`RamifiedPoint` is (modulus, argument) with the argument kept as a
 plain unreduced real; it only acquires the "mod 2*pi*m" meaning through the
-power map z^(k/m) = modulus^(k/m) * exp(i k/m * argument).
+power map z^(k/m) = modulus^(k/m) * exp(i k/m * argument).  The sheet is
+part of the point, so :func:`power`, :func:`partial_sum` and the ramified
+routes that read it take a :class:`RamifiedPoint` and no complex number; a
+``PointLike`` is either, for the sums and bounds that read only the projection.
 
 A :class:`GrowthEnvelope` is the growth pair (A, B) of a Borel transform on
 the lambda-region, with the largest permitted lambda, as the factorial-type
@@ -76,17 +79,6 @@ class GrowthEnvelope:
 
 
 PointLike = Union[RamifiedPoint, mp.mpc, mp.mpf, int, float, complex]
-
-
-def as_point(z: PointLike, prec: PrecisionConfig | None = None) -> RamifiedPoint:
-    """Coerce a complex number to a cover point on the principal sheet."""
-    if isinstance(z, RamifiedPoint):
-        return z
-    with working_precision(prec):
-        zc = as_mpc(z)
-        if zc == 0:
-            raise DomainError("0 is not a point of the punctured cover")
-        return RamifiedPoint(abs(zc), mp.arg(zc))
 
 
 def power(z: RamifiedPoint, k: int, m: int,
@@ -196,16 +188,15 @@ def branch_split(f: FormalSeries) -> tuple[mp.mpc, list[FormalSeries]]:
     return f.coefficients[0], list(f._derived(("branches", mp.mp.prec), split))
 
 
-def partial_sum(f: FormalSeries, z: PointLike, N: int,
+def partial_sum(f: FormalSeries, z: RamifiedPoint, N: int,
                 prec: PrecisionConfig | None = None) -> mp.mpc:
     """sum_{k=0}^{N} a_k z^(-k/m); requires N <= n_max."""
     if N < 0:
         raise DomainError("N must be nonnegative")
     f.require_depth(N)
-    zp = as_point(z, prec)
     with working_precision(prec):
         return ensure_finite(mp.fsum(
-            (f.coefficients[k] * power(zp, -k, f.m, prec) for k in range(N + 1)),
+            (f.coefficients[k] * power(z, -k, f.m, prec) for k in range(N + 1)),
             absolute=False))
 
 

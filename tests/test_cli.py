@@ -179,10 +179,14 @@ def test_reproduce_unknown_target_exits_1():
 
 
 def test_lambda_warning_on_stderr():
-    proc = run_cli("sum", "--builtin", "psi", "--method", "branch",
-                   "--lambda", "4", "--z-mod", "12", "--N", "10",
-                   "--A", "1", "--B", "1")
-    assert "exceeds the envelope" in proc.stderr
+    # one line in the style of "error: ...", no file path and no source excerpt,
+    # and a table whose rows all warn prints it once
+    line = ("warning: lambda = 4 exceeds the envelope's permitted factor 2.88539; "
+            "convergence is no longer guaranteed\n")
+    psi_branch = ("--builtin", "psi", "--method", "branch", "--lambda", "4",
+                  "--z-mod", "12", "--A", "1", "--B", "1")
+    assert run_cli("sum", *psi_branch, "--N", "10").stderr == line
+    assert run_cli("table", *psi_branch, "--N-range", "10,12,14").stderr == line
 
 
 def test_out_file(tmp_path):

@@ -18,13 +18,19 @@ from borelsum.ramified import _beta_kernels, _branch_weights, _divergence_flag
 
 
 def test_branch_sum_m1_reduces_to_factorial(workprec, prec):
-    f = euler_series(30)
-    z = RamifiedPoint(4, 0)
-    res_b = branch_sum(f, 1, z, 20, prec=prec)
-    e = factorial_expansion(f, 1, prec=prec)
-    res_f = factorial_series_sum(e, mp.mpf(4), 20, prec=prec)
-    assert abs(res_b.estimate - res_f.estimate) < mp.mpf(2) ** -230
-    assert abs(res_b.heuristic_error - res_f.heuristic_error) < mp.mpf(2) ** -230
+    # at m = 1 the one branch weight is z^0 = 1 and both routes project the
+    # same cover point, so every field agrees bit for bit
+    f = euler_series(60)
+    env = GrowthEnvelope(A=4, B=0.05, lam=mp.inf)
+    for mod, arg in [(4, 0), ("8.75", "-0.25"), (3, "1.2")]:
+        z = RamifiedPoint(mp.mpf(mod), mp.mpf(arg))
+        for lam in (1, mp.mpf("1.35")):
+            res_b = branch_sum(f, lam, z, 40, envelope=env, prec=prec)
+            res_f = factorial_series_sum(factorial_expansion(f, lam, prec=prec), z, 40,
+                                         envelope=env, prec=prec)
+            for field in ("estimate", "heuristic_error", "rigorous_bound",
+                          "condition_number"):
+                assert getattr(res_b, field) == getattr(res_f, field), (mod, arg, lam, field)
 
 
 def test_branch_sum_psi_table_rows(workprec, prec):
