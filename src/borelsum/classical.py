@@ -30,7 +30,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .combinatorics import _GrowingRow, stirling_first
+from .combinatorics import _STIRLING, _GrowingRow
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PrecisionConfig, as_mpc, as_mpf, ensure_finite,
                        gamma_ratio, gamma_ratios, working_precision)
@@ -81,9 +81,10 @@ class FactorialExpansion:
 
 def _transform_term(av: Sequence[mp.mpc], n: int) -> tuple[mp.mpc, mp.mpf]:
     """b_n from a_1..a_{n+1} (``av[:n + 1]``), and its condition number
-    sum_k |term_k| / |b_n|, at the ambient precision."""
-    terms = [(-1) ** (n - k + 1) * stirling_first(n, k - 1) * av[k - 1]
-             for k in range(1, n + 2)]
+    sum_k |term_k| / |b_n|, at the ambient precision.  s(n, k-1) has the
+    sign (-1)^(n-k+1), so term_k is |s(n, k-1)| a_k."""
+    row = _STIRLING.upto(n)[n]
+    terms = [abs(row[j]) * av[j] for j in range(n + 1)]
     nfact = mp.factorial(n)
     b_n = mp.fsum(terms, absolute=False) / nfact
     gross = mp.fsum(terms, absolute=True) / nfact

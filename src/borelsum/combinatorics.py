@@ -26,12 +26,11 @@ form above is the definition the test suite checks those rows against;
 
 Every cached recurrence (Stirling rows, d-rows, the factorial rows of
 ``classical``, the psi coefficients of ``oracle``) is a ``_GrowingRow``,
-grown in place under its own lock.
+grown in place under ``numerics.PRECISION_LOCK``.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm
@@ -40,7 +39,7 @@ from operator import mul
 import mpmath as mp
 
 from .errors import DomainError
-from .numerics import PrecisionConfig, as_mpf, working_precision
+from .numerics import PRECISION_LOCK, PrecisionConfig, as_mpf, working_precision
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -74,21 +73,20 @@ class _GrowingRow:
 
     Subclasses keep the recurrence's running state and define ``step(n)``,
     which returns v_n once v_0..v_{n-1} are in ``values``.  Growth runs
-    under the row's own lock and resumes where the last request stopped; a
+    under ``PRECISION_LOCK`` and resumes where the last request stopped; a
     read of a row already long enough takes no lock, as ``values`` only
     ever gains entries at its end.
     """
 
     def __init__(self, first):
         self.values = [first]
-        self._lock = threading.Lock()
 
     def upto(self, n: int) -> list:
         """The live list of values, holding at least v_0..v_n; read it, never
         change it."""
         values = self.values
         if len(values) <= n:
-            with self._lock:
+            with PRECISION_LOCK:
                 for i in range(len(values), n + 1):
                     values.append(self.step(i))
         return values
@@ -156,7 +154,6 @@ class _DRow(_GrowingRow):
 
 
 _D_ROWS: dict[Fraction, _DRow] = {}
-_D_LOCK = threading.Lock()  # guards _D_ROWS; each row grows under its own lock
 
 
 def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
@@ -178,7 +175,7 @@ def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
         raise DomainError("d_coefficient_row requires r > 0")
     if j_max < 0:
         raise DomainError("j must be nonnegative")
-    with _D_LOCK:
+    with PRECISION_LOCK:
         row = _D_ROWS.get(r)
         if row is None:
             row = _D_ROWS[r] = _DRow(r)

@@ -16,10 +16,16 @@ mantissa size; operations run under ``mpmath.workprec`` so results carry the
 requested precision regardless of the caller's global mpmath state.  The
 conversions ``as_mpf`` and ``as_mpc`` take no precision of their own: they
 round at the ambient one, so callers convert inside ``working_precision``.
+
+mpmath's precision is process-global, so ``working_precision`` holds the
+reentrant ``PRECISION_LOCK``: library calls from several threads run one at
+a time, each at its own precision.  It is the library's one lock, and the
+caches of ``combinatorics`` and ``FormalSeries`` grow under it.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,13 +66,14 @@ class PrecisionConfig:
 
 
 DEFAULT_PRECISION = PrecisionConfig()
+PRECISION_LOCK = threading.RLock()
 
 
 @contextmanager
 def working_precision(prec: PrecisionConfig | None):
-    """Run a block at the precision named by ``prec`` (or the default)."""
+    """Run a block at ``prec`` (or the default), holding ``PRECISION_LOCK``."""
     cfg = prec or DEFAULT_PRECISION
-    with mp.workprec(cfg.mantissa_bits):
+    with PRECISION_LOCK, mp.workprec(cfg.mantissa_bits):
         yield cfg
 
 

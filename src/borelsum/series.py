@@ -20,15 +20,14 @@ sums read it; the least-term strip bounds take (A, B) as plain arguments.
 from __future__ import annotations
 
 import json
-import threading
-from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 import mpmath as mp
 
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PrecisionConfig, as_mpc, as_mpf, ensure_finite,
-                       working_precision)
+from .numerics import (PRECISION_LOCK, PrecisionConfig, as_mpc, as_mpf,
+                       ensure_finite, working_precision)
 
 
 @dataclass(frozen=True)
@@ -91,40 +90,31 @@ def power(z: RamifiedPoint, k: int, m: int,
         return ensure_finite(mp.power(z.modulus, expo) * mp.exp(1j * expo * z.argument))
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class FormalSeries:
     """Coefficients a_0..a_nmax of sum_n a_n z^(-n/m), ramification order m.
 
     The coefficients never change.  Data derived from them (the branch split,
     the factorial rows of :func:`borelsum.classical.factorial_expansion`) is
-    cached on the object by :meth:`_derived`, so it lives and dies with it.
+    cached on the object by :meth:`_derived` under ``PRECISION_LOCK``, so it
+    lives and dies with it, and copies and pickles carry it along.
     """
 
-    __slots__ = ("m", "coefficients", "_cache", "_lock")
+    m: int
+    coefficients: tuple[mp.mpc, ...]  # given as any iterable of numbers
+    _cache: dict = field(init=False, default_factory=dict)
 
-    def __init__(self, m: int, coefficients: Iterable):
-        if m < 1:
+    def __post_init__(self):
+        if self.m < 1:
             raise DomainError("ramification order m must be >= 1")
-        coeffs = tuple(as_mpc(c) for c in coefficients)
-        if not coeffs:
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "coefficients", tuple(as_mpc(c) for c in self.coefficients))
+        if not self.coefficients:
             raise DomainError("a FormalSeries needs at least the constant term")
-        self.__setstate__((int(m), coeffs))
-
-    def __setattr__(self, *a):  # immutable value type
-        raise AttributeError("FormalSeries is immutable")
-
-    def __getstate__(self):  # copies and pickles leave the cache behind
-        return self.m, self.coefficients
-
-    def __setstate__(self, state):
-        m, coeffs = state
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_lock", threading.Lock())
 
     def _derived(self, key, build: Callable[[], object]):
         """What ``build()`` returned on the first call with ``key``."""
-        with self._lock:
+        with PRECISION_LOCK:
             value = self._cache.get(key)
             if value is None:
                 value = self._cache[key] = build()
@@ -229,6 +219,8 @@ def load_series(path: str, prec: PrecisionConfig | None = None) -> FormalSeries:
                 coeffs.append(mp.mpc(as_mpf(str(row[0])), as_mpf(str(row[1]))))
             except ValueError as exc:
                 raise DomainError(f"coefficient {row!r} is not a pair of numbers") from exc
+            if not mp.isfinite(coeffs[-1]):
+                raise DomainError(f"coefficient {row!r} is not finite")
         return FormalSeries(m, coeffs)
 
 

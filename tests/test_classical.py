@@ -322,10 +322,8 @@ def test_factorial_rows_grow_consistently_across_threads(prec):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(old)
-        # threads interleave mpmath's process-global precision switches, so
-        # the last one to leave may not restore the precision it found
-        mp.mp.prec = old_prec
     assert not any(t.is_alive() for t in threads)
+    assert mp.mp.prec == old_prec  # each thread restored the precision it found
     assert len(results) == 6 * len(requests)
     for lam, N, e in results:
         assert e == factorial_expansion(_reciprocal_series(60, prec), lam, N, prec)
@@ -337,4 +335,5 @@ def test_a_series_with_cached_rows_pickles(prec):
     with mp.workprec(53):  # unpickling must not round the coefficients
         g = pickle.loads(pickle.dumps(f))
     assert g.coefficients == f.coefficients
+    assert g._cache.keys() == f._cache.keys()  # the cached rows travel along
     assert factorial_expansion(g, 2, 15, prec) == e

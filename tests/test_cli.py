@@ -96,11 +96,17 @@ def test_malformed_series_file_exits_1(tmp_path):
 
 def test_malformed_series_values_exit_1_without_traceback(tmp_path):
     path = tmp_path / "bad.json"
-    for content in (b'{"m": 1, "coefficients": [["0", "0"], ["abc", "0"]]}',
-                    b'{"m": 1, "coefficients": [["0", "0"]], "note": "\xff"}'):
+    head = '["1", "0"], ["1", "0"], ["2", "0"], ["6", "0"], ["24", "0"]'
+    for content, method, N in (
+            (b'{"m": 1, "coefficients": [["0", "0"], ["abc", "0"]]}', "factorial", "0"),
+            (b'{"m": 1, "coefficients": [["0", "0"]], "note": "\xff"}', "factorial", "0"),
+            # a non-finite a_5 once summed to +inf or nan with exit 0
+            (f'{{"m": 1, "coefficients": [{head}, ["inf", "0"]]}}'.encode(), "factorial", "3"),
+            (f'{{"m": 1, "coefficients": [{head}, ["nan", "0"]]}}'.encode(), "generalized",
+             "4")):
         path.write_bytes(content)
-        proc = run_cli("sum", "--series", str(path), "--method", "factorial",
-                       "--z-mod", "3", "--N", "0", expect=1)
+        proc = run_cli("sum", "--series", str(path), "--method", method,
+                       "--z-mod", "3", "--N", N, expect=1)
         assert "Traceback" not in proc.stderr
 
 

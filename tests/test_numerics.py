@@ -1,3 +1,5 @@
+import threading
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -156,3 +158,23 @@ def test_precision_doubling_stability():
     v256 = gamma_ratio(mp.mpc(3, 4), 30, mp.mpf(1) / 2, PrecisionConfig(256))
     v512 = gamma_ratio(mp.mpc(3, 4), 30, mp.mpf(1) / 2, PrecisionConfig(512))
     assert abs(v256 - v512) < mp.mpf(2) ** -250 * abs(v512)
+
+
+def test_a_thread_keeps_its_precision_while_another_leaves_its_block():
+    # no workprec fixture: the thread waits for the main thread's block, and
+    # a block held around the join would never end
+    seen, ambient = [], mp.mp.prec
+
+    def other():
+        with working_precision(PrecisionConfig(512)):
+            time.sleep(0.3)
+            seen.append(mp.mp.prec)
+
+    with working_precision(PrecisionConfig(113)):
+        thread = threading.Thread(target=other)
+        thread.start()
+        time.sleep(0.1)  # the thread enters while this block still runs
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert seen == [512]
+    assert mp.mp.prec == ambient

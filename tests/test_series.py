@@ -229,8 +229,10 @@ def test_series_json_roundtrip(tmp_path, prec):
     b'{"m": 1, "coefficients": [["1", {}]]}',
     b'{"m": true, "coefficients": [["1", "0"]]}',
     b'{"m": 1, "coefficients": [["1", "0"]], "note": "\xff\xfe"}',
+    b'{"m": 1, "coefficients": [["1", "0"], ["inf", "0"]]}',
+    b'{"m": 1, "coefficients": [["1", "0"], ["0", "nan"]]}',
 ], ids=["not-json", "no-coefficients", "not-a-pair", "word", "null", "object", "bool-m",
-        "not-utf8"])
+        "not-utf8", "inf", "nan"])
 def test_load_series_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
