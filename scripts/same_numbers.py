@@ -34,7 +34,8 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 
 
 # the psi generalized route (the only built-in whose chain offsets l/m round) off
-# the golden point, rotated example2 at full depth and the oracle no golden runs
+# the golden point, rotated example2 at full depth, the oracle no golden runs and
+# the m = 1 generalized route, which sums as the factorial route does
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -42,6 +43,8 @@ EXTRA = [
     ("sum", "--builtin", "example2", "--method", "generalized", "--theta", "1.0471975511965976",
      "--lambda", "0.6", "--z-mod", "4.5", "--N", "150", *_JSON),
     ("sum", "--builtin", "const1", "--method", "oracle", "--z-mod", "2", *_JSON),
+    ("sum", "--builtin", "euler", "--method", "generalized", "--z-mod", "3", "--N", "11",
+     *_JSON),
 ]
 
 

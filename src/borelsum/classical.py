@@ -42,9 +42,10 @@ class SummationResult:
     """Outcome of one summation: estimate, truncation, and error information.
 
     Non-oracle methods always carry at least one of ``rigorous_bound`` /
-    ``heuristic_error``.  ``condition_number`` reports the worst
-    cancellation ratio met while forming the estimate; ``diverging`` is set
-    by methods able to detect that their series has stopped converging.
+    ``heuristic_error``.  ``condition_number`` is the worst cancellation
+    ratio met, the larger of two parts: the coefficients' own (the Stirling
+    transform's; 1 for the d_n) and the sum's, (|a_0| + lambda sum |term|) /
+    |estimate|.  Every factorial-type sum sets ``diverging``.
     """
 
     estimate: mp.mpc
@@ -65,8 +66,8 @@ class SummationResult:
 class FactorialExpansion:
     """Factorial-series data (lambda, b_0..b_N, constant term a_0).
 
-    ``condition`` holds the per-coefficient cancellation ratios of the
-    Stirling transform, aligned with ``b``.
+    ``condition`` holds the per-coefficient cancellation ratios, aligned with
+    ``b``: the Stirling transform's, or 1 for the d_n of a generalized sum.
     """
 
     lam: mp.mpf
@@ -140,19 +141,6 @@ def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
         return FactorialExpansion(lam=lv, b=b, a0=f.coefficients[0], condition=cond)
 
 
-def _first_omitted_estimate(b_next, kernel, z) -> mp.mpf:
-    """Practical first-omitted-term error estimate of the factorial series.
-
-    |b_{N+1}| |Gamma(lambda z)| Gamma(N+2) / (Re z |Gamma(lambda z + N + 1)|),
-    from the last kernel K_N = Gamma(lambda z) Gamma(N+1) / Gamma(lambda z + N + 1)
-    of the sum as (N+1) K_N: the (N+1)-st coefficient against the running
-    kernel, with the tail of the Laplace integral contributing the 1/Re z
-    factor.  This matches the printed error columns of the reference tables
-    to their two significant digits (factorial and branch methods).
-    """
-    return abs(b_next) * abs(kernel) / mp.re(z)
-
-
 def check_lambda_permitted(lam, envelope: GrowthEnvelope | None) -> None:
     """Warn (never fail) when lambda exceeds the envelope's validity factor.
 
@@ -185,8 +173,9 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
     z is a cover point or a complex number with Re z > 0; the caller is
     responsible for Re z > max(B, 1/lambda) when convergence to the Borel
     sum is claimed.  ``heuristic_error`` is the first-omitted-term estimate
-    (needs b_{N+1}); ``rigorous_bound`` is emitted when a region envelope
-    is supplied.
+    |b_{N+1}| (N+1) |K_N| / Re z (needs b_{N+1}), which matches the printed
+    error columns of the reference tables to their two significant digits;
+    ``rigorous_bound`` is emitted when a region envelope is supplied.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -196,27 +185,47 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
     with working_precision(prec):
         zc = _halfplane(z, 0, prec)
         check_lambda_permitted(e.lam, envelope)
-        return _factorial_sum(e, zc, N, gamma_ratios(e.lam * zc, 1, N + 1, prec),
-                              envelope, prec)
+        kernels = gamma_ratios(e.lam * zc, 1, N + 1, prec)
+        rigorous = (None if envelope is None else
+                    r_fact(e.lam, envelope.A, envelope.B, N, zc, prec))
+        return _kernel_sum("factorial", N, e, kernels, (N + 1) * kernels[N], zc, rigorous)
 
 
-def _factorial_sum(e: FactorialExpansion, zc: mp.mpc, N: int, kernels: list,
-                   envelope: GrowthEnvelope | None, prec: PrecisionConfig | None
-                   ) -> SummationResult:
-    """The body of :func:`factorial_series_sum` at z = ``zc`` (Re zc > 0),
-    given the kernels Gamma(lambda z) Gamma(n+1) / Gamma(lambda z + n + 1)
-    for n <= N; ``e`` stores b_0..b_{N+1}."""
-    with working_precision(prec):
-        total = mp.fsum((kernels[n] * e.b[n] for n in range(N + 1)), absolute=False)
-        estimate = e.a0 + e.lam * total
-        heuristic = _first_omitted_estimate(e.b[N + 1], (N + 1) * kernels[N], zc)
-        rigorous = None
-        if envelope is not None:
-            rigorous = r_fact(e.lam, envelope.A, envelope.B, N, zc, prec)
-        cond = max(e.condition[:N + 2])
-        return SummationResult(estimate=ensure_finite(estimate), N=N,
-                               method="factorial", rigorous_bound=rigorous,
-                               heuristic_error=heuristic, condition_number=cond)
+def _kernel_sum(method: str, N: int, e: FactorialExpansion, kernels: Sequence, tail,
+                zc: mp.mpc, rigorous=None) -> SummationResult:
+    """a_0 + lambda sum_i K_i b_i of ``e``, one term per kernel given, at the
+    ambient precision.  The heuristic error is |b_next| |tail| / Re z, ``tail``
+    the omitted kernel times its class chain's tail factor
+    (docs/first-omitted-estimate.md); the condition number the larger of
+    ``e.condition`` and (|a_0| + lambda sum |K_i b_i|) / |estimate|;
+    ``diverging`` reads the same |K_i b_i|."""
+    terms = [k * c for k, c in zip(kernels, e.b)]
+    total = mp.fsum(terms)
+    estimate = e.a0 + e.lam * total
+    mags = [abs(t) for t in terms]
+    gross = abs(e.a0) + e.lam * mp.fsum(mags)
+    cond = gross / abs(estimate) if estimate != 0 else mp.inf if gross != 0 else mp.mpf(1)
+    return SummationResult(
+        estimate=ensure_finite(estimate), N=N, method=method, rigorous_bound=rigorous,
+        heuristic_error=abs(e.b[len(kernels)]) * abs(tail) / mp.re(zc),
+        condition_number=max(max(e.condition[:len(kernels) + 1]), cond),
+        diverging=_divergence_flag(mags))
+
+
+def _divergence_flag(term_mags: list[mp.mpf]) -> bool:
+    """Growth past 4x the smallest nonzero term, three or more terms before the
+    last, signals the series left its convergence regime (or never had one).
+    A dip below a quarter of both neighbours, one interleaved coefficient
+    sequence crossing zero, is never the smallest."""
+    t = term_mags
+    if len(t) < 4:
+        return False
+    def dip(i):
+        return 0 < i < len(t) - 1 and 4 * t[i] < min(t[i - 1], t[i + 1])
+    i_min = min(range(len(t)), key=lambda i: t[i] or mp.inf)
+    if t[-1] > 4 * t[i_min] and dip(i_min):  # rare: only then look past every dip
+        i_min = min(range(len(t)), key=lambda i: mp.inf if not t[i] or dip(i) else t[i])
+    return i_min < len(t) - 3 and t[-1] > 4 * t[i_min]
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +326,7 @@ def bound_comparison_table(A, B, z: PointLike, n_max: int,
     with working_precision(prec):
         A, B = _positive("bound_comparison_table", A=A, B=B)
         zc = _halfplane(z, B, prec)
-        rows = []
-        for n in range(n_max + 1):
-            rows.append(BoundRow(
-                n=n,
-                log_r_as_ln2=mp.log10(r_as(mp.log(2), A, B, n, zc, prec)),
-                log_r_as_halfpi=mp.log10(r_as(mp.pi / 2, A, B, n, zc, prec)),
-                log_r_fact=mp.log10(r_fact(1, A, B, n, zc, prec)),
-            ))
-        return rows
+        return [BoundRow(n=n, log_r_as_ln2=mp.log10(r_as(mp.log(2), A, B, n, zc, prec)),
+                         log_r_as_halfpi=mp.log10(r_as(mp.pi / 2, A, B, n, zc, prec)),
+                         log_r_fact=mp.log10(r_fact(1, A, B, n, zc, prec)))
+                for n in range(n_max + 1)]

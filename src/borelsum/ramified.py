@@ -21,10 +21,11 @@ The two truncation conventions differ on purpose: branch sums truncate each
 branch at the same per-branch depth N, generalized sums truncate at flat
 index n <= N, and the flat index runs m times faster.
 
-Neither pipeline checks the analytic hypotheses behind convergence (that
-would need the Borel transform's singularity set); instead results carry
-divergence diagnostics: term growth past the smallest term flips
-``diverging`` and the cancellation condition number is reported.
+Both routes sum through the one kernel-sum body of :mod:`borelsum.classical`,
+so they share its first-omitted-term estimate, condition number and
+divergence flag.  Neither checks the analytic hypotheses behind convergence
+(that would need the Borel transform's singularity set); instead term growth
+past the smallest term flips ``diverging``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .classical import (SummationResult, _factorial_sum, _halfplane,
+from .classical import (FactorialExpansion, SummationResult, _halfplane, _kernel_sum,
                         check_lambda_permitted, factorial_expansion,
                         least_term_index, r_as, r_fact)
 from .combinatorics import d_coefficient_row
@@ -53,9 +54,9 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     Each branch is a factorial series sum at per-branch depth N, all at the
     same lambda z projected, so one kernel chain serves every branch.  The
     heuristic error is the z-weighted sum of the per-branch ones, the
-    condition number the worst branch's; the rigorous bound is the one
-    ``r_fact`` every branch shares times sum_{i<m} |z|^(i/m), the same form
-    as ``r_as_ramified``.
+    condition number the worst branch's, ``diverging`` any branch's; the
+    rigorous bound is the one ``r_fact`` every branch shares times
+    sum_{i<m} |z|^(i/m), the same form as ``r_as_ramified``.
     Needs flat coefficients up to a_{l + m(N+1)} for every branch.
     """
     if N < 0:
@@ -74,18 +75,18 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
         kernels = gamma_ratios(lv * zdot, 1, N + 1, prec)
         rigorous = (None if envelope is None else
                     r_fact(lv, envelope.A, envelope.B, N, zdot, prec) * _branch_weights(z, f.m))
-        estimate = mp.mpc(a0)
-        heuristic = mp.mpf(0)
-        cond = mp.mpf(1)
+        tail = (N + 1) * kernels[N]
+        estimate, heuristic, cond, diverging = mp.mpc(a0), mp.mpf(0), mp.mpf(1), False
         for l, e in enumerate(expansions, start=1):
-            part = _factorial_sum(e, zdot, N, kernels, None, prec)
+            part = _kernel_sum("factorial", N, e, kernels, tail, zdot)
             weight = power(z, f.m - l, f.m, prec)
             estimate += weight * part.estimate
             heuristic += abs(weight) * part.heuristic_error
             cond = max(cond, part.condition_number)
-        return SummationResult(estimate=ensure_finite(estimate), N=N,
-                               method="branch", rigorous_bound=rigorous,
-                               heuristic_error=heuristic, condition_number=cond)
+            diverging = diverging or part.diverging
+        return SummationResult(estimate=ensure_finite(estimate), N=N, method="branch",
+                               rigorous_bound=rigorous, heuristic_error=heuristic,
+                               condition_number=cond, diverging=diverging)
 
 
 def generalized_coefficients(f: FormalSeries, n_max: int | None = None,
@@ -114,15 +115,6 @@ def generalized_coefficients(f: FormalSeries, n_max: int | None = None,
         return out
 
 
-def _divergence_flag(term_mags: list[mp.mpf]) -> bool:
-    """Growing terms past the smallest one signal the series left its
-    convergence regime (or never had one)."""
-    if len(term_mags) < 4:
-        return False
-    i_min = min(range(len(term_mags)), key=lambda i: term_mags[i] if term_mags[i] > 0 else mp.inf)
-    return i_min < len(term_mags) - 3 and term_mags[-1] > 4 * term_mags[i_min]
-
-
 def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
     """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count].
 
@@ -141,35 +133,33 @@ def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     """Generalized factorial series truncated at flat index n <= N.
 
     Needs d_{N+1}, hence coefficients up to a_{N+1}, for the
-    first-omitted-term estimate; no growth envelope enters it.
+    first-omitted-term estimate; no growth envelope enters it.  Its tail
+    factor lambda z + (N+1)/m - 1 makes the m = 1 sum at N + 1 the factorial one at N.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
     with working_precision(prec):
         lv = as_mpf(lam)
         zdot = _halfplane(z, 0, prec)
-        d = generalized_coefficients(scale(f, lv, prec), N + 1, prec)
+        head = FormalSeries(f.m, f.coefficients[:N + 2])  # a_0..a_{N+1}, all the sum reads
+        d = generalized_coefficients(scale(head, lv, prec), N + 1, prec)
+        e = FactorialExpansion(lam=lv, b=tuple(d), a0=f.coefficients[0],
+                               condition=(mp.mpf(1),) * len(d))
         kernels = _beta_kernels(lv * zdot, f.m, N + 1, prec)
-        terms = [lv * kernels[n - 1] * d[n - 1] for n in range(1, N + 1)]
-        estimate = f.coefficients[0] + mp.fsum(terms, absolute=False)
-        mags = [abs(t) for t in terms]
-        heuristic = abs(lv * kernels[N] * d[N])
-        gross = mp.fsum(mags)
-        cond = gross / abs(estimate) if estimate != 0 else mp.inf
-        return SummationResult(estimate=ensure_finite(estimate), N=N,
-                               method="generalized", heuristic_error=heuristic,
-                               condition_number=cond,
-                               diverging=_divergence_flag(mags))
+        tail = kernels[N] * (lv * zdot + mp.mpf(N + 1) / f.m - 1)
+        return _kernel_sum("generalized", N, e, kernels[:N], tail, zdot)
 
 
 def rotated_generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: int,
                             prec: PrecisionConfig | None = None) -> SummationResult:
     """Sum in the rotated direction: the generalized series of the rotated
     coefficients, evaluated at z e^(i theta)."""
+    if N < 0:
+        raise DomainError("N must be nonnegative")
     with working_precision(prec):
         th = as_mpf(theta)
-        result = generalized_factorial_sum(rotate(f, th, prec), lam,
-                                           z.rotated(th), N, prec)
+        head = FormalSeries(f.m, f.coefficients[:N + 2])  # a_0..a_{N+1}, all the sum reads
+        result = generalized_factorial_sum(rotate(head, th, prec), lam, z.rotated(th), N, prec)
     return dataclasses.replace(result, method="generalized-rotated")
 
 

@@ -24,16 +24,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import mpmath as mp
 
 from .classical import bound_comparison_table
 from .errors import DomainError
 from .numerics import PrecisionConfig, as_mpf, working_precision
-from .oracle import PSI_LAMBDA_SUP, psi_series, example2_series
+from .oracle import BUILTIN_SERIES, PSI_LAMBDA_SUP
 from .ramified import (branch_sum, generalized_factorial_sum,
                        least_term_sum_ramified, rotated_generalized_sum)
-from .series import GrowthEnvelope, RamifiedPoint
+from .series import FormalSeries, GrowthEnvelope, RamifiedPoint
 
 # printed rows: N -> (estimate, error-column)
 _TABLE1 = {
@@ -81,14 +82,8 @@ class ReproRow:
 def _ulp(printed: str) -> mp.mpf:
     """One unit in the last printed digit of a decimal string like
     '0.26256292301' or '0.50e-5'."""
-    s = printed.strip().lower().lstrip("+-")
-    if "e" in s:
-        mant, expo = s.split("e")
-        shift = int(expo)
-    else:
-        mant, shift = s, 0
-    decimals = len(mant.split(".")[1]) if "." in mant else 0
-    return mp.mpf(10) ** (shift - decimals)
+    mant, _, expo = printed.strip().lower().lstrip("+-").partition("e")
+    return mp.mpf(10) ** (int(expo or 0) - len(mant.partition(".")[2]))
 
 
 def _within_ulp(value, printed: str) -> bool:
@@ -126,10 +121,20 @@ def _flag_row(label: str, flag) -> ReproRow:
     return ReproRow(label, str(bool(flag)), "True", bool(flag))
 
 
+@cache
+def _builtin(name: str, prec: PrecisionConfig) -> FormalSeries:
+    """psi or example2, built once per process and precision as deep as its
+    deepest row reads: a_{3(N+2)} for a branch sum at N (which covers the
+    psi generalized and least-term rows), a_{N+1} for a generalized one."""
+    depth = {"psi": 3 * (max(_TABLE1 | _TABLE2 | _TABLE3) + 2),
+             "example2": max(_TABLE4 | _TABLE5) + 1}[name]
+    return BUILTIN_SERIES[name](depth, prec)
+
+
 def _psi_branch_rows(table, lam, prec,
                      envelope: GrowthEnvelope | None = None) -> list[ReproRow]:
     rows: list[ReproRow] = []
-    f = psi_series(3 * (max(table) + 2), prec)
+    f = _builtin("psi", prec)
     z = RamifiedPoint(12, 0)
     for N, (est_str, err_str) in sorted(table.items()):
         res = branch_sum(f, lam, z, N, envelope=envelope, prec=prec)
@@ -158,7 +163,7 @@ def _run_table2(prec) -> list[ReproRow]:
 
 def _run_table3(prec) -> list[ReproRow]:
     lam = 2 / mp.log(2)
-    f = psi_series(3 * 25 + 2, prec)
+    f = _builtin("psi", prec)
     z = RamifiedPoint(12, 0)
     ref = mp.mpf(_TABLE3_REFERENCE)
     rows: list[ReproRow] = []
@@ -171,7 +176,7 @@ def _run_table3(prec) -> list[ReproRow]:
 
 
 def _run_table4(prec) -> list[ReproRow]:
-    f = example2_series(110, prec)
+    f = _builtin("example2", prec)
     z = RamifiedPoint(5, 0)
     rows: list[ReproRow] = []
     for N, (est_str, tol_str) in sorted(_TABLE4.items()):
@@ -181,7 +186,7 @@ def _run_table4(prec) -> list[ReproRow]:
 
 
 def _run_table5(prec) -> list[ReproRow]:
-    f = example2_series(160, prec)
+    f = _builtin("example2", prec)
     z = RamifiedPoint(5, 0)
     ref = mp.mpf(_TABLE5_REFERENCE)
     rows: list[ReproRow] = []
@@ -213,7 +218,7 @@ def _run_fig2(prec) -> list[ReproRow]:
 
 
 def _run_leastterm(prec) -> list[ReproRow]:
-    f = psi_series(78, prec)
+    f = _builtin("psi", prec)
     res = least_term_sum_ramified(f, 2, RamifiedPoint(12, 0), prec=prec)
     est_str, err_str = _LEASTTERM
     best = mp.mpf(_TABLE3_REFERENCE)
@@ -240,5 +245,5 @@ def run_target(name: str, prec: PrecisionConfig | None = None) -> list[ReproRow]
     # comparisons and rendering must run at the target precision too:
     # parsing an 18-digit reference value at 53 bits would already eat the
     # tolerance it is supposed to grade.
-    with working_precision(prec):
-        return _RUNNERS[name](prec)
+    with working_precision(prec) as cfg:
+        return _RUNNERS[name](cfg)

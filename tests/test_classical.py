@@ -130,6 +130,42 @@ def test_factorial_sum_vs_oracle_euler(workprec, prec):
     assert abs(res.estimate - oracle) < 3 * res.heuristic_error
 
 
+def test_factorial_heuristic_is_calibrated_on_euler(workprec, prec):
+    # the first-omitted estimate lies within 1x-10x of the true error
+    f = euler_series(202)
+    e = factorial_expansion(f, 1)
+    for z in (mp.mpf(3), mp.mpf("2.5"), mp.mpf("8.75") * mp.exp(-0.25j), 5 * mp.exp(1j)):
+        oracle = laplace_quadrature(BUILTIN_EVALUATORS["euler"], 0, z, prec=prec)
+        for N in (10, 50, 100, 200):
+            res = factorial_series_sum(e, z, N)
+            ratio = res.heuristic_error / abs(res.estimate - oracle)
+            assert 1 <= ratio <= 10, (z, N, ratio)
+            assert res.diverging is False
+
+
+def test_factorial_sum_does_not_flag_a_dip(workprec, prec):
+    # at lambda = 1.35, z = 3 the even terms |K_n b_n| cross zero near n = 96
+    # (7e-14 between neighbours near 2e-11) while the sum keeps converging
+    f = euler_series(202)
+    e = factorial_expansion(f, mp.mpf("1.35"))
+    oracle = laplace_quadrature(BUILTIN_EVALUATORS["euler"], 0, mp.mpf(3), prec=prec)
+    errors = []
+    for N in (90, 100, 110, 150, 200):
+        res = factorial_series_sum(e, mp.mpf(3), N)
+        assert res.diverging is False, N
+        errors.append(abs(res.estimate - oracle))
+    assert errors == sorted(errors, reverse=True)
+
+
+def test_factorial_sum_flags_a_transform_singular_on_the_ray(workprec):
+    # a_k = (k-1)!: the Borel transform 1/(1 - zeta) has its pole on the ray,
+    # so the factorial series diverges and its terms grow past the smallest
+    f = FormalSeries(1, [0] + [mp.factorial(k - 1) for k in range(1, 63)])
+    e = factorial_expansion(f, 1)
+    flags = {N: factorial_series_sum(e, mp.mpf(3), N).diverging for N in (10, 30, 60)}
+    assert flags == {10: False, 30: True, 60: True}
+
+
 def test_factorial_sum_insufficient_depth(workprec):
     f = euler_series(10)
     e = factorial_expansion(f, 1)  # b_0..b_9

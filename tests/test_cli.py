@@ -265,8 +265,9 @@ def test_sum_is_a_one_row_table():
 
 
 def test_text_shows_every_field_of_the_record():
-    for args, with_diverging in ((GOLDEN_COMMANDS["sum_euler"], False),
-                                 (GOLDEN_COMMANDS["table_example2"], True)):
+    for args, with_diverging in ((GOLDEN_COMMANDS["sum_euler"], True),
+                                 (GOLDEN_COMMANDS["table_example2"], True),
+                                 (GOLDEN_COMMANDS["sum_psi_least_term"], False)):
         records = json.loads(run_cli(*args, "--format", "json").stdout)
         header, *rows = run_cli(*args, "--format", "text").stdout.splitlines()
         assert header.split() == ["N", "estimate_re", "estimate_im"] + \

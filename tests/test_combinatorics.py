@@ -139,6 +139,14 @@ def test_d_coefficient_r2_is_factorial():
         assert d_coefficient_exact(2, j) == factorial(j)
 
 
+def test_integer_d_rows_are_the_stirling_rows():
+    # d_{k,j} = |s(k+j-1, k-1)|: at m = 1 the generalized route's d_n are the
+    # factorial route's Stirling transform, which makes the two routes one sum
+    for k in range(1, 30):
+        row = d_coefficient_row(k, 40)
+        assert row == [abs(stirling_first(k + j - 1, k - 1)) for j in range(41)], k
+
+
 def test_d_coefficient_j1_closed_form():
     # single term: B_{1,1} = 1/2 and Gamma(r+1)/Gamma(r-1) = r(r-1)
     for r in (Fraction(1, 2), Fraction(5, 3), Fraction(7, 2), Fraction(4)):

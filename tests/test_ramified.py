@@ -14,7 +14,8 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       r_as_ramified, r_fact, rotated_generalized_sum,
                       stirling_transform, working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS
-from borelsum.ramified import _beta_kernels, _branch_weights, _divergence_flag
+from borelsum.classical import _divergence_flag
+from borelsum.ramified import _beta_kernels, _branch_weights
 
 
 def test_branch_sum_m1_reduces_to_factorial(workprec, prec):
@@ -44,6 +45,7 @@ def test_branch_sum_psi_table_rows(workprec, prec):
     assert mp.mpf("0.11e-9") <= r14.heuristic_error <= mp.mpf("0.44e-9")
     r18 = branch_sum(f, lam, z, 18, prec=prec)
     assert abs(r18.estimate - mp.mpf("0.2625629228800")) < mp.mpf("1e-13")
+    assert r14.diverging is False and r18.diverging is False
 
 
 def test_branch_sum_lambda4_row_with_warning(workprec, prec):
@@ -164,13 +166,52 @@ def test_reindexing_identity_random(workprec, prec):
 
 
 def test_generalized_m1_matches_factorial(workprec, prec):
+    # flat index n = j + 1 shifts the truncation by one; the generalized tail
+    # factor lambda z + (N+1)/m - 1 is then the factorial one, (N+1) K_N
     f = FormalSeries(1, [0, 0, 1] + [0] * 50)
-    z = RamifiedPoint(3, 0)
-    res_g = generalized_factorial_sum(f, 1, z, 41, prec=prec)
-    e = factorial_expansion(f, 1, prec=prec)
-    res_f = factorial_series_sum(e, mp.mpf(3), 40, prec=prec)
-    # flat index n = j + 1 shifts the truncation by one
+    res_g = generalized_factorial_sum(f, 1, RamifiedPoint(3, 0), 41, prec=prec)
+    res_f = factorial_series_sum(factorial_expansion(f, 1, prec=prec), mp.mpf(3), 40,
+                                 prec=prec)
     assert abs(res_g.estimate - res_f.estimate) / abs(res_f.estimate) < mp.mpf("1e-14")
+    f = euler_series(202)
+    for mod, arg in [(3, 0), ("2.5", 0), ("8.75", "-0.25"), (5, 1)]:
+        z = RamifiedPoint(mp.mpf(mod), mp.mpf(arg))
+        for lam in (1, mp.mpf("1.35")):
+            e = factorial_expansion(f, lam, prec=prec)
+            for N in (10, 50, 100, 200):
+                res_f = factorial_series_sum(e, z, N, prec=prec)
+                res_g = generalized_factorial_sum(f, lam, z, N + 1, prec=prec)
+                tol = res_f.condition_number * mp.mpf(2) ** -250
+                for field in ("estimate", "heuristic_error"):
+                    want = getattr(res_f, field)
+                    assert abs(getattr(res_g, field) - want) <= tol * abs(want), \
+                        (mod, arg, lam, N, field)
+                assert res_g.diverging is res_f.diverging, (mod, arg, lam, N)
+
+
+def test_generalized_heuristics_are_calibrated(workprec, prec):
+    # the first-omitted estimate lies within 1x-10x of the true error: rotated
+    # example2 (table5's lambda and theta) against the quadrature, and psi
+    # against the branch route at N = 40, far more accurate than these sums
+    f = example2_series(152, prec)
+    theta, lam = mp.pi / 3, mp.mpf("0.6")
+    for mod in ("4.5", 6, 8):
+        z = RamifiedPoint(mp.mpf(mod), 0)
+        oracle = laplace_quadrature(BUILTIN_EVALUATORS["example2"], theta,
+                                    z.projection(prec), prec=prec)
+        for N in (50, 150):
+            res = rotated_generalized_sum(f, theta, lam, z, N, prec=prec)
+            ratio = res.heuristic_error / abs(res.estimate - oracle)
+            assert 1 <= ratio <= 10, (mod, N, ratio)
+    f = psi_series(3 * 42, prec)
+    lam = mp.mpf(2.885390081777927)
+    for mod in (10, 12, 14):
+        z = RamifiedPoint(mod, 0)
+        ref = branch_sum(f, lam, z, 40, prec=prec).estimate
+        for N in (24, 48, 75):
+            res = generalized_factorial_sum(f, lam, z, N, prec=prec)
+            ratio = res.heuristic_error / abs(res.estimate - ref)
+            assert 1 <= ratio <= 10, (mod, N, ratio)
 
 
 def test_generalized_psi_table_row(workprec, prec):
@@ -200,6 +241,9 @@ def test_generalized_divergence_detection(workprec, prec):
     ([1, 0.25, 0.5, 0.25, 1], False),      # growth to exactly 4x is not past it
     ([0, 1, 0.25, 0.5, 0.5, 2], True),     # a zero term is not the smallest
     ([1, 0.5, 0.25, 0.125, 16, 256], False),  # smallest within the last three
+    ([1, 0.5, 0.4, 0.01, 0.3, 0.2, 0.25], False),  # a dip below a quarter of both
+                                                   # neighbours is not the smallest
+    ([1, 0.5, 0.4, 0.01, 0.3, 0.4, 0.5, 2], True),  # growth past the smallest beside a dip
 ])
 def test_divergence_flag(workprec, mags, flag):
     assert _divergence_flag([mp.mpf(t) for t in mags]) is flag
