@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import mpmath as mp
 
-from .classical import bound_comparison_table
+from .classical import bound_comparison_table, least_term_index
 from .errors import DomainError
 from .numerics import PrecisionConfig, as_mpf, working_precision
 from .oracle import BUILTIN_SERIES, PSI_LAMBDA_SUP
@@ -121,20 +120,23 @@ def _flag_row(label: str, flag) -> ReproRow:
     return ReproRow(label, str(bool(flag)), "True", bool(flag))
 
 
-@cache
-def _builtin(name: str, prec: PrecisionConfig) -> FormalSeries:
-    """psi or example2, built once per process and precision as deep as its
-    deepest row reads: a_{3(N+2)} for a branch sum at N (which covers the
-    psi generalized and least-term rows), a_{N+1} for a generalized one."""
-    depth = {"psi": 3 * (max(_TABLE1 | _TABLE2 | _TABLE3) + 2),
-             "example2": max(_TABLE4 | _TABLE5) + 1}[name]
-    return BUILTIN_SERIES[name](depth, prec)
+_BUILT: dict[tuple[str, PrecisionConfig], FormalSeries] = {}
+
+
+def _builtin(name: str, depth: int, prec: PrecisionConfig) -> FormalSeries:
+    """psi or example2 storing at least a_0..a_depth: one series per name and
+    precision, replaced only by a deeper one, so the targets of one process
+    share it and the rows cached on it.  Call inside ``working_precision``."""
+    f = _BUILT.get((name, prec))
+    if f is None or f.n_max < depth:
+        f = _BUILT[name, prec] = BUILTIN_SERIES[name](depth, prec)
+    return f
 
 
 def _psi_branch_rows(table, lam, prec,
                      envelope: GrowthEnvelope | None = None) -> list[ReproRow]:
     rows: list[ReproRow] = []
-    f = _builtin("psi", prec)
+    f = _builtin("psi", 3 * (max(table) + 2), prec)  # a branch sum at N reads a_{3(N+2)}
     z = RamifiedPoint(12, 0)
     for N, (est_str, err_str) in sorted(table.items()):
         res = branch_sum(f, lam, z, N, envelope=envelope, prec=prec)
@@ -163,7 +165,7 @@ def _run_table2(prec) -> list[ReproRow]:
 
 def _run_table3(prec) -> list[ReproRow]:
     lam = 2 / mp.log(2)
-    f = _builtin("psi", prec)
+    f = _builtin("psi", 3 * max(_TABLE3) + 1, prec)  # a generalized sum at N reads a_{N+1}
     z = RamifiedPoint(12, 0)
     ref = mp.mpf(_TABLE3_REFERENCE)
     rows: list[ReproRow] = []
@@ -176,7 +178,7 @@ def _run_table3(prec) -> list[ReproRow]:
 
 
 def _run_table4(prec) -> list[ReproRow]:
-    f = _builtin("example2", prec)
+    f = _builtin("example2", max(_TABLE4) + 1, prec)
     z = RamifiedPoint(5, 0)
     rows: list[ReproRow] = []
     for N, (est_str, tol_str) in sorted(_TABLE4.items()):
@@ -186,7 +188,7 @@ def _run_table4(prec) -> list[ReproRow]:
 
 
 def _run_table5(prec) -> list[ReproRow]:
-    f = _builtin("example2", prec)
+    f = _builtin("example2", max(_TABLE5) + 1, prec)
     z = RamifiedPoint(5, 0)
     ref = mp.mpf(_TABLE5_REFERENCE)
     rows: list[ReproRow] = []
@@ -218,8 +220,9 @@ def _run_fig2(prec) -> list[ReproRow]:
 
 
 def _run_leastterm(prec) -> list[ReproRow]:
-    f = _builtin("psi", prec)
-    res = least_term_sum_ramified(f, 2, RamifiedPoint(12, 0), prec=prec)
+    z = RamifiedPoint(12, 0)
+    f = _builtin("psi", 3 * least_term_index(2, z) + 3, prec)  # the sum reads a_{mn + m}
+    res = least_term_sum_ramified(f, 2, z, prec=prec)
     est_str, err_str = _LEASTTERM
     best = mp.mpf(_TABLE3_REFERENCE)
     return [_tolerance_row("n=24 partial sum", mp.re(res.estimate), est_str, "1e-11"),

@@ -95,9 +95,10 @@ class FormalSeries:
     """Coefficients a_0..a_nmax of sum_n a_n z^(-n/m), ramification order m.
 
     The coefficients never change.  Data derived from them (the branch split,
-    the factorial rows of :func:`borelsum.classical.factorial_expansion`) is
-    cached on the object by :meth:`_derived` under ``PRECISION_LOCK``, so it
-    lives and dies with it, and copies and pickles carry it along.
+    the factorial rows of :func:`borelsum.classical.factorial_expansion`, the
+    d_n rows of the generalized sums in :mod:`borelsum.ramified`) is cached
+    on the object by :meth:`_derived` under ``PRECISION_LOCK``, so it lives
+    and dies with it, and copies and pickles carry it along.
     """
 
     m: int
@@ -146,8 +147,8 @@ def rotate(f: FormalSeries, theta, prec: PrecisionConfig | None = None) -> Forma
         th = as_mpf(theta)
         if not mp.isfinite(th):
             raise DomainError("theta must be finite")
-        phase = [mp.exp(1j * n * th / f.m) for n in range(len(f))]
-        return FormalSeries(f.m, (a * p for a, p in zip(f.coefficients, phase)))
+        return FormalSeries(f.m, (a * _rotation(th, n, f.m)
+                                  for n, a in enumerate(f.coefficients)))
 
 
 def scale(f: FormalSeries, lam, prec: PrecisionConfig | None = None) -> FormalSeries:
@@ -156,10 +157,18 @@ def scale(f: FormalSeries, lam, prec: PrecisionConfig | None = None) -> FormalSe
         lv = as_mpf(lam)
         if not (mp.isfinite(lv) and lv > 0):
             raise DomainError("lambda must be finite and positive")
-        return FormalSeries(
-            f.m,
-            (mp.power(lv, mp.mpf(n) / f.m - 1) * a
-             for n, a in enumerate(f.coefficients)))
+        return FormalSeries(f.m, (_homothety(lv, n, f.m) * a
+                                  for n, a in enumerate(f.coefficients)))
+
+
+def _rotation(theta: mp.mpf, n: int, m: int) -> mp.mpc:
+    """e^(i n theta / m), the factor ``rotate`` puts on a_n, at the ambient precision."""
+    return mp.exp(1j * n * theta / m)
+
+
+def _homothety(lam: mp.mpf, n: int, m: int) -> mp.mpf:
+    """lambda^(n/m - 1), the factor ``scale`` puts on a_n, at the ambient precision."""
+    return mp.power(lam, mp.mpf(n) / m - 1)
 
 
 def branch_split(f: FormalSeries) -> tuple[mp.mpc, list[FormalSeries]]:

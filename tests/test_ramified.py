@@ -1,3 +1,6 @@
+import pickle
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -15,7 +18,7 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       stirling_transform, working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS
 from borelsum.classical import _divergence_flag
-from borelsum.ramified import _beta_kernels, _branch_weights
+from borelsum.ramified import _beta_kernels, _branch_weights, _GeneralizedRow
 
 
 def test_branch_sum_m1_reduces_to_factorial(workprec, prec):
@@ -358,6 +361,152 @@ def test_psi_sweep_on_one_series_matches_a_fresh_series_per_row(prec):
         swept = branch_sum(f, lam, z, N, prec=prec)
         fresh = branch_sum(psi_series(depth, prec), lam, z, N, prec=prec)
         assert swept == fresh, N
+
+
+def _generalized(f, lam, theta, z, N, prec):
+    """The generalized sum, rotated unless ``theta`` is None."""
+    if theta is None:
+        return generalized_factorial_sum(f, lam, z, N, prec)
+    return rotated_generalized_sum(f, theta, lam, z, N, prec)
+
+
+# (series builder, depth, lambda, theta, point): example2 plain and rotated by
+# table5's pi/3 at lambda = 0.6, psi at 2/ln 2, and the m = 1 Euler route
+_GENERALIZED_ROUTES = {
+    "example2": (example2_series, 80, 1, None, RamifiedPoint(5, 0)),
+    "example2-rotated": (example2_series, 80, "0.6", "pi/3", RamifiedPoint(5, 0)),
+    "psi": (psi_series, 76, 2.885390081777927, None, RamifiedPoint(11.25, 0)),
+    "euler": (euler_series, 80, "1.35", None, RamifiedPoint("8.75", "-0.25")),
+}
+
+
+def _route(name, prec):
+    build, depth, lam, theta, z = _GENERALIZED_ROUTES[name]
+    with working_precision(prec):
+        lam = mp.mpf(lam)
+        theta = None if theta is None else mp.pi / 3
+    return build, depth, lam, theta, z
+
+
+@pytest.mark.parametrize("name", list(_GENERALIZED_ROUTES))
+def test_generalized_sweep_on_one_series_matches_a_fresh_series_per_row(name, prec):
+    build, depth, lam, theta, z = _route(name, prec)
+    f = build(depth, prec)
+    # up, then down again after the row has grown to depth
+    for N in [0, 1, 2, 5, 9, 20, 40, depth - 1, 7, 30]:
+        swept = _generalized(f, lam, theta, z, N, prec)
+        fresh = _generalized(build(depth, prec), lam, theta, z, N, prec)
+        assert swept == fresh, (name, N)
+
+
+def test_generalized_rows_are_keyed_by_lambda_theta_and_precision(prec):
+    # two lambdas, theta and -theta, two precisions, interleaved on one series:
+    # a row shared across any of them would give some call the wrong numbers
+    narrow = PrecisionConfig(192)
+    with working_precision(prec):
+        lams, thetas = (mp.mpf("0.6"), mp.mpf(1)), (None, mp.pi / 3, -mp.pi / 3)
+    f = example2_series(60, prec)
+    z = RamifiedPoint(5, "0.125")
+    calls = [(lam, th, p, N) for N in (12, 59, 31) for p in (prec, narrow)
+             for lam in lams for th in thetas]
+    for lam, th, p, N in calls:
+        fresh = example2_series(60, prec)
+        assert _generalized(f, lam, th, z, N, p) == _generalized(fresh, lam, th, z, N, p), \
+            (lam, th, p.mantissa_bits, N)
+    assert len([k for k in f._cache if k[0] == "generalized"]) == 2 * 3 * 2
+
+
+def test_generalized_row_grown_shallow_then_deep_equals_deep_at_once(prec):
+    for name in _GENERALIZED_ROUTES:
+        build, depth, lam, theta, z = _route(name, prec)
+        stepped, direct = build(depth, prec), build(depth, prec)
+        for N in (3, 4, 17, 50):
+            _generalized(stepped, lam, theta, z, N, prec)
+        assert _generalized(stepped, lam, theta, z, depth - 1, prec) == \
+            _generalized(direct, lam, theta, z, depth - 1, prec), name
+        with working_precision(prec):
+            assert generalized_coefficients(stepped, depth, prec) == \
+                generalized_coefficients(direct, depth, prec)
+
+
+def test_generalized_rows_grow_consistently_across_threads(prec):
+    # threads summing on one series at different N, switching often, grow
+    # the same rows; every sum equals the serial one on a fresh series
+    build, depth, lam, theta, z = _route("example2-rotated", prec)
+    f = build(depth, prec)
+    requests = [(th, N) for th in (None, theta) for N in (60, 11, 79, 35)]
+    results = []
+    start = threading.Barrier(4)
+
+    def worker(i):
+        start.wait(timeout=60)
+        for th, N in requests[i:] + requests[:i]:
+            results.append((th, N, _generalized(f, lam, th, z, N, prec)))
+
+    old, old_prec = sys.getswitchinterval(), mp.mp.prec
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mp.mp.prec == old_prec
+    assert len(results) == 4 * len(requests)
+    serial = {(th, N): _generalized(build(depth, prec), lam, th, z, N, prec)
+              for th, N in requests}
+    for th, N, res in results:
+        assert res == serial[th, N], (th, N)
+
+
+def test_a_series_with_a_cached_generalized_row_pickles(prec):
+    build, depth, lam, theta, z = _route("example2-rotated", prec)
+    f = build(depth, prec)
+    before = _generalized(f, lam, theta, z, 30, prec)
+    (row,) = (v for v in f._cache.values() if isinstance(v, _GeneralizedRow))
+    # the row holds the series' order and coefficients, never the series
+    assert row.m == f.m and row.coefficients is f.coefficients
+    assert not any(v is f for v in vars(row).values())
+    with mp.workprec(53):  # unpickling must not round the coefficients
+        g = pickle.loads(pickle.dumps(f))
+    assert g.coefficients == f.coefficients
+    assert g._cache.keys() == f._cache.keys()
+    assert _generalized(g, lam, theta, z, 30, prec) == before
+    # the unpickled row grows on as a fresh one would
+    assert _generalized(g, lam, theta, z, 70, prec) == \
+        _generalized(build(depth, prec), lam, theta, z, 70, prec)
+
+
+def test_generalized_errors_keep_their_order(prec):
+    # each call also breaks every check after the one it pins, so only that one
+    # can raise: N < 0, [theta not finite,] Re z <= 0, lambda, too few coefficients
+    f = example2_series(20, prec)
+
+    def plain(N, theta, z, lam):
+        return generalized_factorial_sum(f, lam, z, N, prec)
+
+    def rotated(N, theta, z, lam):
+        return rotated_generalized_sum(f, theta, lam, z, N, prec)
+
+    good = RamifiedPoint(5, 0)
+    # Re z <= 0 where the sum is taken: arg 2, for the rotated route after theta = 1
+    for route, behind in ((plain, RamifiedPoint(5, 2)), (rotated, RamifiedPoint(5, 1))):
+        cases = [(-1, mp.inf, behind, mp.nan, DomainError, "N must be nonnegative")]
+        if route is rotated:
+            cases.append((40, mp.inf, behind, mp.nan, DomainError, "theta must be finite"))
+        cases += [
+            (40, 1, behind, mp.nan, DomainError, r"needs finite z with Re z > 0"),
+            (40, 1, good, mp.nan, DomainError, "lambda must be finite and positive"),
+            (40, 1, good, -1, DomainError, "lambda must be finite and positive"),
+            (40, 1, good, 1, InsufficientCoefficientsError,
+             r"needs coefficients up to a_41, series stores a_0\.\.a_20")]
+        for N, theta, z, lam, error, message in cases:
+            with pytest.raises(error, match=message):
+                route(N, theta, z, lam)
+    assert not f._cache  # no failed call left a row behind
 
 
 def test_branch_sum_equals_its_weighted_branch_factorial_sums(prec):
