@@ -10,9 +10,13 @@ two exit codes) and, where the two stdouts differ only in their numbers, the
 largest relative difference between corresponding numbers.  It then runs one
 seed-1 library pass of every benchmark workload (perfbench/workloads.py,
 imported read-only) on each side, prints every ``Workload.values`` entry to
-90 digits and names the first value that differs.  Last it prints the line
-count of src/borelsum/*.py on each side.  Exits 1 when any command or value
-differs.
+90 digits and names each value that differs, with its relative difference.
+The same pass prints every condition number its outputs hold
+(``SummationResult.condition_number`` and each entry of
+``FactorialExpansion.condition``); the script names each one that differs
+and counts the identical ones per method.  Last it prints the line count of
+src/borelsum/*.py on each side.  Exits 1 when any command, value or
+condition number differs.
 
     python3 scripts/same_numbers.py REV
 """
@@ -22,6 +26,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -60,14 +65,30 @@ def commands() -> list[tuple[str, ...]]:
     return list(dict.fromkeys(argvs + goldens + [("reproduce", "all"), *EXTRA]))
 
 
-# one seed-1 pass of each workload, one line per value: "workload[i] value"
+# one seed-1 pass of each workload, one line per value, "workload[i] value", then
+# one per condition number in the pass's outputs, "condition where method value"
 VALUES = """
 import mpmath as mp
 import spec, workloads
+from borelsum import FactorialExpansion, SummationResult
+
+def conditions(x, at):
+    if isinstance(x, SummationResult):
+        yield at, x.method, x.condition_number
+    elif isinstance(x, FactorialExpansion):
+        for n, c in enumerate(x.condition):
+            yield f"{at}.condition[{n}]", "expansion", c
+    elif isinstance(x, (list, tuple, dict)):
+        for k, v in (x.items() if isinstance(x, dict) else enumerate(x)):
+            yield from conditions(v, f"{at}[{k!r}]")
+
 for name in spec.WORKLOADS:
     w = workloads.BY_NAME[name](spec.points(name, 1))
-    for i, v in enumerate(w.values(w.run_pass()[0])):
+    out = w.run_pass()[0]
+    for i, v in enumerate(w.values(out)):
         print(f"{name}[{i}]", mp.nstr(v, 90) if isinstance(v, (mp.mpf, mp.mpc)) else repr(v))
+    for at, method, c in conditions(out, name):
+        print("condition", at, method, mp.nstr(c, 90))
 """
 
 
@@ -84,6 +105,17 @@ def largest_relative_difference(out: str, rev_out: str) -> Fraction | None:
                default=Fraction(0))
 
 
+def relative_difference(line: str | None, rev_line: str | None) -> float | None:
+    """|a - b| / |b| for the value of two library lines, a complex value taken
+    as its (re, im) pair; None when a line is missing or the text differs."""
+    if line is None or rev_line is None or _NUMBER.split(line) != _NUMBER.split(rev_line):
+        return None
+    a, b = ([Fraction(x) for x in _NUMBER.findall(v.split(" ", 1)[1])]
+            for v in (line, rev_line))
+    norm = sum(y * y for y in b)
+    return float(sum((x - y) ** 2 for x, y in zip(a, b)) / norm) ** 0.5 if norm else None
+
+
 def run(src: Path, argv, path: str = "") -> tuple[int, str]:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), path])),
            "PYTHONDONTWRITEBYTECODE": "1"}
@@ -96,11 +128,30 @@ def cli(src: Path, argv) -> tuple[int, str]:
     return run(src, ["-m", "borelsum.cli", *argv])
 
 
-def library_values(src: Path) -> list[str]:
+def library_values(src: Path) -> tuple[list[str], list[str]]:
+    """(value lines, condition lines) of the seed-1 library passes."""
     code, out = run(src, ["-c", VALUES], str(ROOT / "perfbench"))
     if code:
         sys.exit(f"the library pass on {src} exited {code}")
-    return out.splitlines()
+    lines = out.splitlines()
+    return ([line for line in lines if not line.startswith("condition ")],
+            [line for line in lines if line.startswith("condition ")])
+
+
+def compare_conditions(here: list[str], there: list[str], rev: str) -> bool:
+    """Name each condition number that differs, count the identical ones per
+    method; True when all are identical."""
+    same, total = Counter(), Counter()
+    for a, b in zip_longest(here, there):
+        method = (a or b).split()[2]
+        total[method] += 1
+        same[method] += a == b
+        if a != b:
+            print(f"DIFFERS: {(a or b).rsplit(' ', 1)[0]}\n  here:   {a and a.split()[-1]}"
+                  f"\n  at {rev}: {b and b.split()[-1]}")
+    for method in total:
+        print(f"{same[method]} of {total[method]} {method} condition numbers are identical")
+    return same == total
 
 
 def source_lines(src: Path) -> int:
@@ -117,7 +168,8 @@ def main(rev: str) -> int:
             sys.exit(f"git archive {rev} failed")
         argvs = commands()
         results = [(a, cli(ROOT / "src", a), cli(Path(tmp) / "src", a)) for a in argvs]
-        values = library_values(ROOT / "src"), library_values(Path(tmp) / "src")
+        (values, conds), (rev_values, rev_conds) = (library_values(ROOT / "src"),
+                                                    library_values(Path(tmp) / "src"))
         lines = source_lines(ROOT / "src"), source_lines(Path(tmp) / "src")
     differ = [r for r in results if r[1] != r[2]]
     for argv, (code, out), (rev_code, rev_out) in differ:
@@ -130,14 +182,18 @@ def main(rev: str) -> int:
         print("  the text between the numbers differs" if size is None else
               f"  largest relative difference between numbers: {float(size):.3g}")
     print(f"{len(argvs) - len(differ)} of {len(argvs)} commands give the same stdout and exit code")
-    pairs = list(zip_longest(*values))
-    first = next((pair for pair in pairs if pair[0] != pair[1]), None)
-    if first is not None:
-        print(f"DIFFERS: library value\n  here:   {first[0]}\n  at {rev}: {first[1]}")
-    same = sum(here == there for here, there in pairs)
-    print(f"{same} of {len(pairs)} library values of the seed-1 workload passes are identical")
+    pairs = list(zip_longest(values, rev_values))
+    moved = [pair for pair in pairs if pair[0] != pair[1]]
+    for here, there in moved:
+        print(f"DIFFERS: library value\n  here:   {here}\n  at {rev}: {there}")
+        size = relative_difference(here, there)
+        if size is not None:
+            print(f"  relative difference: {size:.3g}")
+    print(f"{len(pairs) - len(moved)} of {len(pairs)} library values of the seed-1 workload "
+          "passes are identical")
+    conds_same = compare_conditions(conds, rev_conds, rev)
     print(f"src/borelsum/*.py: {lines[0]} lines here, {lines[1]} at {rev}")
-    return 1 if differ or first is not None else 0
+    return 1 if differ or moved or not conds_same else 0
 
 
 if __name__ == "__main__":

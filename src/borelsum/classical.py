@@ -17,24 +17,30 @@ with it: the strip least-term bound ``r_as``, the factorial-series bound
 ``r_fact`` (with its large-N equivalent), and the coefficient bound
 ``b_bound``.
 
-The Stirling transform cancels factorially large terms, so each b_n carries
-its condition number sum_k |term_k| / |b_n|; work at 53 bits and the
-stored reference tables below some depth are simply unreachable.
+The transform is the m = 1 generalized expansion of :mod:`borelsum.ramified`
+(d_{k,j} = |s(k+j-1, k-1)|, so b_n = d_{n+1}): one coefficient row, cached
+on the series, serves both, and one kernel-sum body sums every route.  Each
+coefficient carries its condition number, as the transform cancels
+factorially large terms; work at 53 bits and the stored reference tables
+below some depth are simply unreachable.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import mpf_sum
 
-from .combinatorics import _STIRLING, _GrowingRow
+from .combinatorics import _STIRLING, _GrowingRow, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PrecisionConfig, as_mpc, as_mpf, ensure_finite,
+from .numerics import (PRECISION_LOCK, PrecisionConfig, as_mpc, as_mpf, ensure_finite,
                        gamma_ratio, gamma_ratios, working_precision)
-from .series import FormalSeries, GrowthEnvelope, PointLike, RamifiedPoint, scale
+from .series import (FormalSeries, GrowthEnvelope, PointLike, RamifiedPoint, _homothety,
+                     _rotation)
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,9 @@ class SummationResult:
 
     Non-oracle methods always carry at least one of ``rigorous_bound`` /
     ``heuristic_error``.  ``condition_number`` is the worst cancellation
-    ratio met, the larger of two parts: the coefficients' own (the Stirling
-    transform's; 1 for the d_n) and the sum's, (|a_0| + lambda sum |term|) /
-    |estimate|.  Every factorial-type sum sets ``diverging``.
+    ratio met, the larger of two parts: the coefficients' own (of the b_n or
+    d_n read, from the coefficient row) and the sum's, (|a_0| + lambda sum
+    |term|) / |estimate|.  Every factorial-type sum sets ``diverging``.
     """
 
     estimate: mp.mpc
@@ -67,7 +73,7 @@ class FactorialExpansion:
     """Factorial-series data (lambda, b_0..b_N, constant term a_0).
 
     ``condition`` holds the per-coefficient cancellation ratios, aligned with
-    ``b``: the Stirling transform's, or 1 for the d_n of a generalized sum.
+    ``b``.  A generalized sum carries its d_1..d_{N+1} as ``b``.
     """
 
     lam: mp.mpf
@@ -80,19 +86,6 @@ class FactorialExpansion:
         return len(self.b) - 1
 
 
-def _transform_term(av: Sequence[mp.mpc], n: int) -> tuple[mp.mpc, mp.mpf]:
-    """b_n from a_1..a_{n+1} (``av[:n + 1]``), and its condition number
-    sum_k |term_k| / |b_n|, at the ambient precision.  s(n, k-1) has the
-    sign (-1)^(n-k+1), so term_k is |s(n, k-1)| a_k."""
-    row = _STIRLING.upto(n)[n]
-    terms = [abs(row[j]) * av[j] for j in range(n + 1)]
-    nfact = mp.factorial(n)
-    b_n = mp.fsum(terms, absolute=False) / nfact
-    gross = mp.fsum(terms, absolute=True) / nfact
-    cond = gross / abs(b_n) if b_n != 0 else mp.inf if gross != 0 else mp.mpf(1)
-    return b_n, cond
-
-
 def stirling_transform(a: Sequence, prec: PrecisionConfig | None = None) -> list[mp.mpc]:
     """Map coefficients a_1..a_{N+1} (list WITHOUT the constant term) to
     factorial coefficients b_0..b_N: the rows of :func:`factorial_expansion`
@@ -100,20 +93,78 @@ def stirling_transform(a: Sequence, prec: PrecisionConfig | None = None) -> list
     """
     with working_precision(prec):
         f = FormalSeries(1, [0, *a])
-    return list(factorial_expansion(f, 1, len(a) - 1, prec).b)
+    return list(factorial_expansion(f, 1, None, prec).b)
 
 
-class _FactorialRow(_GrowingRow):
-    """(b_n, condition number of b_n) for one series, lambda and precision."""
+class _CoefficientRow(_GrowingRow):
+    """(c_n, condition number of c_n) of one series, lambda, theta and
+    precision, for n >= 1 (v_0 is None): the kernel coefficients
 
-    def __init__(self, f: FormalSeries, lam: mp.mpf, prec: PrecisionConfig):
-        self.prec = prec
-        self.a = scale(f, lam, prec).coefficients[1:]
-        super().__init__(self.step(0))
+        c_n = sum_{l <= n, l = n mod m} d_{l/m, (n-l)/m} a_l / Gamma(n/m)
+
+    of the a_l with the factors of ``rotate`` (unless theta is None) and
+    ``scale`` on them.  At m = 1, d_{l, n-l} = |s(n-1, l-1)| is read from one
+    Stirling row and c_n = b_{n-1}; at m > 1 each d-row is fetched once per
+    growth.  The condition number is sum_t (|Re t| + |Im t|) over the terms
+    t, rounded once, over |sum_t t|: sum |t| on real terms, within sqrt 2 of
+    it on complex ones.  The row holds the series' m and coefficients, not
+    the series, so a series pickles with it.
+    """
+
+    def __init__(self, f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None,
+                 prec: PrecisionConfig):
+        self.m, self.coefficients = f.m, f.coefficients
+        self.lam, self.theta, self.prec = lam, theta, prec
+        self.a = [None]  # the rotated and scaled a_1..a_n, from index 1
+        self.d_rows: dict[int, list[Fraction]] = {}
+        super().__init__(None)
+
+    def upto(self, n: int) -> list:
+        if len(self.values) <= n and self.m > 1:
+            with PRECISION_LOCK:
+                # d_{l/m, j} enters c_k at k = l + jm <= n: fetch row l/m once, to
+                # (n - l)//m, for the steps of this growth only
+                m = self.m
+                self.d_rows = {l: d_coefficient_row(Fraction(l, m), (n - l) // m)
+                               for l in range(1, n - m + 1) if self.coefficients[l] != 0}
+                super().upto(n)
+                self.d_rows = {}
+        return super().upto(n)
 
     def step(self, n: int) -> tuple[mp.mpc, mp.mpf]:
+        m, a = self.m, self.a
         with working_precision(self.prec):
-            return _transform_term(self.a, n)
+            an = self.coefficients[n]
+            if self.theta is not None:
+                an = an * _rotation(self.theta, n, m)
+            a.append(_homothety(self.lam, n, m) * an)
+            if m == 1:
+                terms = [abs(s) * x for s, x in zip(_STIRLING.upto(n - 1)[n - 1], a[1:])]
+            else:
+                d = self.d_rows
+                terms = [as_mpf(d[l][(n - l) // m]) * a[l]
+                         for l in range(n - (n - 1) // m * m, n, m) if l in d]
+                terms.append(a[n])
+            gamma = mp.gamma(mp.mpf(n) / m)
+            c = mp.fsum(terms) / gamma
+            gross = mp.make_mpf(mpf_sum([p for t in terms for p in t._mpc_],
+                                        *mp.mp._prec_rounding, absolute=True)) / gamma
+            return c, gross / abs(c) if c != 0 else mp.inf if gross != 0 else mp.mpf(1)
+
+
+def _expansion(f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None, n: int,
+               cfg: PrecisionConfig) -> FactorialExpansion:
+    """c_1..c_n with their condition numbers, from the coefficient row cached
+    on ``f`` at lambda, theta (0 shares the unrotated row) and precision.
+    Call inside ``working_precision(cfg)``."""
+    if not (mp.isfinite(lam) and lam > 0):
+        raise DomainError("lambda must be finite and positive")
+    f.require_depth(n)
+    theta = theta or None
+    row = f._derived((lam, theta, cfg.mantissa_bits),
+                     lambda: _CoefficientRow(f, lam, theta, cfg)).upto(n)
+    c, cond = zip(*row[1:n + 1]) if n else ((), ())
+    return FactorialExpansion(lam=lam, b=c, a0=f.coefficients[0], condition=cond)
 
 
 def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
@@ -121,24 +172,22 @@ def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
     """Build the lambda-scaled factorial expansion of an m = 1 series.
 
     Produces b_0..b_N; needs coefficients a_1..a_{N+1}.  By default uses
-    every stored coefficient (N = n_max - 1).  The Stirling transform runs
-    once per series, lambda and precision: its rows are cached on ``f`` and
-    only ever extended, and each call returns their first N + 1 entries.
+    every stored coefficient (N = n_max - 1).  b_n is c_{n+1} of the
+    coefficient row the generalized sums read, cached on ``f`` per lambda
+    and precision and only ever extended, so the Stirling transform runs
+    once per series, lambda and precision.
     """
     if f.m != 1:
         raise DomainError("factorial_expansion needs an unramified (m = 1) series; "
                           "use branch or generalized for m > 1")
     if N is None:
         N = f.n_max - 1
-    if N < 0:
-        raise DomainError("series must store at least a_0, a_1")
-    f.require_depth(N + 1)
+        if N < 0:
+            raise DomainError("series must store at least a_0, a_1")
+    elif N < 0:
+        raise DomainError("N must be nonnegative")
     with working_precision(prec) as cfg:
-        lv = as_mpf(lam)
-        row = f._derived(("factorial", lv, cfg.mantissa_bits),
-                         lambda: _FactorialRow(f, lv, cfg))
-        b, cond = zip(*row.upto(N)[:N + 1])
-        return FactorialExpansion(lam=lv, b=b, a0=f.coefficients[0], condition=cond)
+        return _expansion(f, as_mpf(lam), None, N + 1, cfg)
 
 
 def check_lambda_permitted(lam, envelope: GrowthEnvelope | None) -> None:

@@ -24,9 +24,11 @@ gcds for every term.  The results are the same exact Fractions.  The Bell
 form above is the definition the test suite checks those rows against;
 :func:`bell_partial` gives its B_{j,p} at x_l = l!/(l+1), cached.
 
-Every cached recurrence (Stirling rows, d-rows, the factorial rows of
+Every cached recurrence (Stirling rows, d-rows, the coefficient rows of
 ``classical``, the psi coefficients of ``oracle``) is a ``_GrowingRow``,
-grown in place under ``numerics.PRECISION_LOCK``.
+grown in place under ``numerics.PRECISION_LOCK``.  A coefficient row reads
+the Stirling rows at m = 1, where d_{k,j} = |s(k+j-1, k-1)|, and the d-rows
+at m > 1.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ Two independent routes to the same Borel sum:
   kernels form one chain, K_{j+1} = K_j (l/m + j) / (lambda z + l/m + j):
   the factorial kernel's recurrence with offset l/m in place of 1.  The
   floating d_n of the lambda-scaled (and, for the rotated sum, rotated)
-  coefficients are a row cached on the series per lambda, theta and
-  precision, so a sweep over N forms each d_n once.
+  coefficients, with their condition numbers, are the coefficient row of
+  :mod:`borelsum.classical`, cached on the series per lambda, theta and
+  precision, so a sweep over N forms each d_n once.  At m = 1 that row is
+  the factorial one: d_{n+1} = b_n.
 
 The two truncation conventions differ on purpose: branch sums truncate each
 branch at the same per-branch depth N, generalized sums truncate at flat
@@ -37,15 +39,12 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .classical import (FactorialExpansion, SummationResult, _halfplane, _kernel_sum,
+from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
                         check_lambda_permitted, factorial_expansion,
                         least_term_index, r_as, r_fact)
-from .combinatorics import _GrowingRow, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PRECISION_LOCK, PrecisionConfig, as_mpf, ensure_finite,
-                       gamma_ratios, working_precision)
-from .series import (FormalSeries, GrowthEnvelope, RamifiedPoint, _homothety, _rotation,
-                     branch_split, partial_sum, power)
+from .numerics import PrecisionConfig, as_mpf, ensure_finite, gamma_ratios, working_precision
+from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split, partial_sum, power
 
 
 def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
@@ -91,73 +90,20 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
                                condition_number=cond, diverging=diverging)
 
 
-class _GeneralizedRow(_GrowingRow):
-    """d_n of one series, lambda, theta and precision, for n >= 1 (v_0 is None).
-
-    ``step(n)`` rounds a_n to the working precision, puts on it the factors
-    of ``rotate`` and ``scale``, and adds the convolution terms in j order.
-    The row holds the series' m and coefficients, not the series, so a
-    series pickles with it.
-    """
-
-    def __init__(self, f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None,
-                 prec: PrecisionConfig):
-        self.m, self.coefficients = f.m, f.coefficients
-        self.lam, self.theta, self.prec = lam, theta, prec
-        self.a = [None]  # the rotated and scaled a_1..a_n, from index 1
-        self.d_rows: dict[int, list[Fraction]] = {}
-        super().__init__(None)
-
-    def upto(self, n: int) -> list:
-        if len(self.values) <= n:
-            with PRECISION_LOCK:
-                # d_{l/m, j} enters d_k at k = l + jm <= n: fetch row l/m once, to
-                # (n - l)//m, for the steps of this growth only
-                m = self.m
-                self.d_rows = {l: d_coefficient_row(Fraction(l, m), (n - l) // m)
-                               for l in range(1, n - m + 1) if self.coefficients[l] != 0}
-                super().upto(n)
-                self.d_rows = {}
-        return self.values
-
-    def step(self, n: int) -> mp.mpc:
-        m, a = self.m, self.a
-        with working_precision(self.prec):
-            an = mp.mpc(self.coefficients[n])
-            if self.theta is not None:
-                an = an * _rotation(self.theta, n, m)
-            a.append(_homothety(self.lam, n, m) * an)
-            acc = a[n]
-            for j in range(1, (n - 1) // m + 1):
-                l = n - j * m
-                row = self.d_rows.get(l)
-                if row is not None:
-                    acc += as_mpf(row[j]) * a[l]
-            return acc * mp.rgamma(mp.mpf(n) / m)
-
-
-def _generalized_row(f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None,
-                     cfg: PrecisionConfig) -> _GeneralizedRow:
-    """The row of d_n cached on ``f``; call inside ``working_precision(cfg)``.
-    theta = 0 leaves every a_n as it is, so it shares the unrotated row."""
-    theta = theta or None
-    return f._derived(("generalized", lam, theta, cfg.mantissa_bits),
-                      lambda: _GeneralizedRow(f, lam, theta, cfg))
-
-
 def generalized_coefficients(f: FormalSeries, n_max: int | None = None,
                              prec: PrecisionConfig | None = None) -> list[mp.mpc]:
     """Kernel coefficients [d_1, ..., d_{n_max}] of the generalized expansion.
 
-    d_n = (a_n + sum over l + j m = n, l,j >= 1 of d_{l/m, j} a_l) / Gamma(n/m);
-    for n <= m the correction sum is empty and d_n = a_n / Gamma(n/m).  A
-    prefix of the row cached on ``f`` at lambda = 1, unrotated.
+    d_n = (sum over l + j m = n, l >= 1, j >= 0 of d_{l/m, j} a_l) / Gamma(n/m),
+    with d_{r,0} = 1; for n <= m the sum is a_n alone.  A prefix of the
+    coefficient row cached on ``f`` at lambda = 1, unrotated.
     """
     if n_max is None:
         n_max = f.n_max
-    f.require_depth(n_max)
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
     with working_precision(prec) as cfg:
-        return _generalized_row(f, mp.mpf(1), None, cfg).upto(n_max)[1:n_max + 1]
+        return list(_expansion(f, mp.mpf(1), None, n_max, cfg).b)
 
 
 def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
@@ -194,7 +140,7 @@ def rotated_generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: in
 def _generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: int,
                      prec: PrecisionConfig | None) -> SummationResult:
     """The one body of both generalized sums, ``theta`` None when unrotated:
-    the kernel sum over d_1..d_{N+1} of the row cached on ``f``."""
+    the kernel sum over d_1..d_{N+1} of the coefficient row cached on ``f``."""
     if N < 0:
         raise DomainError("N must be nonnegative")
     with working_precision(prec) as cfg:
@@ -205,12 +151,7 @@ def _generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: int,
             z = z.rotated(theta)
         lv = as_mpf(lam)
         zdot = _halfplane(z, 0, prec)
-        if not (mp.isfinite(lv) and lv > 0):
-            raise DomainError("lambda must be finite and positive")
-        f.require_depth(N + 1)
-        d = _generalized_row(f, lv, theta, cfg).upto(N + 1)[1:N + 2]
-        e = FactorialExpansion(lam=lv, b=tuple(d), a0=mp.mpc(f.coefficients[0]),
-                               condition=(mp.mpf(1),) * len(d))
+        e = _expansion(f, lv, theta, N + 1, cfg)
         kernels = _beta_kernels(lv * zdot, f.m, N + 1, prec)
         tail = kernels[N] * (lv * zdot + mp.mpf(N + 1) / f.m - 1)
         method = "generalized" if theta is None else "generalized-rotated"

@@ -95,10 +95,10 @@ class FormalSeries:
     """Coefficients a_0..a_nmax of sum_n a_n z^(-n/m), ramification order m.
 
     The coefficients never change.  Data derived from them (the branch split,
-    the factorial rows of :func:`borelsum.classical.factorial_expansion`, the
-    d_n rows of the generalized sums in :mod:`borelsum.ramified`) is cached
-    on the object by :meth:`_derived` under ``PRECISION_LOCK``, so it lives
-    and dies with it, and copies and pickles carry it along.
+    the coefficient rows that :func:`borelsum.classical.factorial_expansion`
+    and the generalized sums of :mod:`borelsum.ramified` read) is cached on
+    the object by :meth:`_derived` under ``PRECISION_LOCK``, so it lives and
+    dies with it, and copies and pickles carry it along.
     """
 
     m: int

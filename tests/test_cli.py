@@ -124,6 +124,11 @@ def test_domain_error_exits_2():
     proc = run_cli("sum", "--builtin", "euler", "--method", "oracle", "--z-mod", "3",
                    "--tol", "inf", expect=2)
     assert "finite" in proc.stderr and proc.stdout == ""
+    # a negative N is named as such, however far below zero
+    for N in ("-1", "-5"):
+        proc = run_cli("sum", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
+                       "--N", N, expect=2)
+        assert "N must be nonnegative" in proc.stderr and proc.stdout == ""
 
 
 def test_least_term_requires_r():

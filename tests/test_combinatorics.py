@@ -238,17 +238,18 @@ def test_d_rows_grown_in_steps_equal_fresh_rows(monkeypatch):
 
 def _generalized_from_bell(f, n_max):
     """d_1..d_{n_max} of the generalized expansion with every d_{l/m,j} from
-    the Bell definition, in the library's order of operations."""
+    the Bell definition, in the library's order of operations: the terms
+    summed by one fsum, then divided by Gamma(n/m)."""
     m, a = f.m, f.coefficients
     out = []
     for n in range(1, n_max + 1):
-        acc = mp.mpc(a[n])
-        for j in range(1, (n - 1) // m + 1):
+        terms = []
+        for j in range((n - 1) // m, 0, -1):
             l = n - j * m
             if a[l] != 0:
                 dr = _d_bell(Fraction(l, m), j)
-                acc += mp.mpf(dr.numerator) / dr.denominator * a[l]
-        out.append(acc * mp.rgamma(mp.mpf(n) / m))
+                terms.append(mp.mpf(dr.numerator) / dr.denominator * a[l])
+        out.append(mp.fsum(terms + [a[n]]) / mp.gamma(mp.mpf(n) / m))
     return out
 
 

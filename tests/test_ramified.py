@@ -17,8 +17,8 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       r_as_ramified, r_fact, rotated_generalized_sum,
                       stirling_transform, working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS
-from borelsum.classical import _divergence_flag
-from borelsum.ramified import _beta_kernels, _branch_weights, _GeneralizedRow
+from borelsum.classical import _CoefficientRow, _divergence_flag
+from borelsum.ramified import _beta_kernels, _branch_weights
 
 
 def test_branch_sum_m1_reduces_to_factorial(workprec, prec):
@@ -169,13 +169,15 @@ def test_reindexing_identity_random(workprec, prec):
 
 
 def test_generalized_m1_matches_factorial(workprec, prec):
-    # flat index n = j + 1 shifts the truncation by one; the generalized tail
-    # factor lambda z + (N+1)/m - 1 is then the factorial one, (N+1) K_N
+    # flat index n = j + 1 shifts the truncation by one: both sums read the same
+    # coefficient row, so estimate, condition number and divergence flag agree
+    # bit for bit; the generalized tail factor lambda z + (N+1)/m - 1 is the
+    # factorial one, (N+1) K_N, up to the rounding of the longer kernel chain
     f = FormalSeries(1, [0, 0, 1] + [0] * 50)
     res_g = generalized_factorial_sum(f, 1, RamifiedPoint(3, 0), 41, prec=prec)
     res_f = factorial_series_sum(factorial_expansion(f, 1, prec=prec), mp.mpf(3), 40,
                                  prec=prec)
-    assert abs(res_g.estimate - res_f.estimate) / abs(res_f.estimate) < mp.mpf("1e-14")
+    assert res_g.estimate == res_f.estimate
     f = euler_series(202)
     for mod, arg in [(3, 0), ("2.5", 0), ("8.75", "-0.25"), (5, 1)]:
         z = RamifiedPoint(mp.mpf(mod), mp.mpf(arg))
@@ -184,12 +186,34 @@ def test_generalized_m1_matches_factorial(workprec, prec):
             for N in (10, 50, 100, 200):
                 res_f = factorial_series_sum(e, z, N, prec=prec)
                 res_g = generalized_factorial_sum(f, lam, z, N + 1, prec=prec)
-                tol = res_f.condition_number * mp.mpf(2) ** -250
-                for field in ("estimate", "heuristic_error"):
-                    want = getattr(res_f, field)
-                    assert abs(getattr(res_g, field) - want) <= tol * abs(want), \
+                for field in ("estimate", "condition_number", "diverging"):
+                    assert getattr(res_g, field) == getattr(res_f, field), \
                         (mod, arg, lam, N, field)
-                assert res_g.diverging is res_f.diverging, (mod, arg, lam, N)
+                want = res_f.heuristic_error
+                assert abs(res_g.heuristic_error - want) <= mp.mpf(2) ** -250 * want, \
+                    (mod, arg, lam, N)
+
+
+def test_generalized_estimates_move_within_their_condition_number():
+    # the 256-bit sum against the same sum at 512 bits: the difference is
+    # roundoff, which condition_number * 2^-256 bounds (Higham, ch. 3-4)
+    narrow, wide = PrecisionConfig(256), PrecisionConfig(512)
+    with working_precision(narrow):
+        theta, lam = mp.pi / 3, mp.mpf("0.6")
+    f256, f512 = example2_series(152, narrow), example2_series(152, wide)
+    cases = [(rotated_generalized_sum, (f256, theta, lam), (f512, theta, lam),
+              RamifiedPoint(5, 0), N) for N in (50, 100, 150)]
+    lam = 2.885390081777927
+    f256, f512 = psi_series(76, narrow), psi_series(76, wide)
+    cases += [(generalized_factorial_sum, (f256, lam), (f512, lam), RamifiedPoint(12, 0), N)
+              for N in (30, 75)]
+    for route, args256, args512, z, N in cases:
+        got = route(*args256, z, N, narrow)
+        want = route(*args512, z, N, wide).estimate
+        with working_precision(wide):
+            gap = abs(got.estimate - want)
+            assert gap <= got.condition_number * mp.mpf(2) ** -256 * abs(want), \
+                (route.__name__, N, gap)
 
 
 def test_generalized_heuristics_are_calibrated(workprec, prec):
@@ -413,7 +437,7 @@ def test_generalized_rows_are_keyed_by_lambda_theta_and_precision(prec):
         fresh = example2_series(60, prec)
         assert _generalized(f, lam, th, z, N, p) == _generalized(fresh, lam, th, z, N, p), \
             (lam, th, p.mantissa_bits, N)
-    assert len([k for k in f._cache if k[0] == "generalized"]) == 2 * 3 * 2
+    assert len(f._cache) == 2 * 3 * 2  # one (lambda, theta, bits) key per row
 
 
 def test_generalized_row_grown_shallow_then_deep_equals_deep_at_once(prec):
@@ -466,7 +490,7 @@ def test_a_series_with_a_cached_generalized_row_pickles(prec):
     build, depth, lam, theta, z = _route("example2-rotated", prec)
     f = build(depth, prec)
     before = _generalized(f, lam, theta, z, 30, prec)
-    (row,) = (v for v in f._cache.values() if isinstance(v, _GeneralizedRow))
+    (row,) = (v for v in f._cache.values() if isinstance(v, _CoefficientRow))
     # the row holds the series' order and coefficients, never the series
     assert row.m == f.m and row.coefficients is f.coefficients
     assert not any(v is f for v in vars(row).values())
@@ -507,6 +531,10 @@ def test_generalized_errors_keep_their_order(prec):
             with pytest.raises(error, match=message):
                 route(N, theta, z, lam)
     assert not f._cache  # no failed call left a row behind
+    with pytest.raises(DomainError, match="n_max must be nonnegative"):
+        generalized_coefficients(f, -3, prec)
+    with pytest.raises(DomainError, match="N must be nonnegative"):
+        factorial_expansion(euler_series(10), 1, -5, prec)
 
 
 def test_branch_sum_equals_its_weighted_branch_factorial_sums(prec):
