@@ -40,8 +40,8 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 
 # the psi generalized route (the only built-in whose chain offsets l/m round) off
 # the golden point, rotated example2 at full depth, the oracle no golden runs, the
-# m = 1 generalized route, which sums as the factorial route does, and two example2
-# sweeps over N, whose rows grow and are reused inside one process
+# m = 1 generalized and branch routes, which sum as the factorial route does, and
+# two example2 sweeps over N, whose rows grow and are reused inside one process
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -51,6 +51,8 @@ EXTRA = [
     ("sum", "--builtin", "const1", "--method", "oracle", "--z-mod", "2", *_JSON),
     ("sum", "--builtin", "euler", "--method", "generalized", "--z-mod", "3", "--N", "11",
      *_JSON),
+    ("sum", "--builtin", "euler", "--method", "branch", "--z-mod", "8.75", "--z-arg", "-0.25",
+     "--N", "100", *_JSON),
     ("table", "--builtin", "example2", "--method", "generalized", "--theta", "1.0471975511965976",
      "--lambda", "0.6", "--z-mod", "5", "--N-range", "10:150:20", *_JSON),
     ("table", "--builtin", "example2", "--method", "generalized", "--lambda", "1",

@@ -19,7 +19,8 @@ with it: the strip least-term bound ``r_as``, the factorial-series bound
 
 The transform is the m = 1 generalized expansion of :mod:`borelsum.ramified`
 (d_{k,j} = |s(k+j-1, k-1)|, so b_n = d_{n+1}): one coefficient row, cached
-on the series, serves both, and one kernel-sum body sums every route.  Each
+on the series, serves both, and one body, ``_kernel_sum``, forms every
+factorial-type result from such rows, its kernel chains and tail too.  Each
 coefficient carries its condition number, as the transform cancels
 factorially large terms; work at 53 bits and the stored reference tables
 below some depth are simply unreachable.
@@ -51,7 +52,8 @@ class SummationResult:
     ``heuristic_error``.  ``condition_number`` is the worst cancellation
     ratio met, the larger of two parts: the coefficients' own (of the b_n or
     d_n read, from the coefficient row) and the sum's, (|a_0| + lambda sum
-    |term|) / |estimate|.  Every factorial-type sum sets ``diverging``.
+    |term|) / |estimate|, the worst over a branch sum's branches.  Every
+    factorial-type result comes from ``_kernel_sum`` and sets ``diverging``.
     """
 
     estimate: mp.mpc
@@ -234,31 +236,53 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
     with working_precision(prec):
         zc = _halfplane(z, 0, prec)
         check_lambda_permitted(e.lam, envelope)
-        kernels = gamma_ratios(e.lam * zc, 1, N + 1, prec)
         rigorous = (None if envelope is None else
                     r_fact(e.lam, envelope.A, envelope.B, N, zc, prec))
-        return _kernel_sum("factorial", N, e, kernels, (N + 1) * kernels[N], zc, rigorous)
+        return _kernel_sum("factorial", N, [(1, e)], 0, N + 1, 1, zc, prec, rigorous)
 
 
-def _kernel_sum(method: str, N: int, e: FactorialExpansion, kernels: Sequence, tail,
-                zc: mp.mpc, rigorous=None) -> SummationResult:
-    """a_0 + lambda sum_i K_i b_i of ``e``, one term per kernel given, at the
-    ambient precision.  The heuristic error is |b_next| |tail| / Re z, ``tail``
-    the omitted kernel times its class chain's tail factor
-    (docs/first-omitted-estimate.md); the condition number the larger of
-    ``e.condition`` and (|a_0| + lambda sum |K_i b_i|) / |estimate|;
-    ``diverging`` reads the same |K_i b_i|."""
-    terms = [k * c for k, c in zip(kernels, e.b)]
-    total = mp.fsum(terms)
-    estimate = e.a0 + e.lam * total
-    mags = [abs(t) for t in terms]
-    gross = abs(e.a0) + e.lam * mp.fsum(mags)
-    cond = gross / abs(estimate) if estimate != 0 else mp.inf if gross != 0 else mp.mpf(1)
-    return SummationResult(
-        estimate=ensure_finite(estimate), N=N, method=method, rigorous_bound=rigorous,
-        heuristic_error=abs(e.b[len(kernels)]) * abs(tail) / mp.re(zc),
-        condition_number=max(max(e.condition[:len(kernels) + 1]), cond),
-        diverging=_divergence_flag(mags))
+def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
+    """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count].
+
+    Each residue class n = l + jm is one ``gamma_ratios`` chain at offset
+    l/m, the factorial kernel's recurrence with l/m in place of 1: the
+    kernel at n is chain element j, ``gamma_ratio(w, j, Fraction(l, m))``.
+    """
+    out = [None] * count
+    for l in range(1, min(m, count) + 1):  # classes past count hold no n
+        out[l - 1::m] = gamma_ratios(w, Fraction(l, m), len(range(l, count + 1, m)), prec)
+    return out
+
+
+def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpansion]],
+                a0, n: int, m: int, zc: mp.mpc, prec: PrecisionConfig | None,
+                rigorous=None) -> SummationResult:
+    """a0 + sum weight (e.a0 + lambda sum_{i<=n} K_i c_i) over the parts
+    (weight, e), all on one chain K_1..K_{n+1} at w = lambda z, at the ambient
+    precision.  A part's heuristic error is |c_{n+1}| tail / Re z, with
+    tail = |K_{n+1} (w + (n+1)/m - 1)| (docs/first-omitted-estimate.md), its
+    condition number the larger of ``e.condition`` and (|e.a0| + lambda sum
+    |K_i c_i|) / |part|; ``diverging`` reads the same |K_i c_i|.  The result
+    sums |weight| x heuristic, takes the worst condition number and any
+    part's ``diverging``."""
+    w = parts[0][1].lam * zc
+    kernels = _beta_kernels(w, m, n + 1, prec)
+    tail = abs(kernels[n] * (w + mp.mpf(n + 1) / m - 1))
+    value, heuristic, cond_max, diverging = mp.mpc(a0), mp.mpf(0), mp.mpf(0), False
+    for weight, e in parts:
+        terms = [k * c for k, c in zip(kernels[:n], e.b)]
+        total = mp.fsum(terms)
+        estimate = e.a0 + e.lam * total
+        mags = [abs(t) for t in terms]
+        gross = abs(e.a0) + e.lam * mp.fsum(mags)
+        cond = gross / abs(estimate) if estimate != 0 else mp.inf if gross != 0 else mp.mpf(1)
+        value += weight * estimate
+        heuristic += abs(weight) * (abs(e.b[n]) * tail / mp.re(zc))
+        cond_max = max(cond_max, *e.condition[:n + 1], cond)
+        diverging = diverging or _divergence_flag(mags)
+    return SummationResult(estimate=ensure_finite(value), N=N, method=method,
+                           rigorous_bound=rigorous, heuristic_error=heuristic,
+                           condition_number=cond_max, diverging=diverging)
 
 
 def _divergence_flag(term_mags: list[mp.mpf]) -> bool:

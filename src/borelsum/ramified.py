@@ -26,16 +26,15 @@ The two truncation conventions differ on purpose: branch sums truncate each
 branch at the same per-branch depth N, generalized sums truncate at flat
 index n <= N, and the flat index runs m times faster.
 
-Both routes sum through the one kernel-sum body of :mod:`borelsum.classical`,
-so they share its first-omitted-term estimate, condition number and
-divergence flag.  Neither checks the analytic hypotheses behind convergence
-(that would need the Borel transform's singularity set); instead term growth
+Both routes hand their coefficient rows to the one kernel-sum body of
+:mod:`borelsum.classical`, which builds the kernels and the result, so they
+share its first-omitted-term estimate, condition number and divergence
+flag.  Neither checks the analytic hypotheses behind convergence (that
+would need the Borel transform's singularity set); instead term growth
 past the smallest term flips ``diverging``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -43,7 +42,7 @@ from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
                         check_lambda_permitted, factorial_expansion,
                         least_term_index, r_as, r_fact)
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import PrecisionConfig, as_mpf, ensure_finite, gamma_ratios, working_precision
+from .numerics import PrecisionConfig, as_mpf, ensure_finite, working_precision
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split, partial_sum, power
 
 
@@ -54,8 +53,8 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
 
     Each branch is a factorial series sum at per-branch depth N, all at the
     same lambda z projected, so one kernel chain serves every branch.  The
-    heuristic error is the z-weighted sum of the per-branch ones, the
-    condition number the worst branch's, ``diverging`` any branch's; the
+    heuristic error is the |z^((m-l)/m)|-weighted sum of the per-branch ones,
+    the condition number the worst branch's, ``diverging`` any branch's; the
     rigorous bound is the one ``r_fact`` every branch shares times
     sum_{i<m} |z|^(i/m), the same form as ``r_as_ramified``.
     Needs flat coefficients up to a_{l + m(N+1)} for every branch.
@@ -72,22 +71,11 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
         lv = as_mpf(lam)
         check_lambda_permitted(lv, envelope)
         a0, branches = branch_split(f)
-        expansions = [factorial_expansion(fl, lv, N + 1, prec) for fl in branches]
-        kernels = gamma_ratios(lv * zdot, 1, N + 1, prec)
+        parts = [(power(z, f.m - l, f.m, prec), factorial_expansion(fl, lv, N + 1, prec))
+                 for l, fl in enumerate(branches, start=1)]
         rigorous = (None if envelope is None else
                     r_fact(lv, envelope.A, envelope.B, N, zdot, prec) * _branch_weights(z, f.m))
-        tail = (N + 1) * kernels[N]
-        estimate, heuristic, cond, diverging = mp.mpc(a0), mp.mpf(0), mp.mpf(1), False
-        for l, e in enumerate(expansions, start=1):
-            part = _kernel_sum("factorial", N, e, kernels, tail, zdot)
-            weight = power(z, f.m - l, f.m, prec)
-            estimate += weight * part.estimate
-            heuristic += abs(weight) * part.heuristic_error
-            cond = max(cond, part.condition_number)
-            diverging = diverging or part.diverging
-        return SummationResult(estimate=ensure_finite(estimate), N=N, method="branch",
-                               rigorous_bound=rigorous, heuristic_error=heuristic,
-                               condition_number=cond, diverging=diverging)
+        return _kernel_sum("branch", N, parts, a0, N + 1, 1, zdot, prec, rigorous)
 
 
 def generalized_coefficients(f: FormalSeries, n_max: int | None = None,
@@ -104,19 +92,6 @@ def generalized_coefficients(f: FormalSeries, n_max: int | None = None,
         raise DomainError("n_max must be nonnegative")
     with working_precision(prec) as cfg:
         return list(_expansion(f, mp.mpf(1), None, n_max, cfg).b)
-
-
-def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
-    """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count].
-
-    Each residue class n = l + jm is one ``gamma_ratios`` chain at offset
-    l/m, the factorial kernel's recurrence with l/m in place of 1: the
-    kernel at n is chain element j, ``gamma_ratio(w, j, Fraction(l, m))``.
-    """
-    out = [None] * count
-    for l in range(1, min(m, count) + 1):  # classes past count hold no n
-        out[l - 1::m] = gamma_ratios(w, Fraction(l, m), len(range(l, count + 1, m)), prec)
-    return out
 
 
 def generalized_factorial_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
@@ -152,10 +127,8 @@ def _generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: int,
         lv = as_mpf(lam)
         zdot = _halfplane(z, 0, prec)
         e = _expansion(f, lv, theta, N + 1, cfg)
-        kernels = _beta_kernels(lv * zdot, f.m, N + 1, prec)
-        tail = kernels[N] * (lv * zdot + mp.mpf(N + 1) / f.m - 1)
         method = "generalized" if theta is None else "generalized-rotated"
-        return _kernel_sum(method, N, e, kernels[:N], tail, zdot)
+        return _kernel_sum(method, N, [(1, e)], 0, N, f.m, zdot, prec)
 
 
 def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,

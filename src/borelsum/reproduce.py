@@ -120,17 +120,17 @@ def _flag_row(label: str, flag) -> ReproRow:
     return ReproRow(label, str(bool(flag)), "True", bool(flag))
 
 
-_BUILT: dict[tuple[str, PrecisionConfig], FormalSeries] = {}
+_BUILT: dict[tuple[str, PrecisionConfig], list[FormalSeries]] = {}
 
 
 def _builtin(name: str, depth: int, prec: PrecisionConfig) -> FormalSeries:
-    """psi or example2 storing at least a_0..a_depth: one series per name and
-    precision, replaced only by a deeper one, so the targets of one process
-    share it and the rows cached on it.  Call inside ``working_precision``."""
-    f = _BUILT.get((name, prec))
-    if f is None or f.n_max < depth:
-        f = _BUILT[name, prec] = BUILTIN_SERIES[name](depth, prec)
-    return f
+    """psi or example2 storing at least a_0..a_depth: the first one built for this
+    name and precision deep enough, else a new one, kept with the others, so a
+    target rereads its series and rows.  Call inside ``working_precision``."""
+    built = _BUILT.setdefault((name, prec), [])
+    if all(f.n_max < depth for f in built):
+        built.append(BUILTIN_SERIES[name](depth, prec))
+    return next(f for f in built if f.n_max >= depth)
 
 
 def _psi_branch_rows(table, lam, prec,

@@ -121,6 +121,33 @@ def test_criterion_06_table5():
            all(r.passed for r in rows_for("table5")))
 
 
+def test_a_repeated_target_reads_its_own_series_again(monkeypatch):
+    # table5 asks for a deeper example2 than table4; table4 run again must still
+    # read the series it grew its lambda = 1 row on, and fetch no d-row
+    from borelsum import classical
+    monkeypatch.setattr(repro, "_BUILT", {})
+    summed, fetched = [], []
+
+    def summing(f, *args, **kwargs):
+        summed.append(f)
+        return generalized_factorial_sum(f, *args, **kwargs)
+
+    def fetching(*args):
+        fetched.append(args)
+        return d_coefficient_row(*args)
+
+    monkeypatch.setattr(repro, "generalized_factorial_sum", summing)
+    monkeypatch.setattr(classical, "d_coefficient_row", fetching)
+    first = repro.run_target("table4", PREC)
+    series = summed[0]
+    repro.run_target("table5", PREC)
+    summed.clear()
+    fetched.clear()
+    assert repro.run_target("table4", PREC) == first
+    assert summed and all(f is series for f in summed)
+    assert fetched == []
+
+
 # --- 7. quadrature oracle -------------------------------------------------------
 
 def test_criterion_07_oracle_values():
