@@ -40,8 +40,9 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 
 # the psi generalized route (the only built-in whose chain offsets l/m round) off
 # the golden point, rotated example2 at full depth, the oracle no golden runs, the
-# m = 1 generalized and branch routes, which sum as the factorial route does, and
-# two example2 sweeps over N, whose rows grow and are reused inside one process
+# m = 1 generalized and branch routes, which sum as the factorial route does, two
+# example2 sweeps over N, whose rows grow and are reused inside one process, and a
+# bounded psi branch sweep off the real axis, where every branch weight is complex
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -57,6 +58,9 @@ EXTRA = [
      "--lambda", "0.6", "--z-mod", "5", "--N-range", "10:150:20", *_JSON),
     ("table", "--builtin", "example2", "--method", "generalized", "--lambda", "1",
      "--z-mod", "5", "--N-range", "10:100:10", *_JSON),
+    ("table", "--builtin", "psi", "--method", "branch", "--lambda", "2.885390081777927",
+     "--z-mod", "10", "--z-arg", "-1.2", "--N-range", "3,14,25", "--A", "1", "--B", "1",
+     *_JSON),
 ]
 
 

@@ -20,7 +20,7 @@ with it: the strip least-term bound ``r_as``, the factorial-series bound
 The transform is the m = 1 generalized expansion of :mod:`borelsum.ramified`
 (d_{k,j} = |s(k+j-1, k-1)|, so b_n = d_{n+1}): one coefficient row, cached
 on the series, serves both, and one body, ``_kernel_sum``, forms every
-factorial-type result from such rows, its kernel chains and tail too.  Each
+factorial-type result from such rows, with its chains, tail and bound.  Each
 coefficient carries its condition number, as the transform cancels
 factorially large terms; work at 53 bits and the stored reference tables
 below some depth are simply unreachable.
@@ -203,7 +203,7 @@ def check_lambda_permitted(lam, envelope: GrowthEnvelope | None) -> None:
         warnings.warn(
             f"lambda = {float(lam):g} exceeds the envelope's permitted factor "
             f"{float(envelope.lam):g}; convergence is no longer guaranteed",
-            stacklevel=3)
+            stacklevel=4)  # the line that called the sum, past _kernel_sum
 
 
 def _halfplane(z: PointLike, B, prec: PrecisionConfig | None) -> mp.mpc:
@@ -226,7 +226,7 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
     sum is claimed.  ``heuristic_error`` is the first-omitted-term estimate
     |b_{N+1}| (N+1) |K_N| / Re z (needs b_{N+1}), which matches the printed
     error columns of the reference tables to their two significant digits;
-    ``rigorous_bound`` is emitted when a region envelope is supplied.
+    a region envelope gives ``rigorous_bound``, ``r_fact`` at N.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -235,10 +235,7 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
             f"expansion stores b_0..b_{e.depth}; N = {N} needs b_{N + 1} for its estimate")
     with working_precision(prec):
         zc = _halfplane(z, 0, prec)
-        check_lambda_permitted(e.lam, envelope)
-        rigorous = (None if envelope is None else
-                    r_fact(e.lam, envelope.A, envelope.B, N, zc, prec))
-        return _kernel_sum("factorial", N, [(1, e)], 0, N + 1, 1, zc, prec, rigorous)
+        return _kernel_sum("factorial", N, [(1, e)], 0, N + 1, 1, zc, prec, envelope)
 
 
 def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
@@ -256,16 +253,21 @@ def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[m
 
 def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpansion]],
                 a0, n: int, m: int, zc: mp.mpc, prec: PrecisionConfig | None,
-                rigorous=None) -> SummationResult:
+                envelope: GrowthEnvelope | None = None) -> SummationResult:
     """a0 + sum weight (e.a0 + lambda sum_{i<=n} K_i c_i) over the parts
     (weight, e), all on one chain K_1..K_{n+1} at w = lambda z, at the ambient
-    precision.  A part's heuristic error is |c_{n+1}| tail / Re z, with
-    tail = |K_{n+1} (w + (n+1)/m - 1)| (docs/first-omitted-estimate.md), its
-    condition number the larger of ``e.condition`` and (|e.a0| + lambda sum
-    |K_i c_i|) / |part|; ``diverging`` reads the same |K_i c_i|.  The result
-    sums |weight| x heuristic, takes the worst condition number and any
-    part's ``diverging``."""
-    w = parts[0][1].lam * zc
+    precision.  An envelope is checked against lambda and, before any kernel
+    is built, gives the rigorous bound ``r_fact`` at n - 1 times sum |weight|.
+    A part's heuristic error is |c_{n+1}| |K_{n+1} (w + (n+1)/m - 1)| / Re z
+    (docs/first-omitted-estimate.md), its condition number the larger of
+    ``e.condition`` and (|e.a0| + lambda sum |K_i c_i|) / |part|;
+    ``diverging`` reads the same |K_i c_i|.  The result sums |weight| x
+    heuristic, takes the worst condition number and any part's ``diverging``."""
+    lam = parts[0][1].lam
+    check_lambda_permitted(lam, envelope)
+    rigorous = None if envelope is None else (  # before any kernel: Re z <= B raises
+        r_fact(lam, envelope.A, envelope.B, n - 1, zc, prec) * mp.fsum(abs(p[0]) for p in parts))
+    w = lam * zc
     kernels = _beta_kernels(w, m, n + 1, prec)
     tail = abs(kernels[n] * (w + mp.mpf(n + 1) / m - 1))
     value, heuristic, cond_max, diverging = mp.mpc(a0), mp.mpf(0), mp.mpf(0), False

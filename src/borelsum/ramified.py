@@ -27,11 +27,12 @@ branch at the same per-branch depth N, generalized sums truncate at flat
 index n <= N, and the flat index runs m times faster.
 
 Both routes hand their coefficient rows to the one kernel-sum body of
-:mod:`borelsum.classical`, which builds the kernels and the result, so they
-share its first-omitted-term estimate, condition number and divergence
-flag.  Neither checks the analytic hypotheses behind convergence (that
-would need the Borel transform's singularity set); instead term growth
-past the smallest term flips ``diverging``.
+:mod:`borelsum.classical`, which builds the kernels and the whole result
+(the branch route's ``r_fact`` bound too), so they share its
+first-omitted-term estimate, condition number and divergence flag.
+Neither checks the analytic hypotheses behind convergence (that would
+need the Borel transform's singularity set); instead term growth past the
+smallest term flips ``diverging``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from __future__ import annotations
 import mpmath as mp
 
 from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
-                        check_lambda_permitted, factorial_expansion,
-                        least_term_index, r_as, r_fact)
+                        factorial_expansion, least_term_index, r_as)
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import PrecisionConfig, as_mpf, ensure_finite, working_precision
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split, partial_sum, power
@@ -53,10 +53,10 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
 
     Each branch is a factorial series sum at per-branch depth N, all at the
     same lambda z projected, so one kernel chain serves every branch.  The
-    heuristic error is the |z^((m-l)/m)|-weighted sum of the per-branch ones,
-    the condition number the worst branch's, ``diverging`` any branch's; the
-    rigorous bound is the one ``r_fact`` every branch shares times
-    sum_{i<m} |z|^(i/m), the same form as ``r_as_ramified``.
+    kernel-sum body weighs the per-branch heuristic errors and, given an
+    envelope, the one ``r_fact`` every branch shares by the same
+    |z^((m-l)/m)|; the condition number is the worst branch's,
+    ``diverging`` any branch's.
     Needs flat coefficients up to a_{l + m(N+1)} for every branch.
     """
     if N < 0:
@@ -68,14 +68,10 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
             f"series stores a_0..a_{f.n_max}")
     with working_precision(prec):
         zdot = _halfplane(z, 0, prec)
-        lv = as_mpf(lam)
-        check_lambda_permitted(lv, envelope)
         a0, branches = branch_split(f)
-        parts = [(power(z, f.m - l, f.m, prec), factorial_expansion(fl, lv, N + 1, prec))
+        parts = [(power(z, f.m - l, f.m, prec), factorial_expansion(fl, lam, N + 1, prec))
                  for l, fl in enumerate(branches, start=1)]
-        rigorous = (None if envelope is None else
-                    r_fact(lv, envelope.A, envelope.B, N, zdot, prec) * _branch_weights(z, f.m))
-        return _kernel_sum("branch", N, parts, a0, N + 1, 1, zdot, prec, rigorous)
+        return _kernel_sum("branch", N, parts, a0, N + 1, 1, zdot, prec, envelope)
 
 
 def generalized_coefficients(f: FormalSeries, n_max: int | None = None,

@@ -148,6 +148,11 @@ def test_a_repeated_target_reads_its_own_series_again(monkeypatch):
     assert fetched == []
 
 
+def test_an_unknown_target_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown reproduction target 'table9'"):
+        repro.run_target("table9", PREC)
+
+
 # --- 7. quadrature oracle -------------------------------------------------------
 
 def test_criterion_07_oracle_values():

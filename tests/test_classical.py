@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       InsufficientCoefficientsError, PrecisionConfig,
-                      RamifiedPoint, b_bound, bound_comparison_table,
+                      RamifiedPoint, SummationResult, b_bound, bound_comparison_table,
                       euler_series, factorial_expansion, factorial_series_sum,
                       generalized_factorial_sum, laplace_quadrature,
                       least_term_index, partial_sum, r_as, r_fact,
@@ -198,6 +198,12 @@ def test_r_as_plugin_values(workprec):
         r_as(1, 1, 5, 3, mp.mpf(4))  # Re z <= B
 
 
+def test_a_non_oracle_result_needs_a_bound_or_an_error():
+    with pytest.raises(DomainError, match="need a bound or an error estimate"):
+        SummationResult(estimate=mp.mpc(1), N=3, method="factorial")
+    assert SummationResult(estimate=mp.mpc(1), N=0, method="oracle").heuristic_error is None
+
+
 def test_r_fact_reduces_to_unscaled(workprec):
     z = mp.mpc(10, 10)
     unscaled = (mp.mpf(1) / mp.power(1, 1)
@@ -220,6 +226,8 @@ def test_r_fact_asymptotic_consistency(workprec):
     # lambda = B = 1 prefactor is A*e
     assert abs(r_fact_asymptotic(1, 3, 1, 1, mp.mpf(10))
                - 3 * mp.e * abs(mp.gamma(10)) / 9) < mp.mpf("1e-60")
+    with pytest.raises(DomainError, match="needs N >= 1"):
+        r_fact_asymptotic(1, 1, 1, 0, mp.mpf(10))
 
 
 def test_b_bound_values(workprec):

@@ -110,10 +110,21 @@ def test_malformed_series_values_exit_1_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-def test_missing_input_exits_1():
+def test_missing_input_exits_1(tmp_path):
     run_cli("sum", "--method", "factorial", "--z-mod", "3", expect=1)
     run_cli("sum", "--builtin", "euler", "--method", "nope", "--z-mod", "3",
             expect=1)
+    proc = run_cli("sum", "--builtin", "nope", "--method", "factorial", "--z-mod", "3",
+                   expect=1)
+    assert "unknown builtin 'nope'" in proc.stderr
+    # a missing file and a directory
+    for path in (tmp_path / "missing.json", tmp_path):
+        proc = run_cli("sum", "--series", str(path), "--method", "factorial",
+                       "--z-mod", "3", "--N", "2", expect=1)
+        assert "cannot read series file" in proc.stderr
+    proc = run_cli("sum", "--builtin", "psi", "--method", "oracle", "--z-mod", "12",
+                   expect=1)
+    assert "--method oracle needs --builtin out of" in proc.stderr
 
 
 def test_domain_error_exits_2():
@@ -125,10 +136,13 @@ def test_domain_error_exits_2():
                    "--tol", "inf", expect=2)
     assert "finite" in proc.stderr and proc.stdout == ""
     # a negative N is named as such, however far below zero
-    for N in ("-1", "-5"):
-        proc = run_cli("sum", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
+    for method, N in (("factorial", "-1"), ("factorial", "-5"), ("branch", "-1")):
+        proc = run_cli("sum", "--builtin", "euler", "--method", method, "--z-mod", "3",
                        "--N", N, expect=2)
         assert "N must be nonnegative" in proc.stderr and proc.stdout == ""
+    proc = run_cli("sum", "--builtin", "psi", "--method", "branch", "--z-mod", "12",
+                   "--depth", "-3", expect=2)
+    assert "depth must be nonnegative" in proc.stderr and proc.stdout == ""
 
 
 def test_least_term_requires_r():
@@ -198,6 +212,12 @@ def test_lambda_warning_on_stderr():
                   "--z-mod", "12", "--A", "1", "--B", "1")
     assert run_cli("sum", *psi_branch, "--N", "10").stderr == line
     assert run_cli("table", *psi_branch, "--N-range", "10,12,14").stderr == line
+
+
+def test_a_non_finite_lambda_is_refused_before_the_envelope_warns():
+    proc = run_cli("sum", "--builtin", "psi", "--method", "branch", "--lambda", "inf",
+                   "--z-mod", "12", "--N", "10", "--A", "1", "--B", "1", expect=2)
+    assert proc.stderr == "error: lambda must be finite and positive\n"
 
 
 def test_out_file(tmp_path):

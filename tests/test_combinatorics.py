@@ -164,6 +164,8 @@ def test_d_coefficient_domain():
         d_coefficient_exact(0, 3)
     with pytest.raises(DomainError):
         d_coefficient_exact(Fraction(-1, 2), 3)
+    with pytest.raises(DomainError, match="j must be nonnegative"):
+        d_coefficient_row(Fraction(1, 2), -1)
 
 
 def _d_bell(r, j):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from borelsum import (DomainError, PoleError, PrecisionConfig, gamma_ratio,
                       gamma_ratios, working_precision)
+from borelsum.numerics import ensure_finite
 
 
 def test_precision_config_invariants():
@@ -59,6 +60,13 @@ def test_gamma_ratio_vs_product_oracle(workprec):
 def test_gamma_ratio_large_n_no_overflow(workprec):
     val = gamma_ratio(mp.mpf(30), 200, 1)
     assert mp.isfinite(val) and abs(val) > 0
+
+
+def test_ensure_finite_names_a_non_finite_value():
+    assert ensure_finite(mp.mpf(2)) == 2
+    for bad in (mp.inf, mp.nan, mp.mpc(1, mp.inf)):
+        with pytest.raises(DomainError, match="non-finite value produced"):
+            ensure_finite(bad)
 
 
 def test_gamma_ratio_preconditions():

@@ -255,3 +255,5 @@ def test_depth_validation():
         euler_series(0)
     with pytest.raises(DomainError):
         example2_series(0)
+    with pytest.raises(DomainError, match="depth must be nonnegative"):
+        psi_scaled_coefficients(-3)

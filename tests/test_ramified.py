@@ -66,6 +66,8 @@ def test_branch_sum_insufficient_coefficients(workprec):
     f = psi_series(20)
     with pytest.raises(InsufficientCoefficientsError):
         branch_sum(f, 1, RamifiedPoint(12, 0), 10)
+    with pytest.raises(DomainError, match="N must be nonnegative"):
+        branch_sum(f, 1, RamifiedPoint(12, 0), -1)
 
 
 def test_generalized_coefficients_low_indices(workprec, prec):
@@ -367,6 +369,8 @@ def test_r_as_ramified(workprec):
     assert abs(a - b) / b < mp.mpf(2) ** -100
     with pytest.raises(DomainError):
         r_as_ramified(1, 1, 9, 3, z, 3)  # Re z <= B
+    with pytest.raises(DomainError, match="m must be a positive integer"):
+        r_as_ramified(1, 1, 1, 3, z, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +540,7 @@ def test_generalized_errors_keep_their_order(prec):
 
 def test_branch_sum_equals_its_weighted_branch_factorial_sums(prec):
     # one kernel chain for all branches == one factorial_series_sum per branch;
-    # every branch has the same bound, weighted by sum_{i<m} |z|^(i/m)
+    # every branch has the same bound, weighted by the sum of |z^((m-l)/m)|
     f, z, lam, N = psi_series(3 * 22, prec), RamifiedPoint(13.375, 0.25), 4, 20
     env = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP, domain="ramified")
     with warnings.catch_warnings():
@@ -555,7 +559,8 @@ def test_branch_sum_equals_its_weighted_branch_factorial_sums(prec):
                 per_branch += abs(weight) * part.rigorous_bound
                 bounds.add(part.rigorous_bound)
             (bound,) = bounds
-            rigorous = bound * _branch_weights(z, f.m)
+            rigorous = bound * mp.fsum(abs(power(z, f.m - l, f.m, prec))
+                                       for l in range(1, f.m + 1))
     assert (res.estimate, res.heuristic_error, res.rigorous_bound) == \
         (estimate, heuristic, rigorous)
     # the branch-by-branch sum is the same bound up to its own roundings
@@ -563,14 +568,14 @@ def test_branch_sum_equals_its_weighted_branch_factorial_sums(prec):
 
 
 def test_branch_sum_computes_one_r_fact_for_all_branches(monkeypatch, prec):
-    from borelsum import ramified
+    from borelsum import classical
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return r_fact(*args, **kwargs)
 
-    monkeypatch.setattr(ramified, "r_fact", counted)
+    monkeypatch.setattr(classical, "r_fact", counted)
     f, z, N = psi_series(3 * 16, prec), RamifiedPoint(14, 0), 14
     env = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP, domain="ramified")
     res = branch_sum(f, 1, z, N, envelope=env, prec=prec)
@@ -580,6 +585,32 @@ def test_branch_sum_computes_one_r_fact_for_all_branches(monkeypatch, prec):
     with working_precision(prec):
         expected = r_fact(1, 1, 1, N, z.projection(prec), prec) * _branch_weights(z, f.m)
     assert res.rigorous_bound == expected
+
+
+def test_branch_bound_weights_r_fact_by_the_moduli_of_the_branch_weights(prec):
+    # off the real axis |z^((m-l)/m)| and |z|^((m-l)/m) can round apart: the
+    # bound takes the moduli of the very weights the estimate and heuristic take
+    f, z = psi_series(3 * 27, prec), RamifiedPoint(10, -1.2)
+    lam = mp.mpf(2.885390081777927)
+    env = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP, domain="ramified")
+    for N in (3, 25):
+        res = branch_sum(f, lam, z, N, envelope=env, prec=prec)
+        with working_precision(prec):
+            weights = mp.fsum(abs(power(z, 3 - l, 3, prec)) for l in (1, 2, 3))
+            expected = r_fact(lam, 1, 1, N, z.projection(prec), prec) * weights
+        assert res.rigorous_bound == expected, N
+
+
+def test_lambda_warning_points_at_the_caller_of_the_sum(prec):
+    f = psi_series(3 * 16, prec)
+    z, env = RamifiedPoint(14, 0), GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP)
+    for call in (lambda: branch_sum(f, 4, z, 14, envelope=env, prec=prec),
+                 lambda: factorial_series_sum(factorial_expansion(euler_series(20), 4, prec=prec),
+                                              z, 14, envelope=env, prec=prec)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.filename for w in caught] == [__file__]
 
 
 def test_branch_split_is_cached_per_precision(prec):

@@ -36,6 +36,8 @@ def test_power_examples(workprec):
     assert abs(power(RamifiedPoint(1, 2 * mp.pi), 1, 2) + 1) < eps
     want = 4 * mp.exp(2j * mp.pi / 3)
     assert abs(power(RamifiedPoint(8, mp.pi), 2, 3) - want) < eps
+    with pytest.raises(DomainError, match="m must be a positive integer"):
+        power(RamifiedPoint(8, 0), 2, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -69,6 +71,8 @@ def test_rotate_identity_and_phase(workprec):
     # a full turn of the cover is the identity
     h = rotate(f, 2 * mp.pi * f.m)
     assert all(abs(a - b) < eps for a, b in zip(h.coefficients, f.coefficients))
+    with pytest.raises(DomainError, match="theta must be finite"):
+        rotate(f, mp.inf)
 
 
 def test_rotate_matches_substitution(workprec):
@@ -162,6 +166,8 @@ def test_partial_sum_examples(workprec):
     assert abs(got - (mp.mpf(1) / 3 - mp.mpf(1) / 9)) < mp.mpf(2) ** -240
     with pytest.raises(InsufficientCoefficientsError):
         partial_sum(f, z, 3)
+    with pytest.raises(DomainError, match="N must be nonnegative"):
+        partial_sum(f, z, -1)
 
 
 def test_partial_sum_psi_head(workprec):
