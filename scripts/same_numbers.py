@@ -41,8 +41,10 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 # the psi generalized route (the only built-in whose chain offsets l/m round) off
 # the golden point, rotated example2 at full depth, the oracle no golden runs, the
 # m = 1 generalized and branch routes, which sum as the factorial route does, two
-# example2 sweeps over N, whose rows grow and are reused inside one process, and a
-# bounded psi branch sweep off the real axis, where every branch weight is complex
+# example2 sweeps over N, whose rows grow and are reused inside one process, a
+# bounded psi branch sweep off the real axis, where every branch weight is complex,
+# and the euler and example2 oracles on rays theta != 0, where the evaluator forms
+# its phase e^(i theta/m)
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -61,6 +63,10 @@ EXTRA = [
     ("table", "--builtin", "psi", "--method", "branch", "--lambda", "2.885390081777927",
      "--z-mod", "10", "--z-arg", "-1.2", "--N-range", "3,14,25", "--A", "1", "--B", "1",
      *_JSON),
+    ("sum", "--builtin", "euler", "--method", "oracle", "--theta", "0.5", "--z-mod", "3",
+     "--z-arg", "0.5", *_JSON),
+    ("sum", "--builtin", "example2", "--method", "oracle", "--theta", "-0.75", "--z-mod", "6",
+     "--z-arg", "0.25", *_JSON),
 ]
 
 

@@ -24,9 +24,9 @@ from .errors import (BorelSumError, DomainError,
                      InsufficientCoefficientsError, PoleError, QuadratureError)
 from .numerics import (DEFAULT_PRECISION, PrecisionConfig, gamma_ratio,
                        gamma_ratios, working_precision)
-from .oracle import (BUILTIN_EVALUATORS, BUILTIN_SERIES, PSI_LAMBDA_SUP,
-                     BorelEvaluator, euler_series, example2_series,
-                     laplace_quadrature, psi_scaled_coefficients, psi_series)
+from .oracle import (BUILTIN_EVALUATORS, BUILTIN_SERIES, PSI_LAMBDA_SUP, BorelEvaluator,
+                     binomial_series, euler_series, example2_series, laplace_quadrature,
+                     psi_scaled_coefficients, psi_series)
 from .ramified import (branch_sum, generalized_coefficients,
                        generalized_factorial_sum, least_term_sum_ramified,
                        r_as_ramified, rotated_generalized_sum)

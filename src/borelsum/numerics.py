@@ -9,7 +9,7 @@ overflows double exponent range near ``N = 100`` and loses all accuracy
 long before that.  A chain starts from a log-gamma difference (or from
 exactly 1/z when s = 1).  Single gammas are called from mpmath directly:
 ``mp.gamma`` in the coefficient rows of ``classical`` (Gamma(n/m), which
-is (n-1)! at m = 1), in ``r_fact_asymptotic`` and in ``example2_series``.
+is (n-1)! at m = 1), in ``r_fact_asymptotic`` and in ``binomial_series``.
 
 Values are ``mpmath`` numbers.  A :class:`PrecisionConfig` names the working
 mantissa size; operations run under ``mpmath.workprec`` so results carry the

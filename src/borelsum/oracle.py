@@ -11,13 +11,13 @@ harmless.
 
 Built-in series:
 
-* ``euler_series``  (m = 1): a_k = (-1)^(k-1) (k-1)!, Borel transform
-  1/(1+zeta), the standard bounded test case;
-* ``example2_series`` (m = 2): coefficients of the expansion whose Borel
-  transform is (1 + zeta^(1/2))^(1/2); the transform has a second-sheet
+* ``binomial_series`` (any m): a_n = binom(alpha, n - m) c^(n - m) Gamma(n/m),
+  whose Borel transform (1 + c zeta^(1/m))^alpha, read on the cover, is each
+  built-in evaluator (``const1`` is alpha = 0).  ``euler_series`` is
+  (m, alpha, c) = (1, -1, 1), a_k = (-1)^(k-1) (k-1)!, transform 1/(1+zeta);
+  ``example2_series`` is (2, 1/2, 1), whose transform has a second-sheet
   singularity at modulus 1, argument 2*pi, which the direct (theta = 0)
-  generalized expansion cannot see, making it the canonical divergence
-  demonstration;
+  generalized expansion cannot see: the canonical divergence demonstration;
 * ``psi_series`` (m = 3): the recessive WKB solution of
   Phi'' = (x^3 - 2x^2 - 3x + 4)/x^2 * Phi written as
   Phi = e^(-z) z^(-1/6) psi(z), z = (2/3) x^(3/2) - 2 x^(1/2).
@@ -102,28 +102,26 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
             f"quadrature error estimate {mp.nstr(err, 3)} did not reach tol = {mp.nstr(tolv, 3)}")
 
 
-def _euler_transform(zeta: tuple[mp.mpf, mp.mpf]) -> mp.mpc:
-    # formed at the ambient precision, as the quadrature runs with guard bits
-    rho, theta = zeta
-    return 1 / (1 + rho * mp.exp(1j * theta))
-
-
-def _example2_transform(zeta: tuple[mp.mpf, mp.mpf]) -> mp.mpc:
-    # (1 + zeta^(1/2))^(1/2) read on the cover: zeta^(1/2) uses the full argument
-    rho, theta = zeta
-    return mp.sqrt(1 + mp.sqrt(rho) * mp.exp(1j * theta / 2))
-
-
-def _const1_transform(zeta: tuple[mp.mpf, mp.mpf]) -> mp.mpc:
-    return mp.mpc(1)
+def _binomial_evaluator(m: int, alpha: Fraction, c: Fraction,
+                        A: float, B: float) -> BorelEvaluator:
+    """(1 + c zeta^(1/m))^alpha on the cover, zeta^(1/m) at the full argument theta/m
+    and with no phase at theta = 0.  Integral alpha and c enter exactly, others at
+    the ambient precision, as the quadrature runs with guard bits."""
+    def fn(zeta: tuple[mp.mpf, mp.mpf]) -> mp.mpc:
+        rho, theta = zeta
+        t = (c.numerator if c.denominator == 1 else as_mpf(c)) * mp.root(rho, m)
+        if theta:
+            t *= mp.exp(1j * theta / m)
+        return (1 + t) ** (alpha.numerator if alpha.denominator == 1 else as_mpf(alpha))
+    return BorelEvaluator(fn=fn, A=A, B=B)
 
 
 BUILTIN_EVALUATORS: dict[str, BorelEvaluator] = {
     # m = 1, one pole at zeta = -1: valid for arg zeta in (-pi, pi)
-    "euler": BorelEvaluator(fn=_euler_transform, A=4.0, B=0.05),
+    "euler": _binomial_evaluator(1, Fraction(-1), Fraction(1), A=4.0, B=0.05),
     # m = 2, branch point at modulus 1, argument 2*pi: arg zeta in (-2*pi, 2*pi)
-    "example2": BorelEvaluator(fn=_example2_transform, A=2.0, B=0.25),
-    "const1": BorelEvaluator(fn=_const1_transform, A=1.0, B=0.0),
+    "example2": _binomial_evaluator(2, Fraction(1, 2), Fraction(1), A=2.0, B=0.25),
+    "const1": _binomial_evaluator(1, Fraction(0), Fraction(1), A=1.0, B=0.0),
 }
 
 
@@ -131,34 +129,36 @@ BUILTIN_EVALUATORS: dict[str, BorelEvaluator] = {
 # built-in coefficient generators
 # ---------------------------------------------------------------------------
 
-def euler_series(depth: int, prec: PrecisionConfig | None = None) -> FormalSeries:
-    """a_0 = 0, a_k = (-1)^(k-1) (k-1)! for 1 <= k <= depth (m = 1)."""
-    if depth < 1:
-        raise DomainError("depth must be positive")
+def binomial_series(m: int, alpha, c, depth: int,
+                    prec: PrecisionConfig | None = None) -> FormalSeries:
+    """The series whose Borel transform is (1 + c zeta^(1/m))^alpha.
+
+    a_n = binom(alpha, n - m) c^(n - m) Gamma(n/m) for m <= n <= depth, and
+    a_0..a_{m-1} = 0.  binom(alpha, k) c^k is kept as an exact Fraction, by
+    w <- w (alpha - k) c / (k + 1), and rounded once.  alpha and c are any
+    finite value ``Fraction`` takes exactly (int, float, Fraction, str)."""
+    if m < 1 or depth < 1:
+        raise DomainError("depth must be positive" if depth < 1 else "m must be >= 1")
+    try:
+        alpha, c = Fraction(alpha), Fraction(c)
+    except (ValueError, OverflowError):
+        raise DomainError("alpha and c must be finite") from None
     with working_precision(prec):
-        coeffs = [mp.mpc(0)]
-        coeffs += [mp.mpc((-1) ** (k - 1)) * mp.factorial(k - 1)
-                   for k in range(1, depth + 1)]
-        return FormalSeries(1, coeffs)
+        coeffs, w = [0] * m, Fraction(1)
+        for k in range(depth - m + 1):
+            coeffs.append(mp.fdiv(w.numerator, w.denominator) * mp.gamma(mp.mpf(k + m) / m))
+            w *= (alpha - k) * c / (k + 1)
+        return FormalSeries(m, coeffs)
+
+
+def euler_series(depth: int, prec: PrecisionConfig | None = None) -> FormalSeries:
+    """a_0 = 0, a_k = (-1)^(k-1) (k-1)!: Borel transform 1/(1 + zeta), m = 1."""
+    return binomial_series(1, -1, 1, depth, prec)
 
 
 def example2_series(depth: int, prec: PrecisionConfig | None = None) -> FormalSeries:
-    """m = 2 series with Borel transform (1 + zeta^(1/2))^(1/2).
-
-    The term in z^(-(1 + k/2)) sits at flat index n = 2 + k:
-    a_{2+k} = (-1)^(k+1) Gamma(k/2+1) Gamma(k-1/2) / (2 sqrt(pi) Gamma(k+1)),
-    and a_0 = a_1 = 0 (the series starts at 1/z).
-    """
-    if depth < 1:
-        raise DomainError("depth must be positive")
-    with working_precision(prec):
-        coeffs = [mp.mpc(0), mp.mpc(0)]
-        for k in range(0, depth - 1):
-            coeffs.append(mp.mpc(
-                (-1) ** (k + 1)
-                * mp.gamma(mp.mpf(k) / 2 + 1) * mp.gamma(k - mp.mpf(1) / 2)
-                / (2 * mp.sqrt(mp.pi) * mp.gamma(k + 1))))
-        return FormalSeries(2, coeffs[:depth + 1])
+    """a_{2+k} = binom(1/2, k) Gamma(k/2 + 1): Borel transform (1 + zeta^(1/2))^(1/2)."""
+    return binomial_series(2, Fraction(1, 2), 1, depth, prec)
 
 
 # --- psi series -------------------------------------------------------------

@@ -9,8 +9,8 @@ import mpmath as mp
 import pytest
 
 from borelsum import (DomainError, PSI_LAMBDA_SUP, PrecisionConfig,
-                      QuadratureError, RamifiedPoint, euler_series,
-                      example2_series, laplace_quadrature, least_term_index,
+                      QuadratureError, RamifiedPoint, binomial_series,
+                      euler_series, example2_series, laplace_quadrature, least_term_index,
                       partial_sum, psi_scaled_coefficients, psi_series, r_as,
                       working_precision)
 from borelsum.oracle import BUILTIN_EVALUATORS, BorelEvaluator
@@ -111,11 +111,14 @@ def test_custom_evaluator(workprec, prec):
 
 
 def test_euler_series_coefficients(workprec):
-    f = euler_series(8)
+    f = euler_series(210)
     assert f.m == 1
     assert abs(f.coefficients[0]) == 0
     assert abs(f.coefficients[1] - 1) == 0
     assert abs(f.coefficients[4] + 6) == 0
+    # bit for bit the rounded (-1)^(k-1) (k-1)! through the CLI's --depth 210
+    for k in range(1, 211):
+        assert f.coefficients[k] == mp.mpc((-1) ** (k - 1)) * mp.factorial(k - 1)
     # Borel coefficients a_k/(k-1)! alternate as the geometric series of 1/(1+zeta)
     for k in range(1, 9):
         want = (-1) ** (k - 1)
@@ -123,15 +126,37 @@ def test_euler_series_coefficients(workprec):
 
 
 def test_example2_series_coefficients(workprec):
-    f = example2_series(14)
+    f = example2_series(160)
     assert f.m == 2
     assert abs(f.coefficients[0]) == 0 and abs(f.coefficients[1]) == 0
-    assert abs(f.coefficients[2] - 1) < mp.mpf(2) ** -240
-    # Borel transform coefficients reproduce binomial(1/2, k)
-    for k in range(0, 11):
-        got = f.coefficients[2 + k] / mp.gamma(1 + mp.mpf(k) / 2)
-        want = mp.binomial(mp.mpf(1) / 2, k)
-        assert abs(got - want) < mp.mpf(2) ** -230
+    assert abs(f.coefficients[2] - 1) == 0
+    # Borel transform coefficients reproduce binomial(1/2, k): every a_{2+k}
+    # within 2^-254 of binom(1/2, k) Gamma(k/2 + 1) formed at 1024 bits
+    with mp.workprec(1024):
+        binom = Fraction(1)
+        for k in range(0, 159):
+            want = mp.fdiv(binom.numerator, binom.denominator) * mp.gamma(mp.mpf(k) / 2 + 1)
+            assert abs(f.coefficients[2 + k] - want) <= mp.mpf(2) ** -254 * abs(want)
+            binom *= (Fraction(1, 2) - k) / (k + 1)
+
+
+def test_builtin_evaluators_are_the_closed_forms(workprec):
+    # the transforms the family replaced, on the rays of the oracle goldens and
+    # EXTRA commands: bit for bit at theta = 0, where no phase is formed, and
+    # within a few ulps off it, where mp.root and the power round apart from mp.sqrt
+    closed = {"euler": lambda rho, th: 1 / (1 + rho * mp.exp(1j * th)),
+              "example2": lambda rho, th: mp.sqrt(1 + mp.sqrt(rho) * mp.exp(1j * th / 2)),
+              "const1": lambda rho, th: mp.mpc(1)}
+    rays = {"euler": (0, "0.5"), "example2": (0, "1.0471975511965976", "-0.75"),
+            "const1": (0,)}
+    for name, thetas in rays.items():
+        for th in map(mp.mpf, thetas):
+            for rho in map(mp.mpf, ("0.001", "0.25", "1", "2.5", "7", "40.5")):
+                got, want = BUILTIN_EVALUATORS[name].fn((rho, th)), closed[name](rho, th)
+                if th == 0:
+                    assert mp.mpc(got) == want, (name, rho)
+                else:
+                    assert abs(got - want) <= mp.mpf(2) ** -250 * abs(want), (name, rho, th)
 
 
 def test_psi_scaled_exact_head():
@@ -257,3 +282,9 @@ def test_depth_validation():
         example2_series(0)
     with pytest.raises(DomainError, match="depth must be nonnegative"):
         psi_scaled_coefficients(-3)
+    for m, depth, message in ((0, 5, "m must be >= 1"), (2, 0, "depth must be positive")):
+        with pytest.raises(DomainError, match=message):
+            binomial_series(m, Fraction(1, 2), 1, depth)
+    for alpha, c in ((float("nan"), 1), (float("inf"), 1), (1, float("nan")), (1, float("-inf"))):
+        with pytest.raises(DomainError, match="alpha and c must be finite"):
+            binomial_series(2, alpha, c, 5)

@@ -1,4 +1,7 @@
+import itertools
+import math
 import pickle
+import random
 import sys
 import threading
 import warnings
@@ -9,14 +12,14 @@ import pytest
 
 from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       InsufficientCoefficientsError, PSI_LAMBDA_SUP,
-                      PrecisionConfig, RamifiedPoint, branch_split, branch_sum,
-                      euler_series, example2_series, factorial_expansion,
+                      PrecisionConfig, RamifiedPoint, binomial_series, branch_split,
+                      branch_sum, euler_series, example2_series, factorial_expansion,
                       factorial_series_sum, gamma_ratio, generalized_coefficients,
                       generalized_factorial_sum, laplace_quadrature,
                       least_term_sum_ramified, power, psi_series, r_as,
                       r_as_ramified, r_fact, rotated_generalized_sum,
                       stirling_transform, working_precision)
-from borelsum.oracle import BUILTIN_EVALUATORS
+from borelsum.oracle import BUILTIN_EVALUATORS, _binomial_evaluator
 from borelsum.classical import _CoefficientRow, _beta_kernels, _divergence_flag
 from borelsum.ramified import _branch_weights
 
@@ -238,6 +241,36 @@ def test_generalized_heuristics_are_calibrated(workprec, prec):
             res = generalized_factorial_sum(f, lam, z, N, prec=prec)
             ratio = res.heuristic_error / abs(res.estimate - ref)
             assert 1 <= ratio <= 10, (mod, N, ratio)
+
+
+def test_binomial_family_at_m_3_and_4_against_the_quadrature(workprec, prec):
+    # ground truth beyond example2: eight seeded members (1 + c zeta^(1/m))^alpha
+    # at m = 3, 4, summed on theta = 0 at lambda = 1, branch N and generalized
+    # flat index mN against the quadrature.  There |F| <= (1 + c rho^(1/m))^max(alpha, 0),
+    # whose log is concave in rho, so its sampled peak times e^(-rho/4), with a
+    # margin, is the quadrature's A for B = 0.25.  The generalized heuristic reads
+    # 0.18x-8.25x of the true error over all 32 such members: the m > 1 under-read.
+    members = list(itertools.product(
+        (3, 4), (Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(3, 2)),
+        (Fraction(1, 2), Fraction(1)), (8, 12)))
+    checked = 0
+    for m, alpha, c, mod in random.Random(0).sample(members, 8):
+        A = 1.1 * max((1 + float(c) * (i / 10) ** (1 / m)) ** float(max(alpha, 0))
+                      * math.exp(-i / 40) for i in range(2000))
+        truth = laplace_quadrature(_binomial_evaluator(m, alpha, c, A, 0.25), 0, mod,
+                                   1e-30, prec)
+        f = binomial_series(m, alpha, c, m * 42, prec)
+        z = RamifiedPoint(mod, 0)
+        for N in (10, 25, 40):
+            branch = branch_sum(f, 1, z, N, prec=prec)
+            gen = generalized_factorial_sum(f, 1, z, m * N, prec=prec)
+            if branch.diverging or gen.diverging:
+                continue
+            checked += 1
+            at = (m, alpha, c, mod, N)
+            assert abs(branch.estimate - truth) <= 2 * branch.heuristic_error, at
+            assert abs(gen.estimate - truth) <= 8 * gen.heuristic_error, at
+    assert checked >= 12
 
 
 def test_generalized_psi_table_row(workprec, prec):
