@@ -43,8 +43,10 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 # m = 1 generalized and branch routes, which sum as the factorial route does, two
 # example2 sweeps over N, whose rows grow and are reused inside one process, a
 # bounded psi branch sweep off the real axis, where every branch weight is complex,
-# and the euler and example2 oracles on rays theta != 0, where the evaluator forms
-# its phase e^(i theta/m)
+# the euler and example2 oracles on rays theta != 0, where the evaluator forms
+# its phase e^(i theta/m), the factorial route swept over N at one point, and a
+# psi branch sweep over N downwards, which reads shorter prefixes of the kernel
+# chain its first row grew
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -67,6 +69,10 @@ EXTRA = [
      "--z-arg", "0.5", *_JSON),
     ("sum", "--builtin", "example2", "--method", "oracle", "--theta", "-0.75", "--z-mod", "6",
      "--z-arg", "0.25", *_JSON),
+    ("table", "--builtin", "euler", "--method", "factorial", "--z-mod", "8.75", "--z-arg",
+     "-0.25", "--N-range", "10:200:10", "--depth", "210", "--A", "4", "--B", "0.05", *_JSON),
+    ("table", "--builtin", "psi", "--method", "branch", "--lambda", "2.885390081777927",
+     "--z-mod", "12", "--N-range", "40:5:-5", *_JSON),
 ]
 
 

@@ -36,10 +36,10 @@ from typing import Sequence
 import mpmath as mp
 from mpmath.libmp import mpf_sum
 
-from .combinatorics import _STIRLING, _GrowingRow, d_coefficient_row
+from .combinatorics import _STIRLING, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PRECISION_LOCK, PrecisionConfig, as_mpc, as_mpf, ensure_finite,
-                       gamma_ratio, gamma_ratios, working_precision)
+from .numerics import (PRECISION_LOCK, PrecisionConfig, _Chain, _GrowingRow, _LastKeyMemo,
+                       as_mpc, as_mpf, ensure_finite, gamma_ratio, working_precision)
 from .series import (FormalSeries, GrowthEnvelope, PointLike, RamifiedPoint, _homothety,
                      _rotation)
 
@@ -238,17 +238,28 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
         return _kernel_sum("factorial", N, [(1, e)], 0, N + 1, 1, zc, prec, envelope)
 
 
+_KERNEL_CHAINS = _LastKeyMemo()  # the class chains of the most recent point
+
+
 def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
     """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count].
 
-    Each residue class n = l + jm is one ``gamma_ratios`` chain at offset
-    l/m, the factorial kernel's recurrence with l/m in place of 1: the
-    kernel at n is chain element j, ``gamma_ratio(w, j, Fraction(l, m))``.
+    Each residue class n = l + jm is one kernel chain at offset l/m, the
+    factorial kernel's recurrence with l/m in place of 1: the kernel at n is
+    chain element j, ``gamma_ratio(w, j, Fraction(l, m))``.  The chains of the
+    last (w, m, precision) are kept and grown, so a sweep over N at one point
+    reads prefixes of one chain per class, built when first read.
     """
-    out = [None] * count
-    for l in range(1, min(m, count) + 1):  # classes past count hold no n
-        out[l - 1::m] = gamma_ratios(w, Fraction(l, m), len(range(l, count + 1, m)), prec)
-    return out
+    with working_precision(prec) as cfg:
+        w = as_mpc(w)
+        chains = _KERNEL_CHAINS.get((w, m, cfg.mantissa_bits), dict)
+        out = [None] * count
+        for l in range(1, min(m, count) + 1):  # classes past count hold no n
+            if l not in chains:
+                chains[l] = _Chain(w, as_mpf(Fraction(l, m)))
+            j = len(range(l, count + 1, m))
+            out[l - 1::m] = chains[l].upto(j - 1)[:j]
+        return out
 
 
 def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpansion]],

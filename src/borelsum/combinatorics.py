@@ -25,10 +25,10 @@ form above is the definition the test suite checks those rows against;
 :func:`bell_partial` gives its B_{j,p} at x_l = l!/(l+1), cached.
 
 Every cached recurrence (Stirling rows, d-rows, the coefficient rows of
-``classical``, the psi coefficients of ``oracle``) is a ``_GrowingRow``,
-grown in place under ``numerics.PRECISION_LOCK``.  A coefficient row reads
-the Stirling rows at m = 1, where d_{k,j} = |s(k+j-1, k-1)|, and the d-rows
-at m > 1.
+``classical``, the psi coefficients of ``oracle``, the kernel chains of
+``numerics``) is a ``numerics._GrowingRow``, grown in place under its
+``PRECISION_LOCK``.  A coefficient row reads the Stirling rows at m = 1,
+where d_{k,j} = |s(k+j-1, k-1)|, and the d-rows at m > 1.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from operator import mul
 import mpmath as mp
 
 from .errors import DomainError
-from .numerics import PRECISION_LOCK, PrecisionConfig, as_mpf, working_precision
+from .numerics import PRECISION_LOCK, PrecisionConfig, _GrowingRow, as_mpf, working_precision
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -67,31 +67,6 @@ def bell_partial(j: int, p: int) -> Fraction:
         return Fraction(factorial(j), j + 1)
     return sum(comb(j - 1, i - 1) * bell_partial(i, 1) * bell_partial(j - i, p - 1)
                for i in range(1, j - p + 2))
-
-
-class _GrowingRow:
-    """v_0, v_1, ... of one recurrence, extended in place when a longer
-    prefix is asked for.
-
-    Subclasses keep the recurrence's running state and define ``step(n)``,
-    which returns v_n once v_0..v_{n-1} are in ``values``.  Growth runs
-    under ``PRECISION_LOCK`` and resumes where the last request stopped; a
-    read of a row already long enough takes no lock, as ``values`` only
-    ever gains entries at its end.
-    """
-
-    def __init__(self, first):
-        self.values = [first]
-
-    def upto(self, n: int) -> list:
-        """The live list of values, holding at least v_0..v_n; read it, never
-        change it."""
-        values = self.values
-        if len(values) <= n:
-            with PRECISION_LOCK:
-                for i in range(len(values), n + 1):
-                    values.append(self.step(i))
-        return values
 
 
 class _SharedDenominatorRow:

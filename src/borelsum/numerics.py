@@ -1,9 +1,10 @@
 """Configurable-precision complex arithmetic and gamma-function kernels.
 
 A factorial-series kernel Gamma(z) Gamma(s+n) / Gamma(z+s+n) has one
-evaluator, the ``gamma_ratios`` chain (the partial sums: n = 0..N in one
-pass, by the two-term recurrence in n).  A single kernel (the error bounds)
-is ``gamma_ratio``, the chain of length one at offset s + n.  No kernel is
+evaluator, a chain over n by the two-term recurrence in n, grown in place
+from where it stopped.  ``gamma_ratios`` (n = 0..N) and ``gamma_ratio`` (one
+kernel, for the bounds: the chain of length one at s + n) read a fresh
+chain; the kernel sums keep the chains of their last point.  No kernel is
 ever formed from two plain gamma evaluations: ``Gamma(lambda*z + N + 1)``
 overflows double exponent range near ``N = 100`` and loses all accuracy
 long before that.  A chain starts from a log-gamma difference (or from
@@ -20,7 +21,7 @@ round at the ambient one, so callers convert inside ``working_precision``.
 mpmath's precision is process-global, so ``working_precision`` holds the
 reentrant ``PRECISION_LOCK``: library calls from several threads run one at
 a time, each at its own precision.  It is the library's one lock, and the
-caches of ``combinatorics`` and ``FormalSeries`` grow under it.
+caches of ``combinatorics`` and ``FormalSeries`` and the chains grow under it.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 import mpmath as mp
+from mpmath.libmp import mpc_pos
 
 from .errors import DomainError, PoleError
 
@@ -78,8 +80,10 @@ def working_precision(prec: PrecisionConfig | None):
 
 
 def as_mpf(x: Numeric) -> mp.mpf:
-    """Convert to mpf at the caller's ambient precision; Fractions and
-    decimal strings convert without an intermediate double rounding."""
+    """Convert to mpf at the caller's ambient precision, never through a
+    double.  A Fraction is numerator / denominator, its numerator rounded
+    first when wider than the mantissa, so up to an ulp off the correctly
+    rounded quotient (ROADMAP item 7, step 2)."""
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
@@ -104,6 +108,45 @@ def _is_nonpositive_int(x) -> bool:
     return xr <= 0 and mp.isint(xr)
 
 
+class _GrowingRow:
+    """v_0, v_1, ... of one recurrence, extended in place when a longer
+    prefix is asked for.
+
+    Subclasses keep the recurrence's running state and define ``step(n)``,
+    which returns v_n once v_0..v_{n-1} are in ``values``.  Growth runs
+    under ``PRECISION_LOCK`` and resumes where the last request stopped; a
+    read of a row already long enough takes no lock, as ``values`` only
+    ever gains entries at its end.
+    """
+
+    def __init__(self, first):
+        self.values = [first]
+
+    def upto(self, n: int) -> list:
+        """The live list of values, holding at least v_0..v_n; read it, never
+        change it."""
+        values = self.values
+        if len(values) <= n:
+            with PRECISION_LOCK:
+                for i in range(len(values), n + 1):
+                    values.append(self.step(i))
+        return values
+
+
+class _LastKeyMemo:
+    """A one-entry memo: what ``build()`` returned for the most recent key,
+    replaced when another key arrives; read and replaced under ``PRECISION_LOCK``."""
+
+    def __init__(self):
+        self.key = self.value = None
+
+    def get(self, key, build: Callable[[], object]):
+        with PRECISION_LOCK:
+            if key != self.key:
+                self.value, self.key = build(), key
+            return self.value
+
+
 def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
                 prec: PrecisionConfig | None = None) -> mp.mpc:
     """Gamma(z) Gamma(s+n) / Gamma(z+s+n), the one-element chain at s + n.
@@ -120,7 +163,7 @@ def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
             raise DomainError("gamma_ratio needs n >= 0 and s >= 0")
         with mp.extraprec(64):
             offset = sf + n
-        return _chain(as_mpc(z), offset, 1)[0]
+        return _Chain(as_mpc(z), offset).upto(0)[0]
 
 
 def gamma_ratios(z: Numeric, s: Numeric, count: int,
@@ -130,30 +173,38 @@ def gamma_ratios(z: Numeric, s: Numeric, count: int,
     if count < 0:
         raise DomainError("count must be nonnegative")
     with working_precision(prec):
-        return _chain(as_mpc(z), as_mpf(s), count)
+        return _Chain(as_mpc(z), as_mpf(s)).upto(count - 1)
 
 
-def _chain(zc: mp.mpc, sf: mp.mpf, count: int) -> list[mp.mpc]:
-    """The one kernel evaluator, for converted z and s: the chain starts from
-    a log-gamma difference (from exactly 1/z when s = 1) and continues with
-    K_{n+1} = K_n (s+n) / (z+s+n).  The whole chain runs with 64 guard bits,
-    where its n roundings stay far below the one rounding of each element to
-    the ambient precision.
-    """
-    if not sf > 0:
-        raise DomainError("gamma_ratios needs s > 0")
-    # with s > 0, z + s + n hits a pole for some n >= 0 only if z + s does
-    if _is_nonpositive_int(zc) or _is_nonpositive_int(zc + sf):
-        raise PoleError(f"gamma_ratios pole at z = {zc}, s = {sf}")
-    if count == 0:
-        return []
-    with mp.extraprec(64):
-        if sf == 1:
-            k = 1 / zc
+class _Chain(_GrowingRow):
+    """The one kernel evaluator, for converted z and s: K_n, n = 0, 1, ..., from
+    a log-gamma difference (exactly 1/z when s = 1) by K_{n+1} = K_n (s+n) /
+    (z+s+n).  It keeps its precision and its last element unrounded; a growth
+    resumes the recurrence in one block with 64 guard bits, far below the one
+    rounding of each element, so a long chain's prefix is the short chain."""
+
+    def __init__(self, zc: mp.mpc, sf: mp.mpf):
+        if not sf > 0:
+            raise DomainError("gamma_ratios needs s > 0")
+        # with s > 0, z + s + n hits a pole for some n >= 0 only if z + s does
+        if _is_nonpositive_int(zc) or _is_nonpositive_int(zc + sf):
+            raise PoleError(f"gamma_ratios pole at z = {zc}, s = {sf}")
+        self.z, self.s, self.k, self.values = zc, sf, None, []  # K_0 on the first growth
+        self.prec, self.rounding = mp.mp._prec_rounding
+
+    def upto(self, n: int) -> list:
+        if len(self.values) <= n:
+            with PRECISION_LOCK, mp.workprec(self.prec + 64):
+                super().upto(n)
+        return self.values
+
+    def step(self, n: int) -> mp.mpc:
+        sf, zc = self.s, self.z
+        if n == 0:
+            k = 1 / zc if sf == 1 else \
+                mp.exp(mp.loggamma(zc) + mp.loggamma(sf) - mp.loggamma(zc + sf))
         else:
-            k = mp.exp(mp.loggamma(zc) + mp.loggamma(sf) - mp.loggamma(zc + sf))
-        chain = [k]
-        for n in range(count - 1):
-            k = k * (sf + n) / (zc + sf + n)
-            chain.append(k)
-    return [ensure_finite(+mp.mpc(k)) for k in chain]
+            k = self.k * (sf + (n - 1)) / (zc + sf + (n - 1))
+        rounded = ensure_finite(mp.make_mpc(mpc_pos(k._mpc_, self.prec, self.rounding)))
+        self.k = k
+        return rounded

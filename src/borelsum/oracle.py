@@ -38,9 +38,10 @@ from typing import Callable
 
 import mpmath as mp
 
-from .combinatorics import _GrowingRow, _SharedDenominatorRow
+from .combinatorics import _SharedDenominatorRow
 from .errors import DomainError, QuadratureError
-from .numerics import PrecisionConfig, as_mpc, as_mpf, ensure_finite, working_precision
+from .numerics import (PrecisionConfig, _GrowingRow, as_mpc, as_mpf, ensure_finite,
+                       working_precision)
 from .series import FormalSeries
 
 # ---------------------------------------------------------------------------

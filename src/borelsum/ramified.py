@@ -42,8 +42,10 @@ import mpmath as mp
 from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
                         factorial_expansion, least_term_index, r_as)
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import PrecisionConfig, as_mpf, ensure_finite, working_precision
+from .numerics import PrecisionConfig, _LastKeyMemo, as_mpf, ensure_finite, working_precision
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split, partial_sum, power
+
+_BRANCH_WEIGHTS = _LastKeyMemo()  # z^((m-l)/m), l = 1..m, of the most recent point
 
 
 def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
@@ -66,11 +68,14 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
         raise InsufficientCoefficientsError(
             f"branch depth N = {N} needs flat coefficients up to a_{needed}, "
             f"series stores a_0..a_{f.n_max}")
-    with working_precision(prec):
+    with working_precision(prec) as cfg:
         zdot = _halfplane(z, 0, prec)
         a0, branches = branch_split(f)
-        parts = [(power(z, f.m - l, f.m, prec), factorial_expansion(fl, lam, N + 1, prec))
-                 for l, fl in enumerate(branches, start=1)]
+        weights = _BRANCH_WEIGHTS.get(  # the sheet is in the key: not the projection
+            (z.modulus, z.argument, f.m, cfg.mantissa_bits),
+            lambda: [power(z, f.m - l, f.m, prec) for l in range(1, f.m + 1)])
+        parts = [(weight, factorial_expansion(fl, lam, N + 1, prec))
+                 for weight, fl in zip(weights, branches)]
         return _kernel_sum("branch", N, parts, a0, N + 1, 1, zdot, prec, envelope)
 
 

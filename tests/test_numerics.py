@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from borelsum import (DomainError, PoleError, PrecisionConfig, gamma_ratio,
                       gamma_ratios, working_precision)
-from borelsum.numerics import ensure_finite
+from borelsum.numerics import _Chain, as_mpc, as_mpf, ensure_finite
 
 
 def test_precision_config_invariants():
@@ -108,6 +108,13 @@ def test_gamma_ratios_equal_gamma_ratio_bit_for_bit(prec):
         for n, k in enumerate(chain):
             single = gamma_ratio(z, n, s, prec)
             assert (k.real, k.imag) == (single.real, single.imag), (z, s, n)
+        # a chain grown in pieces, to 5 and then 41 elements, and read at 3, is
+        # the one-pass chain; it grows at its own precision, outside the block
+        with working_precision(prec):
+            grown = _Chain(as_mpc(z), as_mpf(s))
+        whole = gamma_ratios(z, s, 41, prec)
+        assert grown.upto(4) == whole[:5], (z, s)
+        assert grown.upto(40) == whole and grown.upto(2) == whole, (z, s)
 
 
 def test_gamma_ratios_at_other_precisions():

@@ -19,6 +19,7 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       least_term_sum_ramified, power, psi_series, r_as,
                       r_as_ramified, r_fact, rotated_generalized_sum,
                       stirling_transform, working_precision)
+from borelsum import classical, ramified
 from borelsum.oracle import BUILTIN_EVALUATORS, _binomial_evaluator
 from borelsum.classical import _CoefficientRow, _beta_kernels, _divergence_flag
 from borelsum.ramified import _branch_weights
@@ -411,6 +412,12 @@ def test_r_as_ramified(workprec):
 # ---------------------------------------------------------------------------
 
 
+def _forget_the_last_point():
+    """Empty the one-entry memos of the kernel chains and branch weights."""
+    for memo in (classical._KERNEL_CHAINS, ramified._BRANCH_WEIGHTS):
+        memo.key = memo.value = None
+
+
 def test_psi_sweep_on_one_series_matches_a_fresh_series_per_row(prec):
     lam, z, depth = mp.mpf(2.885390081777927), RamifiedPoint(11.25, 0), 3 * 42
     f = psi_series(depth, prec)
@@ -419,6 +426,24 @@ def test_psi_sweep_on_one_series_matches_a_fresh_series_per_row(prec):
         swept = branch_sum(f, lam, z, N, prec=prec)
         fresh = branch_sum(psi_series(depth, prec), lam, z, N, prec=prec)
         assert swept == fresh, N
+    # the memos' keys, interleaved: lambda 2/ln 2 and the double, 256 and 320
+    # bits, |z| = 12 and 10, the sheets arg 2 pi and 0 (one projection).  Branch
+    # and generalized sums share lambda z but not m, and their order alternates,
+    # so that m, lambda, the bits and (for the branch weights, on the next pass)
+    # the sheet each change alone between two consecutive sums
+    with working_precision(prec):
+        two_over_ln2, sheet = 2 / mp.ln(2), RamifiedPoint(12, 2 * mp.pi)
+    twelve, routes = RamifiedPoint(12, 0), (branch_sum, generalized_factorial_sum)
+    keys = [(two_over_ln2, twelve, prec), (lam, twelve, prec), (lam, twelve, PrecisionConfig(320)),
+            (lam, RamifiedPoint(10, 0), prec), (lam, sheet, prec)]
+    swept = []
+    for Ns in ([5, 6, 40], [12, 5, 33]):  # grow, then read shorter prefixes
+        for i, (lam, z, p) in enumerate(keys):
+            for route in routes[::-1] if i % 2 else routes:
+                swept += [(route, lam, z, p, N, route(f, lam, z, N, prec=p)) for N in Ns]
+    for route, lam, z, p, N, result in swept:
+        _forget_the_last_point()
+        assert result == route(f, lam, z, N, prec=p), (route.__name__, lam, z, p, N)
 
 
 def _generalized(f, lam, theta, z, N, prec):
@@ -489,35 +514,40 @@ def test_generalized_row_grown_shallow_then_deep_equals_deep_at_once(prec):
 
 def test_generalized_rows_grow_consistently_across_threads(prec):
     # threads summing on one series at different N, switching often, grow
-    # the same rows; every sum equals the serial one on a fresh series
+    # the same rows; every sum equals the serial one on a fresh series.  In
+    # the second case each thread sums at its own point, so the kernel chains
+    # of the last point are replaced under the threads
     build, depth, lam, theta, z = _route("example2-rotated", prec)
-    f = build(depth, prec)
     requests = [(th, N) for th in (None, theta) for N in (60, 11, 79, 35)]
-    results = []
-    start = threading.Barrier(4)
+    for moduli in ((5,), (5, 6, 7, 8)):
+        f = build(depth, prec)
+        points = [RamifiedPoint(mod, z.argument) for mod in moduli]
+        results = []
+        start = threading.Barrier(4)
 
-    def worker(i):
-        start.wait(timeout=60)
-        for th, N in requests[i:] + requests[:i]:
-            results.append((th, N, _generalized(f, lam, th, z, N, prec)))
+        def worker(i):
+            start.wait(timeout=60)
+            zi = points[i % len(points)]
+            for th, N in requests[i:] + requests[:i]:
+                results.append((zi, th, N, _generalized(f, lam, th, zi, N, prec)))
 
-    old, old_prec = sys.getswitchinterval(), mp.mp.prec
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert mp.mp.prec == old_prec
-    assert len(results) == 4 * len(requests)
-    serial = {(th, N): _generalized(build(depth, prec), lam, th, z, N, prec)
-              for th, N in requests}
-    for th, N, res in results:
-        assert res == serial[th, N], (th, N)
+        old, old_prec = sys.getswitchinterval(), mp.mp.prec
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert mp.mp.prec == old_prec
+        assert len(results) == 4 * len(requests)
+        serial = {(zi, th, N): _generalized(build(depth, prec), lam, th, zi, N, prec)
+                  for zi in points for th, N in requests}
+        for zi, th, N, res in results:
+            assert res == serial[zi, th, N], (zi, th, N)
 
 
 def test_a_series_with_a_cached_generalized_row_pickles(prec):
