@@ -46,7 +46,9 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 # the euler and example2 oracles on rays theta != 0, where the evaluator forms
 # its phase e^(i theta/m), the factorial route swept over N at one point, and a
 # psi branch sweep over N downwards, which reads shorter prefixes of the kernel
-# chain its first row grew
+# chain its first row grew, the bounded psi least-term sum off the real axis,
+# where the branch weights of its bound are complex, and example2 with an
+# explicit theta = 0, which must stay the unrotated generalized sum
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -73,6 +75,10 @@ EXTRA = [
      "-0.25", "--N-range", "10:200:10", "--depth", "210", "--A", "4", "--B", "0.05", *_JSON),
     ("table", "--builtin", "psi", "--method", "branch", "--lambda", "2.885390081777927",
      "--z-mod", "12", "--N-range", "40:5:-5", *_JSON),
+    ("sum", "--builtin", "psi", "--method", "least-term", "--r", "2", "--z-mod", "12",
+     "--z-arg", "0.4", "--A", "1", "--B", "1", *_JSON),
+    ("sum", "--builtin", "example2", "--method", "generalized", "--theta", "0", "--z-mod", "5",
+     "--N", "40", *_JSON),
 ]
 
 

@@ -28,6 +28,7 @@ below some depth are simply unreachable.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,10 +201,13 @@ def check_lambda_permitted(lam, envelope: GrowthEnvelope | None) -> None:
     boundary visible.
     """
     if envelope is not None and as_mpf(lam) > as_mpf(envelope.lam) * (1 + mp.mpf(2) ** -40):
+        frame, level = sys._getframe(1), 2  # the caller's line: the first frame outside borelsum
+        while frame.f_globals.get("__name__", "").startswith("borelsum."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"lambda = {float(lam):g} exceeds the envelope's permitted factor "
             f"{float(envelope.lam):g}; convergence is no longer guaranteed",
-            stacklevel=4)  # the line that called the sum, past _kernel_sum
+            stacklevel=level)
 
 
 def _halfplane(z: PointLike, B, prec: PrecisionConfig | None) -> mp.mpc:

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage/parse error, 2 domain error,
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -25,15 +24,11 @@ import mpmath as mp
 from click.core import ParameterSource
 
 from . import reproduce as repro
-from .classical import (SummationResult, bound_comparison_table,
-                        factorial_expansion, factorial_series_sum)
+from .classical import SummationResult, bound_comparison_table
 from .errors import BorelSumError, DomainError
 from .numerics import PrecisionConfig, working_precision
-from .oracle import (BUILTIN_EVALUATORS, BUILTIN_SERIES, PSI_LAMBDA_SUP,
-                     laplace_quadrature)
-from .ramified import (branch_sum, generalized_factorial_sum,
-                       least_term_sum_ramified, r_as_ramified,
-                       rotated_generalized_sum)
+from .oracle import BUILTIN_EVALUATORS, BUILTIN_SERIES, PSI_LAMBDA_SUP
+from .ramified import summate
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, load_series
 
 # the flags each method reads beyond those every method reads (--builtin, the
@@ -79,33 +74,6 @@ def _envelope_from_flags(A, B, lam_sup) -> GrowthEnvelope | None:
         raise click.UsageError("--A and --B must be given together")
     # without a known validity factor the lambda warning never fires
     return GrowthEnvelope(A=A, B=B, lam=lam_sup or float("inf"))
-
-
-def _evaluate(method, f, builtin, lam, theta, z, N, r, envelope, tol, prec) -> SummationResult:
-    if method == "least-term":
-        if r is None:
-            raise click.UsageError("--r is required for the least-term method")
-        res = least_term_sum_ramified(f, r, z, prec=prec)
-        if envelope is not None:
-            rig = r_as_ramified(r, envelope.A, envelope.B, res.N // f.m, z, f.m, prec)
-            res = dataclasses.replace(res, rigorous_bound=rig)
-        return res
-    if method == "factorial":
-        expansion = factorial_expansion(f, lam, N + 1, prec)
-        return factorial_series_sum(expansion, z, N, envelope=envelope, prec=prec)
-    if method == "branch":
-        return branch_sum(f, lam, z, N, envelope=envelope, prec=prec)
-    if method == "generalized":
-        if theta:
-            return rotated_generalized_sum(f, theta, lam, z, N, prec=prec)
-        return generalized_factorial_sum(f, lam, z, N, prec=prec)
-    # the oracle: click.Choice has admitted no other method
-    if builtin not in BUILTIN_EVALUATORS:
-        raise click.UsageError(
-            f"--method oracle needs --builtin out of {sorted(BUILTIN_EVALUATORS)}")
-    val = laplace_quadrature(BUILTIN_EVALUATORS[builtin], theta, z.projection(prec),
-                             tol, prec)
-    return SummationResult(estimate=val, N=0, method="oracle")
 
 
 def _result_record(res: SummationResult, digits: int) -> dict:
@@ -242,9 +210,15 @@ def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
     z = RamifiedPoint(z_mod, z_arg)
     f = _load_input(series, builtin, depth, prec) if "--series" in METHOD_FLAGS[method] else None
     envelope = _envelope_from_flags(A, B, PSI_LAMBDA_SUP if builtin == "psi" else None)
+    if method == "least-term" and r is None:
+        raise click.UsageError("--r is required for the least-term method")
+    if method == "oracle" and builtin not in BUILTIN_EVALUATORS:
+        raise click.UsageError(
+            f"--method oracle needs --builtin out of {sorted(BUILTIN_EVALUATORS)}")
     digits = int(prec.mantissa_bits * 0.30103) + 2
-    records = [_result_record(_evaluate(method, f, builtin, lam, theta, z, N, r,
-                                        envelope, tol, prec), digits)
+    records = [_result_record(summate(f, method, z, N, lam=lam, theta=theta, envelope=envelope,
+                                      r=r, evaluator=BUILTIN_EVALUATORS.get(builtin),
+                                      tol=tol, prec=prec), digits)
                for N in Ns]
     _emit(_render(records, SUM_COLUMNS, fmt), out)
 

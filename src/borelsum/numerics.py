@@ -2,9 +2,9 @@
 
 A factorial-series kernel Gamma(z) Gamma(s+n) / Gamma(z+s+n) has one
 evaluator, a chain over n by the two-term recurrence in n, grown in place
-from where it stopped.  ``gamma_ratios`` (n = 0..N) and ``gamma_ratio`` (one
-kernel, for the bounds: the chain of length one at s + n) read a fresh
-chain; the kernel sums keep the chains of their last point.  No kernel is
+from where it stopped.  ``gamma_ratio`` (one kernel, for the bounds: the
+chain of length one at s + n) reads a fresh chain; the kernel sums keep
+the chains of their last point.  No kernel is
 ever formed from two plain gamma evaluations: ``Gamma(lambda*z + N + 1)``
 overflows double exponent range near ``N = 100`` and loses all accuracy
 long before that.  A chain starts from a log-gamma difference (or from
@@ -154,7 +154,7 @@ def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
     With s = 1 this is the factorial-series kernel at index n; with
     s = Fraction(l, m), 1 <= l <= m, it is the generalized kernel at flat
     index l + nm, element n of the chain at offset l/m.  s is rounded to
-    the working precision, as in ``gamma_ratios``, and s + n is formed
+    the working precision, as the chains round it, and s + n is formed
     exactly under the guard bits, so both see the same offset for any s.
     """
     with working_precision(prec):
@@ -166,16 +166,6 @@ def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
         return _Chain(as_mpc(z), offset).upto(0)[0]
 
 
-def gamma_ratios(z: Numeric, s: Numeric, count: int,
-                 prec: PrecisionConfig | None = None) -> list[mp.mpc]:
-    """[Gamma(z) Gamma(s+n) / Gamma(z+s+n) for n < count], s > 0, with s
-    rounded to the working precision."""
-    if count < 0:
-        raise DomainError("count must be nonnegative")
-    with working_precision(prec):
-        return _Chain(as_mpc(z), as_mpf(s)).upto(count - 1)
-
-
 class _Chain(_GrowingRow):
     """The one kernel evaluator, for converted z and s: K_n, n = 0, 1, ..., from
     a log-gamma difference (exactly 1/z when s = 1) by K_{n+1} = K_n (s+n) /
@@ -185,10 +175,10 @@ class _Chain(_GrowingRow):
 
     def __init__(self, zc: mp.mpc, sf: mp.mpf):
         if not sf > 0:
-            raise DomainError("gamma_ratios needs s > 0")
+            raise DomainError("a kernel chain needs s > 0")
         # with s > 0, z + s + n hits a pole for some n >= 0 only if z + s does
         if _is_nonpositive_int(zc) or _is_nonpositive_int(zc + sf):
-            raise PoleError(f"gamma_ratios pole at z = {zc}, s = {sf}")
+            raise PoleError(f"kernel chain pole at z = {zc}, s = {sf}")
         self.z, self.s, self.k, self.values = zc, sf, None, []  # K_0 on the first growth
         self.prec, self.rounding = mp.mp._prec_rounding
 

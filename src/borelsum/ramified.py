@@ -1,4 +1,4 @@
-"""Fractional-power (m > 1) Borel summation: branch and generalized pipelines.
+"""Fractional-power (m > 1) Borel summation, and ``summate``: one sum by any method.
 
 Two independent routes to the same Borel sum:
 
@@ -40,9 +40,10 @@ from __future__ import annotations
 import mpmath as mp
 
 from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
-                        factorial_expansion, least_term_index, r_as)
+                        factorial_expansion, factorial_series_sum, least_term_index, r_as)
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import PrecisionConfig, _LastKeyMemo, as_mpf, ensure_finite, working_precision
+from .oracle import BorelEvaluator, laplace_quadrature
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split, partial_sum, power
 
 _BRANCH_WEIGHTS = _LastKeyMemo()  # z^((m-l)/m), l = 1..m, of the most recent point
@@ -133,21 +134,25 @@ def _generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: int,
 
 
 def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,
+                            envelope: GrowthEnvelope | None = None,
                             prec: PrecisionConfig | None = None) -> SummationResult:
     """Least-term summation: partial sum to flat index m*n with n = floor(r |z|).
 
     The practical error estimate is
-    max_l |a_{l+mn}| * (sum_{i<m} |z|^(i/m)) / (|z|^n Re(z projected)).
+    max_l |a_{l+mn}| * (sum_{i<m} |z|^(i/m)) / (|z|^n Re(z projected));
+    an envelope on the strip gives ``rigorous_bound``, ``r_as_ramified`` at n.
     """
     with working_precision(prec):
         n = least_term_index(r, z)
         f.require_depth(f.m * n + f.m)
         zdot = _halfplane(z, 0, prec)
-        estimate = partial_sum(f, z, f.m * n, prec)
+        estimate = ensure_finite(partial_sum(f, z, f.m * n, prec))
         peak = max(abs(f.coefficients[l + f.m * n]) for l in range(1, f.m + 1))
         heuristic = peak * _branch_weights(z, f.m) / (mp.power(z.modulus, n) * mp.re(zdot))
-        return SummationResult(estimate=ensure_finite(estimate), N=f.m * n,
-                               method="least-term", heuristic_error=heuristic)
+        rigorous = None if envelope is None else \
+            r_as_ramified(r, envelope.A, envelope.B, n, z, f.m, prec)
+        return SummationResult(estimate=estimate, N=f.m * n, method="least-term",
+                               rigorous_bound=rigorous, heuristic_error=heuristic)
 
 
 def _branch_weights(z: RamifiedPoint, m: int) -> mp.mpf:
@@ -166,3 +171,31 @@ def r_as_ramified(r, A, B, n: int, z: RamifiedPoint, m: int,
         raise DomainError("m must be a positive integer")
     with working_precision(prec):
         return r_as(r, A, B, n, z, prec) * _branch_weights(z, m)
+
+
+def summate(f: FormalSeries | None, method: str, z: RamifiedPoint, N: int = 0, *, lam=1,
+            theta=0, envelope: GrowthEnvelope | None = None, r=None,
+            evaluator: BorelEvaluator | None = None, tol=None,
+            prec: PrecisionConfig | None = None) -> SummationResult:
+    """One summation of ``f`` at ``z`` by ``method`` through its route, which forms the
+    bound from ``envelope``: on the strip ``r`` for least-term (no N or lam), on the
+    lambda-region for factorial and branch; generalized (rotated when ``theta`` != 0)
+    takes none, and the oracle reads no series but ``evaluator`` on the ray ``theta``."""
+    if method == "least-term":
+        if r is None:
+            raise DomainError("the least-term method needs a strip half-width r")
+        return least_term_sum_ramified(f, r, z, envelope, prec)
+    if method == "factorial":
+        return factorial_series_sum(factorial_expansion(f, lam, N + 1, prec), z, N, envelope, prec)
+    if method == "branch":
+        return branch_sum(f, lam, z, N, envelope, prec)
+    if method == "generalized":
+        if as_mpf(theta):
+            return rotated_generalized_sum(f, theta, lam, z, N, prec)
+        return generalized_factorial_sum(f, lam, z, N, prec)
+    if method != "oracle":
+        raise DomainError(f"unknown summation method {method!r}")
+    if evaluator is None:
+        raise DomainError("the oracle method needs a Borel evaluator")
+    return SummationResult(laplace_quadrature(evaluator, theta, z.projection(prec), tol, prec),
+                           N=0, method="oracle")

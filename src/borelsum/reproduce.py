@@ -31,8 +31,7 @@ from .classical import bound_comparison_table, least_term_index
 from .errors import DomainError
 from .numerics import PrecisionConfig, as_mpf, working_precision
 from .oracle import BUILTIN_SERIES, PSI_LAMBDA_SUP
-from .ramified import (branch_sum, generalized_factorial_sum,
-                       least_term_sum_ramified, rotated_generalized_sum)
+from .ramified import summate
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint
 
 # printed rows: N -> (estimate, error-column)
@@ -139,7 +138,7 @@ def _psi_branch_rows(table, lam, prec,
     f = _builtin("psi", 3 * (max(table) + 2), prec)  # a branch sum at N reads a_{3(N+2)}
     z = RamifiedPoint(12, 0)
     for N, (est_str, err_str) in sorted(table.items()):
-        res = branch_sum(f, lam, z, N, envelope=envelope, prec=prec)
+        res = summate(f, "branch", z, N, lam=lam, envelope=envelope, prec=prec)
         rows += [_ulp_row(f"N={N} estimate", mp.re(res.estimate), est_str),
                  _factor2_row(f"N={N} error", res.heuristic_error, err_str)]
     return rows
@@ -170,7 +169,7 @@ def _run_table3(prec) -> list[ReproRow]:
     ref = mp.mpf(_TABLE3_REFERENCE)
     rows: list[ReproRow] = []
     for n, (est_str, err_str) in sorted(_TABLE3.items()):
-        res = generalized_factorial_sum(f, lam, z, 3 * n, prec=prec)
+        res = summate(f, "generalized", z, 3 * n, lam=lam, prec=prec)
         rows += [_ulp_row(f"n={n} (flat N={3*n}) estimate", mp.re(res.estimate), est_str),
                  _factor2_row(f"n={n} deviation from reference", abs(res.estimate - ref),
                               err_str)]
@@ -182,7 +181,7 @@ def _run_table4(prec) -> list[ReproRow]:
     z = RamifiedPoint(5, 0)
     rows: list[ReproRow] = []
     for N, (est_str, tol_str) in sorted(_TABLE4.items()):
-        res = generalized_factorial_sum(f, 1, z, N, prec=prec)
+        res = summate(f, "generalized", z, N, prec=prec)
         rows.append(_tolerance_row(f"N={N} estimate", mp.re(res.estimate), est_str, tol_str))
     return rows + [_flag_row("divergence diagnostic at N=100", res.diverging)]
 
@@ -193,7 +192,7 @@ def _run_table5(prec) -> list[ReproRow]:
     ref = mp.mpf(_TABLE5_REFERENCE)
     rows: list[ReproRow] = []
     for N, (re_str, im_str, err_str) in sorted(_TABLE5.items()):
-        res = rotated_generalized_sum(f, mp.pi / 3, as_mpf("0.6"), z, N, prec=prec)
+        res = summate(f, "generalized", z, N, lam=as_mpf("0.6"), theta=mp.pi / 3, prec=prec)
         rows += [_ulp_row(f"N={N} estimate (re)", mp.re(res.estimate), re_str),
                  _ulp_row(f"N={N} estimate (im)", mp.im(res.estimate), im_str, 6),
                  _bound_row(f"N={N} |estimate - {_TABLE5_REFERENCE}|",
@@ -222,7 +221,7 @@ def _run_fig2(prec) -> list[ReproRow]:
 def _run_leastterm(prec) -> list[ReproRow]:
     z = RamifiedPoint(12, 0)
     f = _builtin("psi", 3 * least_term_index(2, z) + 3, prec)  # the sum reads a_{mn + m}
-    res = least_term_sum_ramified(f, 2, z, prec=prec)
+    res = summate(f, "least-term", z, r=2, prec=prec)
     est_str, err_str = _LEASTTERM
     best = mp.mpf(_TABLE3_REFERENCE)
     return [_tolerance_row("n=24 partial sum", mp.re(res.estimate), est_str, "1e-11"),

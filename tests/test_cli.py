@@ -328,12 +328,17 @@ def test_precision_above_double_exponent_range():
 
 
 def test_least_term_bound_reads_the_envelope():
-    from borelsum import RamifiedPoint, r_as_ramified
+    from borelsum import (PSI_LAMBDA_SUP, GrowthEnvelope, RamifiedPoint,
+                          least_term_sum_ramified, psi_series, r_as_ramified)
     rec = json.loads(run_cli(*LEAST_TERM_PSI, "--r", "2", "--A", "1", "--B", "1",
                              "--format", "json").stdout)[0]
     assert rec["N"] == 72
     want = r_as_ramified(2, 1, 1, 72 // 3, RamifiedPoint(12, 0), 3)
     assert rec["rigorous_bound"] == mp.nstr(want, 8)
+    # the library route forms the same bound itself, at its own index
+    res = least_term_sum_ramified(psi_series(160), 2, RamifiedPoint(12, 0),
+                                  envelope=GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP))
+    assert res.N == 72 and res.rigorous_bound == want
 
 
 def test_envelope_constant_without_growth_rate_is_a_usage_error():

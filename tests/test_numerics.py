@@ -6,8 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borelsum import (DomainError, PoleError, PrecisionConfig, gamma_ratio,
-                      gamma_ratios, working_precision)
+from borelsum import DomainError, PoleError, PrecisionConfig, gamma_ratio, working_precision
 from borelsum.numerics import _Chain, as_mpc, as_mpf, ensure_finite
 
 
@@ -99,11 +98,17 @@ def _gamma_ratio_families(prec):
     return psi + euler + example2 + thirds
 
 
-def test_gamma_ratios_equal_gamma_ratio_bit_for_bit(prec):
+def _fresh_chain(z, s, count, prec):
+    """The first ``count`` kernels n = 0, 1, ... of a fresh chain at z and s."""
+    with working_precision(prec):
+        return _Chain(as_mpc(z), as_mpf(s)).upto(count - 1)[:count]
+
+
+def test_kernel_chain_equals_gamma_ratio_bit_for_bit(prec):
     # element 0 is the shared start; each n >= 1 sets the recurrence against
     # a log-gamma start at s + n
     for z, s, count in _gamma_ratio_families(prec):
-        chain = gamma_ratios(z, s, count, prec)
+        chain = _fresh_chain(z, s, count, prec)
         assert len(chain) == count
         for n, k in enumerate(chain):
             single = gamma_ratio(z, n, s, prec)
@@ -112,33 +117,31 @@ def test_gamma_ratios_equal_gamma_ratio_bit_for_bit(prec):
         # the one-pass chain; it grows at its own precision, outside the block
         with working_precision(prec):
             grown = _Chain(as_mpc(z), as_mpf(s))
-        whole = gamma_ratios(z, s, 41, prec)
+        whole = _fresh_chain(z, s, 41, prec)
         assert grown.upto(4) == whole[:5], (z, s)
         assert grown.upto(40) == whole and grown.upto(2) == whole, (z, s)
 
 
-def test_gamma_ratios_at_other_precisions():
+def test_kernel_chain_at_other_precisions():
     for bits in (53, 113, 512):
         prec = PrecisionConfig(bits)
         with working_precision(prec):
             z = mp.mpf(12) * mp.mpf(2.885390081777927)
-        assert gamma_ratios(z, 1, 41, prec) == [gamma_ratio(z, n, 1, prec) for n in range(41)]
+        assert _fresh_chain(z, 1, 41, prec) == [gamma_ratio(z, n, 1, prec) for n in range(41)]
 
 
-def test_gamma_ratios_preconditions():
-    assert gamma_ratios(2, 1, 0) == []
+def test_kernel_chain_preconditions():
+    assert _fresh_chain(2, 1, 0, None) == []
     with pytest.raises(DomainError):
-        gamma_ratios(2, 1, -1)
+        _fresh_chain(2, 0, 3, None)  # s = 0: the n = 0 element is Gamma(0)
     with pytest.raises(DomainError):
-        gamma_ratios(2, 0, 3)  # s = 0: the n = 0 element is Gamma(0)
-    with pytest.raises(DomainError):
-        gamma_ratios(2, -1, 3)
+        _fresh_chain(2, -1, 3, None)
     with pytest.raises(PoleError):
-        gamma_ratios(0, 1, 3)
+        _fresh_chain(0, 1, 3, None)
     with pytest.raises(PoleError):
-        gamma_ratios(-3, mp.mpf(1) / 2, 3)
+        _fresh_chain(-3, mp.mpf(1) / 2, 3, None)
     with pytest.raises(PoleError):
-        gamma_ratios(mp.mpf(-5) / 2, mp.mpf(1) / 2, 3)  # z + s = -2
+        _fresh_chain(mp.mpf(-5) / 2, mp.mpf(1) / 2, 3, None)  # z + s = -2
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,7 +18,7 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       generalized_factorial_sum, laplace_quadrature,
                       least_term_sum_ramified, power, psi_series, r_as,
                       r_as_ramified, r_fact, rotated_generalized_sum,
-                      stirling_transform, working_precision)
+                      stirling_transform, summate, working_precision)
 from borelsum import classical, ramified
 from borelsum.oracle import BUILTIN_EVALUATORS, _binomial_evaluator
 from borelsum.classical import _CoefficientRow, _beta_kernels, _divergence_flag
@@ -669,11 +669,66 @@ def test_lambda_warning_points_at_the_caller_of_the_sum(prec):
     z, env = RamifiedPoint(14, 0), GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP)
     for call in (lambda: branch_sum(f, 4, z, 14, envelope=env, prec=prec),
                  lambda: factorial_series_sum(factorial_expansion(euler_series(20), 4, prec=prec),
-                                              z, 14, envelope=env, prec=prec)):
+                                              z, 14, envelope=env, prec=prec),
+                 lambda: summate(f, "branch", z, 14, lam=4, envelope=env, prec=prec)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call()
         assert [w.filename for w in caught] == [__file__]
+    # under the default filter, once per location, a second calling line warns too
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            summate(f, "branch", z, 14, lam=4, envelope=env, prec=prec)
+        summate(f, "branch", z, 14, lam=4, envelope=env, prec=prec)
+    assert len({w.lineno for w in caught}) == len(caught) == 2
+
+
+def _fields(res):
+    return (res.estimate, res.N, res.method, res.rigorous_bound, res.heuristic_error,
+            res.condition_number, res.diverging)
+
+
+def test_summate_equals_each_route_bit_for_bit(prec):
+    psi, euler, ex2 = psi_series(75, prec), euler_series(60), example2_series(60)
+    off_axis, z5 = RamifiedPoint(12, "0.4"), RamifiedPoint(5, 0)
+    strip = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP)
+    region = GrowthEnvelope(A=4, B=0.05, lam=mp.inf)
+    lam, theta = 2 / mp.log(2), mp.pi / 3
+    cases = [
+        (summate(psi, "least-term", off_axis, r=2, prec=prec),
+         least_term_sum_ramified(psi, 2, off_axis, prec=prec)),
+        (summate(psi, "least-term", off_axis, r=2, envelope=strip, prec=prec),
+         least_term_sum_ramified(psi, 2, off_axis, envelope=strip, prec=prec)),
+        (summate(euler, "factorial", RamifiedPoint("8.75", "-0.25"), 40, lam="1.35",
+                 envelope=region, prec=prec),
+         factorial_series_sum(factorial_expansion(euler, "1.35", 41, prec),
+                              RamifiedPoint("8.75", "-0.25"), 40, envelope=region, prec=prec)),
+        (summate(psi, "branch", RamifiedPoint(10, "-1.2"), 14, lam=lam, envelope=strip,
+                 prec=prec),
+         branch_sum(psi, lam, RamifiedPoint(10, "-1.2"), 14, envelope=strip, prec=prec)),
+        (summate(ex2, "generalized", z5, 40, theta="0", prec=prec),
+         generalized_factorial_sum(ex2, 1, z5, 40, prec=prec)),
+        (summate(ex2, "generalized", z5, 50, lam="0.6", theta=theta, prec=prec),
+         rotated_generalized_sum(ex2, theta, "0.6", z5, 50, prec=prec)),
+    ]
+    assert [direct.method for _, direct in cases] == [
+        "least-term", "least-term", "factorial", "branch", "generalized", "generalized-rotated"]
+    assert cases[1][1].rigorous_bound is not None and cases[3][1].rigorous_bound is not None
+    for via, direct in cases:
+        assert _fields(via) == _fields(direct), direct.method
+    z = RamifiedPoint(3, "0.5")
+    oracle = summate(None, "oracle", z, theta="0.5", evaluator=BUILTIN_EVALUATORS["euler"],
+                     prec=prec)
+    quad = laplace_quadrature(BUILTIN_EVALUATORS["euler"], "0.5", z.projection(prec), prec=prec)
+    assert _fields(oracle) == (quad, 0, "oracle", None, None, None, None)
+
+
+def test_summate_rejects_what_no_route_can_sum(prec):
+    f, z = psi_series(3 * 16, prec), RamifiedPoint(12, 0)
+    for method in ("borel", "least-term", "oracle"):  # unknown; no r; no evaluator
+        with pytest.raises(DomainError):
+            summate(f, method, z, 14, prec=prec)
 
 
 def test_branch_split_is_cached_per_precision(prec):
