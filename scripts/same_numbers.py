@@ -47,8 +47,10 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 # its phase e^(i theta/m), the factorial route swept over N at one point, and a
 # psi branch sweep over N downwards, which reads shorter prefixes of the kernel
 # chain its first row grew, the bounded psi least-term sum off the real axis,
-# where the branch weights of its bound are complex, and example2 with an
-# explicit theta = 0, which must stay the unrotated generalized sum
+# where the branch weights of its bound are complex, example2 with an explicit
+# theta = 0, which must stay the unrotated generalized sum, and the rotated m = 1
+# generalized route, the first gated m = 1 row whose coefficients have nonzero
+# imaginary parts
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -79,6 +81,8 @@ EXTRA = [
      "--z-arg", "0.4", "--A", "1", "--B", "1", *_JSON),
     ("sum", "--builtin", "example2", "--method", "generalized", "--theta", "0", "--z-mod", "5",
      "--N", "40", *_JSON),
+    ("sum", "--builtin", "euler", "--method", "generalized", "--theta", "0.3", "--z-mod", "5",
+     "--N", "30", *_JSON),
 ]
 
 

@@ -23,7 +23,11 @@ on the series, serves both, and one body, ``_kernel_sum``, forms every
 factorial-type result from such rows, with its chains, tail and bound.  Each
 coefficient carries its condition number, as the transform cancels
 factorially large terms; work at 53 bits and the stored reference tables
-below some depth are simply unreachable.
+below some depth are simply unreachable.  The row works on mpmath's raw
+parts: each nonzero real or imaginary part of a_l is multiplied by |s| with
+``mpf_mul_int`` (a zero part is skipped, its product is zero) and the parts
+are summed with ``mpf_sum``, the roundings ``abs(s) * a_l`` and ``mp.fsum``
+make, so the b_n are those of the mpc products, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import mpf_sum
+from mpmath.libmp import fzero, mpf_mul_int, mpf_sum
 
 from .combinatorics import _STIRLING, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
@@ -108,10 +112,14 @@ class _CoefficientRow(_GrowingRow):
     of the a_l with the factors of ``rotate`` (unless theta is None) and
     ``scale`` on them.  At m = 1, d_{l, n-l} = |s(n-1, l-1)| is read from one
     Stirling row and c_n = b_{n-1}; at m > 1 each d-row is fetched once per
-    growth.  The condition number is sum_t (|Re t| + |Im t|) over the terms
-    t, rounded once, over |sum_t t|: sum |t| on real terms, within sqrt 2 of
-    it on complex ones.  The row holds the series' m and coefficients, not
-    the series, so a series pickles with it.
+    growth.  A step lists the parts Re t, Im t of every term t in order: at
+    m = 1 each nonzero part of a_l times |s| by ``mpf_mul_int`` (a zero part
+    stays zero, with no product formed), at m > 1 the parts of the mpc
+    products.  ``mpf_sum`` over the real and over the imaginary parts gives
+    c_n as ``mp.fsum`` would; the condition number is sum_t (|Re t| + |Im t|),
+    one ``mpf_sum`` over the parts in the same order, over |sum_t t|: sum |t|
+    on real terms, within sqrt 2 of it on complex ones.  The row holds the
+    series' m and coefficients, not the series, so a series pickles with it.
     """
 
     def __init__(self, f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None,
@@ -141,17 +149,22 @@ class _CoefficientRow(_GrowingRow):
             if self.theta is not None:
                 an = an * _rotation(self.theta, n, m)
             a.append(_homothety(self.lam, n, m) * an)
-            if m == 1:
-                terms = [abs(s) * x for s, x in zip(_STIRLING.upto(n - 1)[n - 1], a[1:])]
+            prec, rnd = mp.mp._prec_rounding
+            if m == 1:  # |s| times each part of a_l; a zero part is its own product
+                parts = [p if p == fzero else mpf_mul_int(p, abs(s), prec, rnd)
+                         for s, x in zip(_STIRLING.upto(n - 1)[n - 1], a[1:]) for p in x._mpc_]
             else:
                 d = self.d_rows
                 terms = [as_mpf(d[l][(n - l) // m]) * a[l]
                          for l in range(n - (n - 1) // m * m, n, m) if l in d]
                 terms.append(a[n])
+                parts = [p for t in terms for p in t._mpc_]
+            # (Re t, Im t) of every term t in term order, the order mp.fsum and the gross
+            # sum read: mpf_sum drops a part by the exponent gap to what it summed so far
             gamma = mp.gamma(mp.mpf(n) / m)
-            c = mp.fsum(terms) / gamma
-            gross = mp.make_mpf(mpf_sum([p for t in terms for p in t._mpc_],
-                                        *mp.mp._prec_rounding, absolute=True)) / gamma
+            c = mp.make_mpc((mpf_sum(parts[0::2], prec, rnd),
+                             mpf_sum(parts[1::2], prec, rnd))) / gamma
+            gross = mp.make_mpf(mpf_sum(parts, prec, rnd, absolute=True)) / gamma
             return c, gross / abs(c) if c != 0 else mp.inf if gross != 0 else mp.mpf(1)
 
 
@@ -323,10 +336,16 @@ def _divergence_flag(term_mags: list[mp.mpf]) -> bool:
 # ---------------------------------------------------------------------------
 
 def _positive(fn: str, **values) -> list[mp.mpf]:
-    """The values as mpf at the ambient precision, each finite and > 0."""
-    out = [as_mpf(v) for v in values.values()]
+    """The values as mpf at the ambient precision, each finite and > 0; a value
+    ``as_mpf`` cannot read (None, a string that is no number, a complex) is
+    no such number either."""
+    error = DomainError(f"{fn} needs finite positive {', '.join(values)}")
+    try:
+        out = [as_mpf(v) for v in values.values()]
+    except (TypeError, ValueError) as exc:
+        raise error from exc
     if not all(mp.isfinite(v) and v > 0 for v in out):
-        raise DomainError(f"{fn} needs finite positive {', '.join(values)}")
+        raise error
     return out
 
 

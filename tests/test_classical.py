@@ -2,19 +2,24 @@ import pickle
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
+from mpmath.libmp import mpf_sum
 
-from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
+from borelsum import (PSI_LAMBDA_SUP, DomainError, FormalSeries, GrowthEnvelope,
                       InsufficientCoefficientsError, PrecisionConfig,
                       RamifiedPoint, SummationResult, b_bound, bound_comparison_table,
-                      euler_series, factorial_expansion, factorial_series_sum,
+                      branch_split, d_coefficient_row, euler_series, example2_series,
+                      factorial_expansion, factorial_series_sum,
                       generalized_factorial_sum, laplace_quadrature,
-                      least_term_index, partial_sum, r_as, r_fact,
-                      r_fact_asymptotic, scale, stirling_transform,
-                      working_precision)
+                      least_term_index, least_term_sum_ramified, partial_sum, psi_series,
+                      r_as, r_fact, r_fact_asymptotic, rotate, scale, stirling_first,
+                      stirling_transform, working_precision)
+from borelsum.classical import _CoefficientRow
+from borelsum.numerics import as_mpf
 from borelsum.oracle import BUILTIN_EVALUATORS
 
 from conftest import sampled_region_envelope_euler
@@ -79,6 +84,101 @@ def test_transform_condition_number(workprec):
     assert all(c >= 1 for c in cond)
     # the Euler transform cancels heavily at depth; condition grows
     assert cond[25] > cond[2]
+
+
+# ---------------------------------------------------------------------------
+# the coefficient row against its product route, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _rows_by_products(f, lam, theta, n_max, prec):
+    """(c_n, condition number of c_n) for n = 1..n_max formed as mpc products:
+    |s(n-1, l-1)| a_l at m = 1, d_{l/m,(n-l)/m} a_l (and a_n) at m > 1, on the
+    coefficients of ``scale(rotate(f, theta), lam)``; c_n = mp.fsum(terms) /
+    Gamma(n/m) and the gross sum over every part of every term, in term order."""
+    with working_precision(prec):
+        a = scale(rotate(f, theta, prec) if theta else f, lam, prec).coefficients
+        m, rows = f.m, []
+        for n in range(1, n_max + 1):
+            if m == 1:
+                terms = [abs(stirling_first(n - 1, l - 1)) * a[l] for l in range(1, n + 1)]
+            else:
+                terms = [as_mpf(d_coefficient_row(Fraction(l, m), (n - l) // m)[-1]) * a[l]
+                         for l in range(n - (n - 1) // m * m, n, m) if f.coefficients[l] != 0]
+                terms.append(a[n])
+            gamma = mp.gamma(mp.mpf(n) / m)
+            c = mp.fsum(terms) / gamma
+            gross = mp.make_mpf(mpf_sum([p for t in terms for p in t._mpc_],
+                                        *mp.mp._prec_rounding, absolute=True)) / gamma
+            rows.append((c, gross / abs(c) if c != 0 else mp.inf if gross != 0 else mp.mpf(1)))
+        return rows
+
+
+def _assert_row_is_the_product_route(f, lam, theta, n_max, prec):
+    with working_precision(prec):
+        lam, theta = as_mpf(lam), theta and as_mpf(theta)
+    row = _CoefficientRow(f, lam, theta, prec).upto(n_max)[1:]
+    want = _rows_by_products(f, lam, theta, n_max, prec)
+    assert [(c._mpc_, k._mpf_) for c, k in row] == [(c._mpc_, k._mpf_) for c, k in want]
+
+
+def _extreme_series(depth, prec):
+    # every third a_k is 0, the others alternate 10^300 and 10^-300: the products of
+    # one c_n lie far more than 2 x prec bits apart, so mpf_sum drops some of them
+    with working_precision(prec):
+        return FormalSeries(1, [0] + [0 if k % 3 == 0 else
+                                      (-1) ** k * mp.mpf(10) ** (300 * (-1) ** k)
+                                      for k in range(1, depth + 1)])
+
+
+@pytest.mark.parametrize("bits", [53, 256, 384])
+def test_coefficient_rows_are_the_product_route_bit_for_bit(bits):
+    prec = PrecisionConfig(bits)
+    euler = euler_series(202, prec)  # the depth of the benchmark's Euler sums
+    with working_precision(prec):
+        i_euler = FormalSeries(1, [1j * a for a in euler.coefficients])
+    _assert_row_is_the_product_route(euler, 1, None, 202 if bits == 256 else 80, prec)
+    _assert_row_is_the_product_route(euler, "0.6", "0.3", 80, prec)  # complex a_l
+    _assert_row_is_the_product_route(i_euler, 1, None, 80, prec)  # zero real parts
+    _assert_row_is_the_product_route(_extreme_series(60, prec), 1, None, 60, prec)
+    for branch in branch_split(psi_series(120, prec))[1]:
+        _assert_row_is_the_product_route(branch, PSI_LAMBDA_SUP, None, 40, prec)
+    # m > 1 keeps its products and shares the sums
+    _assert_row_is_the_product_route(example2_series(40, prec), "0.6", mp.pi / 3, 40, prec)
+
+
+def test_the_gross_sum_keeps_the_order_of_the_parts():
+    # at 53 bits Im a_2 + Re a_3 is an exact tie, and mpf_sum keeps a part only within
+    # 2 x 53 bits of the last bit summed so far: Re a_2 = 2^-107 is that close to
+    # Re a_3 = 2^-1 but not to Im a_2 = 2^53 - 2.  In term order Im a_2 drops Re a_2 and
+    # the tie rounds to even; Re a_2, Re a_3, Im a_2 keeps Re a_2 and rounds up
+    prec = PrecisionConfig(53)
+    with working_precision(prec):
+        a2, a3 = mp.mpc(mp.mpf(2) ** -107, 2 ** 53 - 2), mp.mpc(mp.mpf("0.5"), 0)
+        f = FormalSeries(1, [0, 1, a2, a3])
+        parts = [a2.real._mpf_, a2.imag._mpf_, a3.real._mpf_]
+        in_order = mpf_sum(parts, *mp.mp._prec_rounding, absolute=True)
+        grouped = mpf_sum(parts[0::2] + parts[1:2], *mp.mp._prec_rounding, absolute=True)
+    assert in_order != grouped
+    _assert_row_is_the_product_route(f, 1, None, 3, prec)
+
+
+_PARTS = st.one_of(st.just((0, 0)),  # (mantissa, exponent) of one part
+                   st.tuples(st.integers(-2 ** 70, 2 ** 70), st.integers(-1500, 1500)))
+
+
+@seed(24)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_PARTS, _PARTS), min_size=2, max_size=24),
+       st.sampled_from([1, "0.6", 2.885390081777927]), st.sampled_from([None, "0.3"]),
+       st.sampled_from([53, 256]))
+def test_drawn_coefficient_rows_are_the_product_route(parts, lam, theta, bits):
+    prec = PrecisionConfig(bits)
+    with mp.workprec(400):  # every drawn part is exact, then rounds once into the series
+        coefficients = [mp.mpc(mp.ldexp(*re), mp.ldexp(*im)) for re, im in parts]
+    with working_precision(prec):
+        f = FormalSeries(1, coefficients)
+    _assert_row_is_the_product_route(f, lam, theta, len(parts) - 1, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +391,18 @@ def test_bound_comparison_table_shape(workprec):
     assert col3[30] < col1[30]
     with pytest.raises(DomainError):
         bound_comparison_table(1, 1, mp.mpc(0.5, 10), 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: least_term_sum_ramified(psi_series(80), None, RamifiedPoint(12, 0)),
+    lambda: r_fact(1, None, 1, 5, 3),
+    lambda: b_bound(1, "x", 1, 5),
+    lambda: r_as(1j, 1, 1, 5, 3),
+    lambda: bound_comparison_table(1, [1], 10, 5),
+], ids=["least_term_sum_ramified", "r_fact", "b_bound", "r_as", "bound_comparison_table"])
+def test_a_bound_input_that_is_no_number_is_a_domain_error(workprec, call):
+    with pytest.raises(DomainError, match="needs finite positive"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [mp.inf, mp.nan])
