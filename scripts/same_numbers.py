@@ -14,9 +14,11 @@ imported read-only) on each side, prints every ``Workload.values`` entry to
 The same pass prints every condition number its outputs hold
 (``SummationResult.condition_number`` and each entry of
 ``FactorialExpansion.condition``); the script names each one that differs
-and counts the identical ones per method.  Last it prints the line count of
-src/borelsum/*.py on each side.  Exits 1 when any command, value or
-condition number differs.
+and counts the identical ones per method.  It compares every c_n and
+condition number of ``binomial_series(3, -1, 1/2)`` to depth 120 at
+lambda = 1, unrotated and at theta = 0.4, the same way.  Last it prints the
+line count of src/borelsum/*.py on each side.  Exits 1 when any command,
+value or condition number differs.
 
     python3 scripts/same_numbers.py REV
 """
@@ -48,9 +50,10 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 # psi branch sweep over N downwards, which reads shorter prefixes of the kernel
 # chain its first row grew, the bounded psi least-term sum off the real axis,
 # where the branch weights of its bound are complex, example2 with an explicit
-# theta = 0, which must stay the unrotated generalized sum, and the rotated m = 1
+# theta = 0, which must stay the unrotated generalized sum, the rotated m = 1
 # generalized route, the first gated m = 1 row whose coefficients have nonzero
-# imaginary parts
+# imaginary parts, and the rotated psi generalized route, which makes complex parts
+# at m = 3, on the Stirling rows and on the fractional d-rows, a gated path
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -83,6 +86,8 @@ EXTRA = [
      "--N", "40", *_JSON),
     ("sum", "--builtin", "euler", "--method", "generalized", "--theta", "0.3", "--z-mod", "5",
      "--N", "30", *_JSON),
+    ("sum", "--builtin", "psi", "--method", "generalized", "--theta", "0.5", "--lambda",
+     "2.885390081777927", "--z-mod", "11.25", "--N", "60", *_JSON),
 ]
 
 
@@ -94,7 +99,8 @@ def commands() -> list[tuple[str, ...]]:
 
 
 # one seed-1 pass of each workload, one line per value, "workload[i] value", then
-# one per condition number in the pass's outputs, "condition where method value"
+# one per condition number in the pass's outputs, "condition where method value",
+# then the c_n and condition numbers of one m = 3 family member
 VALUES = """
 import mpmath as mp
 import spec, workloads
@@ -117,6 +123,19 @@ for name in spec.WORKLOADS:
         print(f"{name}[{i}]", mp.nstr(v, 90) if isinstance(v, (mp.mpf, mp.mpc)) else repr(v))
     for at, method, c in conditions(out, name):
         print("condition", at, method, mp.nstr(c, 90))
+
+# an m = 3 member, where c_n at n = 0 mod 3 reads the Stirling rows and every other
+# c_n the fractional d-rows: its c_1..c_120 at lambda = 1, unrotated and at theta = 0.4
+from borelsum import binomial_series, working_precision
+from borelsum.classical import _expansion
+with working_precision(None) as cfg:
+    f = binomial_series(3, -1, "1/2", 120)
+    for theta in (None, mp.mpf("0.4")):
+        e = _expansion(f, mp.mpf(1), theta, 120, cfg)
+        at = f"binomial(3,-1,1/2)@theta={theta or 0}"
+        for n, (c, k) in enumerate(zip(e.b, e.condition), 1):
+            print(f"{at}.c[{n}]", mp.nstr(c, 90))
+            print("condition", f"{at}.condition[{n}]", "m3-expansion", mp.nstr(k, 90))
 """
 
 

@@ -23,11 +23,8 @@ on the series, serves both, and one body, ``_kernel_sum``, forms every
 factorial-type result from such rows, with its chains, tail and bound.  Each
 coefficient carries its condition number, as the transform cancels
 factorially large terms; work at 53 bits and the stored reference tables
-below some depth are simply unreachable.  The row works on mpmath's raw
-parts: each nonzero real or imaginary part of a_l is multiplied by |s| with
-``mpf_mul_int`` (a zero part is skipped, its product is zero) and the parts
-are summed with ``mpf_sum``, the roundings ``abs(s) * a_l`` and ``mp.fsum``
-make, so the b_n are those of the mpc products, bit for bit.
+below some depth are simply unreachable.  At every m an integer l/m reads the
+Stirling row, a fractional l/m is rounded once from its exact d.
 """
 
 from __future__ import annotations
@@ -39,11 +36,11 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_mul_int, mpf_sum
+from mpmath.libmp import from_int, fzero, mpf_div, mpf_mul, mpf_mul_int, mpf_sum
 
 from .combinatorics import _STIRLING, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PRECISION_LOCK, PrecisionConfig, _Chain, _GrowingRow, _LastKeyMemo,
+from .numerics import (PrecisionConfig, _Chain, _GrowingRow, _LastKeyMemo,
                        as_mpc, as_mpf, ensure_finite, gamma_ratio, working_precision)
 from .series import (FormalSeries, GrowthEnvelope, PointLike, RamifiedPoint, _homothety,
                      _rotation)
@@ -110,16 +107,16 @@ class _CoefficientRow(_GrowingRow):
         c_n = sum_{l <= n, l = n mod m} d_{l/m, (n-l)/m} a_l / Gamma(n/m)
 
     of the a_l with the factors of ``rotate`` (unless theta is None) and
-    ``scale`` on them.  At m = 1, d_{l, n-l} = |s(n-1, l-1)| is read from one
-    Stirling row and c_n = b_{n-1}; at m > 1 each d-row is fetched once per
-    growth.  A step lists the parts Re t, Im t of every term t in order: at
-    m = 1 each nonzero part of a_l times |s| by ``mpf_mul_int`` (a zero part
-    stays zero, with no product formed), at m > 1 the parts of the mpc
-    products.  ``mpf_sum`` over the real and over the imaginary parts gives
-    c_n as ``mp.fsum`` would; the condition number is sum_t (|Re t| + |Im t|),
-    one ``mpf_sum`` over the parts in the same order, over |sum_t t|: sum |t|
-    on real terms, within sqrt 2 of it on complex ones.  The row holds the
-    series' m and coefficients, not the series, so a series pickles with it.
+    ``scale`` on them.  At n = 0 mod m every l/m is an integer k, read off one
+    Stirling row, d_{k, n/m-k} = |s(n/m-1, k-1)| (every n at m = 1, where
+    c_n = b_{n-1}); at other n every l/m is fractional, its exact d-row fetched
+    once per growth.  A step lists the parts Re t, Im t of every term t in order,
+    each nonzero part of a_l times its exact d rounded once (``mpf_mul_int`` for
+    |s|), a zero part kept, no product formed.  ``mpf_sum`` over the real and the
+    imaginary parts gives c_n as ``mp.fsum`` would; the condition number is
+    sum_t (|Re t| + |Im t|), one ``mpf_sum`` over the parts in the same order,
+    over |sum_t t|: sum |t| on real terms, within sqrt 2 of it on complex ones.
+    The row holds f's m and coefficients, not f, so f pickles with it.
     """
 
     def __init__(self, f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None,
@@ -131,41 +128,39 @@ class _CoefficientRow(_GrowingRow):
         super().__init__(None)
 
     def upto(self, n: int) -> list:
-        if len(self.values) <= n and self.m > 1:
-            with PRECISION_LOCK:
-                # d_{l/m, j} enters c_k at k = l + jm <= n: fetch row l/m once, to
-                # (n - l)//m, for the steps of this growth only
+        if len(self.values) <= n:
+            with working_precision(self.prec):
+                # d_{l/m, j} enters c_k at k = l + jm <= n: each fractional row once
                 m = self.m
                 self.d_rows = {l: d_coefficient_row(Fraction(l, m), (n - l) // m)
-                               for l in range(1, n - m + 1) if self.coefficients[l] != 0}
+                               for l in range(1, n + 1) if l % m and self.coefficients[l] != 0}
                 super().upto(n)
                 self.d_rows = {}
-        return super().upto(n)
+        return self.values
 
     def step(self, n: int) -> tuple[mp.mpc, mp.mpf]:
         m, a = self.m, self.a
-        with working_precision(self.prec):
-            an = self.coefficients[n]
-            if self.theta is not None:
-                an = an * _rotation(self.theta, n, m)
-            a.append(_homothety(self.lam, n, m) * an)
-            prec, rnd = mp.mp._prec_rounding
-            if m == 1:  # |s| times each part of a_l; a zero part is its own product
-                parts = [p if p == fzero else mpf_mul_int(p, abs(s), prec, rnd)
-                         for s, x in zip(_STIRLING.upto(n - 1)[n - 1], a[1:]) for p in x._mpc_]
-            else:
-                d = self.d_rows
-                terms = [as_mpf(d[l][(n - l) // m]) * a[l]
-                         for l in range(n - (n - 1) // m * m, n, m) if l in d]
-                terms.append(a[n])
-                parts = [p for t in terms for p in t._mpc_]
-            # (Re t, Im t) of every term t in term order, the order mp.fsum and the gross
-            # sum read: mpf_sum drops a part by the exponent gap to what it summed so far
-            gamma = mp.gamma(mp.mpf(n) / m)
-            c = mp.make_mpc((mpf_sum(parts[0::2], prec, rnd),
-                             mpf_sum(parts[1::2], prec, rnd))) / gamma
-            gross = mp.make_mpf(mpf_sum(parts, prec, rnd, absolute=True)) / gamma
-            return c, gross / abs(c) if c != 0 else mp.inf if gross != 0 else mp.mpf(1)
+        an = self.coefficients[n]
+        if self.theta is not None:
+            an = an * _rotation(self.theta, n, m)
+        a.append(_homothety(self.lam, n, m) * an)
+        prec, rnd = mp.mp._prec_rounding
+        if n % m == 0:  # |s| times each part of a_l; a zero part is its own product
+            parts = [p if p == fzero else mpf_mul_int(p, abs(s), prec, rnd)
+                     for s, x in zip(_STIRLING.upto(n // m - 1)[n // m - 1], a[m::m])
+                     for p in x._mpc_]
+        else:  # the exact d = P/Q times each part of a_l, rounded once
+            rows = self.d_rows
+            d = {l: rows[l][(n - l) // m] for l in range(n % m, n + 1, m) if l in rows}
+            parts = [p if p == fzero else
+                     mpf_div(mpf_mul(p, from_int(q.numerator)), from_int(q.denominator), prec, rnd)
+                     for l, q in d.items() for p in a[l]._mpc_]
+        # (Re t, Im t) of every term t in term order, the order mp.fsum and the gross
+        # sum read: mpf_sum drops a part by the exponent gap to what it summed so far
+        gamma = mp.gamma(mp.mpf(n) / m)
+        c = mp.make_mpc((mpf_sum(parts[0::2], prec, rnd), mpf_sum(parts[1::2], prec, rnd))) / gamma
+        gross = mp.make_mpf(mpf_sum(parts, prec, rnd, absolute=True)) / gamma
+        return c, gross / abs(c) if c != 0 else mp.inf if gross != 0 else mp.mpf(1)
 
 
 def _expansion(f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None, n: int,
@@ -413,7 +408,7 @@ def least_term_index(r, z) -> int:
     """Optimal strip truncation index floor(r |z|)."""
     rv, = _positive("least_term_index", r=r)
     zm = z.modulus if hasattr(z, "modulus") else abs(as_mpc(z))
-    return int(mp.floor(rv * zm))
+    return int(mp.floor(ensure_finite(rv * zm)))
 
 
 @dataclass(frozen=True)

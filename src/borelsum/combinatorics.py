@@ -27,8 +27,8 @@ form above is the definition the test suite checks those rows against;
 Every cached recurrence (Stirling rows, d-rows, the coefficient rows of
 ``classical``, the psi coefficients of ``oracle``, the kernel chains of
 ``numerics``) is a ``numerics._GrowingRow``, grown in place under its
-``PRECISION_LOCK``.  A coefficient row reads the Stirling rows at m = 1,
-where d_{k,j} = |s(k+j-1, k-1)|, and the d-rows at m > 1.
+``PRECISION_LOCK``.  At every m a coefficient row reads integer r = l/m off
+the Stirling rows, d_{k,j} = |s(k+j-1, k-1)|, and only fractional r off d-rows.
 """
 
 from __future__ import annotations

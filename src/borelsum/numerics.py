@@ -83,15 +83,20 @@ def as_mpf(x: Numeric) -> mp.mpf:
     """Convert to mpf at the caller's ambient precision, never through a
     double.  A Fraction is numerator / denominator, its numerator rounded
     first when wider than the mantissa, so up to an ulp off the correctly
-    rounded quotient (ROADMAP item 7, step 2)."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+    rounded quotient (ROADMAP item 7, step 2).  A value mpmath cannot read
+    (None, a string that is no number) is a DomainError."""
+    try:
+        return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"needs a finite number, got {x!r}") from exc
 
 
 def as_mpc(x: Numeric) -> mp.mpc:
     """Convert to mpc at the ambient precision, as :func:`as_mpf` does."""
-    return mp.mpc(as_mpf(x)) if isinstance(x, Fraction) else mp.mpc(x)
+    try:
+        return mp.mpc(as_mpf(x)) if isinstance(x, Fraction) else mp.mpc(x)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"needs a finite number, got {x!r}") from exc
 
 
 def ensure_finite(value):

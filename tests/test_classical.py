@@ -11,9 +11,9 @@ from mpmath.libmp import mpf_sum
 
 from borelsum import (PSI_LAMBDA_SUP, DomainError, FormalSeries, GrowthEnvelope,
                       InsufficientCoefficientsError, PrecisionConfig,
-                      RamifiedPoint, SummationResult, b_bound, bound_comparison_table,
-                      branch_split, d_coefficient_row, euler_series, example2_series,
-                      factorial_expansion, factorial_series_sum,
+                      RamifiedPoint, SummationResult, b_bound, binomial_series,
+                      bound_comparison_table, branch_split, d_coefficient_row, euler_series,
+                      example2_series, factorial_expansion, factorial_series_sum,
                       generalized_factorial_sum, laplace_quadrature,
                       least_term_index, least_term_sum_ramified, partial_sum, psi_series,
                       r_as, r_fact, r_fact_asymptotic, rotate, scale, stirling_first,
@@ -92,20 +92,21 @@ def test_transform_condition_number(workprec):
 
 
 def _rows_by_products(f, lam, theta, n_max, prec):
-    """(c_n, condition number of c_n) for n = 1..n_max formed as mpc products:
-    |s(n-1, l-1)| a_l at m = 1, d_{l/m,(n-l)/m} a_l (and a_n) at m > 1, on the
-    coefficients of ``scale(rotate(f, theta), lam)``; c_n = mp.fsum(terms) /
-    Gamma(n/m) and the gross sum over every part of every term, in term order."""
+    """(c_n, condition number of c_n) for n = 1..n_max, each term part formed as
+    fdiv(fmul(part, P, exact), Q) with P/Q = |s(n/m-1, l/m-1)| at integer l/m and
+    the d-row entry d_{l/m,(n-l)/m} at fractional l/m, on the coefficients of
+    ``scale(rotate(f, theta), lam)``; c_n = mp.fsum(terms) / Gamma(n/m) and the
+    gross sum over every part of every term, in term order."""
     with working_precision(prec):
         a = scale(rotate(f, theta, prec) if theta else f, lam, prec).coefficients
         m, rows = f.m, []
         for n in range(1, n_max + 1):
-            if m == 1:
-                terms = [abs(stirling_first(n - 1, l - 1)) * a[l] for l in range(1, n + 1)]
-            else:
-                terms = [as_mpf(d_coefficient_row(Fraction(l, m), (n - l) // m)[-1]) * a[l]
-                         for l in range(n - (n - 1) // m * m, n, m) if f.coefficients[l] != 0]
-                terms.append(a[n])
+            terms = []
+            for l in range(n - (n - 1) // m * m, n + 1, m):
+                d = (Fraction(abs(stirling_first(n // m - 1, l // m - 1))) if l % m == 0 else
+                     d_coefficient_row(Fraction(l, m), (n - l) // m)[-1])
+                terms.append(mp.mpc(*(mp.fdiv(mp.fmul(p, d.numerator, exact=True), d.denominator)
+                                      for p in (a[l].real, a[l].imag))))
             gamma = mp.gamma(mp.mpf(n) / m)
             c = mp.fsum(terms) / gamma
             gross = mp.make_mpf(mpf_sum([p for t in terms for p in t._mpc_],
@@ -143,8 +144,11 @@ def test_coefficient_rows_are_the_product_route_bit_for_bit(bits):
     _assert_row_is_the_product_route(_extreme_series(60, prec), 1, None, 60, prec)
     for branch in branch_split(psi_series(120, prec))[1]:
         _assert_row_is_the_product_route(branch, PSI_LAMBDA_SUP, None, 40, prec)
-    # m > 1 keeps its products and shares the sums
+    # m > 1: integer l/m read the Stirling rows, fractional l/m round d a_l once
     _assert_row_is_the_product_route(example2_series(40, prec), "0.6", mp.pi / 3, 40, prec)
+    _assert_row_is_the_product_route(psi_series(60, prec), PSI_LAMBDA_SUP, None, 60, prec)
+    _assert_row_is_the_product_route(binomial_series(3, -1, "1/2", 60, prec), 1, None, 60, prec)
+    _assert_row_is_the_product_route(binomial_series(4, "1/2", 1, 60, prec), 1, "0.4", 60, prec)
 
 
 def test_the_gross_sum_keeps_the_order_of_the_parts():
@@ -405,12 +409,14 @@ def test_a_bound_input_that_is_no_number_is_a_domain_error(workprec, call):
         call()
 
 
-@pytest.mark.parametrize("bad", [mp.inf, mp.nan])
+@pytest.mark.parametrize("bad", [mp.inf, mp.nan, None, "x"])
 def test_a_non_finite_point_is_a_domain_error_never_a_number(workprec, bad):
-    z = mp.mpc(bad, 0)
+    # a point as_mpc cannot read (None, a string that is no number) is no point either
+    z = mp.mpc(bad, 0) if isinstance(bad, mp.mpf) else bad
     f = euler_series(12)
     e = factorial_expansion(f, 1)
-    calls = {"r_as": lambda: r_as(1, 1, 1, 5, z),
+    calls = {"least_term_index": lambda: least_term_index(1, z),
+             "r_as": lambda: r_as(1, 1, 1, 5, z),
              "r_fact": lambda: r_fact(1, 1, 1, 5, z),
              "r_fact_asymptotic": lambda: r_fact_asymptotic(1, 1, 1, 5, z),
              "bound_comparison_table": lambda: bound_comparison_table(1, 1, z, 3),

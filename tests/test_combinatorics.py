@@ -6,11 +6,11 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from borelsum import (DomainError, bell_partial, d_coefficient,
-                      d_coefficient_exact, d_coefficient_row,
-                      example2_series, generalized_coefficients,
-                      psi_scaled_coefficients, psi_series, stirling_first,
-                      working_precision)
+from borelsum import (PSI_LAMBDA_SUP, DomainError, RamifiedPoint, bell_partial,
+                      d_coefficient, d_coefficient_exact, d_coefficient_row,
+                      example2_series, generalized_coefficients, generalized_factorial_sum,
+                      psi_scaled_coefficients, psi_series, rotated_generalized_sum,
+                      stirling_first, working_precision)
 from borelsum import combinatorics, oracle
 
 # ---------------------------------------------------------------------------
@@ -239,19 +239,20 @@ def test_d_rows_grown_in_steps_equal_fresh_rows(monkeypatch):
 
 
 def _generalized_from_bell(f, n_max):
-    """d_1..d_{n_max} of the generalized expansion with every d_{l/m,j} from
-    the Bell definition, in the library's order of operations: the terms
-    summed by one fsum, then divided by Gamma(n/m)."""
+    """d_1..d_{n_max} of the generalized expansion, each term part formed as
+    fdiv(fmul(part, P, exact), Q) with P/Q = |s(n/m-1, l/m-1)| at integer l/m and
+    the Bell form of d_{l/m,(n-l)/m} at fractional l/m, in the library's order of
+    operations: the terms summed by one fsum, then divided by Gamma(n/m)."""
     m, a = f.m, f.coefficients
     out = []
     for n in range(1, n_max + 1):
         terms = []
-        for j in range((n - 1) // m, 0, -1):
-            l = n - j * m
-            if a[l] != 0:
-                dr = _d_bell(Fraction(l, m), j)
-                terms.append(mp.mpf(dr.numerator) / dr.denominator * a[l])
-        out.append(mp.fsum(terms + [a[n]]) / mp.gamma(mp.mpf(n) / m))
+        for l in range(n - (n - 1) // m * m, n + 1, m):
+            d = (Fraction(abs(stirling_first(n // m - 1, l // m - 1))) if l % m == 0 else
+                 _d_bell(Fraction(l, m), (n - l) // m))
+            terms.append(mp.mpc(*(mp.fdiv(mp.fmul(p, d.numerator, exact=True), d.denominator)
+                                  for p in (a[l].real, a[l].imag))))
+        out.append(mp.fsum(terms) / mp.gamma(mp.mpf(n) / m))
     return out
 
 
@@ -279,6 +280,18 @@ def test_d_rows_grow_to_the_same_values(monkeypatch, prec):
     fresh = generalized_coefficients(f, 41, prec)
     assert grown == fresh
     assert shallow == fresh[:11]
+
+
+def test_generalized_passes_build_no_integer_d_row(monkeypatch, prec):
+    # d_{k,j} at integer k is read off the Stirling rows, so a generalized pass
+    # (rotated too) leaves only fractional r in the d-row cache
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    z = RamifiedPoint(8, 0)
+    generalized_factorial_sum(example2_series(61, prec), 1, z, 60, prec)
+    rotated_generalized_sum(example2_series(61, prec), "0.5", "0.6", z, 60, prec)
+    generalized_factorial_sum(psi_series(61, prec), PSI_LAMBDA_SUP, z, 60, prec)
+    assert combinatorics._D_ROWS
+    assert all(r.denominator > 1 for r in combinatorics._D_ROWS)
 
 
 # each row kind: (give it an empty cache, its requests, one read through the API)
