@@ -37,7 +37,7 @@ sys.dont_write_bytecode = True  # leave perfbench/ and tests/ as they are
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 import spec  # noqa: E402
-from test_cli import GOLDEN_COMMANDS  # noqa: E402
+from test_cli import GOLDEN_COMMANDS, REFUSED_FLAGS, USAGE_ERRORS  # noqa: E402
 
 
 # the psi generalized route (the only built-in whose chain offsets l/m round) off
@@ -52,8 +52,11 @@ from test_cli import GOLDEN_COMMANDS  # noqa: E402
 # where the branch weights of its bound are complex, example2 with an explicit
 # theta = 0, which must stay the unrotated generalized sum, the rotated m = 1
 # generalized route, the first gated m = 1 row whose coefficients have nonzero
-# imaginary parts, and the rotated psi generalized route, which makes complex parts
-# at m = 3, on the Stirling rows and on the fractional d-rows, a gated path
+# imaginary parts, the rotated psi generalized route, which makes complex parts
+# at m = 3, on the Stirling rows and on the fractional d-rows, a gated path, and
+# the usage errors of tests/test_cli.py (``REFUSED_FLAGS``, ``USAGE_ERRORS``):
+# abbreviated and unknown flags, no or an unknown command, a missing target, an
+# unknown format and a non-integer N, each of which exits 1 with empty stdout
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -88,6 +91,8 @@ EXTRA = [
      "--N", "30", *_JSON),
     ("sum", "--builtin", "psi", "--method", "generalized", "--theta", "0.5", "--lambda",
      "2.885390081777927", "--z-mod", "11.25", "--N", "60", *_JSON),
+    *(args for args, _ in REFUSED_FLAGS.values()),
+    *USAGE_ERRORS.values(),
 ]
 
 

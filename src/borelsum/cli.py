@@ -11,17 +11,15 @@ Exit codes: 0 success, 1 usage/parse error, 2 domain error,
 3 reproduction failure.
 """
 
-from __future__ import annotations
-
+import argparse
 import csv
 import io
 import json
+import re
 import sys
 import warnings
 
-import click
 import mpmath as mp
-from click.core import ParameterSource
 
 from . import reproduce as repro
 from .classical import SummationResult, bound_comparison_table
@@ -47,31 +45,45 @@ SUM_COLUMNS = ("N", "estimate_re", "estimate_im", "heuristic_error", "rigorous_b
 BOUND_COLUMNS = ("n", "log10_r_as_ln2", "log10_r_as_halfpi", "log10_r_fact")
 
 
-class ReproductionFailure(click.ClickException):
-    exit_code = 3
+class UsageError(Exception):
+    """A usage error found after parsing: exit 1, as for argparse's own."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error (2 is a domain error); each subcommand's too
+    refuses an abbreviated flag and has --help but no -h.  Every flag is long,
+    so a token with one dash (-0.25, -1e-3, -inf) is a value, never a flag."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def _load_input(series_path, builtin, depth, prec) -> FormalSeries:
     if (series_path is None) == (builtin is None):
-        raise click.UsageError("provide exactly one of --series / --builtin")
+        raise UsageError("provide exactly one of --series / --builtin")
     if builtin is not None:
         if builtin not in BUILTIN_SERIES:
-            raise click.UsageError(
+            raise UsageError(
                 f"unknown builtin {builtin!r}; choose from {sorted(BUILTIN_SERIES)}")
         return BUILTIN_SERIES[builtin](depth, prec)
     try:
         return load_series(series_path, prec)
     except OSError as exc:
-        raise click.UsageError(f"cannot read series file: {exc}")
+        raise UsageError(f"cannot read series file: {exc}")
     except DomainError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _envelope_from_flags(A, B, lam_sup) -> GrowthEnvelope | None:
     if A is None and B is None:
         return None
     if A is None or B is None:
-        raise click.UsageError("--A and --B must be given together")
+        raise UsageError("--A and --B must be given together")
     # without a known validity factor the lambda warning never fires
     return GrowthEnvelope(A=A, B=B, lam=lam_sup or float("inf"))
 
@@ -133,9 +145,9 @@ def _emit(text: str, out) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise click.UsageError(f"cannot write --out file: {exc}")
+            raise UsageError(f"cannot write --out file: {exc}")
     else:
-        click.echo(text, nl=not text.endswith("\n"))
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _parse_range(spec_str: str) -> list[int] | range:
@@ -149,114 +161,86 @@ def _parse_range(spec_str: str) -> list[int] | range:
         else:
             Ns = [int(p) for p in spec_str.split(",")]
     except ValueError:
-        raise click.UsageError(f"cannot parse N range {spec_str!r}")
+        raise UsageError(f"cannot parse N range {spec_str!r}")
     if not Ns:
-        raise click.UsageError(f"N range {spec_str!r} is empty")
+        raise UsageError(f"N range {spec_str!r} is empty")
     return Ns
 
 
-_precision_bits = click.option("--precision-bits", type=click.IntRange(min=53), default=256)
-_format = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-                       default="text")
-_out = click.option("--out", type=click.Path(), default=None, help="write output to a file")
-
-_common = [
-    click.option("--series", type=click.Path(), default=None,
-                 help="JSON series file {m, coefficients}"),
-    click.option("--builtin", type=str, default=None,
-                 help=f"built-in series ({', '.join(BUILTIN_SERIES)}) or oracle "
-                      f"evaluator ({', '.join(BUILTIN_EVALUATORS)})"),
-    click.option("--depth", type=int, default=160,
-                 help="coefficient depth for built-in series"),
-    click.option("--method", type=click.Choice(METHODS), required=True),
-    click.option("--lambda", "lam", type=float, default=1.0,
-                 help="homothety factor of the factorial expansion"),
-    click.option("--theta", type=float, default=0.0, help="summation direction"),
-    click.option("--z-mod", type=float, required=True, help="|z|"),
-    click.option("--z-arg", type=float, default=0.0,
-                 help="arg z, unreduced (covers all sheets)"),
-    click.option("--A", "A", type=float, default=None,
-                 help="envelope constant A on the method's domain: the --r strip for "
-                      "least-term (largest branch A when m > 1), else the lambda-region"),
-    click.option("--B", "B", type=float, default=None, help="envelope growth rate B"),
-    click.option("--r", "r", type=float, default=None, help="strip half-width"),
-    _precision_bits,
-    click.option("--tol", type=float, default=None, help="oracle quadrature tolerance"),
-    _format,
-    _out,
-]
+def _at_least(low, cast=int, strict=False):
+    """argparse type: ``cast`` of the text, at least ``low`` (over it if strict); nan passes."""
+    def convert(text):
+        if (value := cast(text)) < low or strict and value == low:
+            raise argparse.ArgumentTypeError(f"{value} is not {'>' if strict else '>='} {low}")
+        return value
+    convert.__name__ = cast.__name__  # argparse's "invalid int value" names it
+    return convert
 
 
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+# (flag, default, argparse keywords)
+_PRECISION = ("--precision-bits", 256, {"type": _at_least(53)})
+_FORMAT = ("--format", "text", {"choices": ("json", "csv", "text")})
+_OUT = ("--out", None, {"help": "write output to a file"})
+_N = ("--N", 20, {"type": int, "help": "truncation index"})
+_N_RANGE = ("--N-range", None, {"required": True,
+                                "help": "comma list '10,14,18' or 'start:stop:step'"})
+_COMMON = (
+    ("--series", None, {"help": "JSON series file {m, coefficients}"}),
+    ("--builtin", None, {"help": f"built-in series ({', '.join(BUILTIN_SERIES)}) or oracle "
+                                 f"evaluator ({', '.join(BUILTIN_EVALUATORS)})"}),
+    ("--depth", 160, {"type": int, "help": "coefficient depth for built-in series"}),
+    ("--method", None, {"choices": METHODS, "required": True}),
+    ("--lambda", 1.0, {"type": float, "help": "homothety factor of the factorial expansion"}),
+    ("--theta", 0.0, {"type": float, "help": "summation direction"}),
+    ("--z-mod", None, {"type": float, "required": True, "help": "|z|"}),
+    ("--z-arg", 0.0, {"type": float, "help": "arg z, unreduced (covers all sheets)"}),
+    ("--A", None, {"type": float, "help": "envelope constant A on the method's domain: the --r "
+                   "strip for least-term (largest branch A when m > 1), else the lambda-region"}),
+    ("--B", None, {"type": float, "help": "envelope growth rate B"}),
+    ("--r", None, {"type": float, "help": "strip half-width"}),
+    _PRECISION,
+    ("--tol", None, {"type": float, "help": "oracle quadrature tolerance"}),
+    _FORMAT,
+    _OUT,
+)
 
 
-def _sum_rows(Ns, series, builtin, depth, method, lam, theta, z_mod, z_arg,
-              A, B, r, precision_bits, tol, fmt, out) -> None:
-    """The body of ``sum`` and ``table``: one record per truncation index."""
-    ctx = click.get_current_context()
-    given = [p.opts[0] for p in ctx.command.params
-             if ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
+def _sum_rows(**given) -> None:
+    """The body of ``sum`` and ``table``: one record per truncation index.
+    ``given`` holds the flags on the command line and no default."""
+    Ns = _parse_range(given["N_range"]) if "N_range" in given else None
+    method = given["method"]
+    keys = {flag: flag[2:].replace("-", "_") for flag, _, _ in (*_COMMON, _N, _N_RANGE)}
+    flags = [flag for flag, key in keys.items() if key in given]
     others = set().union(*METHOD_FLAGS.values()) - set(METHOD_FLAGS[method])
-    unread = [flag for flag in given if flag in others]
+    unread = [flag for flag in flags if flag in others]
     if unread:
-        raise click.UsageError(f"--method {method} does not read {', '.join(unread)}; "
-                               f"it reads {', '.join(METHOD_FLAGS[method])}")
-    if "--series" in given and "--depth" in given:
-        raise click.UsageError("a --series file does not read --depth; it sizes a --builtin series")
-    prec = PrecisionConfig(precision_bits)
-    z = RamifiedPoint(z_mod, z_arg)
-    f = _load_input(series, builtin, depth, prec) if "--series" in METHOD_FLAGS[method] else None
-    envelope = _envelope_from_flags(A, B, PSI_LAMBDA_SUP if builtin == "psi" else None)
+        raise UsageError(f"--method {method} does not read {', '.join(unread)}; "
+                         f"it reads {', '.join(METHOD_FLAGS[method])}")
+    if "--series" in flags and "--depth" in flags:
+        raise UsageError("a --series file does not read --depth; it sizes a --builtin series")
+    opts = {**{keys[flag]: default for flag, default, _ in (*_COMMON, _N)}, **given}
+    builtin, r = opts["builtin"], opts["r"]
+    prec = PrecisionConfig(opts["precision_bits"])
+    z = RamifiedPoint(opts["z_mod"], opts["z_arg"])
+    f = (_load_input(opts["series"], builtin, opts["depth"], prec)
+         if "--series" in METHOD_FLAGS[method] else None)
+    envelope = _envelope_from_flags(opts["A"], opts["B"],
+                                    PSI_LAMBDA_SUP if builtin == "psi" else None)
     if method == "least-term" and r is None:
-        raise click.UsageError("--r is required for the least-term method")
+        raise UsageError("--r is required for the least-term method")
     if method == "oracle" and builtin not in BUILTIN_EVALUATORS:
-        raise click.UsageError(
-            f"--method oracle needs --builtin out of {sorted(BUILTIN_EVALUATORS)}")
+        raise UsageError(f"--method oracle needs --builtin out of {sorted(BUILTIN_EVALUATORS)}")
     digits = int(prec.mantissa_bits * 0.30103) + 2
-    records = [_result_record(summate(f, method, z, N, lam=lam, theta=theta, envelope=envelope,
-                                      r=r, evaluator=BUILTIN_EVALUATORS.get(builtin),
-                                      tol=tol, prec=prec), digits)
-               for N in Ns]
-    _emit(_render(records, SUM_COLUMNS, fmt), out)
+    records = [_result_record(summate(f, method, z, N, lam=opts["lambda"], theta=opts["theta"],
+                                      envelope=envelope, r=r,
+                                      evaluator=BUILTIN_EVALUATORS.get(builtin),
+                                      tol=opts["tol"], prec=prec), digits)
+               for N in Ns or [opts["N"]]]
+    _emit(_render(records, SUM_COLUMNS, opts["format"]), opts["out"])
 
 
-@click.group()
-def cli():
-    """Borel summation of Gevrey-1 power series by factorial series."""
-
-
-@cli.command("sum")
-@_with_common
-@click.option("--N", "N", type=int, default=20, help="truncation index")
-def cmd_sum(N, **opts):
-    """Evaluate one summation and print the result."""
-    _sum_rows([N], **opts)
-
-
-@cli.command("table")
-@_with_common
-@click.option("--N-range", "n_range", type=str, required=True,
-              help="comma list '10,14,18' or 'start:stop:step'")
-def cmd_table(n_range, **opts):
-    """One row per truncation index, deterministic order."""
-    _sum_rows(_parse_range(n_range), **opts)
-
-
-@cli.command("compare-bounds")
-@click.option("--A", "A", type=float, default=1.0)
-@click.option("--B", "B", type=float, default=1.0)
-@click.option("--z-mod", type=click.FloatRange(min=0, min_open=True), default=None,
-              help="|z| (default |10+10i|)")
-@click.option("--z-arg", type=float, default=None, help="arg z (default pi/4)")
-@click.option("--n-max", type=click.IntRange(min=0), default=30)
-@_precision_bits
-@_format
-@_out
-def cmd_compare_bounds(A, B, z_mod, z_arg, n_max, precision_bits, fmt, out):
-    """Tabulate log10 of the two strip bounds and the factorial bound."""
+def _compare_bounds(A, B, z_mod, z_arg, n_max, precision_bits, format, out, **_) -> None:
     prec = PrecisionConfig(precision_bits)
     with working_precision(prec):
         z = RamifiedPoint(abs(mp.mpc(10, 10)) if z_mod is None else z_mod,
@@ -266,49 +250,65 @@ def cmd_compare_bounds(A, B, z_mod, z_arg, n_max, precision_bits, fmt, out):
                 "log10_r_as_ln2": mp.nstr(row.log_r_as_ln2, 10),
                 "log10_r_as_halfpi": mp.nstr(row.log_r_as_halfpi, 10),
                 "log10_r_fact": mp.nstr(row.log_r_fact, 10)} for row in rows]
-    _emit(_render(records, BOUND_COLUMNS, fmt), out)
+    _emit(_render(records, BOUND_COLUMNS, format), out)
 
 
-@cli.command("reproduce")
-@click.argument("target", type=click.Choice(list(repro.TARGETS) + ["all"]))
-@_precision_bits
-@_out
-def cmd_reproduce(target, precision_bits, out):
-    """Re-run a stored reference configuration and grade each row."""
-    prec = PrecisionConfig(precision_bits)
-    targets = list(repro.TARGETS) if target == "all" else [target]
-    lines = []
-    all_ok = True
-    for name in targets:
-        rows = repro.run_target(name, prec)
+def _reproduce(target, precision_bits, out, **_) -> None:
+    lines, failed = [], False
+    for name in repro.TARGETS if target == "all" else [target]:
         lines.append(f"== {name} ==")
-        for row in rows:
-            status = "PASS" if row.passed else "FAIL"
+        for row in repro.run_target(name, PrecisionConfig(precision_bits)):
             note = f"  [{row.note}]" if row.note else ""
-            lines.append(f"{status}  {row.label}: computed {row.computed}, "
-                         f"expected {row.expected}{note}")
-            all_ok = all_ok and row.passed
-    text = "\n".join(lines) + "\n"
-    _emit(text, out)
-    if not all_ok:
-        raise ReproductionFailure("one or more reproduction rows FAILED")
+            lines.append(f"{'PASS' if row.passed else 'FAIL'}  {row.label}: computed "
+                         f"{row.computed}, expected {row.expected}{note}")
+            failed = failed or not row.passed
+    _emit("\n".join(lines) + "\n", out)
+    if failed:
+        print("error: one or more reproduction rows FAILED", file=sys.stderr)
+        sys.exit(3)
+
+
+def _parser() -> _Parser:
+    top = _Parser(prog="borelsum",
+                  description="Borel summation of Gevrey-1 power series by factorial series.")
+    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, run, about, flags in (
+            ("sum", _sum_rows, "Evaluate one summation and print the result.", (*_COMMON, _N)),
+            ("table", _sum_rows, "One row per truncation index, deterministic order.",
+             (*_COMMON, _N_RANGE)),
+            ("compare-bounds", _compare_bounds,
+             "Tabulate log10 of the two strip bounds and the factorial bound.",
+             [("--A", 1.0, {"type": float}), ("--B", 1.0, {"type": float}),
+              ("--z-mod", None, {"type": _at_least(0, float, strict=True),
+                                 "help": "|z| (default |10+10i|)"}),
+              ("--z-arg", None, {"type": float, "help": "arg z (default pi/4)"}),
+              ("--n-max", 30, {"type": _at_least(0)}), _PRECISION, _FORMAT, _OUT]),
+            ("reproduce", _reproduce,
+             "Re-run a stored reference configuration and grade each row.",
+             [("target", None, {"choices": [*repro.TARGETS, "all"]}), _PRECISION, _OUT])):
+        sub = commands.add_parser(name, help=about, description=about)
+        sub.set_defaults(run=run, parser=sub)
+        for flag, default, keywords in flags:
+            # sum and table see only the flags given; _sum_rows fills in the defaults
+            sub.add_argument(flag, **keywords,
+                             default=argparse.SUPPRESS if run is _sum_rows else default)
+    return top
 
 
 def main(argv=None):
     # a library warning is one line, like an error, not a source excerpt
-    warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+    args = _parser().parse_args(argv)
     try:
-        cli(args=argv, standalone_mode=False)
+        args.run(**vars(args))
         return 0
-    except click.ClickException as exc:
-        exc.show()
-        # click's usage errors carry exit code 2, which here means a domain error
-        sys.exit(1 if exc.exit_code == 2 else exc.exit_code)
-    except click.exceptions.Abort:
-        sys.exit(1)
+    except UsageError as exc:
+        args.parser.error(str(exc))
     except BorelSumError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except KeyboardInterrupt:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

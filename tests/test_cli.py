@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*args, expect=0, timeout=None):
+def run_cli(*args, expect=0, timeout=None, entry=PKG):
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(PKG + list(args), capture_output=True, text=True, timeout=timeout,
+    proc = subprocess.run(entry + list(args), capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc
@@ -346,10 +347,66 @@ def test_envelope_constant_without_growth_rate_is_a_usage_error():
     assert "--A and --B" in proc.stderr and proc.stdout == ""
 
 
-def test_ramified_constant_flag_is_gone():
-    proc = run_cli(*LEAST_TERM_PSI, "--r", "2", "--A", "1", "--B", "1", "--C", "1",
-                   expect=1)
-    assert "--C" in proc.stderr and proc.stdout == ""
+EULER_FACTORIAL = ("sum", "--builtin", "euler", "--method", "factorial", "--z-mod", "3")
+
+# each command with the flag it must name: abbreviations of one flag and of
+# two, and --C, the gone ramified constant.  A parser that took abbreviations
+# would run table-N, sum-lam and compare-bounds-n as --N-range 5, --lambda 2
+# and --n-max 3.
+REFUSED_FLAGS = {
+    "table-N": (("table", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
+                 "--N-range", "5", "--N", "5"), "--N"),
+    "sum-lam": ((*EULER_FACTORIAL, "--lam", "2"), "--lam"),
+    "sum-z": ((*EULER_FACTORIAL, "--z", "3"), "--z"),
+    "compare-bounds-n": (("compare-bounds", "--n", "3"), "--n"),
+    "sum-C": ((*LEAST_TERM_PSI, "--r", "2", "--A", "1", "--B", "1", "--C", "1"), "--C"),
+}
+
+# commands argparse itself refuses, before borelsum reads any flag
+USAGE_ERRORS = {
+    "no-command": (),
+    "unknown-command": ("nosuch",),
+    "reproduce-without-target": ("reproduce",),
+    "unknown-format": (*EULER_FACTORIAL, "--format", "xml"),
+    "non-integer-N": (*EULER_FACTORIAL, "--N", "x"),
+}
+
+
+@pytest.mark.parametrize("args, flag", REFUSED_FLAGS.values(), ids=list(REFUSED_FLAGS))
+def test_an_abbreviated_or_unknown_flag_is_refused(args, flag):
+    proc = run_cli(*args, expect=1)
+    # named in the error line itself, not as the prefix of a longer flag
+    assert re.search(re.escape(flag) + r"(?![\w-])", proc.stderr.splitlines()[-1])
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=list(USAGE_ERRORS))
+def test_a_usage_error_exits_1_without_traceback(args):
+    proc = run_cli(*args, expect=1)
+    assert "Traceback" not in proc.stderr and proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["", "sum", "table", "compare-bounds", "reproduce"])
+def test_help_exits_0_on_stdout(command):
+    proc = run_cli(*filter(None, [command]), "--help")
+    assert proc.stdout and proc.stderr == ""
+    if command in ("sum", "table"):
+        from borelsum.cli import METHOD_FLAGS
+        common = {"--builtin", "--method", "--z-mod", "--z-arg", "--precision-bits",
+                  "--format", "--out"}
+        # sum reads one N, table a range of them
+        other = {"sum": "--N-range", "table": "--N"}[command]
+        expected = set().union(common, *METHOD_FLAGS.values()) - {other}
+        named = set(re.findall(r"--[\w-]+", proc.stdout))
+        assert expected <= named and other not in named
+
+
+def test_the_cli_runs_without_click():
+    argv = [*GOLDEN_COMMANDS["sum_euler"], "--format", "json"]
+    code = ("import sys; sys.modules['click'] = None; from borelsum.cli import main; "
+            f"main({argv!r})")
+    proc = run_cli(code, entry=[sys.executable, "-c"])
+    assert proc.stdout == (GOLDEN / "sum_euler.json").read_text()
 
 
 def test_non_finite_strip_width_is_a_domain_error():
