@@ -53,8 +53,9 @@ from test_cli import GOLDEN_COMMANDS, REFUSED_FLAGS, USAGE_ERRORS  # noqa: E402
 # theta = 0, which must stay the unrotated generalized sum, the rotated m = 1
 # generalized route, the first gated m = 1 row whose coefficients have nonzero
 # imaginary parts, the rotated psi generalized route, which makes complex parts
-# at m = 3, on the Stirling rows and on the fractional d-rows, a gated path, and
-# the usage errors of tests/test_cli.py (``REFUSED_FLAGS``, ``USAGE_ERRORS``):
+# at m = 3, on the Stirling rows and on the fractional d-rows, a gated path, the
+# euler oracle at tol 1e-3, whose quadrature runs at its 53-bit floor, and the
+# usage errors of tests/test_cli.py (``REFUSED_FLAGS``, ``USAGE_ERRORS``):
 # abbreviated and unknown flags, no or an unknown command, a missing target, an
 # unknown format and a non-integer N, each of which exits 1 with empty stdout
 _JSON = ("--format", "json")
@@ -91,6 +92,8 @@ EXTRA = [
      "--N", "30", *_JSON),
     ("sum", "--builtin", "psi", "--method", "generalized", "--theta", "0.5", "--lambda",
      "2.885390081777927", "--z-mod", "11.25", "--N", "60", *_JSON),
+    ("sum", "--builtin", "euler", "--method", "oracle", "--z-mod", "3", "--tol", "1e-3",
+     *_JSON),
     *(args for args, _ in REFUSED_FLAGS.values()),
     *USAGE_ERRORS.values(),
 ]

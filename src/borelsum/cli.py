@@ -296,19 +296,20 @@ def _parser() -> _Parser:
 
 
 def main(argv=None):
-    # a library warning is one line, like an error, not a source excerpt
-    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
     args = _parser().parse_args(argv)
-    try:
-        args.run(**vars(args))
-        return 0
-    except UsageError as exc:
-        args.parser.error(str(exc))
-    except BorelSumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
-    except KeyboardInterrupt:
-        sys.exit(1)
+    # a library warning is one line, like an error; the process's hook comes back on return
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args.run(**vars(args))
+            return 0
+        except UsageError as exc:
+            args.parser.error(str(exc))
+        except BorelSumError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            sys.exit(2)
+        except KeyboardInterrupt:
+            sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -204,15 +205,29 @@ def test_reproduce_unknown_target_exits_1():
     run_cli("reproduce", "table9", expect=1)
 
 
+LAMBDA_WARNING = ("warning: lambda = 4 exceeds the envelope's permitted factor 2.88539; "
+                  "convergence is no longer guaranteed\n")
+PSI_BRANCH_LAMBDA_4 = ("--builtin", "psi", "--method", "branch", "--lambda", "4",
+                       "--z-mod", "12", "--A", "1", "--B", "1")
+
+
 def test_lambda_warning_on_stderr():
     # one line in the style of "error: ...", no file path and no source excerpt,
     # and a table whose rows all warn prints it once
-    line = ("warning: lambda = 4 exceeds the envelope's permitted factor 2.88539; "
-            "convergence is no longer guaranteed\n")
-    psi_branch = ("--builtin", "psi", "--method", "branch", "--lambda", "4",
-                  "--z-mod", "12", "--A", "1", "--B", "1")
-    assert run_cli("sum", *psi_branch, "--N", "10").stderr == line
-    assert run_cli("table", *psi_branch, "--N-range", "10,12,14").stderr == line
+    assert run_cli("sum", *PSI_BRANCH_LAMBDA_4, "--N", "10").stderr == LAMBDA_WARNING
+    assert run_cli("table", *PSI_BRANCH_LAMBDA_4, "--N-range", "10,12,14").stderr == \
+        LAMBDA_WARNING
+
+
+def test_main_in_process_puts_the_warning_hook_back(capsys):
+    from borelsum.cli import main  # the one in-process run; the module reads no borelsum
+    hook = warnings.showwarning
+    assert main(["sum", *PSI_BRANCH_LAMBDA_4, "--N", "10"]) == 0
+    assert capsys.readouterr().err == LAMBDA_WARNING
+    assert warnings.showwarning is hook
+    with pytest.raises(SystemExit, match="2"):  # a domain error, raised inside the hook's scope
+        main(["sum", *PSI_BRANCH_LAMBDA_4[:4], "--lambda", "inf", "--z-mod", "12", "--N", "10"])
+    assert warnings.showwarning is hook
 
 
 def test_a_non_finite_lambda_is_refused_before_the_envelope_warns():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,8 @@ from borelsum import (DomainError, PSI_LAMBDA_SUP, PrecisionConfig,
                       euler_series, example2_series, laplace_quadrature, least_term_index,
                       partial_sum, psi_scaled_coefficients, psi_series, r_as,
                       working_precision)
-from borelsum.oracle import BUILTIN_EVALUATORS, BorelEvaluator
+from borelsum.numerics import as_mpf
+from borelsum.oracle import BUILTIN_EVALUATORS, BorelEvaluator, _binomial_evaluator
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -31,7 +33,8 @@ def test_quadrature_euler_value(workprec, prec):
     v = laplace_quadrature(BUILTIN_EVALUATORS["euler"], 0, mp.mpf(1), 1e-18, prec)
     assert abs(v - mp.e * mp.e1(1)) < mp.mpf("1e-18")
     assert abs(v - mp.mpf("0.596347362323194074341078499369")) < mp.mpf("1e-18")
-    gl = mp.quad(lambda t: mp.exp(-t) / (1 + t), [0, 2, 60], method="gauss-legendre")
+    with mp.workprec(100):  # the cut at 60 alone leaves ~1e-28
+        gl = mp.quad(lambda t: mp.exp(-t) / (1 + t), [0, 2, 60], method="gauss-legendre")
     assert abs(v - gl) < mp.mpf("1e-18")
 
 
@@ -103,6 +106,73 @@ def test_custom_evaluator(workprec, prec):
     g = BorelEvaluator(fn=lambda zeta: mp.exp(-zeta[0] * mp.exp(1j * zeta[1])), A=1.0, B=0.0)
     v = laplace_quadrature(g, 0, mp.mpf(2), 1e-20, prec)
     assert abs(v - mp.mpf(1) / 3) < mp.mpf("1e-20")  # int e^(-3t) dt
+
+
+# ---------------------------------------------------------------------------
+# the quadrature against closed forms of the binomial family, whose truth lives
+# only here: tol None is the default 2^-200, and at 1e-3 the rule runs at its
+# 53-bit floor
+# ---------------------------------------------------------------------------
+
+_TOLS = [None, "1e-9", "1e-3"]
+_RNG = random.Random(2006)  # drawn from only while the point lists below are built
+
+
+def _draw_ray():
+    """A complex z and a rotation theta, each argument within 0.5 of the real
+    axis and |z| in [3, 6], so Re(z e^(i theta)) > 1.6."""
+    z = mp.mpf(_RNG.uniform(3, 6)) * mp.exp(1j * mp.mpf(_RNG.uniform(-0.5, 0.5)))
+    return z, mp.mpf(_RNG.choice((-1, 1)) * _RNG.uniform(0.1, 0.5))
+
+
+# (alpha, c, z, theta): m = 1, Euler and each alpha with c = 1 or c = 1/2
+_M1_POINTS = [(Fraction(alpha), Fraction(c), *_draw_ray())
+              for alpha, c in ((-1, 1), (-1, "1/2"), ("-1/3", 1), ("1/2", "1/2"))]
+# (m, alpha, c, z, theta): terminating members, theta != 0
+_TERMINATING_POINTS = [(m, alpha, _RNG.choice((Fraction(1), Fraction(1, 2))), *_draw_ray())
+                       for m in (2, 3, 4) for alpha in (1, 2)]
+
+
+def _m1_laplace(alpha, c, z):
+    """int_0^inf e^(-z zeta) (1 + c zeta)^alpha dzeta
+    = (1/c) e^(z/c) (z/c)^(-alpha-1) Gamma(alpha+1, z/c); e^z E_1(z) for Euler."""
+    u = z / c
+    return mp.exp(u) * u ** (-alpha - 1) * mp.gammainc(alpha + 1, u) / c
+
+
+def _terminating_laplace(m, alpha, c, z, theta):
+    """The ray integral of (1 + c zeta^(1/m))^alpha for an integer alpha >= 0, term
+    by term: sum_k binom(alpha, k) c^k Gamma(k/m + 1) e^(i theta (k/m + 1))
+    / (z e^(i theta))^(k/m + 1)."""
+    w = z * mp.exp(1j * theta)
+    return mp.fsum(mp.binomial(alpha, k) * c ** k * mp.gamma(mp.mpf(k) / m + 1)
+                   * mp.exp(1j * theta * (mp.mpf(k) / m + 1)) / w ** (mp.mpf(k) / m + 1)
+                   for k in range(alpha + 1))
+
+
+def _within_tol(g, theta, z, tol, prec, truth):
+    """The quadrature is within tol of ``truth()``, formed 64 bits finer."""
+    v = laplace_quadrature(g, theta, z, tol, prec)
+    with mp.workprec(prec.mantissa_bits + 64):
+        assert abs(v - truth()) <= (mp.mpf(tol) if tol else prec.default_tolerance)
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+def test_m1_quadrature_is_the_incomplete_gamma_form(tol, workprec, prec):
+    for alpha, c, z, theta in _M1_POINTS:
+        # |1 + c zeta| >= 1 on |theta| <= pi/2, and (1 + c rho)^(1/2) <= e^(c rho/2)
+        A, B = (1, 0) if alpha < 0 else (1, float(c) / 2)
+        g = _binomial_evaluator(1, alpha, c, A, B)
+        _within_tol(g, theta, z, tol, prec, lambda: _m1_laplace(as_mpf(alpha), as_mpf(c), z))
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+def test_terminating_quadrature_is_its_term_sum(tol, workprec, prec):
+    for m, alpha, c, z, theta in _TERMINATING_POINTS:
+        # |1 + c zeta^(1/m)|^alpha <= (1 + rho^(1/m))^2 <= 3 e^(rho/2) for m <= 4
+        g = _binomial_evaluator(m, Fraction(alpha), c, 3, 0.5)
+        _within_tol(g, theta, z, tol, prec,
+                    lambda: _terminating_laplace(m, alpha, as_mpf(c), z, theta))
 
 
 # ---------------------------------------------------------------------------
