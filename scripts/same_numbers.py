@@ -7,10 +7,12 @@ route those leave out (``EXTRA``), once on the working tree's src/ and once
 on ``git archive REV src``, and lists each command whose stdout or exit
 code differs, with its first differing stdout line from each side (or the
 two exit codes) and, where the two stdouts differ only in their numbers, the
-largest relative difference between corresponding numbers.  It then runs one
-seed-1 library pass of every benchmark workload (perfbench/workloads.py,
-imported read-only) on each side, prints every ``Workload.values`` entry to
-90 digits and names each value that differs, with its relative difference.
+largest relative and the largest absolute difference between corresponding
+numbers (a number near zero can move by a relative 1 and still be noise).  It
+then runs one seed-1 library pass of every benchmark workload
+(perfbench/workloads.py, imported read-only) on each side, prints every
+``Workload.values`` entry to 90 digits and names each value that differs, with
+its relative and absolute difference.
 The same pass prints every condition number its outputs hold
 (``SummationResult.condition_number`` and each entry of
 ``FactorialExpansion.condition``); the script names each one that differs
@@ -150,25 +152,27 @@ with working_precision(None) as cfg:
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def largest_relative_difference(out: str, rev_out: str) -> Fraction | None:
-    """max |a - b| / max(|a|, |b|) over the corresponding numbers of two
-    outputs, read exactly; None when the text between the numbers differs."""
+def largest_differences(out: str, rev_out: str) -> tuple[Fraction, Fraction] | None:
+    """(max |a - b| / max(|a|, |b|), max |a - b|) over the corresponding numbers
+    of two outputs, read exactly; None when the text between the numbers differs."""
     if _NUMBER.split(out) != _NUMBER.split(rev_out):
         return None
     pairs = zip(map(Fraction, _NUMBER.findall(out)), map(Fraction, _NUMBER.findall(rev_out)))
-    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b),
-               default=Fraction(0))
+    moved = [(a, b) for a, b in pairs if a != b]
+    return (max((abs(a - b) / max(abs(a), abs(b)) for a, b in moved), default=Fraction(0)),
+            max((abs(a - b) for a, b in moved), default=Fraction(0)))
 
 
-def relative_difference(line: str | None, rev_line: str | None) -> float | None:
-    """|a - b| / |b| for the value of two library lines, a complex value taken
-    as its (re, im) pair; None when a line is missing or the text differs."""
+def differences(line: str | None, rev_line: str | None) -> tuple[float | None, float] | None:
+    """(|a - b| / |b|, |a - b|) for the value of two library lines, a complex
+    value taken as its (re, im) pair, the relative one None when b = 0; None
+    when a line is missing or the text differs."""
     if line is None or rev_line is None or _NUMBER.split(line) != _NUMBER.split(rev_line):
         return None
     a, b = ([Fraction(x) for x in _NUMBER.findall(v.split(" ", 1)[1])]
             for v in (line, rev_line))
-    norm = sum(y * y for y in b)
-    return float(sum((x - y) ** 2 for x, y in zip(a, b)) / norm) ** 0.5 if norm else None
+    norm, moved = sum(y * y for y in b), sum((x - y) ** 2 for x, y in zip(a, b))
+    return float(moved / norm) ** 0.5 if norm else None, float(moved) ** 0.5
 
 
 def run(src: Path, argv, path: str = "") -> tuple[int, str]:
@@ -233,17 +237,19 @@ def main(rev: str) -> int:
             zip_longest(out.split("\n"), rev_out.split("\n")))
         here, there = next(pair for pair in pairs if pair[0] != pair[1])
         print(f"  here:   {here}\n  at {rev}: {there}")
-        size = largest_relative_difference(out, rev_out)
-        print("  the text between the numbers differs" if size is None else
-              f"  largest relative difference between numbers: {float(size):.3g}")
+        sizes = largest_differences(out, rev_out)
+        print("  the text between the numbers differs" if sizes is None else
+              f"  largest difference between numbers: relative {float(sizes[0]):.3g}, "
+              f"absolute {float(sizes[1]):.3g}")
     print(f"{len(argvs) - len(differ)} of {len(argvs)} commands give the same stdout and exit code")
     pairs = list(zip_longest(values, rev_values))
     moved = [pair for pair in pairs if pair[0] != pair[1]]
     for here, there in moved:
         print(f"DIFFERS: library value\n  here:   {here}\n  at {rev}: {there}")
-        size = relative_difference(here, there)
-        if size is not None:
-            print(f"  relative difference: {size:.3g}")
+        sizes = differences(here, there)
+        if sizes is not None:
+            print(f"  difference: relative {'none' if sizes[0] is None else f'{sizes[0]:.3g}'}, "
+                  f"absolute {sizes[1]:.3g}")
     print(f"{len(pairs) - len(moved)} of {len(pairs)} library values of the seed-1 workload "
           "passes are identical")
     conds_same = compare_conditions(conds, rev_conds, rev)

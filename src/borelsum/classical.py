@@ -33,6 +33,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import mpmath as mp
@@ -40,8 +41,8 @@ from mpmath.libmp import from_int, fzero, mpf_div, mpf_mul, mpf_mul_int, mpf_sum
 
 from .combinatorics import _STIRLING, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PrecisionConfig, _Chain, _GrowingRow, _LastKeyMemo,
-                       as_mpc, as_mpf, ensure_finite, gamma_ratio, working_precision)
+from .numerics import (PrecisionConfig, _Chain, _GrowingRow, as_mpc, as_mpf, ensure_finite,
+                       working_precision)
 from .series import (FormalSeries, GrowthEnvelope, PointLike, RamifiedPoint, _homothety,
                      _rotation)
 
@@ -250,7 +251,8 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
         return _kernel_sum("factorial", N, [(1, e)], 0, N + 1, 1, zc, prec, envelope)
 
 
-_KERNEL_CHAINS = _LastKeyMemo()  # the class chains of the most recent point
+# the class chains of the most recent (w, m, bits), l -> chain at offset l/m
+_KERNEL_CHAINS = lru_cache(maxsize=1)(lambda w, m, bits: {})
 
 
 def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
@@ -259,12 +261,12 @@ def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[m
     Each residue class n = l + jm is one kernel chain at offset l/m, the
     factorial kernel's recurrence with l/m in place of 1: the kernel at n is
     chain element j, ``gamma_ratio(w, j, Fraction(l, m))``.  The chains of the
-    last (w, m, precision) are kept and grown, so a sweep over N at one point
-    reads prefixes of one chain per class, built when first read.
+    last (w, m, precision) are kept and grown, built when first read, so a sweep
+    over N at one point, and ``r_fact`` at each N (m = 1), read prefixes of them.
     """
     with working_precision(prec) as cfg:
         w = as_mpc(w)
-        chains = _KERNEL_CHAINS.get((w, m, cfg.mantissa_bits), dict)
+        chains = _KERNEL_CHAINS(w, m, cfg.mantissa_bits)
         out = [None] * count
         for l in range(1, min(m, count) + 1):  # classes past count hold no n
             if l not in chains:
@@ -279,8 +281,9 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
                 envelope: GrowthEnvelope | None = None) -> SummationResult:
     """a0 + sum weight (e.a0 + lambda sum_{i<=n} K_i c_i) over the parts
     (weight, e), all on one chain K_1..K_{n+1} at w = lambda z, at the ambient
-    precision.  An envelope is checked against lambda and, before any kernel
-    is built, gives the rigorous bound ``r_fact`` at n - 1 times sum |weight|.
+    precision.  An envelope is checked against lambda and gives the rigorous
+    bound ``r_fact`` at n - 1 times sum |weight|; ``r_fact`` validates it
+    before it reads the chain, which the kernels then extend.
     A part's heuristic error is |c_{n+1}| |K_{n+1} (w + (n+1)/m - 1)| / Re z
     (docs/first-omitted-estimate.md), its condition number the larger of
     ``e.condition`` and (|e.a0| + lambda sum |K_i c_i|) / |part|;
@@ -288,7 +291,7 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
     heuristic, takes the worst condition number and any part's ``diverging``."""
     lam = parts[0][1].lam
     check_lambda_permitted(lam, envelope)
-    rigorous = None if envelope is None else (  # before any kernel: Re z <= B raises
+    rigorous = None if envelope is None else (  # before the chain: Re z <= B raises
         r_fact(lam, envelope.A, envelope.B, n - 1, zc, prec) * mp.fsum(abs(p[0]) for p in parts))
     w = lam * zc
     kernels = _beta_kernels(w, m, n + 1, prec)
@@ -349,6 +352,8 @@ def r_as(r, A, B, n: int, z: PointLike, prec: PrecisionConfig | None = None) -> 
 
         A e^(B r) (n!/r^n) / ( |z|^n (Re z - B) ).
     """
+    if n < 0:
+        raise DomainError("r_as needs n >= 0")
     with working_precision(prec):
         rv, Av, Bv = _positive("r_as", r=r, A=A, B=B)
         zc = _halfplane(z, Bv, prec)
@@ -363,14 +368,18 @@ def r_fact(lam, A, B, N: int, z: PointLike, prec: PrecisionConfig | None = None)
         (A/(lam B)^(lam B)) ((N+lam B+1)^(N+lam B+1) / (N+1)^N)
             |Gamma(lam z) Gamma(N+1) / (Gamma(lam z+N+1) (Re z - B))|.
 
-    Reduces to the unscaled bound at lam = 1.
+    Reduces to the unscaled bound at lam = 1.  The kernel is element N of the
+    chain at lam z that the sums there keep, grown to N if shorter: at a large
+    N with no chain yet, ``r_fact_asymptotic`` is the cheap form.
     """
+    if not isinstance(N, int) or N < 0:
+        raise DomainError("r_fact needs an integer N >= 0")
     with working_precision(prec):
         lv, Av, Bv = _positive("r_fact", lam=lam, A=A, B=B)
         zc = _halfplane(z, Bv, prec)
         lB = lv * Bv
         shape = mp.power(N + lB + 1, N + lB + 1) / mp.power(N + 1, N)
-        kernel = abs(gamma_ratio(lv * zc, N, 1, prec))
+        kernel = abs(_beta_kernels(lv * zc, 1, N + 1, prec)[N])
         return ensure_finite(Av / mp.power(lB, lB) * shape * kernel / (mp.re(zc) - Bv))
 
 

@@ -2,9 +2,10 @@
 
 A factorial-series kernel Gamma(z) Gamma(s+n) / Gamma(z+s+n) has one
 evaluator, a chain over n by the two-term recurrence in n, grown in place
-from where it stopped.  ``gamma_ratio`` (one kernel, for the bounds: the
-chain of length one at s + n) reads a fresh chain; the kernel sums keep
-the chains of their last point.  No kernel is
+from where it stopped.  The kernel sums and the ``r_fact`` bound read the
+chains of their last point, kept by ``classical``; ``gamma_ratio``, a fresh
+chain of length one at s + n, has no library caller: it is the public
+single-kernel form and the tests' reference for the chains.  No kernel is
 ever formed from two plain gamma evaluations: ``Gamma(lambda*z + N + 1)``
 overflows double exponent range near ``N = 100`` and loses all accuracy
 long before that.  A chain starts from a log-gamma difference (or from
@@ -30,7 +31,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 import mpmath as mp
 from mpmath.libmp import mpc_pos
@@ -138,29 +139,16 @@ class _GrowingRow:
         return values
 
 
-class _LastKeyMemo:
-    """A one-entry memo: what ``build()`` returned for the most recent key,
-    replaced when another key arrives; read and replaced under ``PRECISION_LOCK``."""
-
-    def __init__(self):
-        self.key = self.value = None
-
-    def get(self, key, build: Callable[[], object]):
-        with PRECISION_LOCK:
-            if key != self.key:
-                self.value, self.key = build(), key
-            return self.value
-
-
 def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
                 prec: PrecisionConfig | None = None) -> mp.mpc:
     """Gamma(z) Gamma(s+n) / Gamma(z+s+n), the one-element chain at s + n.
 
-    With s = 1 this is the factorial-series kernel at index n; with
-    s = Fraction(l, m), 1 <= l <= m, it is the generalized kernel at flat
-    index l + nm, element n of the chain at offset l/m.  s is rounded to
-    the working precision, as the chains round it, and s + n is formed
-    exactly under the guard bits, so both see the same offset for any s.
+    No library code calls it: the sums and ``r_fact`` read element n of the
+    chain at s, which the tests hold to this bit for bit.  With s = 1 this is
+    the factorial-series kernel at index n; with s = Fraction(l, m),
+    1 <= l <= m, it is the generalized kernel at flat index l + nm.  s is
+    rounded to the working precision, as the chains round it, and s + n is
+    formed exactly under the guard bits, so both see the same offset for any s.
     """
     with working_precision(prec):
         sf = as_mpf(s)

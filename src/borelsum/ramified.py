@@ -37,16 +37,20 @@ smallest term flips ``diverging``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import mpmath as mp
 
 from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
                         factorial_expansion, factorial_series_sum, least_term_index, r_as)
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import PrecisionConfig, _LastKeyMemo, as_mpf, ensure_finite, working_precision
+from .numerics import PrecisionConfig, as_mpf, ensure_finite, working_precision
 from .oracle import BorelEvaluator, laplace_quadrature
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split, partial_sum, power
 
-_BRANCH_WEIGHTS = _LastKeyMemo()  # z^((m-l)/m), l = 1..m, of the most recent point
+# z^((m-l)/m), l = 1..m, of the most recent point: the sheet is in the key, not the projection
+_BRANCH_WEIGHTS = lru_cache(maxsize=1)(
+    lambda z, m, prec: [power(z, m - l, m, prec) for l in range(1, m + 1)])
 
 
 def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
@@ -72,11 +76,8 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     with working_precision(prec) as cfg:
         zdot = _halfplane(z, 0, prec)
         a0, branches = branch_split(f)
-        weights = _BRANCH_WEIGHTS.get(  # the sheet is in the key: not the projection
-            (z.modulus, z.argument, f.m, cfg.mantissa_bits),
-            lambda: [power(z, f.m - l, f.m, prec) for l in range(1, f.m + 1)])
         parts = [(weight, factorial_expansion(fl, lam, N + 1, prec))
-                 for weight, fl in zip(weights, branches)]
+                 for weight, fl in zip(_BRANCH_WEIGHTS(z, f.m, cfg), branches)]
         return _kernel_sum("branch", N, parts, a0, N + 1, 1, zdot, prec, envelope)
 
 

@@ -14,10 +14,11 @@ from borelsum import (PSI_LAMBDA_SUP, DomainError, FormalSeries, GrowthEnvelope,
                       RamifiedPoint, SummationResult, b_bound, binomial_series,
                       bound_comparison_table, branch_split, d_coefficient_row, euler_series,
                       example2_series, factorial_expansion, factorial_series_sum,
-                      generalized_factorial_sum, laplace_quadrature,
+                      gamma_ratio, generalized_factorial_sum, laplace_quadrature,
                       least_term_index, least_term_sum_ramified, partial_sum, psi_series,
                       r_as, r_fact, r_fact_asymptotic, rotate, scale, stirling_first,
                       stirling_transform, working_precision)
+from borelsum import classical, numerics
 from borelsum.classical import _CoefficientRow
 from borelsum.numerics import as_mpf
 from borelsum.oracle import BUILTIN_EVALUATORS
@@ -332,6 +333,79 @@ def test_r_fact_asymptotic_consistency(workprec):
                - 3 * mp.e * abs(mp.gamma(10)) / 9) < mp.mpf("1e-60")
     with pytest.raises(DomainError, match="needs N >= 1"):
         r_fact_asymptotic(1, 1, 1, 0, mp.mpf(10))
+
+
+@pytest.mark.parametrize("N", [-1, -2, -5, 2.5, "3"])
+def test_r_fact_refuses_an_index_that_is_no_nonnegative_integer(N):
+    # -1 once divided by zero, -2 named gamma_ratio, 2.5 summed a fractional kernel
+    with pytest.raises(DomainError, match="r_fact needs an integer N >= 0"):
+        r_fact(1, 1, 1, N, mp.mpc(3, 1))
+
+
+def test_r_as_refuses_a_negative_index():
+    # once mpmath's ValueError from the pole of the gamma function at n + 1 <= 0
+    for n in (-1, -3):
+        with pytest.raises(DomainError, match="r_as needs n >= 0"):
+            r_as(1, 1, 1, n, mp.mpc(3, 1))
+
+
+def _count_kernel_work(monkeypatch) -> tuple[list, list]:
+    """(the offset of each kernel chain built, the arguments of each gamma_ratio
+    call) from here on, wherever the name gamma_ratio is bound."""
+    built, calls = [], []
+    init, ratio = numerics._Chain.__init__, numerics.gamma_ratio
+    monkeypatch.setattr(numerics._Chain, "__init__",
+                        lambda self, zc, sf: (built.append(sf), init(self, zc, sf))[1])
+    for module in (numerics, classical):
+        monkeypatch.setattr(module, "gamma_ratio",
+                            lambda *args: (calls.append(args), ratio(*args))[1], raising=False)
+    return built, calls
+
+
+def test_the_bound_table_reads_one_kernel_chain(monkeypatch, prec):
+    # every r_fact row reads a prefix of the one s = 1 chain at lambda z
+    classical._KERNEL_CHAINS.cache_clear()
+    built, calls = _count_kernel_work(monkeypatch)
+    rows = bound_comparison_table(1, 1, mp.mpc(10, 10), 30, prec)
+    assert len(rows) == 31 and calls == [] and built == [1]
+
+
+def test_r_fact_after_a_bounded_sum_at_its_point_builds_no_chain(monkeypatch, prec):
+    A, B, N = 4, mp.mpf("0.05"), 200
+    e = factorial_expansion(euler_series(202, prec), 1, N + 1, prec)
+    z = RamifiedPoint(8.75, -0.25).projection(prec)
+    res = factorial_series_sum(e, z, N, GrowthEnvelope(A=A, B=B, lam=mp.inf), prec)
+    built, calls = _count_kernel_work(monkeypatch)
+    for n in (N, 7, N + 1):  # the bound's own index, a shorter prefix, the sum's tail element
+        assert r_fact(1, A, B, n, z, prec) > 0
+    assert r_fact(1, A, B, N, z, prec) == res.rigorous_bound
+    assert calls == [] and built == []
+
+
+def _r_fact_by_gamma_ratio(lam, A, B, N, zc, prec):
+    """r_fact's formula with its kernel from one gamma_ratio evaluation at
+    offset N + 1, three log-gammas: the single-evaluation reference."""
+    with working_precision(prec):
+        lv, Av, Bv = as_mpf(lam), as_mpf(A), as_mpf(B)
+        lB = lv * Bv
+        shape = mp.power(N + lB + 1, N + lB + 1) / mp.power(N + 1, N)
+        kernel = abs(gamma_ratio(lv * zc, N, 1, prec))
+        return Av / mp.power(lB, lB) * shape * kernel / (mp.re(zc) - Bv)
+
+
+def test_r_fact_is_its_single_evaluation_formula_bit_for_bit():
+    # (lambda, A, B, point): the Euler workload's anchor and a seeded point, the
+    # psi branch bound of table1 and the bound table's point
+    cases = [(1, 4, "0.05", RamifiedPoint(2.5, 0)), (1, 4, "0.05", RamifiedPoint(8.75, -0.25)),
+             (2.885390081777927, 1, 1, RamifiedPoint(12, 0)), (1, 1, 1, mp.mpc(10, 10))]
+    Ns = (*range(0, 251, 9), 1, 2, 250)
+    for prec in map(PrecisionConfig, (53, 113, 256, 512)):
+        for lam, A, B, z in cases:
+            zc = z.projection(prec) if isinstance(z, RamifiedPoint) else z
+            classical._KERNEL_CHAINS.cache_clear()
+            for N in Ns[::2] + Ns[1::2]:  # grow the chain, then read inside it
+                assert r_fact(lam, A, B, N, zc, prec) == \
+                    _r_fact_by_gamma_ratio(lam, A, B, N, zc, prec), (prec, lam, z, N)
 
 
 def test_b_bound_values(workprec):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import mpmath as mp
@@ -16,7 +17,24 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*args, expect=0, timeout=None, entry=PKG):
+def run_cli(*args, expect=0):
+    """``cli.main(args)`` in this process, its stdout, stderr and exit code
+    captured; warnings show once per run, as in a fresh process."""
+    from borelsum import cli  # here: scripts/same_numbers.py imports this module without it
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("default")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    proc = subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+    assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
+    return proc
+
+
+def run_cold(*args, expect=0, timeout=None, entry=PKG):
+    """The command in a fresh Python process: the CLI as a user starts it."""
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(entry + list(args), capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": pythonpath})
@@ -107,8 +125,8 @@ def test_malformed_series_values_exit_1_without_traceback(tmp_path):
             (f'{{"m": 1, "coefficients": [{head}, ["nan", "0"]]}}'.encode(), "generalized",
              "4")):
         path.write_bytes(content)
-        proc = run_cli("sum", "--series", str(path), "--method", method,
-                       "--z-mod", "3", "--N", N, expect=1)
+        proc = run_cold("sum", "--series", str(path), "--method", method,
+                        "--z-mod", "3", "--N", N, expect=1)
         assert "Traceback" not in proc.stderr
 
 
@@ -191,7 +209,7 @@ def test_precision_below_53_bits_is_a_usage_error():
     for args in (("sum", "--builtin", "euler", "--method", "oracle", "--z-mod", "3"),
                  ("compare-bounds",),
                  ("reproduce", "fig2")):
-        proc = run_cli(*args, "--precision-bits", "52", expect=1)
+        proc = run_cold(*args, "--precision-bits", "52", expect=1)
         assert "--precision-bits" in proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -220,7 +238,7 @@ def test_lambda_warning_on_stderr():
 
 
 def test_main_in_process_puts_the_warning_hook_back(capsys):
-    from borelsum.cli import main  # the one in-process run; the module reads no borelsum
+    from borelsum.cli import main  # the module reads no borelsum at import
     hook = warnings.showwarning
     assert main(["sum", *PSI_BRANCH_LAMBDA_4, "--N", "10"]) == 0
     assert capsys.readouterr().err == LAMBDA_WARNING
@@ -238,16 +256,16 @@ def test_a_non_finite_lambda_is_refused_before_the_envelope_warns():
 
 def test_out_file(tmp_path):
     target = tmp_path / "result.json"
-    run_cli("sum", "--builtin", "euler", "--method", "factorial",
-            "--z-mod", "3", "--N", "10", "--format", "json",
-            "--out", str(target))
+    run_cold("sum", "--builtin", "euler", "--method", "factorial",
+             "--z-mod", "3", "--N", "10", "--format", "json",
+             "--out", str(target))
     rec = json.loads(target.read_text())[0]
     assert rec["N"] == 10
     # a missing directory or a directory is a usage error, not a traceback
     for bad in (tmp_path / "missing" / "result.txt", tmp_path):
         for args in (("sum", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
                       "--N", "10"), ("compare-bounds", "--n-max", "3"), ("reproduce", "fig2")):
-            proc = run_cli(*args, "--out", str(bad), expect=1)
+            proc = run_cold(*args, "--out", str(bad), expect=1)
             assert "Traceback" not in proc.stderr
             assert "cannot write --out file" in proc.stderr
 
@@ -257,8 +275,8 @@ def test_a_huge_m_does_not_stall_the_generalized_route(tmp_path):
     path = tmp_path / "huge_m.json"
     coefficients = [["0", "0"], ["1", "0"], ["1", "0"]]
     path.write_text(json.dumps({"m": 10 ** 9, "coefficients": coefficients}))
-    run_cli("sum", "--series", str(path), "--method", "generalized", "--z-mod", "3", "--N", "1",
-            timeout=60)
+    run_cold("sum", "--series", str(path), "--method", "generalized", "--z-mod", "3", "--N", "1",
+             timeout=60)
 
 
 LEAST_TERM_PSI = ("sum", "--builtin", "psi", "--method", "least-term", "--z-mod", "12")
@@ -286,15 +304,19 @@ GOLDEN_COMMANDS = {
 }
 
 
+COLD_GOLDEN = ("table_psi_branch", "csv")  # the one case run in a fresh process
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden_output(name, fmt):
-    out = run_cli(*GOLDEN_COMMANDS[name], "--format", fmt).stdout
+    run = run_cold if (name, fmt) == COLD_GOLDEN else run_cli
+    out = run(*GOLDEN_COMMANDS[name], "--format", fmt).stdout
     assert out == (GOLDEN / f"{name}.{fmt}").read_text()
 
 
 def test_reproduce_all_golden():
-    proc = run_cli("reproduce", "all", expect=3)
+    proc = run_cold("reproduce", "all", expect=3)
     assert proc.stdout == (GOLDEN / "reproduce_all.txt").read_text()
 
 
@@ -338,7 +360,7 @@ def test_factorial_method_on_ramified_series_names_the_other_routes():
 
 def test_precision_above_double_exponent_range():
     # a float default tolerance underflows to 0 past ~1130 bits
-    proc = run_cli("compare-bounds", "--n-max", "1", "--precision-bits", "1200")
+    proc = run_cold("compare-bounds", "--n-max", "1", "--precision-bits", "1200")
     assert "Traceback" not in proc.stderr
     assert len(proc.stdout.splitlines()) == 3
 
@@ -397,7 +419,7 @@ def test_an_abbreviated_or_unknown_flag_is_refused(args, flag):
 
 @pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=list(USAGE_ERRORS))
 def test_a_usage_error_exits_1_without_traceback(args):
-    proc = run_cli(*args, expect=1)
+    proc = run_cold(*args, expect=1)
     assert "Traceback" not in proc.stderr and proc.stderr and proc.stdout == ""
 
 
@@ -420,12 +442,12 @@ def test_the_cli_runs_without_click():
     argv = [*GOLDEN_COMMANDS["sum_euler"], "--format", "json"]
     code = ("import sys; sys.modules['click'] = None; from borelsum.cli import main; "
             f"main({argv!r})")
-    proc = run_cli(code, entry=[sys.executable, "-c"])
+    proc = run_cold(code, entry=[sys.executable, "-c"])
     assert proc.stdout == (GOLDEN / "sum_euler.json").read_text()
 
 
 def test_non_finite_strip_width_is_a_domain_error():
-    proc = run_cli(*LEAST_TERM_PSI, "--r", "inf", expect=2)
+    proc = run_cold(*LEAST_TERM_PSI, "--r", "inf", expect=2)
     assert "finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
@@ -527,8 +549,8 @@ def test_a_range_names_exactly_the_indices_it_says():
 
 def test_a_huge_range_stop_runs_until_the_series_runs_out():
     # the range stays lazy: N = 159 needs a_161 of the depth-160 series
-    proc = run_cli("table", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
-                   "--N-range", f"150:{10 ** 19}", expect=2)
+    proc = run_cold("table", "--builtin", "euler", "--method", "factorial", "--z-mod", "3",
+                    "--N-range", f"150:{10 ** 19}", expect=2)
     assert "a_161" in proc.stderr and "Traceback" not in proc.stderr and proc.stdout == ""
 
 

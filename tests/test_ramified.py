@@ -407,15 +407,21 @@ def test_r_as_ramified(workprec):
         r_as_ramified(1, 1, 1, 3, z, 0)
 
 
+def test_r_as_ramified_refuses_a_negative_index():
+    # once mpmath's ValueError from the pole of the gamma function at n + 1 <= 0
+    with pytest.raises(DomainError, match="r_as needs n >= 0"):
+        r_as_ramified(1, 1, 1, -1, RamifiedPoint(12, 0), 3)
+
+
 # ---------------------------------------------------------------------------
 # sweeps reuse the rows cached on the series
 # ---------------------------------------------------------------------------
 
 
 def _forget_the_last_point():
-    """Empty the one-entry memos of the kernel chains and branch weights."""
+    """Empty the one-entry caches of the kernel chains and branch weights."""
     for memo in (classical._KERNEL_CHAINS, ramified._BRANCH_WEIGHTS):
-        memo.key = memo.value = None
+        memo.cache_clear()
 
 
 def test_psi_sweep_on_one_series_matches_a_fresh_series_per_row(prec):
