@@ -8,7 +8,9 @@ on ``git archive REV src``, and lists each command whose stdout or exit
 code differs, with its first differing stdout line from each side (or the
 two exit codes) and, where the two stdouts differ only in their numbers, the
 largest relative and the largest absolute difference between corresponding
-numbers (a number near zero can move by a relative 1 and still be noise).  It
+numbers (a number near zero can move by a relative 1 and still be noise).
+Of each command that exits non-zero on either side it compares the stderr
+too, and lists each that differs, with its first differing stderr line.  It
 then runs one seed-1 library pass of every benchmark workload
 (perfbench/workloads.py, imported read-only) on each side, prints every
 ``Workload.values`` entry to 90 digits and names each value that differs, with
@@ -20,7 +22,7 @@ and counts the identical ones per method.  It compares every c_n and
 condition number of ``binomial_series(3, -1, 1/2)`` to depth 120 at
 lambda = 1, unrotated and at theta = 0.4, the same way.  Last it prints the
 line count of src/borelsum/*.py on each side.  Exits 1 when any command,
-value or condition number differs.
+error message, value or condition number differs.
 
     python3 scripts/same_numbers.py REV
 """
@@ -59,7 +61,10 @@ from test_cli import GOLDEN_COMMANDS, REFUSED_FLAGS, USAGE_ERRORS  # noqa: E402
 # euler oracle at tol 1e-3, whose quadrature runs at its 53-bit floor, and the
 # usage errors of tests/test_cli.py (``REFUSED_FLAGS``, ``USAGE_ERRORS``):
 # abbreviated and unknown flags, no or an unknown command, a missing target, an
-# unknown format and a non-integer N, each of which exits 1 with empty stdout
+# unknown format and a non-integer N, each of which exits 1 with empty stdout,
+# and the index domain errors of its ``test_domain_error_exits_2``, which exit 2
+# with a message naming the route and the index: a negative N for the factorial
+# and the branch route and a negative psi depth
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -98,6 +103,9 @@ EXTRA = [
      *_JSON),
     *(args for args, _ in REFUSED_FLAGS.values()),
     *USAGE_ERRORS.values(),
+    *(("sum", "--builtin", "euler", "--method", method, "--z-mod", "3", "--N", "-1")
+      for method in ("factorial", "branch")),
+    ("sum", "--builtin", "psi", "--method", "branch", "--z-mod", "12", "--depth", "-3"),
 ]
 
 
@@ -175,21 +183,21 @@ def differences(line: str | None, rev_line: str | None) -> tuple[float | None, f
     return float(moved / norm) ** 0.5 if norm else None, float(moved) ** 0.5
 
 
-def run(src: Path, argv, path: str = "") -> tuple[int, str]:
+def run(src: Path, argv, path: str = "") -> tuple[int, str, str]:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), path])),
            "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, *argv], cwd=src, capture_output=True, text=True,
                           env=env)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
-def cli(src: Path, argv) -> tuple[int, str]:
+def cli(src: Path, argv) -> tuple[int, str, str]:
     return run(src, ["-m", "borelsum.cli", *argv])
 
 
 def library_values(src: Path) -> tuple[list[str], list[str]]:
     """(value lines, condition lines) of the seed-1 library passes."""
-    code, out = run(src, ["-c", VALUES], str(ROOT / "perfbench"))
+    code, out, _ = run(src, ["-c", VALUES], str(ROOT / "perfbench"))
     if code:
         sys.exit(f"the library pass on {src} exited {code}")
     lines = out.splitlines()
@@ -230,8 +238,8 @@ def main(rev: str) -> int:
         (values, conds), (rev_values, rev_conds) = (library_values(ROOT / "src"),
                                                     library_values(Path(tmp) / "src"))
         lines = source_lines(ROOT / "src"), source_lines(Path(tmp) / "src")
-    differ = [r for r in results if r[1] != r[2]]
-    for argv, (code, out), (rev_code, rev_out) in differ:
+    differ = [r for r in results if r[1][:2] != r[2][:2]]
+    for argv, (code, out, _), (rev_code, rev_out, _) in differ:
         print("DIFFERS:", " ".join(argv))
         pairs = [(f"exit {code}", f"exit {rev_code}")] + list(
             zip_longest(out.split("\n"), rev_out.split("\n")))
@@ -242,6 +250,14 @@ def main(rev: str) -> int:
               f"  largest difference between numbers: relative {float(sizes[0]):.3g}, "
               f"absolute {float(sizes[1]):.3g}")
     print(f"{len(argvs) - len(differ)} of {len(argvs)} commands give the same stdout and exit code")
+    failing = [r for r in results if r[1][0] or r[2][0]]
+    errors = [r for r in failing if r[1][2] != r[2][2]]
+    for argv, (*_, err), (*_, rev_err) in errors:
+        here, there = next(pair for pair in zip_longest(err.split("\n"), rev_err.split("\n"))
+                           if pair[0] != pair[1])
+        print(f"DIFFERS in stderr: {' '.join(argv)}\n  here:   {here}\n  at {rev}: {there}")
+    print(f"{len(failing) - len(errors)} of {len(failing)} commands that exit non-zero "
+          "give the same stderr")
     pairs = list(zip_longest(values, rev_values))
     moved = [pair for pair in pairs if pair[0] != pair[1]]
     for here, there in moved:
@@ -254,7 +270,7 @@ def main(rev: str) -> int:
           "passes are identical")
     conds_same = compare_conditions(conds, rev_conds, rev)
     print(f"src/borelsum/*.py: {lines[0]} lines here, {lines[1]} at {rev}")
-    return 1 if differ or moved or not conds_same else 0
+    return 1 if differ or errors or moved or not conds_same else 0
 
 
 if __name__ == "__main__":

@@ -41,8 +41,8 @@ from mpmath.libmp import from_int, fzero, mpf_div, mpf_mul, mpf_mul_int, mpf_sum
 
 from .combinatorics import _STIRLING, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PrecisionConfig, _Chain, _GrowingRow, as_mpc, as_mpf, ensure_finite,
-                       working_precision)
+from .numerics import (PrecisionConfig, _Chain, _GrowingRow, as_index, as_mpc, as_mpf,
+                       ensure_finite, working_precision)
 from .series import (FormalSeries, GrowthEnvelope, PointLike, RamifiedPoint, _homothety,
                      _rotation)
 
@@ -192,12 +192,9 @@ def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
     if f.m != 1:
         raise DomainError("factorial_expansion needs an unramified (m = 1) series; "
                           "use branch or generalized for m > 1")
-    if N is None:
-        N = f.n_max - 1
-        if N < 0:
-            raise DomainError("series must store at least a_0, a_1")
-    elif N < 0:
-        raise DomainError("N must be nonnegative")
+    N = f.n_max - 1 if N is None else as_index(N, "factorial_expansion")
+    if N < 0:
+        raise DomainError("series must store at least a_0, a_1")
     with working_precision(prec) as cfg:
         return _expansion(f, as_mpf(lam), None, N + 1, cfg)
 
@@ -241,8 +238,7 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
     error columns of the reference tables to their two significant digits;
     a region envelope gives ``rigorous_bound``, ``r_fact`` at N.
     """
-    if N < 0:
-        raise DomainError("N must be nonnegative")
+    N = as_index(N, "factorial_series_sum")
     if N + 1 > e.depth:
         raise InsufficientCoefficientsError(
             f"expansion stores b_0..b_{e.depth}; N = {N} needs b_{N + 1} for its estimate")
@@ -352,8 +348,7 @@ def r_as(r, A, B, n: int, z: PointLike, prec: PrecisionConfig | None = None) -> 
 
         A e^(B r) (n!/r^n) / ( |z|^n (Re z - B) ).
     """
-    if n < 0:
-        raise DomainError("r_as needs n >= 0")
+    n = as_index(n, "r_as", "n")
     with working_precision(prec):
         rv, Av, Bv = _positive("r_as", r=r, A=A, B=B)
         zc = _halfplane(z, Bv, prec)
@@ -372,8 +367,7 @@ def r_fact(lam, A, B, N: int, z: PointLike, prec: PrecisionConfig | None = None)
     chain at lam z that the sums there keep, grown to N if shorter: at a large
     N with no chain yet, ``r_fact_asymptotic`` is the cheap form.
     """
-    if not isinstance(N, int) or N < 0:
-        raise DomainError("r_fact needs an integer N >= 0")
+    N = as_index(N, "r_fact")
     with working_precision(prec):
         lv, Av, Bv = _positive("r_fact", lam=lam, A=A, B=B)
         zc = _halfplane(z, Bv, prec)
@@ -390,8 +384,7 @@ def r_fact_asymptotic(lam, A, B, N: int, z: PointLike,
         A e^(lam B (1 - ln(lam B))) / N^(lam (Re z - B) - 1)
             * |Gamma(lam z)| / (Re z - B).
     """
-    if N < 1:
-        raise DomainError("the asymptotic form needs N >= 1")
+    N = as_index(N, "r_fact_asymptotic", low=1)
     with working_precision(prec):
         lv, Av, Bv = _positive("r_fact_asymptotic", lam=lam, A=A, B=B)
         zc = _halfplane(z, Bv, prec)
@@ -404,8 +397,7 @@ def r_fact_asymptotic(lam, A, B, N: int, z: PointLike,
 
 def b_bound(lam, A, B, n: int, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Coefficient bound |b_n^(lambda)| <= A (n+lam B)^(n+lam B) / ((lam B)^(lam B) n^n)."""
-    if n < 1:
-        raise DomainError("b_bound needs n >= 1")
+    n = as_index(n, "b_bound", "n", 1)
     with working_precision(prec):
         lv, Av, Bv = _positive("b_bound", lam=lam, A=A, B=B)
         lB = lv * Bv
@@ -442,4 +434,4 @@ def bound_comparison_table(A, B, z: PointLike, n_max: int,
         return [BoundRow(n=n, log_r_as_ln2=mp.log10(r_as(mp.log(2), A, B, n, zc, prec)),
                          log_r_as_halfpi=mp.log10(r_as(mp.pi / 2, A, B, n, zc, prec)),
                          log_r_fact=mp.log10(r_fact(1, A, B, n, zc, prec)))
-                for n in range(n_max + 1)]
+                for n in range(as_index(n_max, "bound_comparison_table", "n_max") + 1)]

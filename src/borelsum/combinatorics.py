@@ -41,7 +41,8 @@ from operator import mul
 import mpmath as mp
 
 from .errors import DomainError
-from .numerics import PRECISION_LOCK, PrecisionConfig, _GrowingRow, as_mpf, working_precision
+from .numerics import (PRECISION_LOCK, PrecisionConfig, _GrowingRow, as_index, as_mpf,
+                       working_precision)
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -49,9 +50,8 @@ def stirling_first(n: int, k: int) -> int:
 
     Convention: prod_{i=0}^{n-1} (x - i) = sum_k s(n, k) x^k.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if k < 0 or k > n:
+    n, k = as_index(n, "stirling_first", "n"), as_index(k, "stirling_first", "k")
+    if k > n:
         raise DomainError(f"stirling_first requires 0 <= k <= n, got ({n}, {k})")
     return _STIRLING.upto(n)[n][k]
 
@@ -150,8 +150,7 @@ def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
     r = Fraction(r)
     if r <= 0:
         raise DomainError("d_coefficient_row requires r > 0")
-    if j_max < 0:
-        raise DomainError("j must be nonnegative")
+    j_max = as_index(j_max, "d_coefficient_row", "j_max")
     with PRECISION_LOCK:
         row = _D_ROWS.get(r)
         if row is None:

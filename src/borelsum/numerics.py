@@ -17,7 +17,8 @@ Values are ``mpmath`` numbers.  A :class:`PrecisionConfig` names the working
 mantissa size; operations run under ``mpmath.workprec`` so results carry the
 requested precision regardless of the caller's global mpmath state.  The
 conversions ``as_mpf`` and ``as_mpc`` take no precision of their own: they
-round at the ambient one, so callers convert inside ``working_precision``.
+round at the ambient one, once, so callers convert inside ``working_precision``.
+Every index of the public API (N, a depth, a count, m) is read by ``as_index``.
 
 mpmath's precision is process-global, so ``working_precision`` holds the
 reentrant ``PRECISION_LOCK``: library calls from several threads run one at
@@ -27,6 +28,7 @@ caches of ``combinatorics`` and ``FormalSeries`` and the chains grow under it.
 
 from __future__ import annotations
 
+import operator
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -46,6 +48,14 @@ DEFAULT_BITS = 256
 Numeric = Union[int, float, str, Fraction, mp.mpf, mp.mpc, complex]
 
 
+def as_index(n, fn: str, name: str = "N", low: int = 0) -> int:
+    """``n`` as an int if ``operator.index`` reads it (no float, str, None, mpf) and n >= low."""
+    i = operator.index(n) if hasattr(type(n), "__index__") else low - 1
+    if i < low:
+        raise DomainError(f"{fn} needs an integer {name} >= {low}")
+    return i
+
+
 @dataclass(frozen=True)
 class PrecisionConfig:
     """Working mantissa precision in bits."""
@@ -53,8 +63,8 @@ class PrecisionConfig:
     mantissa_bits: int = DEFAULT_BITS
 
     def __post_init__(self):
-        if self.mantissa_bits < 53:
-            raise ValueError("mantissa_bits must be at least 53")
+        object.__setattr__(self, "mantissa_bits",
+                           as_index(self.mantissa_bits, "PrecisionConfig", "mantissa_bits", 53))
 
     @property
     def default_tolerance(self) -> mp.mpf:
@@ -82,12 +92,11 @@ def working_precision(prec: PrecisionConfig | None):
 
 def as_mpf(x: Numeric) -> mp.mpf:
     """Convert to mpf at the caller's ambient precision, never through a
-    double.  A Fraction is numerator / denominator, its numerator rounded
-    first when wider than the mantissa, so up to an ulp off the correctly
-    rounded quotient (ROADMAP item 7, step 2).  A value mpmath cannot read
+    double.  A Fraction is its exact numerator over its exact denominator,
+    rounded once: the correctly rounded quotient.  A value mpmath cannot read
     (None, a string that is no number) is a DomainError."""
     try:
-        return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+        return mp.fdiv(x.numerator, x.denominator) if isinstance(x, Fraction) else mp.mpf(x)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"needs a finite number, got {x!r}") from exc
 
@@ -150,10 +159,11 @@ def gamma_ratio(z: Numeric, n: int, s: Numeric = 0,
     rounded to the working precision, as the chains round it, and s + n is
     formed exactly under the guard bits, so both see the same offset for any s.
     """
+    n = as_index(n, "gamma_ratio", "n")
     with working_precision(prec):
         sf = as_mpf(s)
-        if n < 0 or sf < 0:
-            raise DomainError("gamma_ratio needs n >= 0 and s >= 0")
+        if sf < 0:
+            raise DomainError("gamma_ratio needs s >= 0")
         with mp.extraprec(64):
             offset = sf + n
         return _Chain(as_mpc(z), offset).upto(0)[0]

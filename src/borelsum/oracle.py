@@ -41,7 +41,7 @@ import mpmath as mp
 
 from .combinatorics import _SharedDenominatorRow
 from .errors import DomainError, QuadratureError
-from .numerics import (PrecisionConfig, _GrowingRow, as_mpc, as_mpf, ensure_finite,
+from .numerics import (PrecisionConfig, _GrowingRow, as_index, as_mpc, as_mpf, ensure_finite,
                        working_precision)
 from .series import FormalSeries
 
@@ -132,12 +132,12 @@ def binomial_series(m: int, alpha, c, depth: int,
                     prec: PrecisionConfig | None = None) -> FormalSeries:
     """The series whose Borel transform is (1 + c zeta^(1/m))^alpha.
 
-    a_n = binom(alpha, n - m) c^(n - m) Gamma(n/m) for m <= n <= depth, and
-    a_0..a_{m-1} = 0.  binom(alpha, k) c^k is kept as an exact Fraction, by
+    a_n = binom(alpha, n - m) c^(n - m) Gamma(n/m) for m <= n <= depth (depth >= m),
+    and a_0..a_{m-1} = 0.  binom(alpha, k) c^k is kept as an exact Fraction, by
     w <- w (alpha - k) c / (k + 1), and rounded once.  alpha and c are any
     finite value ``Fraction`` takes exactly (int, float, Fraction, str)."""
-    if m < 1 or depth < 1:
-        raise DomainError("depth must be positive" if depth < 1 else "m must be >= 1")
+    m = as_index(m, "binomial_series", "m", 1)
+    depth = as_index(depth, "binomial_series", "depth", m)
     try:
         alpha, c = Fraction(alpha), Fraction(c)
     except (ValueError, OverflowError):
@@ -145,7 +145,7 @@ def binomial_series(m: int, alpha, c, depth: int,
     with working_precision(prec):
         coeffs, w = [0] * m, Fraction(1)
         for k in range(depth - m + 1):
-            coeffs.append(mp.fdiv(w.numerator, w.denominator) * mp.gamma(mp.mpf(k + m) / m))
+            coeffs.append(as_mpf(w) * mp.gamma(mp.mpf(k + m) / m))
             w *= (alpha - k) * c / (k + 1)
         return FormalSeries(m, coeffs)
 
@@ -229,8 +229,7 @@ def psi_scaled_coefficients(depth: int) -> list[Fraction]:
     from chi_k less every atil_n (-3)^j binom(-n/3, j), n = k - 2j, summed
     over the common denominator j_max! of the binomials.
     """
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
+    depth = as_index(depth, "psi_scaled_coefficients", "depth")
     return _PSI.upto(depth)[:depth + 1]
 
 

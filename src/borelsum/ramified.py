@@ -43,8 +43,8 @@ import mpmath as mp
 
 from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
                         factorial_expansion, factorial_series_sum, least_term_index, r_as)
-from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import PrecisionConfig, as_mpf, ensure_finite, working_precision
+from .errors import DomainError
+from .numerics import PrecisionConfig, as_index, as_mpf, ensure_finite, working_precision
 from .oracle import BorelEvaluator, laplace_quadrature
 from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split, partial_sum, power
 
@@ -66,13 +66,9 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     ``diverging`` any branch's.
     Needs flat coefficients up to a_{l + m(N+1)} for every branch.
     """
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    needed = f.m + f.m * (N + 1)
-    if needed > f.n_max:
-        raise InsufficientCoefficientsError(
-            f"branch depth N = {N} needs flat coefficients up to a_{needed}, "
-            f"series stores a_0..a_{f.n_max}")
+    RamifiedPoint.require(z, "branch_sum")
+    N = as_index(N, "branch_sum")
+    f.require_depth(f.m * (N + 2))
     with working_precision(prec) as cfg:
         zdot = _halfplane(z, 0, prec)
         a0, branches = branch_split(f)
@@ -89,10 +85,7 @@ def generalized_coefficients(f: FormalSeries, n_max: int | None = None,
     with d_{r,0} = 1; for n <= m the sum is a_n alone.  A prefix of the
     coefficient row cached on ``f`` at lambda = 1, unrotated.
     """
-    if n_max is None:
-        n_max = f.n_max
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
+    n_max = f.n_max if n_max is None else as_index(n_max, "generalized_coefficients", "n_max")
     with working_precision(prec) as cfg:
         return list(_expansion(f, mp.mpf(1), None, n_max, cfg).b)
 
@@ -112,6 +105,7 @@ def rotated_generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: in
                             prec: PrecisionConfig | None = None) -> SummationResult:
     """Sum in the rotated direction: the generalized series of the rotated
     coefficients, evaluated at z e^(i theta)."""
+    RamifiedPoint.require(z, "rotated_generalized_sum")
     return _generalized_sum(f, theta, lam, z, N, prec)
 
 
@@ -119,8 +113,7 @@ def _generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: int,
                      prec: PrecisionConfig | None) -> SummationResult:
     """The one body of both generalized sums, ``theta`` None when unrotated:
     the kernel sum over d_1..d_{N+1} of the coefficient row cached on ``f``."""
-    if N < 0:
-        raise DomainError("N must be nonnegative")
+    N = as_index(N, "generalized_factorial_sum" if theta is None else "rotated_generalized_sum")
     with working_precision(prec) as cfg:
         if theta is not None:
             theta = as_mpf(theta)
@@ -143,6 +136,7 @@ def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,
     max_l |a_{l+mn}| * (sum_{i<m} |z|^(i/m)) / (|z|^n Re(z projected));
     an envelope on the strip gives ``rigorous_bound``, ``r_as_ramified`` at n.
     """
+    RamifiedPoint.require(z, "least_term_sum_ramified")
     with working_precision(prec):
         n = least_term_index(r, z)
         f.require_depth(f.m * n + f.m)
@@ -168,8 +162,8 @@ def r_as_ramified(r, A, B, n: int, z: RamifiedPoint, m: int,
 
         A e^(B r) (n!/r^n) (sum_{i=0}^{m-1} |z|^(i/m)) / (|z|^n (Re z. - B)).
     """
-    if m < 1:
-        raise DomainError("m must be a positive integer")
+    RamifiedPoint.require(z, "r_as_ramified")
+    m = as_index(m, "r_as_ramified", "m", 1)
     with working_precision(prec):
         return r_as(r, A, B, n, z, prec) * _branch_weights(z, m)
 
@@ -186,7 +180,8 @@ def summate(f: FormalSeries | None, method: str, z: RamifiedPoint, N: int = 0, *
         if r is None:
             raise DomainError("the least-term method needs a strip half-width r")
         return least_term_sum_ramified(f, r, z, envelope, prec)
-    if method == "factorial":
+    if method == "factorial":  # the sum's N, checked before the expansion reads N + 1
+        N = as_index(N, "factorial_series_sum")
         return factorial_series_sum(factorial_expansion(f, lam, N + 1, prec), z, N, envelope, prec)
     if method == "branch":
         return branch_sum(f, lam, z, N, envelope, prec)

@@ -26,7 +26,7 @@ from typing import Callable, Union
 import mpmath as mp
 
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PRECISION_LOCK, PrecisionConfig, as_mpc, as_mpf,
+from .numerics import (PRECISION_LOCK, PrecisionConfig, as_index, as_mpc, as_mpf,
                        ensure_finite, working_precision)
 
 
@@ -54,6 +54,12 @@ class RamifiedPoint:
 
     def rotated(self, theta) -> "RamifiedPoint":
         return RamifiedPoint(self.modulus, self.argument + as_mpf(theta))
+
+    @classmethod
+    def require(cls, z, fn: str) -> None:
+        """Refuse anything but a cover point where ``fn`` reads the sheet of z."""
+        if not isinstance(z, cls):
+            raise DomainError(f"{fn} reads the sheet of a RamifiedPoint z, got {type(z).__name__}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,8 @@ PointLike = Union[RamifiedPoint, mp.mpc, mp.mpf, int, float, complex]
 def power(z: RamifiedPoint, k: int, m: int,
           prec: PrecisionConfig | None = None) -> mp.mpc:
     """z^(k/m) on the cover: modulus^(k/m) * exp(i (k/m) argument)."""
-    if m < 1:
-        raise DomainError("m must be a positive integer")
+    RamifiedPoint.require(z, "power")
+    m = as_index(m, "power", "m", 1)
     with working_precision(prec):
         expo = mp.mpf(k) / m
         return ensure_finite(mp.power(z.modulus, expo) * mp.exp(1j * expo * z.argument))
@@ -106,9 +112,7 @@ class FormalSeries:
     _cache: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise DomainError("ramification order m must be >= 1")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", as_index(self.m, "FormalSeries", "m", 1))
         object.__setattr__(self, "coefficients", tuple(as_mpc(c) for c in self.coefficients))
         if not self.coefficients:
             raise DomainError("a FormalSeries needs at least the constant term")
@@ -190,8 +194,8 @@ def branch_split(f: FormalSeries) -> tuple[mp.mpc, list[FormalSeries]]:
 def partial_sum(f: FormalSeries, z: RamifiedPoint, N: int,
                 prec: PrecisionConfig | None = None) -> mp.mpc:
     """sum_{k=0}^{N} a_k z^(-k/m); requires N <= n_max."""
-    if N < 0:
-        raise DomainError("N must be nonnegative")
+    RamifiedPoint.require(z, "partial_sum")
+    N = as_index(N, "partial_sum")
     f.require_depth(N)
     with working_precision(prec):
         return ensure_finite(mp.fsum(

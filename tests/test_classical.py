@@ -331,7 +331,7 @@ def test_r_fact_asymptotic_consistency(workprec):
     # lambda = B = 1 prefactor is A*e
     assert abs(r_fact_asymptotic(1, 3, 1, 1, mp.mpf(10))
                - 3 * mp.e * abs(mp.gamma(10)) / 9) < mp.mpf("1e-60")
-    with pytest.raises(DomainError, match="needs N >= 1"):
+    with pytest.raises(DomainError, match="r_fact_asymptotic needs an integer N >= 1"):
         r_fact_asymptotic(1, 1, 1, 0, mp.mpf(10))
 
 
@@ -345,7 +345,7 @@ def test_r_fact_refuses_an_index_that_is_no_nonnegative_integer(N):
 def test_r_as_refuses_a_negative_index():
     # once mpmath's ValueError from the pole of the gamma function at n + 1 <= 0
     for n in (-1, -3):
-        with pytest.raises(DomainError, match="r_as needs n >= 0"):
+        with pytest.raises(DomainError, match="r_as needs an integer n >= 0"):
             r_as(1, 1, 1, n, mp.mpc(3, 1))
 
 

@@ -155,14 +155,16 @@ def test_domain_error_exits_2():
     proc = run_cli("sum", "--builtin", "euler", "--method", "oracle", "--z-mod", "3",
                    "--tol", "inf", expect=2)
     assert "finite" in proc.stderr and proc.stdout == ""
-    # a negative N is named as such, however far below zero
+    # a negative N is named as such, however far below zero, after the route that reads it
+    method_fn = {"factorial": "factorial_series_sum", "branch": "branch_sum"}
     for method, N in (("factorial", "-1"), ("factorial", "-5"), ("branch", "-1")):
         proc = run_cli("sum", "--builtin", "euler", "--method", method, "--z-mod", "3",
                        "--N", N, expect=2)
-        assert "N must be nonnegative" in proc.stderr and proc.stdout == ""
+        assert f"{method_fn[method]} needs an integer N >= 0" in proc.stderr and proc.stdout == ""
     proc = run_cli("sum", "--builtin", "psi", "--method", "branch", "--z-mod", "12",
                    "--depth", "-3", expect=2)
-    assert "depth must be nonnegative" in proc.stderr and proc.stdout == ""
+    assert "psi_scaled_coefficients needs an integer depth >= 0" in proc.stderr \
+        and proc.stdout == ""
 
 
 def test_least_term_requires_r():

@@ -164,7 +164,7 @@ def test_d_coefficient_domain():
         d_coefficient_exact(0, 3)
     with pytest.raises(DomainError):
         d_coefficient_exact(Fraction(-1, 2), 3)
-    with pytest.raises(DomainError, match="j must be nonnegative"):
+    with pytest.raises(DomainError, match="d_coefficient_row needs an integer j_max >= 0"):
         d_coefficient_row(Fraction(1, 2), -1)
 
 

@@ -1,3 +1,5 @@
+import random
+import re
 import threading
 import time
 from fractions import Fraction
@@ -6,8 +8,15 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borelsum import DomainError, PoleError, PrecisionConfig, gamma_ratio, working_precision
-from borelsum.numerics import _Chain, as_mpc, as_mpf, ensure_finite
+from borelsum import (DomainError, FormalSeries, PoleError, PrecisionConfig, RamifiedPoint,
+                      b_bound, binomial_series, bound_comparison_table, branch_sum,
+                      d_coefficient, d_coefficient_exact, d_coefficient_row, euler_series,
+                      example2_series, factorial_expansion, factorial_series_sum, gamma_ratio,
+                      generalized_coefficients, generalized_factorial_sum, partial_sum, power,
+                      psi_scaled_coefficients, psi_series, r_as, r_as_ramified, r_fact,
+                      r_fact_asymptotic, rotated_generalized_sum, stirling_first,
+                      working_precision)
+from borelsum.numerics import _Chain, as_index, as_mpc, as_mpf, ensure_finite
 
 
 def test_precision_config_invariants():
@@ -196,3 +205,114 @@ def test_a_thread_keeps_its_precision_while_another_leaves_its_block():
     assert not thread.is_alive()
     assert seen == [512]
     assert mp.mp.prec == ambient
+
+
+def _correctly_rounded(x: Fraction, bits: int) -> Fraction:
+    """x rounded to ``bits`` significant bits, to nearest with ties to even,
+    in integer arithmetic."""
+    p, q = abs(x.numerator), x.denominator
+    e = p.bit_length() - q.bit_length() - bits  # p / q >= 2^(bits - 1 + e)
+    while True:
+        num, den = (p << -e, q) if e < 0 else (p, q << e)
+        man, rem = divmod(num, den)
+        if man < 1 << bits:
+            break
+        e += 1
+    if 2 * rem > den or (2 * rem == den and man & 1):
+        man += 1
+    return (1 if x > 0 else -1) * man * Fraction(2) ** e
+
+
+def test_as_mpf_rounds_a_fraction_once():
+    # a numerator wider than the mantissa was rounded before the division,
+    # a second rounding that left the quotient an ulp off
+    rng = random.Random(20261019)
+    values = [Fraction(rng.choice((1, -1)) * (rng.getrandbits(200) | 1 << 199),
+                       rng.getrandbits(150) | 1 << 149) for _ in range(300)]
+    for bits in (53, 256):
+        with working_precision(PrecisionConfig(bits)):
+            got = [as_mpf(x)._mpf_ for x in values]  # (sign, mantissa, exponent, bit count)
+        for x, (sign, man, e, _) in zip(values, got):
+            assert (-1) ** sign * man * Fraction(2) ** e == _correctly_rounded(x, bits), (x, bits)
+
+
+def test_as_index_reads_what_operator_index_reads():
+    assert as_index(3, "f") == 3 and type(as_index(True, "f")) is int
+    assert as_index(5, "f", "m", 5) == 5
+    for bad, low in ((4, 5), (-1, 0), (2.5, 0), (3.0, 0), ("3", 0), (None, 0),
+                     (mp.mpf(3), 0), (Fraction(3), 0), (3 + 0j, 0)):
+        with pytest.raises(DomainError, match=re.escape(f"f needs an integer m >= {low}")):
+            as_index(bad, "f", "m", low)
+
+
+def _z():
+    return RamifiedPoint(12, 0)
+
+
+# (function named, argument, floor, call with the index); a route that reads its
+# index through another entry point is refused under that one's name
+INDEX_ENTRY_POINTS = [
+    ("PrecisionConfig", "mantissa_bits", 53, lambda bits: PrecisionConfig(bits)),
+    ("gamma_ratio", "n", 0, lambda n: gamma_ratio(3, n, 1)),
+    ("factorial_expansion", "N", 0, lambda N: factorial_expansion(euler_series(8), 1, N)),
+    ("factorial_series_sum", "N", 0,
+     lambda N: factorial_series_sum(factorial_expansion(euler_series(8), 1, 6), 3, N)),
+    ("r_as", "n", 0, lambda n: r_as(1, 1, 1, n, 3)),
+    ("r_fact", "N", 0, lambda N: r_fact(1, 1, 1, N, 3)),
+    ("r_fact_asymptotic", "N", 1, lambda N: r_fact_asymptotic(1, 1, 1, N, 3)),
+    ("b_bound", "n", 1, lambda n: b_bound(1, 1, 1, n)),
+    ("bound_comparison_table", "n_max", 0, lambda n: bound_comparison_table(1, 1, 3, n)),
+    ("branch_sum", "N", 0, lambda N: branch_sum(psi_series(20), 1, _z(), N)),
+    ("generalized_coefficients", "n_max", 0,
+     lambda n: generalized_coefficients(example2_series(10), n)),
+    ("generalized_factorial_sum", "N", 0,
+     lambda N: generalized_factorial_sum(example2_series(10), 1, _z(), N)),
+    ("rotated_generalized_sum", "N", 0,
+     lambda N: rotated_generalized_sum(example2_series(10), "0.5", 1, _z(), N)),
+    ("r_as_ramified", "m", 1, lambda m: r_as_ramified(1, 1, 1, 3, _z(), m)),
+    ("FormalSeries", "m", 1, lambda m: FormalSeries(m, [1, 2])),
+    ("power", "m", 1, lambda m: power(_z(), 1, m)),
+    ("partial_sum", "N", 0, lambda N: partial_sum(example2_series(10), _z(), N)),
+    ("stirling_first", "n", 0, lambda n: stirling_first(n, 0)),
+    ("stirling_first", "k", 0, lambda k: stirling_first(5, k)),
+    ("d_coefficient_row", "j_max", 0, lambda j: d_coefficient_row(Fraction(1, 2), j)),
+    ("d_coefficient_row", "j_max", 0, lambda j: d_coefficient_exact(Fraction(1, 2), j)),
+    ("d_coefficient_row", "j_max", 0, lambda j: d_coefficient(Fraction(1, 2), j)),
+    ("binomial_series", "m", 1, lambda m: binomial_series(m, 1, 1, 5)),
+    ("binomial_series", "depth", 3, lambda depth: binomial_series(3, 1, 1, depth)),
+    ("psi_scaled_coefficients", "depth", 0, lambda depth: psi_scaled_coefficients(depth)),
+    ("psi_scaled_coefficients", "depth", 0, lambda depth: psi_series(depth)),
+]
+
+
+# a value below the floor, a fraction, a string, None (except where it means every
+# stored coefficient) and an integral mpf
+INDEX_CASES = [pytest.param(fn, name, low, call, bad, id=f"{fn}-{name}-{i}-{bad_id}")
+               for i, (fn, name, low, call) in enumerate(INDEX_ENTRY_POINTS)
+               for bad, bad_id in (("below", "below"), (2.5, "2.5"), ("3", "str"),
+                                   (None, "None"), (mp.mpf(3), "mpf"))
+               if bad is not None or fn not in ("factorial_expansion", "generalized_coefficients")]
+
+
+@pytest.mark.parametrize("fn, name, low, call, bad", INDEX_CASES)
+def test_every_index_is_an_integer_at_or_above_its_floor(fn, name, low, call, bad):
+    with pytest.raises(DomainError, match=re.escape(f"{fn} needs an integer {name} >= {low}")):
+        call(low - 1 if bad == "below" else bad)
+
+
+def test_indices_once_taken_silently_are_refused():
+    # each of these returned a value or an object: m = 2 from 2.5, a kernel
+    # exponent 1/1.5, an empty table, a bound at a fractional index, a_0..a_2 at depth 1
+    silent = [(lambda: FormalSeries(2.5, [1, 2]), "FormalSeries needs an integer m >= 1"),
+              (lambda: power(_z(), 1, 1.5), "power needs an integer m >= 1"),
+              (lambda: bound_comparison_table(1, 1, 10 + 10j, -1),
+               "bound_comparison_table needs an integer n_max >= 0"),
+              (lambda: r_as(1, 1, 1, 2.5, 3), "r_as needs an integer n >= 0"),
+              (lambda: b_bound(1, 1, 1, 2.5), "b_bound needs an integer n >= 1"),
+              (lambda: r_fact_asymptotic(1, 1, 1, 2.5, 3),
+               "r_fact_asymptotic needs an integer N >= 1"),
+              (lambda: gamma_ratio(3, 2.5, 1), "gamma_ratio needs an integer n >= 0"),
+              (lambda: binomial_series(3, 1, 1, 1), "binomial_series needs an integer depth >= 3")]
+    for call, message in silent:
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()

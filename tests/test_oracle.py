@@ -350,9 +350,10 @@ def test_depth_validation():
         euler_series(0)
     with pytest.raises(DomainError):
         example2_series(0)
-    with pytest.raises(DomainError, match="depth must be nonnegative"):
+    with pytest.raises(DomainError, match="psi_scaled_coefficients needs an integer depth >= 0"):
         psi_scaled_coefficients(-3)
-    for m, depth, message in ((0, 5, "m must be >= 1"), (2, 0, "depth must be positive")):
+    for m, depth, message in ((0, 5, "binomial_series needs an integer m >= 1"),
+                              (2, 0, "binomial_series needs an integer depth >= 2")):
         with pytest.raises(DomainError, match=message):
             binomial_series(m, Fraction(1, 2), 1, depth)
     for alpha, c in ((float("nan"), 1), (float("inf"), 1), (1, float("nan")), (1, float("-inf"))):

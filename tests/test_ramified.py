@@ -16,7 +16,7 @@ from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
                       branch_sum, euler_series, example2_series, factorial_expansion,
                       factorial_series_sum, gamma_ratio, generalized_coefficients,
                       generalized_factorial_sum, laplace_quadrature,
-                      least_term_sum_ramified, power, psi_series, r_as,
+                      least_term_sum_ramified, partial_sum, power, psi_series, r_as,
                       r_as_ramified, r_fact, rotated_generalized_sum,
                       stirling_transform, summate, working_precision)
 from borelsum import classical, ramified
@@ -70,7 +70,7 @@ def test_branch_sum_insufficient_coefficients(workprec):
     f = psi_series(20)
     with pytest.raises(InsufficientCoefficientsError):
         branch_sum(f, 1, RamifiedPoint(12, 0), 10)
-    with pytest.raises(DomainError, match="N must be nonnegative"):
+    with pytest.raises(DomainError, match="branch_sum needs an integer N >= 0"):
         branch_sum(f, 1, RamifiedPoint(12, 0), -1)
 
 
@@ -403,13 +403,13 @@ def test_r_as_ramified(workprec):
     assert abs(a - b) / b < mp.mpf(2) ** -100
     with pytest.raises(DomainError):
         r_as_ramified(1, 1, 9, 3, z, 3)  # Re z <= B
-    with pytest.raises(DomainError, match="m must be a positive integer"):
+    with pytest.raises(DomainError, match="r_as_ramified needs an integer m >= 1"):
         r_as_ramified(1, 1, 1, 3, z, 0)
 
 
 def test_r_as_ramified_refuses_a_negative_index():
     # once mpmath's ValueError from the pole of the gamma function at n + 1 <= 0
-    with pytest.raises(DomainError, match="r_as needs n >= 0"):
+    with pytest.raises(DomainError, match="r_as needs an integer n >= 0"):
         r_as_ramified(1, 1, 1, -1, RamifiedPoint(12, 0), 3)
 
 
@@ -587,8 +587,9 @@ def test_generalized_errors_keep_their_order(prec):
 
     good = RamifiedPoint(5, 0)
     # Re z <= 0 where the sum is taken: arg 2, for the rotated route after theta = 1
-    for route, behind in ((plain, RamifiedPoint(5, 2)), (rotated, RamifiedPoint(5, 1))):
-        cases = [(-1, mp.inf, behind, mp.nan, DomainError, "N must be nonnegative")]
+    for route, behind, name in ((plain, RamifiedPoint(5, 2), "generalized_factorial_sum"),
+                                (rotated, RamifiedPoint(5, 1), "rotated_generalized_sum")):
+        cases = [(-1, mp.inf, behind, mp.nan, DomainError, f"{name} needs an integer N >= 0")]
         if route is rotated:
             cases.append((40, mp.inf, behind, mp.nan, DomainError, "theta must be finite"))
         cases += [
@@ -601,9 +602,9 @@ def test_generalized_errors_keep_their_order(prec):
             with pytest.raises(error, match=message):
                 route(N, theta, z, lam)
     assert not f._cache  # no failed call left a row behind
-    with pytest.raises(DomainError, match="n_max must be nonnegative"):
+    with pytest.raises(DomainError, match="generalized_coefficients needs an integer n_max >= 0"):
         generalized_coefficients(f, -3, prec)
-    with pytest.raises(DomainError, match="N must be nonnegative"):
+    with pytest.raises(DomainError, match="factorial_expansion needs an integer N >= 0"):
         factorial_expansion(euler_series(10), 1, -5, prec)
 
 
@@ -778,3 +779,41 @@ def test_psi_generalized_sum_carries_250_bits():
             want = generalized_factorial_sum(f768, lam, z, N, wide).estimate
             with working_precision(wide):
                 assert abs(got - want) < mp.mpf(2) ** -250 * abs(want), (z_mod, N)
+
+
+# (route named, point, call): each once read z.modulus or z.rotated of a complex
+# number and raised AttributeError; summate hands the point to the route
+SHEET_ROUTES = [
+    ("power", mp.mpc(12, 0), lambda z: power(z, 1, 3)),
+    ("partial_sum", mp.mpc(12, 0), lambda z: partial_sum(psi_series(20), z, 3)),
+    ("branch_sum", mp.mpc(12, 0), lambda z: branch_sum(psi_series(20), 1, z, 3)),
+    ("rotated_generalized_sum", mp.mpc(12, 0),
+     lambda z: rotated_generalized_sum(psi_series(20), "0.5", 1, z, 6)),
+    ("least_term_sum_ramified", mp.mpc(12, 0),
+     lambda z: least_term_sum_ramified(psi_series(60), 1, z)),
+    ("r_as_ramified", mp.mpc(12, 0), lambda z: r_as_ramified(1, 1, 1, 3, z, 3)),
+    ("branch_sum", 12 + 0j, lambda z: summate(psi_series(20), "branch", z, 3)),
+    ("least_term_sum_ramified", 12 + 0j,
+     lambda z: summate(psi_series(60), "least-term", z, r=1)),
+    ("rotated_generalized_sum", 12 + 0j,
+     lambda z: summate(psi_series(20), "generalized", z, 6, theta="0.5")),
+]
+
+
+@pytest.mark.parametrize("fn, z, call", SHEET_ROUTES,
+                         ids=[f"{fn}-{type(z).__name__}" for fn, z, _ in SHEET_ROUTES])
+def test_a_route_that_reads_the_sheet_refuses_a_complex_point(fn, z, call):
+    with pytest.raises(DomainError, match=f"^{fn} reads the sheet of a RamifiedPoint z, "
+                                          f"got {type(z).__name__}$"):
+        call(z)
+
+
+def test_the_projection_only_routes_take_a_complex_point(prec):
+    # the sums and bounds that read z projected give the cover point's value for it
+    f, e = psi_series(20, prec), factorial_expansion(euler_series(12, prec), 1, 10, prec)
+    calls = [lambda z: generalized_factorial_sum(f, 1, z, 12, prec).estimate,
+             lambda z: summate(f, "generalized", z, 12, prec=prec).estimate,
+             lambda z: factorial_series_sum(e, z, 9, prec=prec).estimate,
+             lambda z: r_as(1, 1, 1, 5, z, prec), lambda z: r_fact(1, 1, 1, 5, z, prec)]
+    for call in calls:
+        assert call(12 + 0j) == call(mp.mpc(12, 0)) == call(RamifiedPoint(12, 0))
