@@ -20,7 +20,11 @@ The same pass prints every condition number its outputs hold
 ``FactorialExpansion.condition``); the script names each one that differs
 and counts the identical ones per method.  It compares every c_n and
 condition number of ``binomial_series(3, -1, 1/2)`` to depth 120 at
-lambda = 1, unrotated and at theta = 0.4, the same way.  Last it prints the
+lambda = 1, unrotated and at theta = 0.4, the same way, and every field of
+three sweeps in one process whose sums read kernel terms an earlier sum at
+their point formed: psi branch sums at N = 40..5 descending, bounded psi
+branch sums at two points alternated and rotated example2 at N = 150, then
+N = 20.  Last it prints the
 line count of src/borelsum/*.py on each side.  Exits 1 when any command,
 error message, value or condition number differs.
 
@@ -154,6 +158,32 @@ with working_precision(None) as cfg:
         for n, (c, k) in enumerate(zip(e.b, e.condition), 1):
             print(f"{at}.c[{n}]", mp.nstr(c, 90))
             print("condition", f"{at}.condition[{n}]", "m3-expansion", mp.nstr(k, 90))
+
+# sums in one process whose kernel terms an earlier sum at their point formed: psi
+# branch sums at N = 40..5 descending, psi branch sums under an envelope at two
+# points alternated, N = 5..40, and rotated example2 at N = 150, then N = 20
+from borelsum import (PSI_LAMBDA_SUP, GrowthEnvelope, RamifiedPoint, branch_sum,
+                      example2_series, psi_series, rotated_generalized_sum)
+prec = workloads.prec
+with working_precision(prec):
+    lam, theta = mp.mpf(2.885390081777927), mp.pi / 3
+psi, ex2 = psi_series(3 * 43, prec), example2_series(152, prec)
+z1, z2, z_ex2 = RamifiedPoint(12, 0), RamifiedPoint(10, "-1.2"), RamifiedPoint(4.5, 0)
+strip = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP)
+sweeps = {
+    "psi-descending": [(N, branch_sum(psi, lam, z1, N, prec=prec)) for N in range(40, 4, -1)],
+    "psi-alternated": [(f"{N}@z{i}", branch_sum(psi, lam, z, N, strip, prec))
+                       for N in range(5, 41) for i, z in enumerate((z1, z2), 1)],
+    "ex2-rotated": [(N, rotated_generalized_sum(ex2, theta, "0.6", z_ex2, N, prec))
+                    for N in (150, 20)],
+}
+for name, results in sweeps.items():
+    for N, r in results:
+        at = f"{name}[{N}]"
+        for field in ("estimate", "heuristic_error", "rigorous_bound", "diverging"):
+            v = getattr(r, field)
+            print(f"{at}.{field}", mp.nstr(v, 90) if isinstance(v, (mp.mpf, mp.mpc)) else v)
+        print("condition", at, r.method, mp.nstr(r.condition_number, 90))
 """
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -78,13 +78,15 @@ class FactorialExpansion:
     """Factorial-series data (lambda, b_0..b_N, constant term a_0).
 
     ``condition`` holds the per-coefficient cancellation ratios, aligned with
-    ``b``.  A generalized sum carries its d_1..d_{N+1} as ``b``.
+    ``b``.  A generalized sum carries its d_1..d_{N+1} as ``b``.  ``_row`` is
+    the coefficient row the expansion was read from, None when built by hand.
     """
 
     lam: mp.mpf
     b: tuple[mp.mpc, ...]
     a0: mp.mpc
     condition: tuple[mp.mpf, ...]
+    _row: _CoefficientRow | None = field(init=False, default=None, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -174,9 +176,11 @@ def _expansion(f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None, n: int,
     f.require_depth(n)
     theta = theta or None
     row = f._derived((lam, theta, cfg.mantissa_bits),
-                     lambda: _CoefficientRow(f, lam, theta, cfg)).upto(n)
-    c, cond = zip(*row[1:n + 1]) if n else ((), ())
-    return FactorialExpansion(lam=lam, b=c, a0=f.coefficients[0], condition=cond)
+                     lambda: _CoefficientRow(f, lam, theta, cfg))
+    c, cond = zip(*row.upto(n)[1:n + 1]) if n else ((), ())
+    e = FactorialExpansion(lam=lam, b=c, a0=f.coefficients[0], condition=cond)
+    object.__setattr__(e, "_row", row)
+    return e
 
 
 def factorial_expansion(f: FormalSeries, lam=1, N: int | None = None,
@@ -247,8 +251,9 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
         return _kernel_sum("factorial", N, [(1, e)], 0, N + 1, 1, zc, prec, envelope)
 
 
-# the class chains of the most recent (w, m, bits), l -> chain at offset l/m
-_KERNEL_CHAINS = lru_cache(maxsize=1)(lambda w, m, bits: {})
+# the class chains of the most recent (w, m, bits), l -> chain at offset l/m, and
+# the term rows there, coefficient row -> its _TermRow
+_KERNEL_CHAINS = lru_cache(maxsize=1)(lambda w, m, bits: ({}, {}))
 
 
 def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
@@ -259,16 +264,58 @@ def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[m
     chain element j, ``gamma_ratio(w, j, Fraction(l, m))``.  The chains of the
     last (w, m, precision) are kept and grown, built when first read, so a sweep
     over N at one point, and ``r_fact`` at each N (m = 1), read prefixes of them.
+    Beside them the entry keeps the point's term rows (``_terms``), so one
+    eviction drops both.
     """
     with working_precision(prec) as cfg:
         w = as_mpc(w)
-        chains = _KERNEL_CHAINS(w, m, cfg.mantissa_bits)
+        chains, _ = _KERNEL_CHAINS(w, m, cfg.mantissa_bits)
         out = [None] * count
         for l in range(1, min(m, count) + 1):  # classes past count hold no n
             if l not in chains:
                 chains[l] = _Chain(w, as_mpf(Fraction(l, m)))
             j = len(range(l, count + 1, m))
             out[l - 1::m] = chains[l].upto(j - 1)[:j]
+        return out
+
+
+class _TermRow(_GrowingRow):
+    """(K_n c_n, |K_n c_n|, the largest condition number of c_1..c_n) for
+    n >= 1 (v_0 holds the empty maximum 0): the kernel terms of one list of
+    (c_n, condition number) pairs, from index 1, on the class chains of one
+    point at m.  Each product is formed once, at the ambient precision, so a
+    sweep over N at the point reads prefixes of the row.  The chains must
+    already reach n."""
+
+    def __init__(self, coefficients: list, chains: dict, m: int):
+        self.coefficients, self.chains, self.m = coefficients, chains, m
+        super().__init__((None, None, mp.mpf(0)))
+
+    def step(self, n: int) -> tuple[mp.mpc, mp.mpf, mp.mpf]:
+        c, cond = self.coefficients[n]
+        j, l = divmod(n - 1, self.m)  # n = (l + 1) + jm
+        term = self.chains[l + 1].values[j] * c
+        return term, abs(term), max(self.values[-1][2], cond)
+
+
+def _terms(parts: Sequence[tuple[object, FactorialExpansion]], w: mp.mpc, m: int, n: int,
+           prec: PrecisionConfig | None) -> list[list]:
+    """Entries 0..n of each part's term row at w = lambda z and m: the row of
+    the coefficient row its expansion was read from is kept beside the point's
+    chains, a hand-built expansion's is formed afresh.  Call once
+    ``_beta_kernels`` has grown the chains to n."""
+    with working_precision(prec) as cfg:
+        chains, rows = _KERNEL_CHAINS(as_mpc(w), m, cfg.mantissa_bits)
+        out = []
+        for _, e in parts:
+            source = e._row
+            if source is None:
+                row = _TermRow([None, *zip(e.b, e.condition)], chains, m)
+            else:
+                row = rows.get(source)
+                if row is None:
+                    row = rows[source] = _TermRow(source.values, chains, m)
+            out.append(row.upto(n))
         return out
 
 
@@ -279,7 +326,11 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
     (weight, e), all on one chain K_1..K_{n+1} at w = lambda z, at the ambient
     precision.  An envelope is checked against lambda and gives the rigorous
     bound ``r_fact`` at n - 1 times sum |weight|; ``r_fact`` validates it
-    before it reads the chain, which the kernels then extend.
+    before it reads the chain, which the kernels then extend.  The terms
+    K_i c_i, their magnitudes and the running largest condition number of the
+    c_i are prefixes of each part's term row (``_terms``), kept with the
+    point's chains, so a sweep over N forms each product once; ``mp.fsum``
+    over each prefix and ``_divergence_flag`` still run at every N.
     A part's heuristic error is |c_{n+1}| |K_{n+1} (w + (n+1)/m - 1)| / Re z
     (docs/first-omitted-estimate.md), its condition number the larger of
     ``e.condition`` and (|e.a0| + lambda sum |K_i c_i|) / |part|;
@@ -290,19 +341,17 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
     rigorous = None if envelope is None else (  # before the chain: Re z <= B raises
         r_fact(lam, envelope.A, envelope.B, n - 1, zc, prec) * mp.fsum(abs(p[0]) for p in parts))
     w = lam * zc
-    kernels = _beta_kernels(w, m, n + 1, prec)
-    tail = abs(kernels[n] * (w + mp.mpf(n + 1) / m - 1))
+    tail = abs(_beta_kernels(w, m, n + 1, prec)[n] * (w + mp.mpf(n + 1) / m - 1))
     value, heuristic, cond_max, diverging = mp.mpc(a0), mp.mpf(0), mp.mpf(0), False
-    for weight, e in parts:
-        terms = [k * c for k, c in zip(kernels[:n], e.b)]
-        total = mp.fsum(terms)
+    for (weight, e), row in zip(parts, _terms(parts, w, m, n, prec)):
+        total = mp.fsum([t for t, _, _ in row[1:n + 1]])
         estimate = e.a0 + e.lam * total
-        mags = [abs(t) for t in terms]
+        mags = [mag for _, mag, _ in row[1:n + 1]]
         gross = abs(e.a0) + e.lam * mp.fsum(mags)
         cond = gross / abs(estimate) if estimate != 0 else mp.inf if gross != 0 else mp.mpf(1)
         value += weight * estimate
         heuristic += abs(weight) * (abs(e.b[n]) * tail / mp.re(zc))
-        cond_max = max(cond_max, *e.condition[:n + 1], cond)
+        cond_max = max(cond_max, row[n][2], e.condition[n], cond)
         diverging = diverging or _divergence_flag(mags)
     return SummationResult(estimate=ensure_finite(value), N=N, method=method,
                            rigorous_bound=rigorous, heuristic_error=heuristic,

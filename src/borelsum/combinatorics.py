@@ -24,7 +24,7 @@ gcds for every term.  The results are the same exact Fractions.  The Bell
 form above is the definition the test suite checks those rows against;
 :func:`bell_partial` gives its B_{j,p} at x_l = l!/(l+1), cached.
 
-Every cached recurrence (Stirling rows, d-rows, the coefficient rows of
+Every cached recurrence (Stirling rows, d-rows, the coefficient and term rows of
 ``classical``, the psi coefficients of ``oracle``, the kernel chains of
 ``numerics``) is a ``numerics._GrowingRow``, grown in place under its
 ``PRECISION_LOCK``.  At every m a coefficient row reads integer r = l/m off
@@ -56,16 +56,22 @@ def stirling_first(n: int, k: int) -> int:
     return _STIRLING.upto(n)[n][k]
 
 
-@cache
 def bell_partial(j: int, p: int) -> Fraction:
     """Partial exponential Bell polynomial B_{j,p} at the fixed sequence
     x_l = l!/(l+1), exact: B_{j,1} = x_j and
     B_{j,p} = sum_i C(j-1, i-1) x_i B_{j-i,p-1}."""
-    if p < 1 or p > j:
+    j, p = as_index(j, "bell_partial", "j", 1), as_index(p, "bell_partial", "p", 1)
+    if p > j:
         raise DomainError(f"bell_partial requires 1 <= p <= j, got ({j}, {p})")
+    return _bell_partial(j, p)
+
+
+@cache
+def _bell_partial(j: int, p: int) -> Fraction:
+    """``bell_partial`` for ints 1 <= p <= j, cached under them."""
     if p == 1:
         return Fraction(factorial(j), j + 1)
-    return sum(comb(j - 1, i - 1) * bell_partial(i, 1) * bell_partial(j - i, p - 1)
+    return sum(comb(j - 1, i - 1) * _bell_partial(i, 1) * _bell_partial(j - i, p - 1)
                for i in range(1, j - p + 2))
 
 

@@ -193,5 +193,6 @@ def summate(f: FormalSeries | None, method: str, z: RamifiedPoint, N: int = 0, *
         raise DomainError(f"unknown summation method {method!r}")
     if evaluator is None:
         raise DomainError("the oracle method needs a Borel evaluator")
-    return SummationResult(laplace_quadrature(evaluator, theta, z.projection(prec), tol, prec),
+    zc = z.projection(prec) if isinstance(z, RamifiedPoint) else z  # as the factorial route
+    return SummationResult(laplace_quadrature(evaluator, theta, zc, tol, prec),
                            N=0, method="oracle")

@@ -118,6 +118,14 @@ def test_bell_out_of_range():
         bell_partial(3, 0)
 
 
+def test_bell_reads_its_indices_as_integers():
+    # once a TypeError for the first three, and 3/2 for the last
+    for j, p, name in [(2.5, 1, "j"), ("3", 1, "j"), (None, 1, "j"), (3, 1.0, "p")]:
+        with pytest.raises(DomainError, match=f"bell_partial needs an integer {name} >= 1"):
+            bell_partial(j, p)
+    assert bell_partial(3, True) == bell_partial(3, 1) == Fraction(3, 2)
+
+
 def test_bell_vs_partition_enumeration():
     for j in range(1, 9):
         for p in range(1, j + 1):

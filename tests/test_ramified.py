@@ -5,12 +5,14 @@ import random
 import sys
 import threading
 import warnings
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from borelsum import (DomainError, FormalSeries, GrowthEnvelope,
+from borelsum import (DomainError, FactorialExpansion, FormalSeries, GrowthEnvelope,
                       InsufficientCoefficientsError, PSI_LAMBDA_SUP,
                       PrecisionConfig, RamifiedPoint, binomial_series, branch_split,
                       branch_sum, euler_series, example2_series, factorial_expansion,
@@ -452,6 +454,72 @@ def test_psi_sweep_on_one_series_matches_a_fresh_series_per_row(prec):
         assert result == route(f, lam, z, N, prec=p), (route.__name__, lam, z, p, N)
 
 
+# (route, per-point sums) with their term rows: psi branch sums under an
+# envelope, Euler factorial sums, psi generalized (m = 3) and rotated example2
+# (m = 2) sums
+def _term_row_routes(prec):
+    with working_precision(prec):
+        lam, theta = mp.mpf(2.885390081777927), mp.pi / 3
+    psi, ex2 = psi_series(3 * 44, prec), example2_series(70, prec)
+    euler = factorial_expansion(euler_series(62), 1, 61, prec)
+    strip = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP)
+    return {
+        "branch": lambda z, N: branch_sum(psi, lam, z, N, envelope=strip, prec=prec),
+        "factorial": lambda z, N: factorial_series_sum(euler, z, N, prec=prec),
+        "generalized": lambda z, N: generalized_factorial_sum(psi, lam, z, 3 * N, prec),
+        "rotated": lambda z, N: rotated_generalized_sum(ex2, theta, "0.6", z, N + 20, prec),
+    }
+
+
+@pytest.mark.parametrize("order", ["up", "down", "two points"])
+def test_term_rows_give_the_sums_of_an_empty_cache_bit_for_bit(order, prec):
+    # every field of a sum read off the term row a sweep grew equals the same sum
+    # formed after the per-point cache is cleared
+    z1, z2 = RamifiedPoint(12, "0.4"), RamifiedPoint(10, 0)
+    Ns = list(range(5, 41, 5))
+    steps = {"up": [(z1, N) for N in Ns], "down": [(z1, N) for N in Ns[::-1]],
+             "two points": [(z, N) for N in Ns for z in (z1, z2)]}[order]
+    for name, route in _term_row_routes(prec).items():
+        _forget_the_last_point()
+        swept = [route(z, N) for z, N in steps]
+        for (z, N), result in zip(steps, swept):
+            _forget_the_last_point()
+            assert _fields(result) == _fields(route(z, N)), (name, z, N)
+
+
+def test_a_sweep_forms_each_term_once(monkeypatch, prec):
+    # N = 5..40 at one point: each of psi's three branch rows grows to its 41
+    # terms once, not by N + 1 terms at every N
+    formed = []
+    step = classical._TermRow.step
+    monkeypatch.setattr(classical._TermRow, "step",
+                        lambda self, n: (formed.append(id(self)), step(self, n))[1])
+    f, z = psi_series(3 * 43, prec), RamifiedPoint(12, 0)
+    _forget_the_last_point()
+    for N in range(5, 41):
+        branch_sum(f, 2.885390081777927, z, N, prec=prec)
+    assert sorted(Counter(formed).values()) == [41, 41, 41]
+
+
+def test_a_hand_built_expansion_sums_as_the_one_read_from_its_row(prec):
+    e = factorial_expansion(euler_series(62), 1, 61, prec)
+    hand = FactorialExpansion(lam=e.lam, b=e.b, a0=e.a0, condition=e.condition)
+    assert hand == e and hand._row is None and e._row is not None
+    z, env = RamifiedPoint("8.75", "-0.25"), GrowthEnvelope(A=4, B=0.05, lam=mp.inf)
+    for N in (40, 7, 60):
+        _forget_the_last_point()
+        linked = factorial_series_sum(e, z, N, env, prec)
+        _forget_the_last_point()
+        assert _fields(factorial_series_sum(hand, z, N, env, prec)) == _fields(linked), N
+    # a hand-built expansion keeps no term row; a changed copy reads its own b
+    with working_precision(prec):
+        _, rows = classical._KERNEL_CHAINS(e.lam * z.projection(prec), 1, prec.mantissa_bits)
+    assert list(rows) == []
+    halved = replace(e, b=tuple(b / 2 for b in e.b))
+    assert halved._row is None
+    assert factorial_series_sum(halved, z, 40, prec=prec).estimate != linked.estimate
+
+
 def _generalized(f, lam, theta, z, N, prec):
     """The generalized sum, rotated unless ``theta`` is None."""
     if theta is None:
@@ -729,6 +797,20 @@ def test_summate_equals_each_route_bit_for_bit(prec):
                      prec=prec)
     quad = laplace_quadrature(BUILTIN_EVALUATORS["euler"], "0.5", z.projection(prec), prec=prec)
     assert _fields(oracle) == (quad, 0, "oracle", None, None, None, None)
+
+
+def test_summate_oracle_reads_a_complex_point_as_itself(prec):
+    euler = BUILTIN_EVALUATORS["euler"]
+    at_cover = summate(None, "oracle", RamifiedPoint(3, 0), evaluator=euler, prec=prec)
+    for z in (3 + 0j, 3, mp.mpc(3)):
+        assert summate(None, "oracle", z, evaluator=euler, prec=prec) == at_cover, z
+    with working_precision(prec):
+        w = mp.mpc(3, 1)
+    assert summate(None, "oracle", w, evaluator=euler, prec=prec).estimate == \
+        laplace_quadrature(euler, 0, w, prec=prec)
+    for z in (None, "x", object()):
+        with pytest.raises(DomainError, match="needs a finite number"):
+            summate(None, "oracle", z, evaluator=euler, prec=prec)
 
 
 def test_summate_rejects_what_no_route_can_sum(prec):
