@@ -21,10 +21,15 @@ The same pass prints every condition number its outputs hold
 and counts the identical ones per method.  It compares every c_n and
 condition number of ``binomial_series(3, -1, 1/2)`` to depth 120 at
 lambda = 1, unrotated and at theta = 0.4, the same way, and every field of
-three sweeps in one process whose sums read kernel terms an earlier sum at
-their point formed: psi branch sums at N = 40..5 descending, bounded psi
-branch sums at two points alternated and rotated example2 at N = 150, then
-N = 20.  Last it prints the
+sweeps in one process whose sums read kernel terms an earlier sum at their
+point formed: psi branch sums at N = 40..5 descending, bounded psi branch
+sums at two points alternated, rotated example2 at N = 150, then N = 20,
+and three sweeps whose ``diverging`` flips mid-sweep, each up and down:
+example2's generalized sums at |z| = 5, N = 10..100, the m = 4 member
+``binomial_series(4, 1/2, 1)``'s branch sums at |z| = 8, N = 20..40, and the
+factorial sums at |z| = 5, N = 5..60, of a hand-built ``FactorialExpansion``
+of ``binomial_series(1, 1/2, -1)``, whose term row is fresh each call.
+Last it prints the
 line count of src/borelsum/*.py on each side.  Exits 1 when any command,
 error message, value or condition number differs.
 
@@ -161,9 +166,13 @@ with working_precision(None) as cfg:
 
 # sums in one process whose kernel terms an earlier sum at their point formed: psi
 # branch sums at N = 40..5 descending, psi branch sums under an envelope at two
-# points alternated, N = 5..40, and rotated example2 at N = 150, then N = 20
+# points alternated, N = 5..40, rotated example2 at N = 150, then N = 20, and,
+# up then down, three sweeps whose diverging flag flips: example2 generalized
+# (at N = 50), the m = 4 binomial member's branch sums (at N = 31) and a
+# hand-built expansion's factorial sums (at N = 24)
 from borelsum import (PSI_LAMBDA_SUP, GrowthEnvelope, RamifiedPoint, branch_sum,
-                      example2_series, psi_series, rotated_generalized_sum)
+                      example2_series, factorial_expansion, factorial_series_sum,
+                      generalized_factorial_sum, psi_series, rotated_generalized_sum)
 prec = workloads.prec
 with working_precision(prec):
     lam, theta = mp.mpf(2.885390081777927), mp.pi / 3
@@ -177,6 +186,17 @@ sweeps = {
     "ex2-rotated": [(N, rotated_generalized_sum(ex2, theta, "0.6", z_ex2, N, prec))
                     for N in (150, 20)],
 }
+e = factorial_expansion(binomial_series(1, "1/2", -1, 62, prec), 1, 61, prec)
+hand = FactorialExpansion(lam=e.lam, b=e.b, a0=e.a0, condition=e.condition)
+quartic, z5, z8 = binomial_series(4, "1/2", 1, 4 * 42, prec), RamifiedPoint(5, 0), RamifiedPoint(8, 0)
+flipping = {
+    "ex2-flips": (range(10, 101), lambda N: generalized_factorial_sum(ex2, 1, z5, N, prec)),
+    "m4-flips": (range(20, 41), lambda N: branch_sum(quartic, 1, z8, N, prec=prec)),
+    "hand-built-flips": (range(5, 61), lambda N: factorial_series_sum(hand, z5, N, prec=prec)),
+}
+for name, (Ns, route) in flipping.items():
+    for order, seq in (("up", Ns), ("down", Ns[::-1])):
+        sweeps[f"{name}-{order}"] = [(N, route(N)) for N in seq]
 for name, results in sweeps.items():
     for N, r in results:
         at = f"{name}[{N}]"

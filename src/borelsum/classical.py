@@ -37,12 +37,13 @@ from functools import lru_cache
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_int, fzero, mpf_div, mpf_mul, mpf_mul_int, mpf_sum
+from mpmath.libmp import (from_int, fzero, mpf_div, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos,
+                          mpf_sum)
 
 from .combinatorics import _STIRLING, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PrecisionConfig, _Chain, _GrowingRow, as_index, as_mpc, as_mpf,
-                       ensure_finite, working_precision)
+from .numerics import (PRECISION_LOCK, PrecisionConfig, _Chain, _GrowingRow, _positive, as_index,
+                       as_mpc, as_mpf, ensure_finite, working_precision)
 from .series import (FormalSeries, GrowthEnvelope, PointLike, RamifiedPoint, _homothety,
                      _rotation)
 
@@ -285,10 +286,19 @@ class _TermRow(_GrowingRow):
     (c_n, condition number) pairs, from index 1, on the class chains of one
     point at m.  Each product is formed once, at the ambient precision, so a
     sweep over N at the point reads prefixes of the row.  The chains must
-    already reach n."""
+    already reach n.
+
+    Beside the row it keeps a read mark: the index of the last ``read`` and the
+    exact state of the prefix 1..mark, the unrounded sums of Re, Im and |.| of
+    the terms (``mpf_sum`` at precision 0, which drops a part only past a
+    10^6-bit exponent gap) and the index of the first smallest nonzero
+    modulus (0 for none).  A read at n >= mark folds in terms mark+1..n
+    only, so an ascending sweep costs O(N) in all; a read at n < mark, as a
+    descending sweep makes, folds again from 0."""
 
     def __init__(self, coefficients: list, chains: dict, m: int):
         self.coefficients, self.chains, self.m = coefficients, chains, m
+        self.mark, self.sums, self.i_min = 0, (fzero, fzero, fzero), 0
         super().__init__((None, None, mp.mpf(0)))
 
     def step(self, n: int) -> tuple[mp.mpc, mp.mpf, mp.mpf]:
@@ -297,13 +307,45 @@ class _TermRow(_GrowingRow):
         term = self.chains[l + 1].values[j] * c
         return term, abs(term), max(self.values[-1][2], cond)
 
+    def read(self, n: int) -> tuple[mp.mpc, mp.mpf, bool]:
+        """(sum K_i c_i, sum |K_i c_i|, diverging) over i <= n, each sum its exact
+        prefix rounded once at the ambient precision: the bits of ``mp.fsum``
+        over the prefix, which can differ only where ``mpf_sum`` drops a part
+        past a 2 prec exponent gap to its running sum.  ``diverging``: growth
+        past 4x the smallest nonzero term, three or more terms before the last,
+        signals the series left its convergence regime (or never had one); a
+        dip below a quarter of both neighbours, one interleaved coefficient
+        sequence crossing zero, is never the smallest."""
+        t = self.upto(n)
+        with PRECISION_LOCK:
+            if n < self.mark:
+                self.mark, self.sums, self.i_min = 0, (fzero, fzero, fzero), 0
+            (re, im, gross), i_min, new = self.sums, self.i_min, t[self.mark + 1:n + 1]
+            re = mpf_sum([re, *(x[0]._mpc_[0] for x in new)], 0)
+            im = mpf_sum([im, *(x[0]._mpc_[1] for x in new)], 0)
+            gross = mpf_sum([gross, *(x[1]._mpf_ for x in new)], 0)
+            for i in range(self.mark + 1, n + 1):
+                mag = t[i][1]._mpf_
+                if mag[1] and (not i_min or mpf_lt(mag, t[i_min][1]._mpf_)):
+                    i_min = i
+            self.mark, self.sums, self.i_min = n, (re, im, gross), i_min
+        def dip(i):
+            return 1 < i < n and 4 * t[i][1] < min(t[i - 1][1], t[i + 1][1])
+        if n >= 4 and i_min and t[n][1] > 4 * t[i_min][1] and dip(i_min):
+            # rare: only then look past every dip
+            i_min = min((i for i in range(1, n + 1) if t[i][1] and not dip(i)),
+                        key=lambda i: t[i][1])
+        prec, rnd = mp.mp._prec_rounding
+        return (mp.make_mpc((mpf_pos(re, prec, rnd), mpf_pos(im, prec, rnd))),
+                mp.make_mpf(mpf_pos(gross, prec, rnd)),
+                n >= 4 and 0 < i_min < n - 2 and t[n][1] > 4 * t[i_min][1])
 
-def _terms(parts: Sequence[tuple[object, FactorialExpansion]], w: mp.mpc, m: int, n: int,
-           prec: PrecisionConfig | None) -> list[list]:
-    """Entries 0..n of each part's term row at w = lambda z and m: the row of
-    the coefficient row its expansion was read from is kept beside the point's
-    chains, a hand-built expansion's is formed afresh.  Call once
-    ``_beta_kernels`` has grown the chains to n."""
+
+def _terms(parts: Sequence[tuple[object, FactorialExpansion]], w: mp.mpc, m: int,
+           prec: PrecisionConfig | None) -> list[_TermRow]:
+    """The term row of each part at w = lambda z and m: the row of the
+    coefficient row its expansion was read from is kept beside the point's
+    chains, with its read mark; a hand-built expansion's is formed afresh."""
     with working_precision(prec) as cfg:
         chains, rows = _KERNEL_CHAINS(as_mpc(w), m, cfg.mantissa_bits)
         out = []
@@ -315,7 +357,7 @@ def _terms(parts: Sequence[tuple[object, FactorialExpansion]], w: mp.mpc, m: int
                 row = rows.get(source)
                 if row is None:
                     row = rows[source] = _TermRow(source.values, chains, m)
-            out.append(row.upto(n))
+            out.append(row)
         return out
 
 
@@ -326,15 +368,14 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
     (weight, e), all on one chain K_1..K_{n+1} at w = lambda z, at the ambient
     precision.  An envelope is checked against lambda and gives the rigorous
     bound ``r_fact`` at n - 1 times sum |weight|; ``r_fact`` validates it
-    before it reads the chain, which the kernels then extend.  The terms
-    K_i c_i, their magnitudes and the running largest condition number of the
-    c_i are prefixes of each part's term row (``_terms``), kept with the
-    point's chains, so a sweep over N forms each product once; ``mp.fsum``
-    over each prefix and ``_divergence_flag`` still run at every N.
+    before it reads the chain, which the kernels then extend.  Each part's
+    sum of K_i c_i, sum of |K_i c_i| and ``diverging`` come from its term row
+    (``_TermRow.read``), kept with the point's chains, which forms each product
+    once and rounds a kept exact prefix, so a sweep up over N is one pass.
     A part's heuristic error is |c_{n+1}| |K_{n+1} (w + (n+1)/m - 1)| / Re z
     (docs/first-omitted-estimate.md), its condition number the larger of
-    ``e.condition`` and (|e.a0| + lambda sum |K_i c_i|) / |part|;
-    ``diverging`` reads the same |K_i c_i|.  The result sums |weight| x
+    ``e.condition``, the row's largest over c_1..c_n and
+    (|e.a0| + lambda sum |K_i c_i|) / |part|.  The result sums |weight| x
     heuristic, takes the worst condition number and any part's ``diverging``."""
     lam = parts[0][1].lam
     check_lambda_permitted(lam, envelope)
@@ -343,54 +384,23 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
     w = lam * zc
     tail = abs(_beta_kernels(w, m, n + 1, prec)[n] * (w + mp.mpf(n + 1) / m - 1))
     value, heuristic, cond_max, diverging = mp.mpc(a0), mp.mpf(0), mp.mpf(0), False
-    for (weight, e), row in zip(parts, _terms(parts, w, m, n, prec)):
-        total = mp.fsum([t for t, _, _ in row[1:n + 1]])
+    for (weight, e), row in zip(parts, _terms(parts, w, m, prec)):
+        total, mags, flag = row.read(n)
         estimate = e.a0 + e.lam * total
-        mags = [mag for _, mag, _ in row[1:n + 1]]
-        gross = abs(e.a0) + e.lam * mp.fsum(mags)
+        gross = abs(e.a0) + e.lam * mags
         cond = gross / abs(estimate) if estimate != 0 else mp.inf if gross != 0 else mp.mpf(1)
         value += weight * estimate
         heuristic += abs(weight) * (abs(e.b[n]) * tail / mp.re(zc))
-        cond_max = max(cond_max, row[n][2], e.condition[n], cond)
-        diverging = diverging or _divergence_flag(mags)
+        cond_max = max(cond_max, row.values[n][2], e.condition[n], cond)
+        diverging = diverging or flag
     return SummationResult(estimate=ensure_finite(value), N=N, method=method,
                            rigorous_bound=rigorous, heuristic_error=heuristic,
                            condition_number=cond_max, diverging=diverging)
 
 
-def _divergence_flag(term_mags: list[mp.mpf]) -> bool:
-    """Growth past 4x the smallest nonzero term, three or more terms before the
-    last, signals the series left its convergence regime (or never had one).
-    A dip below a quarter of both neighbours, one interleaved coefficient
-    sequence crossing zero, is never the smallest."""
-    t = term_mags
-    if len(t) < 4:
-        return False
-    def dip(i):
-        return 0 < i < len(t) - 1 and 4 * t[i] < min(t[i - 1], t[i + 1])
-    i_min = min(range(len(t)), key=lambda i: t[i] or mp.inf)
-    if t[-1] > 4 * t[i_min] and dip(i_min):  # rare: only then look past every dip
-        i_min = min(range(len(t)), key=lambda i: mp.inf if not t[i] or dip(i) else t[i])
-    return i_min < len(t) - 3 and t[-1] > 4 * t[i_min]
-
-
 # ---------------------------------------------------------------------------
 # explicit bounds, at z a cover point or a complex number with Re z > B
 # ---------------------------------------------------------------------------
-
-def _positive(fn: str, **values) -> list[mp.mpf]:
-    """The values as mpf at the ambient precision, each finite and > 0; a value
-    ``as_mpf`` cannot read (None, a string that is no number, a complex) is
-    no such number either."""
-    error = DomainError(f"{fn} needs finite positive {', '.join(values)}")
-    try:
-        out = [as_mpf(v) for v in values.values()]
-    except (TypeError, ValueError) as exc:
-        raise error from exc
-    if not all(mp.isfinite(v) and v > 0 for v in out):
-        raise error
-    return out
-
 
 def r_as(r, A, B, n: int, z: PointLike, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Least-term remainder bound on a strip of half-width r:

@@ -109,6 +109,20 @@ def as_mpc(x: Numeric) -> mp.mpc:
         raise DomainError(f"needs a finite number, got {x!r}") from exc
 
 
+def _positive(fn: str, infinite: bool = False, **values) -> list[mp.mpf]:
+    """The values as mpf at the ambient precision, each > 0 and finite (or +inf
+    too when ``infinite``); a value ``as_mpf`` cannot read (None, a string
+    that is no number, a complex) is no such number either."""
+    error = DomainError(f"{fn} needs {'' if infinite else 'finite '}positive {', '.join(values)}")
+    try:
+        out = [as_mpf(v) for v in values.values()]
+    except DomainError as exc:
+        raise error from exc
+    if not all(v > 0 and (infinite or mp.isfinite(v)) for v in out):
+        raise error
+    return out
+
+
 def ensure_finite(value):
     """Reject NaN/Inf escaping an operation."""
     if not mp.isfinite(value):

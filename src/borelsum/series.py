@@ -26,7 +26,7 @@ from typing import Callable, Union
 import mpmath as mp
 
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PRECISION_LOCK, PrecisionConfig, as_index, as_mpc, as_mpf,
+from .numerics import (PRECISION_LOCK, PrecisionConfig, _positive, as_index, as_mpc, as_mpf,
                        ensure_finite, working_precision)
 
 
@@ -77,8 +77,8 @@ class GrowthEnvelope:
     domain: str = "region"
 
     def __post_init__(self):
-        if not (self.A > 0 and self.B > 0 and self.lam > 0):
-            raise DomainError("envelope requires A > 0, B > 0 and lam > 0")
+        _positive("GrowthEnvelope", A=self.A, B=self.B)
+        _positive("GrowthEnvelope", infinite=True, lam=self.lam)
         if self.domain not in ("region", "ramified"):
             raise DomainError(f"unknown envelope domain {self.domain!r}")
 

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+from mpmath.libmp import from_man_exp, fzero
 
 from borelsum import (DomainError, FactorialExpansion, FormalSeries, GrowthEnvelope,
                       InsufficientCoefficientsError, PSI_LAMBDA_SUP,
@@ -23,7 +25,7 @@ from borelsum import (DomainError, FactorialExpansion, FormalSeries, GrowthEnvel
                       stirling_transform, summate, working_precision)
 from borelsum import classical, ramified
 from borelsum.oracle import BUILTIN_EVALUATORS, _binomial_evaluator
-from borelsum.classical import _CoefficientRow, _beta_kernels, _divergence_flag
+from borelsum.classical import _CoefficientRow, _TermRow, _beta_kernels
 from borelsum.ramified import _branch_weights
 
 
@@ -295,6 +297,33 @@ def test_generalized_divergence_detection(workprec, prec):
     assert r100.diverging is True
 
 
+def _divergence_flag(term_mags: list[mp.mpf]) -> bool:
+    """The divergence flag of |K_1 c_1|..|K_N c_N|, rescanned from the list:
+    the oracle of ``_TermRow.read``, which keeps its state over a sweep.
+
+    Growth past 4x the smallest nonzero term, three or more terms before the
+    last, signals the series left its convergence regime (or never had one).
+    A dip below a quarter of both neighbours, one interleaved coefficient
+    sequence crossing zero, is never the smallest."""
+    t = term_mags
+    if len(t) < 4:
+        return False
+    def dip(i):
+        return 0 < i < len(t) - 1 and 4 * t[i] < min(t[i - 1], t[i + 1])
+    i_min = min(range(len(t)), key=lambda i: t[i] or mp.inf)
+    if t[-1] > 4 * t[i_min] and dip(i_min):  # rare: only then look past every dip
+        i_min = min(range(len(t)), key=lambda i: mp.inf if not t[i] or dip(i) else t[i])
+    return i_min < len(t) - 3 and t[-1] > 4 * t[i_min]
+
+
+def _row_of(terms) -> _TermRow:
+    """A term row holding the given terms K_n c_n from n = 1, formed at the
+    ambient precision, with no chain behind it."""
+    row = _TermRow([], {}, 1)
+    row.values += [(mp.mpc(t), abs(mp.mpc(t)), mp.mpf(1)) for t in terms]
+    return row
+
+
 @pytest.mark.parametrize("mags, flag", [
     ([0, 0, 0, 0, 0], False),              # no nonzero term to grow from
     ([], False),                           # N = 0: no terms at all
@@ -308,7 +337,55 @@ def test_generalized_divergence_detection(workprec, prec):
     ([1, 0.5, 0.4, 0.01, 0.3, 0.4, 0.5, 2], True),  # growth past the smallest beside a dip
 ])
 def test_divergence_flag(workprec, mags, flag):
+    # the oracle over the whole list, and the term row's kept state read once
     assert _divergence_flag([mp.mpf(t) for t in mags]) is flag
+    assert _row_of(mags).read(len(mags))[2] is flag
+
+
+# moduli with zeros, exact ties, dips below a quarter of both neighbours
+# (1/1024 beside anything else) and, appended, late growth
+_MODULI = st.lists(st.one_of(st.just(0), st.sampled_from([1, 2, 16, 2 ** -10]),
+                             st.integers(1, 64).map(lambda k: k / 64)), max_size=20)
+
+
+@seed(31)
+@settings(max_examples=150, deadline=None)
+@given(_MODULI, st.lists(st.sampled_from([4, 64, 1024]), max_size=4),
+       st.randoms(use_true_random=False))
+def test_the_kept_divergence_state_is_the_rescan_at_every_prefix(moduli, growth, rnd):
+    # one row read at every prefix up, down and in random order, so that each
+    # read starts from the state the previous one left
+    with working_precision(PrecisionConfig(53)):
+        mags = [mp.mpf(t) for t in moduli + growth]
+        row, prefixes = _row_of(mags), list(range(len(mags) + 1))
+        for n in prefixes + prefixes[::-1] + rnd.sample(prefixes, len(prefixes)):
+            assert row.read(n)[2] is _divergence_flag(mags[:n]), (mags, n)
+
+
+def _parts(bits):
+    """One part m 2^e of a drawn term: |m| < 2^bits and e in [-bits, bits], a
+    spread of 2 bits in exponent, with zeros."""
+    return st.one_of(st.just(fzero), st.builds(
+        from_man_exp, st.integers(1 - 2 ** bits, 2 ** bits - 1), st.integers(-bits, bits)))
+
+
+@seed(31)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([53, 113, 256]).flatmap(
+    lambda bits: st.tuples(st.just(bits), st.lists(st.tuples(_parts(bits), _parts(bits)),
+                                                   max_size=24))),
+       st.randoms(use_true_random=False))
+def test_the_kept_exact_sums_round_as_fsum_of_the_prefix(drawn, rnd):
+    # mpf_sum, under mp.fsum, drops a part only past a 2 prec exponent gap to its
+    # running sum, where the row's exact sum keeps it: the two can differ only
+    # there, and the drawn spread stays within 2 prec
+    bits, terms = drawn
+    with working_precision(PrecisionConfig(bits)):
+        terms = [mp.make_mpc(t) for t in terms]
+        row, prefixes = _row_of(terms), list(range(len(terms) + 1))
+        for n in prefixes + prefixes[::-1] + rnd.sample(prefixes, len(prefixes)):
+            total, gross, _ = row.read(n)
+            assert total == mp.fsum(terms[:n]) and gross == mp.fsum(abs(t) for t in terms[:n])
 
 
 def test_pipeline_agreement_psi(workprec, prec):
@@ -488,17 +565,30 @@ def test_term_rows_give_the_sums_of_an_empty_cache_bit_for_bit(order, prec):
 
 
 def test_a_sweep_forms_each_term_once(monkeypatch, prec):
-    # N = 5..40 at one point: each of psi's three branch rows grows to its 41
-    # terms once, not by N + 1 terms at every N
-    formed = []
-    step = classical._TermRow.step
+    # N = 5..40 at one point under an envelope: each of psi's three branch rows
+    # grows to its 41 terms once, not by N + 1 terms at every N; each of their
+    # indices is folded into the row's exact sums once (Re, Im and modulus); and
+    # the one mp.fsum left runs over the three branch weights
+    formed, folded, sums = [], [], []
+    step, mpf_sum, fsum = classical._TermRow.step, classical.mpf_sum, mp.fsum
     monkeypatch.setattr(classical._TermRow, "step",
-                        lambda self, n: (formed.append(id(self)), step(self, n))[1])
+                        lambda self, n: (formed.append(self), step(self, n))[1])
+    def exact_sum(parts, prec=0, *rest, **kw):  # the coefficient rows round theirs
+        folded.extend(parts[1:] if prec == 0 else [])
+        return mpf_sum(parts, prec, *rest, **kw)
+    monkeypatch.setattr(classical, "mpf_sum", exact_sum)
+    monkeypatch.setattr(mp, "fsum", lambda terms, *a, **k: (sums.append(list(terms)),
+                                                            fsum(sums[-1], *a, **k))[1])
     f, z = psi_series(3 * 43, prec), RamifiedPoint(12, 0)
+    strip = GrowthEnvelope(A=1, B=1, lam=PSI_LAMBDA_SUP)
     _forget_the_last_point()
     for N in range(5, 41):
-        branch_sum(f, 2.885390081777927, z, N, prec=prec)
-    assert sorted(Counter(formed).values()) == [41, 41, 41]
+        branch_sum(f, 2.885390081777927, z, N, strip, prec)
+    assert sorted(Counter(map(id, formed)).values()) == [41, 41, 41]
+    assert Counter(folded) == Counter(part for row in set(formed)
+                                      for term, mag, _ in row.values[1:]
+                                      for part in (*term._mpc_, mag._mpf_))
+    assert len(sums) == 36 and max(map(len, sums)) == 3
 
 
 def test_a_hand_built_expansion_sums_as_the_one_read_from_its_row(prec):

@@ -196,14 +196,21 @@ def test_partial_sum_keeps_the_callers_precision():
 def test_growth_envelope_validation():
     GrowthEnvelope(A=1, B=1, lam=2.0)
     GrowthEnvelope(A=1, B=1, lam=float("inf"), domain="ramified")
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
     for bad in ({"A": 0}, {"B": -1}, {"lam": 0}, {"lam": -2.0},
                 {"A": nan}, {"B": nan}, {"lam": nan}, {"domain": "strip"},
-                {"domain": "nonsense"}):
+                {"domain": "nonsense"}, {"A": inf}, {"B": inf}, {"lam": -inf}):
         with pytest.raises(DomainError):
             GrowthEnvelope(**{"A": 1, "B": 1, "lam": 2.0, **bad})
     with pytest.raises(TypeError):  # lam has no default
         GrowthEnvelope(A=1, B=1)
+
+
+@pytest.mark.parametrize("bad", ["x", None, 1j, float("nan"), 0, -1])
+@pytest.mark.parametrize("name", ["A", "B", "lam"])
+def test_growth_envelope_refuses_what_is_no_positive_number(name, bad):
+    with pytest.raises(DomainError, match=f"^GrowthEnvelope needs (finite )?positive .*{name}"):
+        GrowthEnvelope(**{"A": 1, "B": 1, "lam": 2.0, name: bad})
 
 
 def test_series_json_roundtrip(tmp_path, prec):
