@@ -1,34 +1,33 @@
 """Record a benchmark claim: alternating runs of two trees, judged per metric.
 
-    python3 scripts/bench_pairs.py PARENT [CHANGE] [--workload W ...] [--unseen SEED]
-                                   [--traced] [--commit TEXT]
+    python3 scripts/bench_pairs.py PARENT [CHANGE] [--unseen SEED] [--commit TEXT]
 
 PARENT and CHANGE are git revisions; CHANGE defaults to the working tree (its
 tracked files and the untracked ones .gitignore keeps), as it is on disk.  Each
 side is exported without .git to a temporary directory.  For each workload
-(default: every one BENCHMARK.json lists), seeds 1-10 give one parent run and
-one change run each of
+BENCHMARK.json lists, seeds 1-10 give one parent run and one change run each of
 
     python3 perfbench/run.py --workload W --seed S --seconds <run_seconds>
 
 the parent first at odd seeds and the change first at even ones, one run at a
 time; the last stdout line of a run is its JSON result.  ``--unseen S`` runs
-one more pair at seed S, the parent first, listed in ``runs`` and left out of
-the quartiles.  A run that exits nonzero stops the script, and no file is
-written.  Nothing under perfbench/ changes.
+one more pair at seed S, the parent first, which counts as every other pair.
+A run that exits nonzero stops the script, and no file is written.  Nothing
+under perfbench/ changes.
 
-Per end-to-end metric it prints the pairs the change won (a tie counts for
-neither side), the change of the median, the parent's interquartile range and
-two verdicts.  "gain": the change won at least 9 of 10 pairs and its median
-moved the better way by more than the parent IQR.  The bound verdict of
-BENCHMARK.json: "worse" when the change's median is worse than the parent's
-by more than the bound (relative to the parent's median), "unresolved" when
-the parent's IQR is wider than the bound and not every change run beats
-every parent run, else "within".  It writes BENCH_<workload>.json with the
-keys workload, commit, parent_commit, command, protocol, env, metrics and
-runs.  ``--traced`` runs one more pair per workload with ``--trace 1`` (not
-written) and prints every per-layer metric of both sides.  Last it prints its
-own wall time.
+Per workload it prints the operations each side failed.  Per end-to-end metric
+it prints the pairs the change won (a tie counts for neither side), the change
+of the median, the parent's interquartile range and two verdicts.  "gain": the
+change won at least 9 in 10 of all pairs run, its median moved the better way
+by more than the parent IQR, and it failed no more operations than the parent.
+The bound verdict of BENCHMARK.json: "worse" when the change's median is worse
+than the parent's by more than the bound (relative to the parent's median),
+"unresolved" when the parent's IQR is wider than the bound and not every
+change run beats every parent run, else "within".  It writes
+BENCH_<workload>.json with the keys workload, commit, parent_commit, command,
+protocol, env, metrics and runs.  Per workload it also runs one pair at seed 1
+with ``--trace 1`` (not written) and prints every per-layer metric of both
+sides.  Last it prints its own wall time.
 """
 
 import argparse
@@ -84,13 +83,16 @@ def quartiles(values: list[float]) -> dict:
 
 
 def judge(name: str, better: str, bound: float, parent: list[float],
-          change: list[float]) -> str:
-    """One printed line: pairs won, median change, parent IQR and both verdicts."""
+          change: list[float], failed: tuple[int, int] = (0, 0)) -> str:
+    """One printed line: pairs won, median change, parent IQR and both verdicts.
+    ``parent[i]`` and ``change[i]`` are pair i; ``failed`` is the operations each
+    side failed over all its runs."""
     sign = 1 if better == "lower" else -1  # sign * (change - parent) < 0 is better
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     p, c = quartiles(parent), quartiles(change)
     iqr, gap = p["q3"] - p["q1"], c["median"] - p["median"]
-    gain = won >= 0.9 * len(parent) and sign * gap < 0 and abs(gap) > iqr
+    gain = (won >= 0.9 * len(parent) and sign * gap < 0 and abs(gap) > iqr
+            and failed[1] <= failed[0])
     base = abs(p["median"]) or 1.0
     worse = sign * gap / base
     if worse > bound:
@@ -108,16 +110,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change", nargs="?")
-    ap.add_argument("--workload", action="append",
-                    choices=[w["name"] for w in BENCHMARK["workloads"]])
     ap.add_argument("--unseen", type=int)
-    ap.add_argument("--traced", action="store_true")
     ap.add_argument("--commit", help="what the change is, for the file's commit key")
     args = ap.parse_args(argv)
     if args.unseen is not None and args.unseen <= PAIRS:
         ap.error(f"--unseen needs a seed past the paired seeds 1-{PAIRS}")
     started = time.monotonic()
-    workloads = args.workload or [w["name"] for w in BENCHMARK["workloads"]]
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
     metrics = BENCHMARK["end_to_end"]
     parent_commit = git("rev-parse", args.parent).strip()
     commit = args.commit or (f"the working tree on top of {parent_commit}" if args.change is None
@@ -140,26 +139,28 @@ def main(argv=None) -> int:
                                  **{k: v["value"] for k, v in result["metrics"].items()}})
                     print(f"{workload} seed {seed} {side}: " + ", ".join(
                         f"{m['name']} {runs[-1][m['name']]:.6g}" for m in metrics), flush=True)
-            paired = [r for r in runs if r["seed"] <= PAIRS]
-            print(f"{workload}: {PAIRS} pairs")
+            failed = tuple(sum(r["failed"] for r in runs if r["side"] == s)
+                           for s in ("parent", "change"))
+            print(f"{workload}: {len(seeds)} pairs; failed operations {failed[0]} -> "
+                  f"{failed[1]}")
             table = {}
             for m in metrics:
-                side = {s: [r[m["name"]] for r in sorted(paired, key=lambda r: r["seed"])
-                            if r["side"] == s] for s in ("parent", "change")}
-                print(judge(m["name"], m["better"], m["bound"], side["parent"], side["change"]))
+                side = {s: [r[m["name"]] for r in runs if r["side"] == s]
+                        for s in ("parent", "change")}
+                print(judge(m["name"], m["better"], m["bound"], side["parent"],
+                            side["change"], failed))
                 table[m["name"]] = {"unit": m["unit"], "better": m["better"],
                                     "change": quartiles(side["change"]),
                                     "parent": quartiles(side["parent"])}
-            if args.traced:
-                layers = {side: bench(trees[side], workload, 1, trace=1)[0]["metrics"]
-                          for side in ("parent", "change")}
-                print(f"{workload}: one traced pair at seed 1, parent -> change")
-                for name, got in layers["parent"].items():
-                    after = layers["change"].get(name, {}).get("value", float("nan"))
-                    print(f"  {name:45s} {got['value']:>12.6g} -> {after:>12.6g} {got['unit']}")
+            layers = {side: bench(trees[side], workload, 1, trace=1)[0]["metrics"]
+                      for side in ("parent", "change")}
+            print(f"{workload}: one traced pair at seed 1, parent -> change")
+            for name, got in layers["parent"].items():
+                after = layers["change"].get(name, {}).get("value", float("nan"))
+                print(f"  {name:45s} {got['value']:>12.6g} -> {after:>12.6g} {got['unit']}")
             unseen = f"; plus one pair at seed {args.unseen}, a seed not used while the change " \
-                     "was written, the parent first, listed in runs and left out of the " \
-                     "quartiles" if args.unseen else ""
+                     "was written, the parent first, counted as every other pair" \
+                     if args.unseen else ""
             records[workload] = {
                 "workload": workload, "commit": commit, "parent_commit": parent_commit,
                 "command": f"python3 perfbench/run.py --workload {workload} --seed SEED "

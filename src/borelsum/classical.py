@@ -309,9 +309,10 @@ class _TermRow(_GrowingRow):
 
     def read(self, n: int) -> tuple[mp.mpc, mp.mpf, bool]:
         """(sum K_i c_i, sum |K_i c_i|, diverging) over i <= n, each sum its exact
-        prefix rounded once at the ambient precision: the bits of ``mp.fsum``
-        over the prefix, which can differ only where ``mpf_sum`` drops a part
-        past a 2 prec exponent gap to its running sum.  ``diverging``: growth
+        prefix rounded once at the ambient precision.  That is the bits of
+        ``mp.fsum`` over the prefix except past a 2 prec exponent gap between a
+        part and its running sum, where ``mp.fsum`` drops the part and the row,
+        by design, keeps it.  ``diverging``: growth
         past 4x the smallest nonzero term, three or more terms before the last,
         signals the series left its convergence regime (or never had one); a
         dip below a quarter of both neighbours, one interleaved coefficient

@@ -388,6 +388,23 @@ def test_the_kept_exact_sums_round_as_fsum_of_the_prefix(drawn, rnd):
             assert total == mp.fsum(terms[:n]) and gross == mp.fsum(abs(t) for t in terms[:n])
 
 
+@pytest.mark.parametrize("terms", [
+    [1, 2 ** -200, -1],                   # the small part after the large one
+    [2 ** -200, 1, -1],                   # and before it
+    [1j, 2 ** -200 * 1j + 1, -1j],        # in the imaginary part
+])
+def test_past_a_2prec_gap_the_row_rounds_the_exact_prefix(terms):
+    # a declared difference from mp.fsum, which drops the 2^-200 part at
+    # 53 bits: the row rounds the exact prefix once, as a sum at 1000 bits
+    # rounded to 53 does
+    with working_precision(PrecisionConfig(53)):
+        terms = [mp.mpc(t) for t in terms]
+        total, gross, _ = _row_of(terms).read(3)
+        with mp.workprec(1000):
+            exact, exact_gross = mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+        assert total == +exact != mp.fsum(terms) and gross == +exact_gross
+
+
 def test_pipeline_agreement_psi(workprec, prec):
     # branch and generalized routes agree within 3x the sum of their
     # error estimates at matching information depth (flat = 3N + 3)
