@@ -38,7 +38,7 @@ from typing import Sequence
 
 import mpmath as mp
 from mpmath.libmp import (from_int, fzero, mpf_div, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos,
-                          mpf_sum)
+                          mpf_shift, mpf_sum)
 
 from .combinatorics import _STIRLING, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
@@ -222,13 +222,12 @@ def check_lambda_permitted(lam, envelope: GrowthEnvelope | None) -> None:
 
 
 def _halfplane(z: PointLike, B, prec: PrecisionConfig | None) -> mp.mpc:
-    """The point of C* where a sum (B = 0) or a bound is taken: a cover point
-    projected once, a complex number exactly as given; finite, with Re > B."""
-    with working_precision(prec):
-        zc = z.projection(prec) if isinstance(z, RamifiedPoint) else as_mpc(z)
-        if not (mp.isfinite(zc) and mp.re(zc) > as_mpf(B)):
-            raise DomainError(f"needs finite z with Re z > {mp.nstr(B, 8)}, got {mp.nstr(zc, 8)}")
-        return zc
+    """The point of C* where a sum (B = 0) or a bound is taken, inside ``working_precision``:
+    a cover point projected once, a complex number exactly as given; finite, with Re > B."""
+    zc = z.projection(prec) if isinstance(z, RamifiedPoint) else as_mpc(z)
+    if not (mp.isfinite(zc) and mp.re(zc) > as_mpf(B)):
+        raise DomainError(f"needs finite z with Re z > {mp.nstr(B, 8)}, got {mp.nstr(zc, 8)}")
+    return zc
 
 
 def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
@@ -257,8 +256,8 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
 _KERNEL_CHAINS = lru_cache(maxsize=1)(lambda w, m, bits: ({}, {}))
 
 
-def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[mp.mpc]:
-    """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count].
+def _beta_kernels(w, m: int, count: int) -> list[mp.mpc]:
+    """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count] at the ambient precision.
 
     Each residue class n = l + jm is one kernel chain at offset l/m, the
     factorial kernel's recurrence with l/m in place of 1: the kernel at n is
@@ -268,16 +267,15 @@ def _beta_kernels(w, m: int, count: int, prec: PrecisionConfig | None) -> list[m
     Beside them the entry keeps the point's term rows (``_terms``), so one
     eviction drops both.
     """
-    with working_precision(prec) as cfg:
-        w = as_mpc(w)
-        chains, _ = _KERNEL_CHAINS(w, m, cfg.mantissa_bits)
-        out = [None] * count
-        for l in range(1, min(m, count) + 1):  # classes past count hold no n
-            if l not in chains:
-                chains[l] = _Chain(w, as_mpf(Fraction(l, m)))
-            j = len(range(l, count + 1, m))
-            out[l - 1::m] = chains[l].upto(j - 1)[:j]
-        return out
+    w = as_mpc(w)
+    chains, _ = _KERNEL_CHAINS(w, m, mp.mp.prec)
+    out = [None] * count
+    for l in range(1, min(m, count) + 1):  # classes past count hold no n
+        if l not in chains:
+            chains[l] = _Chain(w, as_mpf(Fraction(l, m)))
+        j = len(range(l, count + 1, m))
+        out[l - 1::m] = chains[l].upto(j - 1)[:j]
+    return out
 
 
 class _TermRow(_GrowingRow):
@@ -292,7 +290,8 @@ class _TermRow(_GrowingRow):
     exact state of the prefix 1..mark, the unrounded sums of Re, Im and |.| of
     the terms (``mpf_sum`` at precision 0, which drops a part only past a
     10^6-bit exponent gap) and the index of the first smallest nonzero
-    modulus (0 for none).  A read at n >= mark folds in terms mark+1..n
+    modulus among 1..mark-1 that is no dip (0 for none): term i + 1 settles
+    whether term i dips.  A read at n >= mark folds in terms mark+1..n
     only, so an ascending sweep costs O(N) in all; a read at n < mark, as a
     descending sweep makes, folds again from 0."""
 
@@ -312,11 +311,11 @@ class _TermRow(_GrowingRow):
         prefix rounded once at the ambient precision.  That is the bits of
         ``mp.fsum`` over the prefix except past a 2 prec exponent gap between a
         part and its running sum, where ``mp.fsum`` drops the part and the row,
-        by design, keeps it.  ``diverging``: growth
-        past 4x the smallest nonzero term, three or more terms before the last,
-        signals the series left its convergence regime (or never had one); a
-        dip below a quarter of both neighbours, one interleaved coefficient
-        sequence crossing zero, is never the smallest."""
+        by design, keeps it.  ``diverging``: growth past 4x the smallest nonzero
+        term, three or more terms before the last, signals the series left its
+        convergence regime (or never had one); a dip below a quarter of both
+        neighbours, one interleaved coefficient sequence crossing zero, is never
+        the smallest (the last term has one neighbour and is no dip)."""
         t = self.upto(n)
         with PRECISION_LOCK:
             if n < self.mark:
@@ -325,41 +324,30 @@ class _TermRow(_GrowingRow):
             re = mpf_sum([re, *(x[0]._mpc_[0] for x in new)], 0)
             im = mpf_sum([im, *(x[0]._mpc_[1] for x in new)], 0)
             gross = mpf_sum([gross, *(x[1]._mpf_ for x in new)], 0)
-            for i in range(self.mark + 1, n + 1):
+            for i in range(max(self.mark, 1), n):  # the dip test only for a new smallest
                 mag = t[i][1]._mpf_
-                if mag[1] and (not i_min or mpf_lt(mag, t[i_min][1]._mpf_)):
+                if mag[1] and (not i_min or mpf_lt(mag, t[i_min][1]._mpf_)) and not (
+                        i > 1 and mpf_lt(mpf_shift(mag, 2), t[i - 1][1]._mpf_)
+                        and mpf_lt(mpf_shift(mag, 2), t[i + 1][1]._mpf_)):
                     i_min = i
             self.mark, self.sums, self.i_min = n, (re, im, gross), i_min
-        def dip(i):
-            return 1 < i < n and 4 * t[i][1] < min(t[i - 1][1], t[i + 1][1])
-        if n >= 4 and i_min and t[n][1] > 4 * t[i_min][1] and dip(i_min):
-            # rare: only then look past every dip
-            i_min = min((i for i in range(1, n + 1) if t[i][1] and not dip(i)),
-                        key=lambda i: t[i][1])
         prec, rnd = mp.mp._prec_rounding
         return (mp.make_mpc((mpf_pos(re, prec, rnd), mpf_pos(im, prec, rnd))),
                 mp.make_mpf(mpf_pos(gross, prec, rnd)),
-                n >= 4 and 0 < i_min < n - 2 and t[n][1] > 4 * t[i_min][1])
+                n >= 4 and 0 < i_min < n - 2
+                and mpf_lt(mpf_shift(t[i_min][1]._mpf_, 2), t[n][1]._mpf_))
 
 
-def _terms(parts: Sequence[tuple[object, FactorialExpansion]], w: mp.mpc, m: int,
-           prec: PrecisionConfig | None) -> list[_TermRow]:
-    """The term row of each part at w = lambda z and m: the row of the
-    coefficient row its expansion was read from is kept beside the point's
-    chains, with its read mark; a hand-built expansion's is formed afresh."""
-    with working_precision(prec) as cfg:
-        chains, rows = _KERNEL_CHAINS(as_mpc(w), m, cfg.mantissa_bits)
-        out = []
-        for _, e in parts:
-            source = e._row
-            if source is None:
-                row = _TermRow([None, *zip(e.b, e.condition)], chains, m)
-            else:
-                row = rows.get(source)
-                if row is None:
-                    row = rows[source] = _TermRow(source.values, chains, m)
-            out.append(row)
-        return out
+def _terms(parts: Sequence[tuple[object, FactorialExpansion]], w: mp.mpc, m: int) -> list:
+    """The term row of each part at w = lambda z, m and the ambient precision: the
+    row of the coefficient row its expansion was read from is kept beside the
+    point's chains, with its read mark; a hand-built expansion's is formed afresh."""
+    chains, rows = _KERNEL_CHAINS(w, m, mp.mp.prec)
+    for _, e in parts:
+        if e._row is not None and e._row not in rows:
+            rows[e._row] = _TermRow(e._row.values, chains, m)
+    return [_TermRow([None, *zip(e.b, e.condition)], chains, m) if e._row is None
+            else rows[e._row] for _, e in parts]
 
 
 def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpansion]],
@@ -383,9 +371,9 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
     rigorous = None if envelope is None else (  # before the chain: Re z <= B raises
         r_fact(lam, envelope.A, envelope.B, n - 1, zc, prec) * mp.fsum(abs(p[0]) for p in parts))
     w = lam * zc
-    tail = abs(_beta_kernels(w, m, n + 1, prec)[n] * (w + mp.mpf(n + 1) / m - 1))
+    tail = abs(_beta_kernels(w, m, n + 1)[n] * (w + mp.mpf(n + 1) / m - 1))
     value, heuristic, cond_max, diverging = mp.mpc(a0), mp.mpf(0), mp.mpf(0), False
-    for (weight, e), row in zip(parts, _terms(parts, w, m, prec)):
+    for (weight, e), row in zip(parts, _terms(parts, w, m)):
         total, mags, flag = row.read(n)
         estimate = e.a0 + e.lam * total
         gross = abs(e.a0) + e.lam * mags
@@ -433,7 +421,7 @@ def r_fact(lam, A, B, N: int, z: PointLike, prec: PrecisionConfig | None = None)
         zc = _halfplane(z, Bv, prec)
         lB = lv * Bv
         shape = mp.power(N + lB + 1, N + lB + 1) / mp.power(N + 1, N)
-        kernel = abs(_beta_kernels(lv * zc, 1, N + 1, prec)[N])
+        kernel = abs(_beta_kernels(lv * zc, 1, N + 1)[N])
         return ensure_finite(Av / mp.power(lB, lB) * shape * kernel / (mp.re(zc) - Bv))
 
 

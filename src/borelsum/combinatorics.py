@@ -41,8 +41,8 @@ from operator import mul
 import mpmath as mp
 
 from .errors import DomainError
-from .numerics import (PRECISION_LOCK, PrecisionConfig, _GrowingRow, as_index, as_mpf,
-                       working_precision)
+from .numerics import (PRECISION_LOCK, PrecisionConfig, _GrowingRow, as_fraction, as_index,
+                       as_mpf, working_precision)
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -153,7 +153,7 @@ def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
     are cached per r and only ever extended, so a deeper request continues
     where the last one stopped.
     """
-    r = Fraction(r)
+    r = as_fraction(r, "d_coefficient_row needs a finite rational r")
     if r <= 0:
         raise DomainError("d_coefficient_row requires r > 0")
     j_max = as_index(j_max, "d_coefficient_row", "j_max")

@@ -14,11 +14,13 @@ exactly 1/z when s = 1).  Single gammas are called from mpmath directly:
 is (n-1)! at m = 1), in ``r_fact_asymptotic`` and in ``binomial_series``.
 
 Values are ``mpmath`` numbers.  A :class:`PrecisionConfig` names the working
-mantissa size; operations run under ``mpmath.workprec`` so results carry the
-requested precision regardless of the caller's global mpmath state.  The
-conversions ``as_mpf`` and ``as_mpc`` take no precision of their own: they
-round at the ambient one, once, so callers convert inside ``working_precision``.
-Every index of the public API (N, a depth, a count, m) is read by ``as_index``.
+mantissa size.  A public function enters ``working_precision`` once, so its
+results carry that precision whatever the caller's mpmath state; a private
+helper, and the conversions ``as_mpf`` and ``as_mpc``, run at their caller's
+and round once.  A cached row that keeps its own precision (a coefficient row,
+a chain) enters it to grow, never growing at another caller's.  Every index of
+the public API (N, a depth, a count, m) is read by ``as_index``, every exact
+rational (a d-row's r, a binomial's alpha and c) by ``as_fraction``.
 
 mpmath's precision is process-global, so ``working_precision`` holds the
 reentrant ``PRECISION_LOCK``: library calls from several threads run one at
@@ -54,6 +56,14 @@ def as_index(n, fn: str, name: str = "N", low: int = 0) -> int:
     if i < low:
         raise DomainError(f"{fn} needs an integer {name} >= {low}")
     return i
+
+
+def as_fraction(x, what: str) -> Fraction:
+    """``Fraction(x)``, exact; what it cannot read (nan, inf, None, 1j, a word) is ``what``."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what}, got {x!r}") from exc
 
 
 @dataclass(frozen=True)

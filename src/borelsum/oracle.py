@@ -41,8 +41,8 @@ import mpmath as mp
 
 from .combinatorics import _SharedDenominatorRow
 from .errors import DomainError, QuadratureError
-from .numerics import (PrecisionConfig, _GrowingRow, as_index, as_mpc, as_mpf, ensure_finite,
-                       working_precision)
+from .numerics import (PrecisionConfig, _GrowingRow, as_fraction, as_index, as_mpc, as_mpf,
+                       ensure_finite, working_precision)
 from .series import FormalSeries
 
 # ---------------------------------------------------------------------------
@@ -135,13 +135,11 @@ def binomial_series(m: int, alpha, c, depth: int,
     a_n = binom(alpha, n - m) c^(n - m) Gamma(n/m) for m <= n <= depth (depth >= m),
     and a_0..a_{m-1} = 0.  binom(alpha, k) c^k is kept as an exact Fraction, by
     w <- w (alpha - k) c / (k + 1), and rounded once.  alpha and c are any
-    finite value ``Fraction`` takes exactly (int, float, Fraction, str)."""
+    finite value ``as_fraction`` reads exactly (int, float, Fraction, str)."""
     m = as_index(m, "binomial_series", "m", 1)
     depth = as_index(depth, "binomial_series", "depth", m)
-    try:
-        alpha, c = Fraction(alpha), Fraction(c)
-    except (ValueError, OverflowError):
-        raise DomainError("alpha and c must be finite") from None
+    what = "alpha and c must be finite rationals"
+    alpha, c = as_fraction(alpha, what), as_fraction(c, what)
     with working_precision(prec):
         coeffs, w = [0] * m, Fraction(1)
         for k in range(depth - m + 1):

@@ -72,8 +72,9 @@ def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
     with working_precision(prec) as cfg:
         zdot = _halfplane(z, 0, prec)
         a0, branches = branch_split(f)
-        parts = [(weight, factorial_expansion(fl, lam, N + 1, prec))
-                 for weight, fl in zip(_BRANCH_WEIGHTS(z, f.m, cfg), branches)]
+        weights, lv = _BRANCH_WEIGHTS(z, f.m, cfg), as_mpf(lam)
+        parts = [(weight, _expansion(fl, lv, None, N + 2, cfg))
+                 for weight, fl in zip(weights, branches)]
         return _kernel_sum("branch", N, parts, a0, N + 1, 1, zdot, prec, envelope)
 
 

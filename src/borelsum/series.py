@@ -100,11 +100,12 @@ def power(z: RamifiedPoint, k: int, m: int,
 class FormalSeries:
     """Coefficients a_0..a_nmax of sum_n a_n z^(-n/m), ramification order m.
 
-    The coefficients never change.  Data derived from them (the branch split,
-    the coefficient rows that :func:`borelsum.classical.factorial_expansion`
-    and the generalized sums of :mod:`borelsum.ramified` read) is cached on
-    the object by :meth:`_derived` under ``PRECISION_LOCK``, so it lives and
-    dies with it, and copies and pickles carry it along.
+    The coefficients are finite, checked where the series is made, and never
+    change.  Data derived from them (the branch split, the coefficient rows
+    that :func:`borelsum.classical.factorial_expansion` and the generalized
+    sums of :mod:`borelsum.ramified` read) is cached on the object by
+    :meth:`_derived` under ``PRECISION_LOCK``, so it lives and dies with it,
+    and copies and pickles carry it along.
     """
 
     m: int
@@ -116,6 +117,9 @@ class FormalSeries:
         object.__setattr__(self, "coefficients", tuple(as_mpc(c) for c in self.coefficients))
         if not self.coefficients:
             raise DomainError("a FormalSeries needs at least the constant term")
+        for n, c in enumerate(self.coefficients):
+            if not mp.isfinite(c):
+                raise DomainError(f"a FormalSeries needs finite coefficients, got a_{n} = {c}")
 
     def _derived(self, key, build: Callable[[], object]):
         """What ``build()`` returned on the first call with ``key``."""
@@ -223,18 +227,10 @@ def load_series(path: str, prec: PrecisionConfig | None = None) -> FormalSeries:
     rows = payload["coefficients"]
     if type(m) is not int or not isinstance(rows, list):
         raise DomainError("series file has wrong field types")
+    if not all(isinstance(row, (list, tuple)) and len(row) == 2 for row in rows):
+        raise DomainError("each coefficient must be a [re, im] pair")
     with working_precision(prec):
-        coeffs = []
-        for row in rows:
-            if not (isinstance(row, (list, tuple)) and len(row) == 2):
-                raise DomainError("each coefficient must be a [re, im] pair")
-            try:
-                coeffs.append(mp.mpc(as_mpf(str(row[0])), as_mpf(str(row[1]))))
-            except ValueError as exc:
-                raise DomainError(f"coefficient {row!r} is not a pair of numbers") from exc
-            if not mp.isfinite(coeffs[-1]):
-                raise DomainError(f"coefficient {row!r} is not finite")
-        return FormalSeries(m, coeffs)
+        return FormalSeries(m, [mp.mpc(as_mpf(str(re)), as_mpf(str(im))) for re, im in rows])
 
 
 def dump_series(f: FormalSeries, path: str, prec: PrecisionConfig | None = None) -> None:

@@ -16,7 +16,7 @@ from borelsum import (DomainError, FormalSeries, PoleError, PrecisionConfig, Ram
                       psi_scaled_coefficients, psi_series, r_as, r_as_ramified, r_fact,
                       r_fact_asymptotic, rotated_generalized_sum, stirling_first,
                       working_precision)
-from borelsum.numerics import _Chain, as_index, as_mpc, as_mpf, ensure_finite
+from borelsum.numerics import _Chain, as_fraction, as_index, as_mpc, as_mpf, ensure_finite
 
 
 def test_precision_config_invariants():
@@ -298,6 +298,27 @@ INDEX_CASES = [pytest.param(fn, name, low, call, bad, id=f"{fn}-{name}-{i}-{bad_
 def test_every_index_is_an_integer_at_or_above_its_floor(fn, name, low, call, bad):
     with pytest.raises(DomainError, match=re.escape(f"{fn} needs an integer {name} >= {low}")):
         call(low - 1 if bad == "below" else bad)
+
+
+@pytest.mark.parametrize("bad", [None, 1j, "x", float("nan"), float("inf"), -mp.inf,
+                                 mp.mpf("0.5")])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: binomial_series(1, v, 1, 5), "alpha and c must be finite rationals"),
+    (lambda v: binomial_series(1, 1, v, 5), "alpha and c must be finite rationals"),
+    (lambda v: d_coefficient_row(v, 3), "d_coefficient_row needs a finite rational r"),
+    (lambda v: d_coefficient(v, 3), "d_coefficient_row needs a finite rational r"),
+], ids=["alpha", "c", "d_coefficient_row", "d_coefficient"])
+def test_every_exact_rational_is_read_by_fraction(call, message, bad):
+    # each raised TypeError, ValueError or OverflowError, or passed an mpf through
+    with pytest.raises(DomainError, match=re.escape(f"{message}, got {bad!r}")):
+        call(bad)
+
+
+def test_as_fraction_reads_exact_values_exactly():
+    for x, want in ((3, Fraction(3)), (0.1, Fraction(0.1)), ("1/3", Fraction(1, 3)),
+                    ("-2.5e-3", Fraction(-1, 400)), (Fraction(5, 7), Fraction(5, 7))):
+        assert as_fraction(x, "unused") == want
+    assert binomial_series(2, "1/2", 1, 8).coefficients == example2_series(8).coefficients
 
 
 def test_indices_once_taken_silently_are_refused():

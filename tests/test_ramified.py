@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 from mpmath.libmp import from_man_exp, fzero
 
 from borelsum import (DomainError, FactorialExpansion, FormalSeries, GrowthEnvelope,
@@ -352,6 +352,8 @@ _MODULI = st.lists(st.one_of(st.just(0), st.sampled_from([1, 2, 16, 2 ** -10]),
 @settings(max_examples=150, deadline=None)
 @given(_MODULI, st.lists(st.sampled_from([4, 64, 1024]), max_size=4),
        st.randoms(use_true_random=False))
+# the first smallest term is a dip, and the last grows past 4x it
+@example([1, 2 ** -10, 1, 0.25, 0.5, 0.5], [4], random.Random(0))
 def test_the_kept_divergence_state_is_the_rescan_at_every_prefix(moduli, growth, rnd):
     # one row read at every prefix up, down and in random order, so that each
     # read starts from the state the previous one left
@@ -360,6 +362,23 @@ def test_the_kept_divergence_state_is_the_rescan_at_every_prefix(moduli, growth,
         row, prefixes = _row_of(mags), list(range(len(mags) + 1))
         for n in prefixes + prefixes[::-1] + rnd.sample(prefixes, len(prefixes)):
             assert row.read(n)[2] is _divergence_flag(mags[:n]), (mags, n)
+
+
+def test_the_euler_row_past_its_dip_reads_as_the_rescan(prec):
+    # the Euler sum at lambda = 1.35, z = 3 dips to 7.2e-14 at b_96, term 97 of
+    # its row (docs/first-omitted-estimate.md): swept up and then down past the
+    # dip, every sum's flag is the whole-list rule's over the terms it read
+    e = factorial_expansion(euler_series(202, prec), "1.35", 201, prec)
+    _forget_the_last_point()
+    Ns = range(60, 201)
+    flags = {N: factorial_series_sum(e, 3, N, prec=prec).diverging for N in Ns}
+    flags_down = {N: factorial_series_sum(e, 3, N, prec=prec).diverging for N in Ns[::-1]}
+    with working_precision(prec):
+        _, rows = classical._KERNEL_CHAINS(e.lam * mp.mpc(3), 1, prec.mantissa_bits)
+        mags = [mag for _, mag, _ in rows[e._row].values[1:]]
+        assert 4 * mags[96] < min(mags[95], mags[97])
+        assert flags == flags_down == {N: _divergence_flag(mags[:N + 1]) for N in Ns}
+    assert not any(flags[N] for N in (100, 110, 150))
 
 
 def _parts(bits):
@@ -606,6 +625,27 @@ def test_a_sweep_forms_each_term_once(monkeypatch, prec):
                                       for term, mag, _ in row.values[1:]
                                       for part in (*term._mpc_, mag._mpf_))
     assert len(sums) == 36 and max(map(len, sums)) == 3
+
+
+def test_a_warm_branch_sum_takes_one_path(monkeypatch, prec):
+    # a psi branch sweep at one point, warmed by a first pass: each sum enters
+    # working_precision at most twice (itself and its point's projection) and
+    # reads its branch rows through no public factorial_expansion
+    f, z = psi_series(3 * 22, prec), RamifiedPoint(12, 0)
+    _forget_the_last_point()
+    sweep = [branch_sum(f, 2.885390081777927, z, N, prec=prec) for N in range(5, 21)]
+    entries, doors = [], []
+    for name, calls in (("working_precision", entries), ("factorial_expansion", doors)):
+        door = getattr(classical, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("borelsum")]:
+            if getattr(module, name, None) is door:  # every module that binds it
+                monkeypatch.setattr(module, name, lambda *a, door=door, calls=calls, **k:
+                                    (calls.append(a), door(*a, **k))[1])
+    for N, swept in zip(range(5, 21), sweep):
+        entries.clear()
+        assert branch_sum(f, 2.885390081777927, z, N, prec=prec) == swept
+        assert len(entries) <= 2, N
+    assert doors == []
 
 
 def test_a_hand_built_expansion_sums_as_the_one_read_from_its_row(prec):
@@ -952,7 +992,7 @@ def test_generalized_kernels_equal_gamma_ratio_bit_for_bit():
             for w, m, count in cases:
                 singles = [gamma_ratio(w, (n - 1) // m, Fraction((n - 1) % m + 1, m), prec)
                            for n in range(1, count + 1)]
-                assert _beta_kernels(w, m, count, prec) == singles, (prec, m)
+                assert _beta_kernels(w, m, count) == singles, (prec, m)
 
 
 def test_psi_generalized_sum_carries_250_bits():

@@ -18,6 +18,17 @@ def test_ramified_point_validation():
             RamifiedPoint(modulus, argument)
 
 
+@pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf, mp.mpc(1, mp.inf), mp.mpc(mp.nan, 0),
+                                 float("nan"), complex(0, float("-inf")), "inf"])
+def test_a_series_refuses_a_non_finite_coefficient(bad):
+    # once accepted: a least-term sum then returned a nan error estimate and
+    # factorial_expansion a nan b_4, with no error
+    with pytest.raises(DomainError, match="finite coefficients, got a_4 = "):
+        FormalSeries(1, [0, 1, -1, 2, bad])
+    with pytest.raises(DomainError, match="got a_0 = "):
+        FormalSeries(3, [bad])
+
+
 def test_a_point_keeps_the_mpf_it_is_given():
     with mp.workprec(256):
         modulus, argument = mp.mpf(12) + mp.mpf(1) / 3, mp.pi / 3
