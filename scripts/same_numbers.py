@@ -17,10 +17,16 @@ then runs one seed-1 library pass of every benchmark workload
 its relative and absolute difference.
 The same pass prints every condition number its outputs hold
 (``SummationResult.condition_number`` and each entry of
-``FactorialExpansion.condition``); the script names each one that differs
-and counts the identical ones per method.  It compares every c_n and
-condition number of ``binomial_series(3, -1, 1/2)`` to depth 120 at
-lambda = 1, unrotated and at theta = 0.4, the same way, and every field of
+``FactorialExpansion.condition``), with the value it belongs to (the
+estimate, the coefficient); the script names each one that differs and
+counts the identical ones per method.  A value with a condition number (each
+such estimate and coefficient, each c_n of the m = 3 member below and each
+sum of the sweeps) also has a roundoff scale cond·2^-bits·|value| at its
+precision, and a moved one is printed as |difference| over the scale at REV,
+so a deliberate rounding change can be shown to stay below its roundoff.
+It compares every c_n and condition number of ``binomial_series(3, -1,
+1/2)`` to depth 120 at lambda = 1, unrotated and at theta = 0.4, the same
+way, and every field of
 sweeps in one process whose sums read kernel terms an earlier sum at their
 point formed: psi branch sums at N = 40..5 descending, bounded psi branch
 sums at two points alternated, rotated example2 at N = 150, then N = 20,
@@ -133,23 +139,28 @@ import mpmath as mp
 import spec, workloads
 from borelsum import FactorialExpansion, SummationResult
 
-def conditions(x, at):
+def conditions(x, at):  # (where, method, condition number, value key, value) in x
     if isinstance(x, SummationResult):
-        yield at, x.method, x.condition_number
+        yield at, x.method, x.condition_number, f"{at}.estimate", x.estimate
     elif isinstance(x, FactorialExpansion):
-        for n, c in enumerate(x.condition):
-            yield f"{at}.condition[{n}]", "expansion", c
+        for n, (c, b) in enumerate(zip(x.condition, x.b)):
+            yield f"{at}.condition[{n}]", "expansion", c, f"{at}.b[{n}]", b
     elif isinstance(x, (list, tuple, dict)):
         for k, v in (x.items() if isinstance(x, dict) else enumerate(x)):
             yield from conditions(v, f"{at}[{k!r}]")
+
+def roundoff(key, cond, value, bits=spec.PRECISION_BITS):
+    print("roundoff", key, mp.nstr(cond * mp.ldexp(abs(value), -bits), 5))
 
 for name in spec.WORKLOADS:
     w = workloads.BY_NAME[name](spec.points(name, 1))
     out = w.run_pass()[0]
     for i, v in enumerate(w.values(out)):
         print(f"{name}[{i}]", mp.nstr(v, 90) if isinstance(v, (mp.mpf, mp.mpc)) else repr(v))
-    for at, method, c in conditions(out, name):
+    for at, method, c, key, v in conditions(out, name):
         print("condition", at, method, mp.nstr(c, 90))
+        print(key, mp.nstr(v, 90))
+        roundoff(key, c, v)
 
 # an m = 3 member, where c_n at n = 0 mod 3 reads the Stirling rows and every other
 # c_n the fractional d-rows: its c_1..c_120 at lambda = 1, unrotated and at theta = 0.4
@@ -163,6 +174,7 @@ with working_precision(None) as cfg:
         for n, (c, k) in enumerate(zip(e.b, e.condition), 1):
             print(f"{at}.c[{n}]", mp.nstr(c, 90))
             print("condition", f"{at}.condition[{n}]", "m3-expansion", mp.nstr(k, 90))
+            roundoff(f"{at}.c[{n}]", k, c, cfg.mantissa_bits)
 
 # sums in one process whose kernel terms an earlier sum at their point formed: psi
 # branch sums at N = 40..5 descending, psi branch sums under an envelope at two
@@ -204,6 +216,7 @@ for name, results in sweeps.items():
             v = getattr(r, field)
             print(f"{at}.{field}", mp.nstr(v, 90) if isinstance(v, (mp.mpf, mp.mpc)) else v)
         print("condition", at, r.method, mp.nstr(r.condition_number, 90))
+        roundoff(f"{at}.estimate", r.condition_number, r.estimate, prec.mantissa_bits)
 """
 
 
@@ -245,14 +258,17 @@ def cli(src: Path, argv) -> tuple[int, str, str]:
     return run(src, ["-m", "borelsum.cli", *argv])
 
 
-def library_values(src: Path) -> tuple[list[str], list[str]]:
-    """(value lines, condition lines) of the seed-1 library passes."""
+def library_values(src: Path) -> tuple[list[str], list[str], dict[str, float]]:
+    """(value lines, condition lines, roundoff scale by value key) of the seed-1
+    library passes."""
     code, out, _ = run(src, ["-c", VALUES], str(ROOT / "perfbench"))
     if code:
         sys.exit(f"the library pass on {src} exited {code}")
     lines = out.splitlines()
-    return ([line for line in lines if not line.startswith("condition ")],
-            [line for line in lines if line.startswith("condition ")])
+    scales = dict(line.split()[1:] for line in lines if line.startswith("roundoff "))
+    return ([line for line in lines if not line.startswith(("condition ", "roundoff "))],
+            [line for line in lines if line.startswith("condition ")],
+            {key: float(scale) for key, scale in scales.items()})
 
 
 def compare_conditions(here: list[str], there: list[str], rev: str) -> bool:
@@ -285,8 +301,8 @@ def main(rev: str) -> int:
             sys.exit(f"git archive {rev} failed")
         argvs = commands()
         results = [(a, cli(ROOT / "src", a), cli(Path(tmp) / "src", a)) for a in argvs]
-        (values, conds), (rev_values, rev_conds) = (library_values(ROOT / "src"),
-                                                    library_values(Path(tmp) / "src"))
+        (values, conds, _), (rev_values, rev_conds, scales) = (
+            library_values(ROOT / "src"), library_values(Path(tmp) / "src"))
         lines = source_lines(ROOT / "src"), source_lines(Path(tmp) / "src")
     differ = [r for r in results if r[1][:2] != r[2][:2]]
     for argv, (code, out, _), (rev_code, rev_out, _) in differ:
@@ -310,14 +326,22 @@ def main(rev: str) -> int:
           "give the same stderr")
     pairs = list(zip_longest(values, rev_values))
     moved = [pair for pair in pairs if pair[0] != pair[1]]
+    in_roundoffs = []
     for here, there in moved:
         print(f"DIFFERS: library value\n  here:   {here}\n  at {rev}: {there}")
         sizes = differences(here, there)
         if sizes is not None:
             print(f"  difference: relative {'none' if sizes[0] is None else f'{sizes[0]:.3g}'}, "
                   f"absolute {sizes[1]:.3g}")
+            scale = scales.get(there.split(" ", 1)[0])
+            if scale is not None:
+                in_roundoffs.append(sizes[1] / scale if scale else float("inf"))
+                print(f"  in roundoffs: {in_roundoffs[-1]:.3g} x cond 2^-bits |value| at {rev}")
     print(f"{len(pairs) - len(moved)} of {len(pairs)} library values of the seed-1 workload "
           "passes are identical")
+    if in_roundoffs:
+        print(f"{len(in_roundoffs)} moved values have a condition number; the largest move is "
+              f"{max(in_roundoffs):.3g} x cond 2^-bits |value|")
     conds_same = compare_conditions(conds, rev_conds, rev)
     print(f"src/borelsum/*.py: {lines[0]} lines here, {lines[1]} at {rev}")
     return 1 if differ or errors or moved or not conds_same else 0

@@ -24,7 +24,10 @@ factorial-type result from such rows, with its chains, tail and bound.  Each
 coefficient carries its condition number, as the transform cancels
 factorially large terms; work at 53 bits and the stored reference tables
 below some depth are simply unreachable.  At every m an integer l/m reads the
-Stirling row, a fractional l/m is rounded once from its exact d.
+Stirling row, a fractional l/m its exact d-row, and each coefficient is one
+exact sum of its weighted parts over the rounded a_l, rounded once (N. Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 4),
+then divided by Gamma(n/m).
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import (from_int, fzero, mpf_div, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos,
-                          mpf_shift, mpf_sum)
+from mpmath.libmp import from_int, fzero, mpf_div, mpf_lt, mpf_pos, mpf_shift, mpf_sum
 
 from .combinatorics import _STIRLING, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
@@ -114,13 +117,17 @@ class _CoefficientRow(_GrowingRow):
     ``scale`` on them.  At n = 0 mod m every l/m is an integer k, read off one
     Stirling row, d_{k, n/m-k} = |s(n/m-1, k-1)| (every n at m = 1, where
     c_n = b_{n-1}); at other n every l/m is fractional, its exact d-row fetched
-    once per growth.  A step lists the parts Re t, Im t of every term t in order,
-    each nonzero part of a_l times its exact d rounded once (``mpf_mul_int`` for
-    |s|), a zero part kept, no product formed.  ``mpf_sum`` over the real and the
-    imaginary parts gives c_n as ``mp.fsum`` would; the condition number is
-    sum_t (|Re t| + |Im t|), one ``mpf_sum`` over the parts in the same order,
-    over |sum_t t|: sum |t| on real terms, within sqrt 2 of it on complex ones.
-    The row holds f's m and coefficients, not f, so f pickles with it.
+    once per growth.  A step writes each weight as an integer k over one D per
+    c_n: k = |s| and D = 1 on a Stirling row, k = P (D/Q) for d = P/Q and D the
+    lcm of the Q on a d-row.  Each part Re a_l, Im a_l times k is exact, a raw
+    mpf tuple; ``mpf_sum`` at precision 0 sums the real parts, the imaginary
+    parts and their moduli exactly, and one ``mpf_div`` by D rounds each sum
+    once.  So c_n is the correctly rounded exact sum over the rounded a_l,
+    whatever the order or the exponent gaps of its parts (up to the 10^6 bits
+    ``mpf_sum`` keeps), divided by Gamma(n/m).  The condition number is sum_l |d| (|Re a_l| +
+    |Im a_l|) over |sum_l d a_l|: sum |t| over |sum t| on real terms t, within
+    sqrt 2 of it on complex ones.  The row holds f's m and coefficients, not f,
+    so f pickles with it.
     """
 
     def __init__(self, f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None,
@@ -148,22 +155,27 @@ class _CoefficientRow(_GrowingRow):
         if self.theta is not None:
             an = an * _rotation(self.theta, n, m)
         a.append(_homothety(self.lam, n, m) * an)
-        prec, rnd = mp.mp._prec_rounding
-        if n % m == 0:  # |s| times each part of a_l; a zero part is its own product
-            parts = [p if p == fzero else mpf_mul_int(p, abs(s), prec, rnd)
-                     for s, x in zip(_STIRLING.upto(n // m - 1)[n // m - 1], a[m::m])
-                     for p in x._mpc_]
-        else:  # the exact d = P/Q times each part of a_l, rounded once
+        if n % m == 0:  # the weight |s| of each a_l, over D = 1
+            D, weights = 1, zip(map(abs, _STIRLING.upto(n // m - 1)[n // m - 1]), a[m::m])
+        else:  # the weight P (D/Q) of each a_l, d = P/Q, over D = lcm of the Q
             rows = self.d_rows
-            d = {l: rows[l][(n - l) // m] for l in range(n % m, n + 1, m) if l in rows}
-            parts = [p if p == fzero else
-                     mpf_div(mpf_mul(p, from_int(q.numerator)), from_int(q.denominator), prec, rnd)
-                     for l, q in d.items() for p in a[l]._mpc_]
-        # (Re t, Im t) of every term t in term order, the order mp.fsum and the gross
-        # sum read: mpf_sum drops a part by the exponent gap to what it summed so far
+            d = [(rows[l][(n - l) // m], a[l]) for l in range(n % m, n + 1, m) if l in rows]
+            D = lcm(*(q.denominator for q, _ in d))
+            weights = ((q.numerator * (D // q.denominator), x) for q, x in d)
+        # Re a_l and Im a_l times k, exact and unnormalised: mpf_sum at precision 0
+        # takes a mantissa of any size and reads the bit count only to drop a part
+        # past a 10^6-bit gap.  A zero part stays (., 0, 0, .), which mpf_sum skips;
+        # a zero weight is left out, as a zero mantissa with an exponent is inf or nan
+        parts = [(sign ^ (k < 0), man * abs(k), exp, bc + k.bit_length())
+                 for k, x in weights if k for sign, man, exp, bc in x._mpc_]
+        prec, rnd = mp.mp._prec_rounding
+        den = from_int(D)
+        re = mpf_div(mpf_sum(parts[0::2], 0), den, prec, rnd)
+        im = mpf_div(mpf_sum(parts[1::2], 0), den, prec, rnd)
+        gross = mpf_div(mpf_sum(parts, 0, absolute=True), den, prec, rnd)
         gamma = mp.gamma(mp.mpf(n) / m)
-        c = mp.make_mpc((mpf_sum(parts[0::2], prec, rnd), mpf_sum(parts[1::2], prec, rnd))) / gamma
-        gross = mp.make_mpf(mpf_sum(parts, prec, rnd, absolute=True)) / gamma
+        c = mp.make_mpc((re, im)) / gamma
+        gross = mp.make_mpf(gross) / gamma
         return c, gross / abs(c) if c != 0 else mp.inf if gross != 0 else mp.mpf(1)
 
 

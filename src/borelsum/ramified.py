@@ -44,13 +44,15 @@ import mpmath as mp
 from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
                         factorial_expansion, factorial_series_sum, least_term_index, r_as)
 from .errors import DomainError
-from .numerics import PrecisionConfig, as_index, as_mpf, ensure_finite, working_precision
+from .numerics import PrecisionConfig, as_index, as_mpf, working_precision
 from .oracle import BorelEvaluator, laplace_quadrature
-from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, branch_split, partial_sum, power
+from .series import (FormalSeries, GrowthEnvelope, RamifiedPoint, _partial_sum, _power,
+                     branch_split)
 
-# z^((m-l)/m), l = 1..m, of the most recent point: the sheet is in the key, not the projection
+# z^((m-l)/m), l = 1..m, of the most recent point at the ambient precision, which the
+# key names: the sheet is in the key, not the projection
 _BRANCH_WEIGHTS = lru_cache(maxsize=1)(
-    lambda z, m, prec: [power(z, m - l, m, prec) for l in range(1, m + 1)])
+    lambda z, m, prec: [_power(z, m - l, m) for l in range(1, m + 1)])
 
 
 def branch_sum(f: FormalSeries, lam, z: RamifiedPoint, N: int,
@@ -142,7 +144,7 @@ def least_term_sum_ramified(f: FormalSeries, r, z: RamifiedPoint,
         n = least_term_index(r, z)
         f.require_depth(f.m * n + f.m)
         zdot = _halfplane(z, 0, prec)
-        estimate = ensure_finite(partial_sum(f, z, f.m * n, prec))
+        estimate = _partial_sum(f, z, f.m * n)
         peak = max(abs(f.coefficients[l + f.m * n]) for l in range(1, f.m + 1))
         heuristic = peak * _branch_weights(z, f.m) / (mp.power(z.modulus, n) * mp.re(zdot))
         rigorous = None if envelope is None else \

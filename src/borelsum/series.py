@@ -92,8 +92,13 @@ def power(z: RamifiedPoint, k: int, m: int,
     RamifiedPoint.require(z, "power")
     m = as_index(m, "power", "m", 1)
     with working_precision(prec):
-        expo = mp.mpf(k) / m
-        return ensure_finite(mp.power(z.modulus, expo) * mp.exp(1j * expo * z.argument))
+        return _power(z, k, m)
+
+
+def _power(z: RamifiedPoint, k: int, m: int) -> mp.mpc:
+    """``power`` at the ambient precision, for a caller that checked z and m."""
+    expo = mp.mpf(k) / m
+    return ensure_finite(mp.power(z.modulus, expo) * mp.exp(1j * expo * z.argument))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -202,9 +207,13 @@ def partial_sum(f: FormalSeries, z: RamifiedPoint, N: int,
     N = as_index(N, "partial_sum")
     f.require_depth(N)
     with working_precision(prec):
-        return ensure_finite(mp.fsum(
-            (f.coefficients[k] * power(z, -k, f.m, prec) for k in range(N + 1)),
-            absolute=False))
+        return _partial_sum(f, z, N)
+
+
+def _partial_sum(f: FormalSeries, z: RamifiedPoint, N: int) -> mp.mpc:
+    """``partial_sum`` at the ambient precision, for a caller that checked z and N."""
+    return ensure_finite(mp.fsum((f.coefficients[k] * _power(z, -k, f.m) for k in range(N + 1)),
+                                 absolute=False))
 
 
 # ---------------------------------------------------------------------------

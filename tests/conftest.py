@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 
@@ -22,6 +24,18 @@ def workprec(prec):
 
 def approx_eq(a, b, tol):
     return abs(mp.mpc(a) - mp.mpc(b)) <= tol
+
+
+def exact(x: mp.mpf) -> Fraction:
+    """The value of an mpf, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def rounded(q: Fraction) -> mp.mpf:
+    """An exact rational rounded once at the ambient precision: mpmath reads both
+    ints exactly and divides them once."""
+    return mp.fdiv(q.numerator, q.denominator)
 
 
 def sampled_region_envelope_euler(B="0.1", samples=2000):

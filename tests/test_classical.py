@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from mpmath.libmp import mpf_sum
+from mpmath.libmp import mpf_pos, mpf_sum
 
 from borelsum import (PSI_LAMBDA_SUP, DomainError, FormalSeries, GrowthEnvelope,
                       InsufficientCoefficientsError, PrecisionConfig,
@@ -23,7 +23,7 @@ from borelsum.classical import _CoefficientRow
 from borelsum.numerics import as_mpf
 from borelsum.oracle import BUILTIN_EVALUATORS
 
-from conftest import sampled_region_envelope_euler
+from conftest import exact, rounded, sampled_region_envelope_euler
 
 # ---------------------------------------------------------------------------
 # Stirling transform
@@ -88,45 +88,46 @@ def test_transform_condition_number(workprec):
 
 
 # ---------------------------------------------------------------------------
-# the coefficient row against its product route, bit for bit
+# the coefficient row against its exact sums, bit for bit
 # ---------------------------------------------------------------------------
 
 
-def _rows_by_products(f, lam, theta, n_max, prec):
-    """(c_n, condition number of c_n) for n = 1..n_max, each term part formed as
-    fdiv(fmul(part, P, exact), Q) with P/Q = |s(n/m-1, l/m-1)| at integer l/m and
-    the d-row entry d_{l/m,(n-l)/m} at fractional l/m, on the coefficients of
-    ``scale(rotate(f, theta), lam)``; c_n = mp.fsum(terms) / Gamma(n/m) and the
-    gross sum over every part of every term, in term order."""
+def _rows_by_exact_sums(f, lam, theta, n_max, prec):
+    """(c_n, condition number of c_n) for n = 1..n_max as Fraction sums: on the
+    coefficients a_l of ``scale(rotate(f, theta), lam)``, each weight w = P/Q is
+    |s(n/m-1, l/m-1)| at integer l/m and the d-row entry d_{l/m,(n-l)/m} at
+    fractional l/m; sum w Re a_l, sum w Im a_l and sum |w| (|Re a_l| + |Im a_l|)
+    are exact, each rounded once, then divided by Gamma(n/m)."""
     with working_precision(prec):
         a = scale(rotate(f, theta, prec) if theta else f, lam, prec).coefficients
         m, rows = f.m, []
         for n in range(1, n_max + 1):
-            terms = []
+            re = im = gross = Fraction(0)
             for l in range(n - (n - 1) // m * m, n + 1, m):
-                d = (Fraction(abs(stirling_first(n // m - 1, l // m - 1))) if l % m == 0 else
+                w = (Fraction(abs(stirling_first(n // m - 1, l // m - 1))) if l % m == 0 else
                      d_coefficient_row(Fraction(l, m), (n - l) // m)[-1])
-                terms.append(mp.mpc(*(mp.fdiv(mp.fmul(p, d.numerator, exact=True), d.denominator)
-                                      for p in (a[l].real, a[l].imag))))
+                x, y = exact(a[l].real), exact(a[l].imag)
+                re, im, gross = re + w * x, im + w * y, gross + abs(w) * (abs(x) + abs(y))
             gamma = mp.gamma(mp.mpf(n) / m)
-            c = mp.fsum(terms) / gamma
-            gross = mp.make_mpf(mpf_sum([p for t in terms for p in t._mpc_],
-                                        *mp.mp._prec_rounding, absolute=True)) / gamma
+            c, gross = mp.mpc(rounded(re), rounded(im)) / gamma, rounded(gross) / gamma
             rows.append((c, gross / abs(c) if c != 0 else mp.inf if gross != 0 else mp.mpf(1)))
         return rows
 
 
-def _assert_row_is_the_product_route(f, lam, theta, n_max, prec):
+def _row(f, lam, theta, n_max, prec):
     with working_precision(prec):
         lam, theta = as_mpf(lam), theta and as_mpf(theta)
-    row = _CoefficientRow(f, lam, theta, prec).upto(n_max)[1:]
-    want = _rows_by_products(f, lam, theta, n_max, prec)
+    return _CoefficientRow(f, lam, theta, prec).upto(n_max)[1:]
+
+
+def _assert_row_is_the_exact_sums(f, lam, theta, n_max, prec):
+    row, want = _row(f, lam, theta, n_max, prec), _rows_by_exact_sums(f, lam, theta, n_max, prec)
     assert [(c._mpc_, k._mpf_) for c, k in row] == [(c._mpc_, k._mpf_) for c, k in want]
 
 
 def _extreme_series(depth, prec):
     # every third a_k is 0, the others alternate 10^300 and 10^-300: the products of
-    # one c_n lie far more than 2 x prec bits apart, so mpf_sum drops some of them
+    # one c_n lie far more than 2 x prec bits apart, where a rounded mpf_sum drops some
     with working_precision(prec):
         return FormalSeries(1, [0] + [0 if k % 3 == 0 else
                                       (-1) ** k * mp.mpf(10) ** (300 * (-1) ** k)
@@ -134,38 +135,44 @@ def _extreme_series(depth, prec):
 
 
 @pytest.mark.parametrize("bits", [53, 256, 384])
-def test_coefficient_rows_are_the_product_route_bit_for_bit(bits):
+def test_coefficient_rows_are_the_exact_sums_rounded_once(bits):
     prec = PrecisionConfig(bits)
     euler = euler_series(202, prec)  # the depth of the benchmark's Euler sums
     with working_precision(prec):
         i_euler = FormalSeries(1, [1j * a for a in euler.coefficients])
-    _assert_row_is_the_product_route(euler, 1, None, 202 if bits == 256 else 80, prec)
-    _assert_row_is_the_product_route(euler, "0.6", "0.3", 80, prec)  # complex a_l
-    _assert_row_is_the_product_route(i_euler, 1, None, 80, prec)  # zero real parts
-    _assert_row_is_the_product_route(_extreme_series(60, prec), 1, None, 60, prec)
+    _assert_row_is_the_exact_sums(euler, 1, None, 202 if bits == 256 else 80, prec)
+    _assert_row_is_the_exact_sums(euler, "0.6", "0.3", 80, prec)  # complex a_l
+    _assert_row_is_the_exact_sums(i_euler, 1, None, 80, prec)  # zero real parts
+    _assert_row_is_the_exact_sums(_extreme_series(60, prec), 1, None, 60, prec)
     for branch in branch_split(psi_series(120, prec))[1]:
-        _assert_row_is_the_product_route(branch, PSI_LAMBDA_SUP, None, 40, prec)
-    # m > 1: integer l/m read the Stirling rows, fractional l/m round d a_l once
-    _assert_row_is_the_product_route(example2_series(40, prec), "0.6", mp.pi / 3, 40, prec)
-    _assert_row_is_the_product_route(psi_series(60, prec), PSI_LAMBDA_SUP, None, 60, prec)
-    _assert_row_is_the_product_route(binomial_series(3, -1, "1/2", 60, prec), 1, None, 60, prec)
-    _assert_row_is_the_product_route(binomial_series(4, "1/2", 1, 60, prec), 1, "0.4", 60, prec)
+        _assert_row_is_the_exact_sums(branch, PSI_LAMBDA_SUP, None, 40, prec)
+    # m > 1: integer l/m read the Stirling rows, fractional l/m the d-rows
+    _assert_row_is_the_exact_sums(example2_series(40, prec), "0.6", mp.pi / 3, 40, prec)
+    _assert_row_is_the_exact_sums(psi_series(60, prec), PSI_LAMBDA_SUP, None, 60, prec)
+    _assert_row_is_the_exact_sums(psi_series(60, prec), PSI_LAMBDA_SUP, "0.5", 60, prec)
+    _assert_row_is_the_exact_sums(binomial_series(3, -1, "1/2", 60, prec), 1, None, 60, prec)
+    _assert_row_is_the_exact_sums(binomial_series(4, "1/2", 1, 60, prec), "0.7", "0.4", 60, prec)
 
 
-def test_the_gross_sum_keeps_the_order_of_the_parts():
-    # at 53 bits Im a_2 + Re a_3 is an exact tie, and mpf_sum keeps a part only within
-    # 2 x 53 bits of the last bit summed so far: Re a_2 = 2^-107 is that close to
-    # Re a_3 = 2^-1 but not to Im a_2 = 2^53 - 2.  In term order Im a_2 drops Re a_2 and
-    # the tie rounds to even; Re a_2, Re a_3, Im a_2 keeps Re a_2 and rounds up
+def test_either_order_of_the_parts_gives_the_rows_bits():
+    # at 53 bits Im a_2 + Re a_3 is an exact tie, and a rounded mpf_sum keeps a part only
+    # within 2 x 53 bits of the last bit summed so far: Re a_2 = 2^-107 is that close to
+    # Re a_3 = 2^-1 but not to Im a_2 = 2^53 - 2.  Rounded in term order, Im a_2 drops
+    # Re a_2 and the tie rounds to even; Re a_2, Re a_3, Im a_2 keeps Re a_2 and rounds
+    # up.  Summed exactly, both orders are one value, which the row rounds once
     prec = PrecisionConfig(53)
     with working_precision(prec):
         a2, a3 = mp.mpc(mp.mpf(2) ** -107, 2 ** 53 - 2), mp.mpc(mp.mpf("0.5"), 0)
         f = FormalSeries(1, [0, 1, a2, a3])
         parts = [a2.real._mpf_, a2.imag._mpf_, a3.real._mpf_]
-        in_order = mpf_sum(parts, *mp.mp._prec_rounding, absolute=True)
-        grouped = mpf_sum(parts[0::2] + parts[1:2], *mp.mp._prec_rounding, absolute=True)
-    assert in_order != grouped
-    _assert_row_is_the_product_route(f, 1, None, 3, prec)
+        orders = parts, parts[0::2] + parts[1:2]
+        in_order, grouped = (mpf_sum(o, *mp.mp._prec_rounding, absolute=True) for o in orders)
+        exact_sums = {mpf_sum(o, 0, absolute=True) for o in orders}
+        assert in_order != grouped and len(exact_sums) == 1
+        c, cond = _row(f, 1, None, 3, prec)[2]  # c_3 = b_2 = (a_2 + a_3) / 2!
+        gross = mp.make_mpf(mpf_pos(exact_sums.pop(), *mp.mp._prec_rounding)) / 2
+        assert cond._mpf_ == (gross / abs(c))._mpf_
+    _assert_row_is_the_exact_sums(f, 1, None, 3, prec)
 
 
 _PARTS = st.one_of(st.just((0, 0)),  # (mantissa, exponent) of one part
@@ -174,16 +181,40 @@ _PARTS = st.one_of(st.just((0, 0)),  # (mantissa, exponent) of one part
 
 @seed(24)
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(_PARTS, _PARTS), min_size=2, max_size=24),
+@given(st.lists(st.tuples(_PARTS, _PARTS), min_size=2, max_size=24), st.sampled_from([1, 2, 3]),
        st.sampled_from([1, "0.6", 2.885390081777927]), st.sampled_from([None, "0.3"]),
        st.sampled_from([53, 256]))
-def test_drawn_coefficient_rows_are_the_product_route(parts, lam, theta, bits):
+def test_drawn_coefficient_rows_are_the_exact_sums_rounded_once(parts, m, lam, theta, bits):
+    # at m = 2 and 3 the fractional l/m read the d-rows, and theta != 0 rotates a_l
+    # by a phase of l/m
     prec = PrecisionConfig(bits)
     with mp.workprec(400):  # every drawn part is exact, then rounds once into the series
         coefficients = [mp.mpc(mp.ldexp(*re), mp.ldexp(*im)) for re, im in parts]
     with working_precision(prec):
-        f = FormalSeries(1, coefficients)
-    _assert_row_is_the_product_route(f, lam, theta, len(parts) - 1, prec)
+        f = FormalSeries(m, coefficients)
+    _assert_row_is_the_exact_sums(f, lam, theta, len(parts) - 1, prec)
+
+
+def test_a_coefficient_row_rounds_once_per_coefficient(monkeypatch):
+    # each c_n is three exact sums (Re, Im and the gross sum) over one denominator,
+    # each rounded by one division, on the Stirling rows (Euler) and on the d-rows
+    # (rotated example2); no weighted part is rounded on its own
+    divisions, products = [], []
+    div = classical.mpf_div
+    monkeypatch.setattr(classical, "mpf_div", lambda *a: (divisions.append(a), div(*a))[1])
+    for name, module in list(sys.modules.items()):
+        if name.startswith(("mpmath", "borelsum")) and hasattr(module, "mpf_mul_int"):
+            monkeypatch.setattr(module, "mpf_mul_int", lambda *a, mul=module.mpf_mul_int, **k:
+                                (products.append(a), mul(*a, **k))[1])
+    prec = PrecisionConfig(256)
+    euler, ex2 = euler_series(61, prec), example2_series(41, prec)
+    with working_precision(prec):
+        lam, theta = mp.mpf("0.6"), mp.pi / 3
+    for f, lam, theta, depth in ((euler, mp.mpf(1), None, 60), (ex2, lam, theta, 40)):
+        divisions.clear()
+        _CoefficientRow(f, lam, theta, prec).upto(depth)
+        assert len(divisions) == 3 * depth
+    assert products == []
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from borelsum import (PSI_LAMBDA_SUP, DomainError, RamifiedPoint, bell_partial,
                       stirling_first, working_precision)
 from borelsum import combinatorics, oracle
 
+from conftest import exact, rounded
+
 # ---------------------------------------------------------------------------
 # Stirling numbers
 # ---------------------------------------------------------------------------
@@ -247,20 +249,19 @@ def test_d_rows_grown_in_steps_equal_fresh_rows(monkeypatch):
 
 
 def _generalized_from_bell(f, n_max):
-    """d_1..d_{n_max} of the generalized expansion, each term part formed as
-    fdiv(fmul(part, P, exact), Q) with P/Q = |s(n/m-1, l/m-1)| at integer l/m and
-    the Bell form of d_{l/m,(n-l)/m} at fractional l/m, in the library's order of
-    operations: the terms summed by one fsum, then divided by Gamma(n/m)."""
+    """d_1..d_{n_max} of the generalized expansion as Fraction sums: each weight
+    w is |s(n/m-1, l/m-1)| at integer l/m and the Bell form of d_{l/m,(n-l)/m}
+    at fractional l/m; sum w Re a_l and sum w Im a_l are exact, each rounded
+    once, then divided by Gamma(n/m)."""
     m, a = f.m, f.coefficients
     out = []
     for n in range(1, n_max + 1):
-        terms = []
+        re = im = Fraction(0)
         for l in range(n - (n - 1) // m * m, n + 1, m):
-            d = (Fraction(abs(stirling_first(n // m - 1, l // m - 1))) if l % m == 0 else
+            w = (Fraction(abs(stirling_first(n // m - 1, l // m - 1))) if l % m == 0 else
                  _d_bell(Fraction(l, m), (n - l) // m))
-            terms.append(mp.mpc(*(mp.fdiv(mp.fmul(p, d.numerator, exact=True), d.denominator)
-                                  for p in (a[l].real, a[l].imag))))
-        out.append(mp.fsum(terms) / mp.gamma(mp.mpf(n) / m))
+            re, im = re + w * exact(a[l].real), im + w * exact(a[l].imag)
+        out.append(mp.mpc(rounded(re), rounded(im)) / mp.gamma(mp.mpf(n) / m))
     return out
 
 

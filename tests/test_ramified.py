@@ -605,13 +605,21 @@ def test_a_sweep_forms_each_term_once(monkeypatch, prec):
     # grows to its 41 terms once, not by N + 1 terms at every N; each of their
     # indices is folded into the row's exact sums once (Re, Im and modulus); and
     # the one mp.fsum left runs over the three branch weights
-    formed, folded, sums = [], [], []
-    step, mpf_sum, fsum = classical._TermRow.step, classical.mpf_sum, mp.fsum
+    formed, folded, sums, reading = [], [], [], []
+    step, read = classical._TermRow.step, classical._TermRow.read
+    mpf_sum, fsum = classical.mpf_sum, mp.fsum
     monkeypatch.setattr(classical._TermRow, "step",
                         lambda self, n: (formed.append(self), step(self, n))[1])
-    def exact_sum(parts, prec=0, *rest, **kw):  # the coefficient rows round theirs
-        folded.extend(parts[1:] if prec == 0 else [])
-        return mpf_sum(parts, prec, *rest, **kw)
+    def reads(self, n):  # the coefficient rows sum theirs outside any read
+        reading.append(n)
+        try:
+            return read(self, n)
+        finally:
+            reading.pop()
+    monkeypatch.setattr(classical._TermRow, "read", reads)
+    def exact_sum(parts, *rest, **kw):
+        folded.extend(parts[1:] if reading else [])
+        return mpf_sum(parts, *rest, **kw)
     monkeypatch.setattr(classical, "mpf_sum", exact_sum)
     monkeypatch.setattr(mp, "fsum", lambda terms, *a, **k: (sums.append(list(terms)),
                                                             fsum(sums[-1], *a, **k))[1])
@@ -634,18 +642,39 @@ def test_a_warm_branch_sum_takes_one_path(monkeypatch, prec):
     f, z = psi_series(3 * 22, prec), RamifiedPoint(12, 0)
     _forget_the_last_point()
     sweep = [branch_sum(f, 2.885390081777927, z, N, prec=prec) for N in range(5, 21)]
-    entries, doors = [], []
-    for name, calls in (("working_precision", entries), ("factorial_expansion", doors)):
-        door = getattr(classical, name)
-        for module in [m for n, m in sys.modules.items() if n.startswith("borelsum")]:
-            if getattr(module, name, None) is door:  # every module that binds it
-                monkeypatch.setattr(module, name, lambda *a, door=door, calls=calls, **k:
-                                    (calls.append(a), door(*a, **k))[1])
+    entries = _calls(monkeypatch, "working_precision")
+    doors = _calls(monkeypatch, "factorial_expansion")
     for N, swept in zip(range(5, 21), sweep):
         entries.clear()
         assert branch_sum(f, 2.885390081777927, z, N, prec=prec) == swept
         assert len(entries) <= 2, N
     assert doors == []
+
+
+def _calls(monkeypatch, name: str) -> list:
+    """The argument tuples of every later call of classical's ``name``, through
+    every borelsum module that binds it."""
+    calls, door = [], getattr(classical, name)
+    for module in [m for n, m in sys.modules.items() if n.startswith("borelsum")]:
+        if getattr(module, name, None) is door:
+            monkeypatch.setattr(module, name, lambda *a, **k: (calls.append(a), door(*a, **k))[1])
+    return calls
+
+
+def test_a_warm_least_term_sum_enters_its_precision_at_most_twice(monkeypatch, prec):
+    # the sum forms its partial sum and each z^(-k/m) at its own precision, not
+    # through the public partial_sum and power, which enter working_precision once
+    # per call: 25 powers at N = 24.  It enters once itself and once in its point's
+    # projection, and the partial sum stays the sum of the public powers' terms
+    f, z = psi_series(80, prec), RamifiedPoint(12, 0)
+    with working_precision(prec):
+        r = mp.log(2)
+        by_power = mp.fsum(f.coefficients[k] * power(z, -k, 3, prec) for k in range(25))
+    warm = least_term_sum_ramified(f, r, z, prec=prec)
+    assert warm.N == 24 and partial_sum(f, z, 24, prec) == by_power
+    entries = _calls(monkeypatch, "working_precision")
+    assert least_term_sum_ramified(f, r, z, prec=prec) == warm
+    assert len(entries) <= 2
 
 
 def test_a_hand_built_expansion_sums_as_the_one_read_from_its_row(prec):
