@@ -34,10 +34,12 @@ and three sweeps whose ``diverging`` flips mid-sweep, each up and down:
 example2's generalized sums at |z| = 5, N = 10..100, the m = 4 member
 ``binomial_series(4, 1/2, 1)``'s branch sums at |z| = 8, N = 20..40, and the
 factorial sums at |z| = 5, N = 5..60, of a hand-built ``FactorialExpansion``
-of ``binomial_series(1, 1/2, -1)``, whose term row is fresh each call.
-Last it prints the
-line count of src/borelsum/*.py on each side.  Exits 1 when any command,
-error message, value or condition number differs.
+of ``binomial_series(1, 1/2, -1)``, whose term row is fresh each call, and
+the quadratures at theta = 0.4 and z = 4, 5 + i of the evaluators of
+``binomial_series(3, -1, 1/2)`` and ``binomial_series(4, 1/2, 1)``, whose c or
+alpha is read as an mpf.  Last it prints the line count of src/borelsum/*.py
+on each side.  Exits 1 when any command, error message, value or condition
+number differs.
 
     python3 scripts/same_numbers.py REV
 """
@@ -217,6 +219,17 @@ for name, results in sweeps.items():
             print(f"{at}.{field}", mp.nstr(v, 90) if isinstance(v, (mp.mpf, mp.mpc)) else v)
         print("condition", at, r.method, mp.nstr(r.condition_number, 90))
         roundoff(f"{at}.estimate", r.condition_number, r.estimate, prec.mantissa_bits)
+
+# the quadratures of the members whose c or alpha is no integer, on the ray
+# theta = 0.4, where the evaluator reads c or alpha as an mpf and forms its phase
+from fractions import Fraction
+from borelsum import laplace_quadrature
+from borelsum.oracle import _binomial_evaluator
+for m, alpha, c in ((3, -1, Fraction(1, 2)), (4, Fraction(1, 2), 1)):
+    g = _binomial_evaluator(m, Fraction(alpha), Fraction(c), 3, 0.5)
+    for z in (4, mp.mpc(5, 1)):
+        v = laplace_quadrature(g, mp.mpf("0.4"), z, None, prec)
+        print(f"quadrature binomial({m},{alpha},{c})@theta=0.4,z={z}", mp.nstr(v, 90))
 """
 
 

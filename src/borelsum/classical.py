@@ -41,7 +41,8 @@ from math import lcm
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_int, fzero, mpf_div, mpf_lt, mpf_pos, mpf_shift, mpf_sum
+from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_mul, mpf_div, mpf_lt, mpf_pos, mpf_shift,
+                          mpf_sum)
 
 from .combinatorics import _STIRLING, d_coefficient_row
 from .errors import DomainError, InsufficientCoefficientsError
@@ -296,7 +297,11 @@ class _TermRow(_GrowingRow):
     (c_n, condition number) pairs, from index 1, on the class chains of one
     point at m.  Each product is formed once, at the ambient precision, so a
     sweep over N at the point reads prefixes of the row.  The chains must
-    already reach n.
+    already reach n.  A step runs on raw mpmath tuples with the bits of
+    ``K * c``, ``abs`` and ``max``: ``mpc_mul`` of the chain element and c_n,
+    ``mpc_abs`` of the term and ``mpf_lt`` for the maximum, which keeps the
+    first of equal values.  So each c_n is an mpc and each condition number an
+    mpf; ``_terms`` converts a hand-built expansion's numbers once.
 
     Beside the row it keeps a read mark: the index of the last ``read`` and the
     exact state of the prefix 1..mark, the unrounded sums of Re, Im and |.| of
@@ -315,8 +320,11 @@ class _TermRow(_GrowingRow):
     def step(self, n: int) -> tuple[mp.mpc, mp.mpf, mp.mpf]:
         c, cond = self.coefficients[n]
         j, l = divmod(n - 1, self.m)  # n = (l + 1) + jm
-        term = self.chains[l + 1].values[j] * c
-        return term, abs(term), max(self.values[-1][2], cond)
+        prec, rnd = mp.mp._prec_rounding
+        term = mpc_mul(self.chains[l + 1].values[j]._mpc_, c._mpc_, prec, rnd)
+        top = self.values[-1][2]  # max keeps the first of equal values
+        return (mp.make_mpc(term), mp.make_mpf(mpc_abs(term, prec, rnd)),
+                cond if mpf_lt(top._mpf_, cond._mpf_) else top)
 
     def read(self, n: int) -> tuple[mp.mpc, mp.mpf, bool]:
         """(sum K_i c_i, sum |K_i c_i|, diverging) over i <= n, each sum its exact
@@ -353,13 +361,22 @@ class _TermRow(_GrowingRow):
 def _terms(parts: Sequence[tuple[object, FactorialExpansion]], w: mp.mpc, m: int) -> list:
     """The term row of each part at w = lambda z, m and the ambient precision: the
     row of the coefficient row its expansion was read from is kept beside the
-    point's chains, with its read mark; a hand-built expansion's is formed afresh."""
+    point's chains, with its read mark; a hand-built expansion's is formed afresh,
+    over its b and condition numbers as mpmath's operators read them."""
     chains, rows = _KERNEL_CHAINS(w, m, mp.mp.prec)
     for _, e in parts:
         if e._row is not None and e._row not in rows:
             rows[e._row] = _TermRow(e._row.values, chains, m)
-    return [_TermRow([None, *zip(e.b, e.condition)], chains, m) if e._row is None
-            else rows[e._row] for _, e in parts]
+    return [_TermRow([None, *zip(map(_operand, e.b), map(mp.convert, e.condition))], chains, m)
+            if e._row is None else rows[e._row] for _, e in parts]
+
+
+def _operand(x) -> mp.mpc:
+    """A hand-built coefficient as an mpc, read as mpmath's operators read it:
+    ``mp.convert`` takes an int, a float or a complex exactly, and an mpf
+    times an mpc is the same product as (mpf, 0) times it."""
+    x = mp.convert(x)
+    return mp.make_mpc((x._mpf_, fzero)) if hasattr(x, "_mpf_") else x
 
 
 def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpansion]],
@@ -375,8 +392,9 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
     once and rounds a kept exact prefix, so a sweep up over N is one pass.
     A part's heuristic error is |c_{n+1}| |K_{n+1} (w + (n+1)/m - 1)| / Re z
     (docs/first-omitted-estimate.md), its condition number the larger of
-    ``e.condition``, the row's largest over c_1..c_n and
-    (|e.a0| + lambda sum |K_i c_i|) / |part|.  The result sums |weight| x
+    c_{n+1}'s, the row's largest over c_1..c_n and
+    (|e.a0| + lambda sum |K_i c_i|) / |part|; c_{n+1} and its condition number
+    are read off the term row, as mpmath numbers.  The result sums |weight| x
     heuristic, takes the worst condition number and any part's ``diverging``."""
     lam = parts[0][1].lam
     check_lambda_permitted(lam, envelope)
@@ -391,8 +409,9 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
         gross = abs(e.a0) + e.lam * mags
         cond = gross / abs(estimate) if estimate != 0 else mp.inf if gross != 0 else mp.mpf(1)
         value += weight * estimate
-        heuristic += abs(weight) * (abs(e.b[n]) * tail / mp.re(zc))
-        cond_max = max(cond_max, row.values[n][2], e.condition[n], cond)
+        c_next, cond_next = row.coefficients[n + 1]  # e.b[n], e.condition[n]
+        heuristic += abs(weight) * (abs(c_next) * tail / mp.re(zc))
+        cond_max = max(cond_max, row.values[n][2], cond_next, cond)
         diverging = diverging or flag
     return SummationResult(estimate=ensure_finite(value), N=N, method=method,
                            rigorous_bound=rigorous, heuristic_error=heuristic,

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath as mp
-from mpmath.libmp import mpc_pos
+from mpmath.libmp import from_int, mpc_add_mpf, mpc_div, mpc_mul_mpf, mpc_pos, mpf_add
 
 from .errors import DomainError, PoleError
 
@@ -198,7 +198,13 @@ class _Chain(_GrowingRow):
     a log-gamma difference (exactly 1/z when s = 1) by K_{n+1} = K_n (s+n) /
     (z+s+n).  It keeps its precision and its last element unrounded; a growth
     resumes the recurrence in one block with 64 guard bits, far below the one
-    rounding of each element, so a long chain's prefix is the short chain."""
+    rounding of each element, so a long chain's prefix is the short chain.
+
+    A step runs on raw mpmath tuples, with z + s formed once: K_n is
+    ``mpc_div(mpc_mul_mpf(K, s + (n-1)), (z + s) + (n-1))`` at prec + 64, the
+    libmp calls and operands of ``K * (s + (n-1)) / (z + s + (n-1))`` through
+    mpmath's operators, so each element has those bits (tests/test_numerics.py
+    keeps that form as the reference)."""
 
     def __init__(self, zc: mp.mpc, sf: mp.mpf):
         if not sf > 0:
@@ -208,6 +214,7 @@ class _Chain(_GrowingRow):
             raise PoleError(f"kernel chain pole at z = {zc}, s = {sf}")
         self.z, self.s, self.k, self.values = zc, sf, None, []  # K_0 on the first growth
         self.prec, self.rounding = mp.mp._prec_rounding
+        self.zs = mpc_add_mpf(zc._mpc_, sf._mpf_, self.prec + 64, self.rounding)
 
     def upto(self, n: int) -> list:
         if len(self.values) <= n:
@@ -216,12 +223,14 @@ class _Chain(_GrowingRow):
         return self.values
 
     def step(self, n: int) -> mp.mpc:
-        sf, zc = self.s, self.z
+        prec, rnd = self.prec, self.rounding
         if n == 0:
-            k = 1 / zc if sf == 1 else \
-                mp.exp(mp.loggamma(zc) + mp.loggamma(sf) - mp.loggamma(zc + sf))
+            sf, zc = self.s, self.z
+            k = (1 / zc if sf == 1 else
+                 mp.exp(mp.loggamma(zc) + mp.loggamma(sf) - mp.loggamma(zc + sf)))._mpc_
         else:
-            k = self.k * (sf + (n - 1)) / (zc + sf + (n - 1))
-        rounded = ensure_finite(mp.make_mpc(mpc_pos(k._mpc_, self.prec, self.rounding)))
+            wp, i = prec + 64, from_int(n - 1)
+            k = mpc_div(mpc_mul_mpf(self.k, mpf_add(self.s._mpf_, i, wp, rnd), wp, rnd),
+                        mpc_add_mpf(self.zs, i, wp, rnd), wp, rnd)
         self.k = k
-        return rounded
+        return ensure_finite(mp.make_mpc(mpc_pos(k, prec, rnd)))

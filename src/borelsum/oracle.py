@@ -8,7 +8,13 @@ c = Re(z e^(i theta)), sits far below the requested tolerance.  The rule
 raises its degree until it meets its own epsilon, so it runs 16 bits below
 the tolerance, not at the result's precision.  The tanh-sinh change of
 variable never evaluates the integrand at the endpoints, which is what makes
-integrable zeta^(1/m - 1) behaviour at 0 harmless.
+integrable zeta^(1/m - 1) behaviour at 0 harmless.  Such a rule's cost is
+almost all integrand evaluation (D. H. Bailey, K. Jeyabalan, X. S. Li, "A
+comparison of three high-precision quadrature schemes", Experimental Math. 14,
+2005), so the integrand and the built-in evaluators run on raw mpmath tuples,
+with the libmp calls and operands that their forms through mpmath's operators
+make: every value has the bits of those forms, which tests/test_oracle.py keeps
+as the reference.
 
 Built-in series:
 
@@ -35,9 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
+from mpmath.libmp import (ComplexResult, fone, fzero, mpc_add_mpf, mpc_exp, mpc_mul, mpc_mul_mpf,
+                          mpc_neg, mpc_pow, mpc_pow_int, mpc_pow_mpf, mpf_add, mpf_mul,
+                          mpf_mul_int, mpf_nthroot, mpf_pos, mpf_pow, mpf_pow_int)
 
 from .combinatorics import _SharedDenominatorRow
 from .errors import DomainError, QuadratureError
@@ -72,7 +82,14 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
     Requires Re(z e^(i theta)) > B for the evaluator's growth rate.  One
     tanh-sinh call on [0, T] runs 16 bits below ``tol`` (default: the precision's
     default tolerance), capped at the precision + 16 and at least 53 bits; its
-    error estimate must reach tol/2, else :class:`QuadratureError`."""
+    error estimate must reach tol/2, else :class:`QuadratureError`.
+
+    ``g.fn`` is called once per node.  The integrand is the bits of
+    ``g.fn((rho, theta)) * mp.exp(-w * rho)``, w = z e^(i theta): -w is formed
+    once at the rule's precision, e^(-w rho) is ``mpc_exp`` of two ``mpf_mul``
+    products, and the value multiplies it as mpmath's operators do, an mpf by
+    ``mpc_mul_mpf``, an mpc by ``mpc_mul`` and any other number as
+    ``mp.convert`` reads it."""
     with working_precision(prec) as cfg:
         tolv = as_mpf(tol) if tol is not None else cfg.default_tolerance
         if not (mp.isfinite(tolv) and tolv > 0):
@@ -89,8 +106,17 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
         gap = c - as_mpf(g.B)
         T = max(mp.log(8 * as_mpf(g.A) / (tolv * gap)) / gap, 8 / c)
 
+        # -w at the rule's precision, formed at its first node
+        fn, neg = g.fn, lru_cache(maxsize=1)(lambda prec, rnd: mpc_neg(w._mpc_, prec, rnd))
+
         def integrand(rho):
-            return g.fn((rho, th)) * mp.exp(-w * rho)
+            v = mp.convert(fn((rho, th)))  # an int, a float or a complex exactly
+            prec, rnd = mp.mp._prec_rounding
+            re, im = neg(prec, rnd)
+            r = rho._mpf_
+            e = mpc_exp((mpf_mul(re, r, prec, rnd), mpf_mul(im, r, prec, rnd)), prec, rnd)
+            return mp.make_mpc(mpc_mul(v._mpc_, e, prec, rnd) if hasattr(v, "_mpc_")
+                               else mpc_mul_mpf(e, v._mpf_, prec, rnd))
 
         # the rule refines to its own epsilon; 1 - frexp's exponent is ceil(-log2 tol)
         with mp.workprec(max(53, min(1 - mp.frexp(tolv)[1], cfg.mantissa_bits) + 16)):
@@ -105,13 +131,47 @@ def _binomial_evaluator(m: int, alpha: Fraction, c: Fraction,
                         A: float, B: float) -> BorelEvaluator:
     """(1 + c zeta^(1/m))^alpha on the cover, zeta^(1/m) at the full argument theta/m
     and with no phase at theta = 0.  Integral alpha and c enter exactly, others at
-    the ambient precision, which in the quadrature is 16 bits below its tol."""
+    the ambient precision, which in the quadrature is 16 bits below its tol.
+
+    ``fn`` runs on raw mpmath tuples with the libmp calls and operands of
+    ``(1 + c * mp.root(rho, m) * mp.exp(1j * theta / m)) ** alpha`` through
+    mpmath's operators, so each value has those bits.  The phase, and c and alpha
+    as mpf where they are not integers, are formed once per (theta, precision) of
+    the last ray.  The m = 1 root is +rho, rho rounded to the precision (no
+    identity for a rho wider than it), and the c = 1 product, an identity on that
+    rounded root, is skipped; rho is a modulus, so it is >= 0."""
+    a_int = alpha.numerator if alpha.denominator == 1 else None
+    c_int = c.numerator if c.denominator == 1 else None
+
+    @lru_cache(maxsize=1, typed=True)  # a float theta forms its phase apart from an mpf
+    def ray(theta, prec: int, rnd: str):
+        # the phase e^(i theta/m) (None at theta = 0), c and alpha, at the ambient
+        # precision and rounding, which key the memo
+        return (mp.exp(1j * theta / m)._mpc_ if theta else None,
+                None if c_int is not None else as_mpf(c)._mpf_,
+                None if a_int is not None else as_mpf(alpha)._mpf_)
+
     def fn(zeta: tuple[mp.mpf, mp.mpf]) -> mp.mpc:
         rho, theta = zeta
-        t = (c.numerator if c.denominator == 1 else as_mpf(c)) * mp.root(rho, m)
-        if theta:
-            t *= mp.exp(1j * theta / m)
-        return (1 + t) ** (alpha.numerator if alpha.denominator == 1 else as_mpf(alpha))
+        prec, rnd = mp.mp._prec_rounding
+        phase, c_mpf, a_mpf = ray(theta, prec, rnd)
+        r = mp.convert(rho)._mpf_
+        t = mpf_pos(r, prec, rnd) if m == 1 else mpf_nthroot(r, m, prec, rnd)
+        if c_int is None:
+            t = mpf_mul(c_mpf, t, prec, rnd)
+        elif c_int != 1:
+            t = mpf_mul_int(t, c_int, prec, rnd)
+        if phase is not None:
+            t = mpc_add_mpf(mpc_mul_mpf(phase, t, prec, rnd), fone, prec, rnd)
+            return mp.make_mpc(mpc_pow_int(t, a_int, prec, rnd) if a_mpf is None
+                               else mpc_pow_mpf(t, a_mpf, prec, rnd))
+        t = mpf_add(t, fone, prec, rnd)
+        if a_mpf is None:
+            return mp.make_mpf(mpf_pow_int(t, a_int, prec, rnd))
+        try:
+            return mp.make_mpf(mpf_pow(t, a_mpf, prec, rnd))
+        except ComplexResult:  # a negative base to a fractional power, as mpf ** mpf
+            return mp.make_mpc(mpc_pow((t, fzero), (a_mpf, fzero), prec, rnd))
     return BorelEvaluator(fn=fn, A=A, B=B)
 
 

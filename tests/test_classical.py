@@ -2,6 +2,7 @@ import pickle
 import sys
 import threading
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from mpmath.libmp import mpf_pos, mpf_sum
 
-from borelsum import (PSI_LAMBDA_SUP, DomainError, FormalSeries, GrowthEnvelope,
-                      InsufficientCoefficientsError, PrecisionConfig,
+from borelsum import (PSI_LAMBDA_SUP, DomainError, FactorialExpansion, FormalSeries,
+                      GrowthEnvelope, InsufficientCoefficientsError, PrecisionConfig,
                       RamifiedPoint, SummationResult, b_bound, binomial_series,
                       bound_comparison_table, branch_split, d_coefficient_row, euler_series,
                       example2_series, factorial_expansion, factorial_series_sum,
@@ -19,8 +20,8 @@ from borelsum import (PSI_LAMBDA_SUP, DomainError, FormalSeries, GrowthEnvelope,
                       r_as, r_fact, r_fact_asymptotic, rotate, scale, stirling_first,
                       stirling_transform, working_precision)
 from borelsum import classical, numerics
-from borelsum.classical import _CoefficientRow
-from borelsum.numerics import as_mpf
+from borelsum.classical import _CoefficientRow, _TermRow
+from borelsum.numerics import _Chain, as_mpc, as_mpf
 from borelsum.oracle import BUILTIN_EVALUATORS
 
 from conftest import exact, rounded, sampled_region_envelope_euler
@@ -411,6 +412,113 @@ def test_r_fact_after_a_bounded_sum_at_its_point_builds_no_chain(monkeypatch, pr
         assert r_fact(1, A, B, n, z, prec) > 0
     assert r_fact(1, A, B, N, z, prec) == res.rigorous_bound
     assert calls == [] and built == []
+
+
+# ---------------------------------------------------------------------------
+# a point's loops: kernel chains, term rows and the quadrature's integrand run
+# on raw mpmath tuples, with the bits of their forms through mpmath's operators
+# ---------------------------------------------------------------------------
+
+
+def test_term_rows_are_their_operator_form_bit_for_bit(prec):
+    # each term K_n c_n, its modulus and the running largest condition number
+    # (max keeps the first of equal values) on an Euler row (m = 1, real c_n)
+    # and a rotated example2 row (m = 2, complex c_n)
+    cases = [(euler_series(62, prec), "1", None, 1, mp.mpc("8.75", "-2.25")),
+             (example2_series(62, prec), "0.6", mp.pi / 3, 2, mp.mpc(5))]
+    for f, lam, theta, m, z in cases:
+        with working_precision(prec) as cfg:
+            e = classical._expansion(f, as_mpf(lam), theta, 60, cfg)
+            w = e.lam * z
+            kernels = classical._beta_kernels(w, m, 60)
+            row, = classical._terms([(1, e)], w, m)
+            top = mp.mpf(0)
+            for n, (term, mag, largest) in enumerate(row.upto(60)[1:], 1):
+                c, cond = e._row.values[n]
+                want = kernels[n - 1] * c
+                top = max(top, cond)
+                assert (term._mpc_, mag._mpf_) == (want._mpc_, abs(want)._mpf_), (m, n)
+                assert largest is top, (m, n)
+
+
+def _raw(v):
+    """The type and the raw tuple of an mpmath number."""
+    return type(v).__name__, getattr(v, "_mpc_", None) or getattr(v, "_mpf_", v)
+
+
+def test_a_hand_built_expansion_of_python_numbers_sums_as_mpmath_numbers(prec):
+    # b holding ints, floats and complexes, condition holding ints and floats: the
+    # term row reads each as mpmath's operators do, and the heuristic error takes
+    # |b_(N+1)| at the working precision, so every field has the bits of the same
+    # values given as mpf and mpc (N + 1 = 6, 22, 38 reads an int, a float, a complex)
+    b = [n % 4 - 2 if n % 3 == 0 else (-1) ** n / (n + 1) if n % 3 == 1
+         else complex((-1) ** n / (n + 2), 1 / (n + 3)) for n in range(42)]
+    condition = [n + 1 if n % 2 else 1.5 for n in range(42)]
+    with working_precision(prec):
+        b_mp = [mp.mpc(x) if isinstance(x, complex) else mp.mpf(x) for x in b]
+        condition_mp = [mp.mpf(k) for k in condition]
+    python = FactorialExpansion(lam=mp.mpf(1), b=tuple(b), a0=mp.mpf(0), condition=tuple(condition))
+    mpmath = FactorialExpansion(lam=mp.mpf(1), b=tuple(b_mp), a0=mp.mpf(0),
+                                condition=tuple(condition_mp))
+    env = GrowthEnvelope(A=4, B=0.05, lam=mp.inf)
+    for N in (5, 21, 37):
+        got, want = (factorial_series_sum(e, mp.mpc("5.5", "1.25"), N, env, prec)
+                     for e in (python, mpmath))
+        for field in ("estimate", "rigorous_bound", "heuristic_error", "condition_number",
+                      "diverging"):
+            assert _raw(getattr(got, field)) == _raw(getattr(want, field)), (N, field)
+
+
+_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__pos__",
+              "__abs__")
+
+
+def _count_arithmetic(monkeypatch) -> tuple[Counter, list]:
+    """(calls by name, a switch): every later call of an mp.mpf or mp.mpc
+    arithmetic operator, or of mp.exp, made while the switch reads True."""
+    calls, on = Counter(), [False]
+    def counted(name, op):
+        return lambda *a, **k: (on[0] and calls.update([name]), op(*a, **k))[1]
+    for cls in (mp.mpf, mp.mpc):
+        for name in _OPERATORS:
+            monkeypatch.setattr(cls, name, counted(f"{cls.__name__}.{name}", getattr(cls, name)))
+    monkeypatch.setattr(mp, "exp", counted("exp", mp.exp))
+    return calls, on
+
+
+def test_a_points_loops_make_no_mpmath_arithmetic_per_element(monkeypatch, prec):
+    # a chain grown from 1 to 200 elements, its term row over a depth-201 Euler
+    # row, and every integrand evaluation of one Euler quadrature on the real ray
+    # and on a rotated one: no mpmath operator and no mp.exp per element or node,
+    # only the ray's setup (its phase e^(i theta): three calls, once)
+    e = factorial_expansion(euler_series(202, prec), 1, 201, prec)
+    calls, on = _count_arithmetic(monkeypatch)
+    with working_precision(prec):
+        chain = _Chain(mp.mpc(3, 1), mp.mpf(1))
+        chain.upto(0)
+        row = _TermRow(e._row.values, {1: chain}, 1)
+        on[0] = True
+        chain.upto(199)
+        row.upto(199)
+        on[0] = False
+    assert len(chain.values) == len(row.values) == 200 and calls == Counter()
+    nodes, quad = [], mp.quad
+    def counting_integrand(f, *args, **kwargs):
+        def integrand(rho):
+            nodes.append(rho)
+            on[0] = True
+            try:
+                return f(rho)
+            finally:
+                on[0] = False
+        return quad(integrand, *args, **kwargs)
+    monkeypatch.setattr(mp, "quad", counting_integrand)
+    for theta, setup in ((0, 0), ("0.3", 3)):
+        nodes.clear()
+        laplace_quadrature(BUILTIN_EVALUATORS["euler"], theta, mp.mpc(3, 1), None, prec)
+        assert len(nodes) > 500 and sum(calls.values()) == setup, (theta, calls)
+        calls.clear()
 
 
 def _r_fact_by_gamma_ratio(lam, A, B, N, zc, prec):

@@ -131,6 +131,26 @@ def test_kernel_chain_equals_gamma_ratio_bit_for_bit(prec):
         assert grown.upto(40) == whole and grown.upto(2) == whole, (z, s)
 
 
+def _chain_by_operators(z, s, count, prec):
+    """The chain's recurrence through mpmath's operators, K_n = K_(n-1) (s + n - 1)
+    / (z + s + n - 1) at 64 guard bits, each element rounded once: the reference
+    of its raw-tuple steps."""
+    with working_precision(prec):
+        zc, sf, out = as_mpc(z), as_mpf(s), []
+        with mp.extraprec(64):
+            for n in range(count):
+                k = (k * (sf + (n - 1)) / (zc + sf + (n - 1)) if n else 1 / zc if sf == 1
+                     else mp.exp(mp.loggamma(zc) + mp.loggamma(sf) - mp.loggamma(zc + sf)))
+                out.append(k)
+        return [(+k)._mpc_ for k in out]
+
+
+def test_kernel_chain_is_its_operator_form_bit_for_bit(prec):
+    for z, s, count in _gamma_ratio_families(prec):
+        chain = [k._mpc_ for k in _fresh_chain(z, s, count, prec)]
+        assert chain == _chain_by_operators(z, s, count, prec), (z, s)
+
+
 def test_kernel_chain_at_other_precisions():
     for bits in (53, 113, 512):
         prec = PrecisionConfig(bits)

@@ -14,7 +14,7 @@ from borelsum import (DomainError, PSI_LAMBDA_SUP, PrecisionConfig,
                       euler_series, example2_series, laplace_quadrature, least_term_index,
                       partial_sum, psi_scaled_coefficients, psi_series, r_as,
                       working_precision)
-from borelsum.numerics import as_mpf
+from borelsum.numerics import as_mpc, as_mpf
 from borelsum.oracle import BUILTIN_EVALUATORS, BorelEvaluator, _binomial_evaluator
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,97 @@ def test_terminating_quadrature_is_its_term_sum(tol, workprec, prec):
         g = _binomial_evaluator(m, Fraction(alpha), c, 3, 0.5)
         _within_tol(g, theta, z, tol, prec,
                     lambda: _terminating_laplace(m, alpha, as_mpf(c), z, theta))
+
+
+# ---------------------------------------------------------------------------
+# the integrand and the binomial evaluators run on raw mpmath tuples; their
+# forms through mpmath's operators are the reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_binomial(m, alpha, c):
+    """The binomial evaluator's body through mpmath's operators."""
+    def fn(zeta):
+        rho, theta = zeta
+        t = (c.numerator if c.denominator == 1 else as_mpf(c)) * mp.root(rho, m)
+        if theta:
+            t *= mp.exp(1j * theta / m)
+        return (1 + t) ** (alpha.numerator if alpha.denominator == 1 else as_mpf(alpha))
+    return fn
+
+
+def _reference_quadrature(g, fn, theta, z, tol, prec):
+    """laplace_quadrature with its integrand fn((rho, theta)) * mp.exp(-w * rho)
+    through mpmath's operators."""
+    with working_precision(prec) as cfg:
+        tolv, th = (as_mpf(tol) if tol else cfg.default_tolerance), as_mpf(theta)
+        w = as_mpc(z) * mp.exp(1j * th)
+        c = mp.re(w)
+        gap = c - as_mpf(g.B)
+        T = max(mp.log(8 * as_mpf(g.A) / (tolv * gap)) / gap, 8 / c)
+        with mp.workprec(max(53, min(1 - mp.frexp(tolv)[1], cfg.mantissa_bits) + 16)):
+            val = mp.quad(lambda rho: fn((rho, th)) * mp.exp(-w * rho), [0, T], maxdegree=12)
+        return mp.exp(1j * th) * mp.mpc(val)
+
+
+def _bits(v):
+    """The type and the raw tuple of an mpmath number, or a Python number itself."""
+    return type(v).__name__, getattr(v, "_mpc_", None) or getattr(v, "_mpf_", v)
+
+
+# (evaluator, its reference fn): the built-ins, the two members whose c or
+# alpha is no integer, and user evaluators returning an mpf, an mpc, a Python
+# complex and an int, which the integrand multiplies as mpmath's operators do
+_MEMBERS = {"euler": (1, -1, 1), "example2": (2, Fraction(1, 2), 1), "const1": (1, 0, 1),
+            "binomial(3,-1,1/2)": (3, -1, Fraction(1, 2)),
+            "binomial(4,1/2,1)": (4, Fraction(1, 2), 1)}
+_EVALUATORS = {name: (BUILTIN_EVALUATORS.get(name)
+                      or _binomial_evaluator(m, Fraction(alpha), Fraction(c), 3, 0.5),
+                      _reference_binomial(m, Fraction(alpha), Fraction(c)))
+               for name, (m, alpha, c) in _MEMBERS.items()}
+_EVALUATORS.update({name: (BorelEvaluator(fn=fn, A=A, B=0), fn) for name, fn, A in (
+    ("mpf", lambda zeta: 1 / (1 + zeta[0]), 1),
+    ("mpc", lambda zeta: 1 / (1 + zeta[0] * mp.exp(1j * zeta[1])), 1),
+    ("complex", lambda zeta: 0.5 + 0.25j, 1),
+    ("int", lambda zeta: 3, 3))})
+
+
+def _integrand_values(monkeypatch) -> list:
+    """The type and raw tuple of each later integrand value under mp.quad."""
+    values, quad = [], mp.quad
+    def recording(f, *args, **kwargs):
+        return quad(lambda rho: (values.append(_bits(v := f(rho))), v)[1], *args, **kwargs)
+    monkeypatch.setattr(mp, "quad", recording)
+    return values
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_the_quadrature_and_the_evaluators_are_their_operator_forms(bits, monkeypatch):
+    # every integrand value, not only the result: the rule's 20 guard bits and the
+    # result's rounding would hide an integrand rounded a few bits off
+    prec, values = PrecisionConfig(bits), _integrand_values(monkeypatch)
+    thetas = (0, mp.mpf("0.3"), mp.mpf("-0.4"), mp.pi / 3)
+    with working_precision(prec):
+        # rho at the precision, and one wider, which the m = 1 root rounds
+        rhos = [mp.mpf(x) for x in ("0.001", "0.25", "1", "2.5", "40.5")]
+        with mp.workprec(bits + 40):
+            rhos.append(mp.mpf(1) / 3)
+    for name, (g, fn) in _EVALUATORS.items():
+        # at 256 bits the rule runs below the working precision, as at the default
+        # tol, where -w rounds; the full default tol there only for the benchmark's two
+        tol = "1e-20" if bits == 256 and name not in ("euler", "example2") else None
+        for i, theta in enumerate(thetas):
+            with working_precision(prec):
+                th = as_mpf(theta)
+                for rho in rhos:
+                    assert _bits(g.fn((rho, th))) == _bits(fn((rho, th))), (name, theta, rho)
+            # a real and a complex z on alternate rays, both at 53 bits
+            for z in ((3, mp.mpc(4, 1)) if bits == 53 else ((3, mp.mpc(4, 1))[i % 2],)):
+                values.clear()
+                got, lean = _bits(laplace_quadrature(g, theta, z, tol, prec)), values[:]
+                values.clear()
+                want = _bits(_reference_quadrature(g, fn, theta, z, tol, prec))
+                assert lean == values and got == want, (name, theta, z)
 
 
 # ---------------------------------------------------------------------------
