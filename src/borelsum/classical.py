@@ -37,14 +37,13 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Sequence
 
 import mpmath as mp
 from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_mul, mpf_div, mpf_lt, mpf_pos, mpf_shift,
                           mpf_sum)
 
-from .combinatorics import _STIRLING, d_coefficient_row
+from .combinatorics import _STIRLING, _d_integers
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PRECISION_LOCK, PrecisionConfig, _Chain, _GrowingRow, _positive, as_index,
                        as_mpc, as_mpf, ensure_finite, working_precision)
@@ -117,10 +116,12 @@ class _CoefficientRow(_GrowingRow):
     of the a_l with the factors of ``rotate`` (unless theta is None) and
     ``scale`` on them.  At n = 0 mod m every l/m is an integer k, read off one
     Stirling row, d_{k, n/m-k} = |s(n/m-1, k-1)| (every n at m = 1, where
-    c_n = b_{n-1}); at other n every l/m is fractional, its exact d-row fetched
-    once per growth.  A step writes each weight as an integer k over one D per
-    c_n: k = |s| and D = 1 on a Stirling row, k = P (D/Q) for d = P/Q and D the
-    lcm of the Q on a d-row.  Each part Re a_l, Im a_l times k is exact, a raw
+    c_n = b_{n-1}); at other n every l/m is fractional, of one residue class,
+    its d-row fetched once per growth as the integers E_{l/m,j} = d den_j over
+    the class's shared den_j (``combinatorics._d_integers``).  A step writes each
+    weight as an integer k over one D per c_n: k = |s| and D = 1 on a Stirling
+    row, k = E_{l/m,j} (den_J / den_j) and D = den_J on a d-row, J the largest
+    j present.  Each part Re a_l, Im a_l times k is exact, a raw
     mpf tuple; ``mpf_sum`` at precision 0 sums the real parts, the imaginary
     parts and their moduli exactly, and one ``mpf_div`` by D rounds each sum
     once.  So c_n is the correctly rounded exact sum over the rounded a_l,
@@ -136,7 +137,7 @@ class _CoefficientRow(_GrowingRow):
         self.m, self.coefficients = f.m, f.coefficients
         self.lam, self.theta, self.prec = lam, theta, prec
         self.a = [None]  # the rotated and scaled a_1..a_n, from index 1
-        self.d_rows: dict[int, list[Fraction]] = {}
+        self.d_rows: dict[int, tuple[list[int], list[int]]] = {}
         super().__init__(None)
 
     def upto(self, n: int) -> list:
@@ -144,7 +145,7 @@ class _CoefficientRow(_GrowingRow):
             with working_precision(self.prec):
                 # d_{l/m, j} enters c_k at k = l + jm <= n: each fractional row once
                 m = self.m
-                self.d_rows = {l: d_coefficient_row(Fraction(l, m), (n - l) // m)
+                self.d_rows = {l: _d_integers(Fraction(l, m), (n - l) // m)
                                for l in range(1, n + 1) if l % m and self.coefficients[l] != 0}
                 super().upto(n)
                 self.d_rows = {}
@@ -158,11 +159,11 @@ class _CoefficientRow(_GrowingRow):
         a.append(_homothety(self.lam, n, m) * an)
         if n % m == 0:  # the weight |s| of each a_l, over D = 1
             D, weights = 1, zip(map(abs, _STIRLING.upto(n // m - 1)[n // m - 1]), a[m::m])
-        else:  # the weight P (D/Q) of each a_l, d = P/Q, over D = lcm of the Q
+        else:  # the weight E_{l/m,j} (den_J / den_j) of each a_l, over D = den_J
             rows = self.d_rows
-            d = [(rows[l][(n - l) // m], a[l]) for l in range(n % m, n + 1, m) if l in rows]
-            D = lcm(*(q.denominator for q, _ in d))
-            weights = ((q.numerator * (D // q.denominator), x) for q, x in d)
+            d = [(*rows[l], (n - l) // m, a[l]) for l in range(n % m, n + 1, m) if l in rows]
+            D = d[0][1][d[0][2]] if d else 1  # den_J: the first l read has the largest j
+            weights = ((e[j] * (D // den[j]), x) for e, den, j, x in d)
         # Re a_l and Im a_l times k, exact and unnormalised: mpf_sum at precision 0
         # takes a mantissa of any size and reads the bit count only to drop a part
         # past a 10^6-bit gap.  A zero part stays (., 0, 0, .), which mpf_sum skips;

@@ -177,8 +177,22 @@ def _at_least(low, cast=int, strict=False):
     return convert
 
 
+def _at_most(high, convert=int):
+    """argparse type: ``convert`` of the text, at most ``high``; the size limits below."""
+    def limited(text):
+        if (value := convert(text)) > high:
+            raise argparse.ArgumentTypeError(f"{value} is over the limit {high}")
+        return value
+    limited.__name__ = convert.__name__
+    return limited
+
+
+# the largest sizes a command accepts, so that each ends in bounded time and
+# memory (README § Size limits gives the measured cost of the largest sums)
+MAX_DEPTH, MAX_N_MAX, MAX_PRECISION_BITS = 1000, 1000, 4096
+
 # (flag, default, argparse keywords)
-_PRECISION = ("--precision-bits", 256, {"type": _at_least(53)})
+_PRECISION = ("--precision-bits", 256, {"type": _at_most(MAX_PRECISION_BITS, _at_least(53))})
 _FORMAT = ("--format", "text", {"choices": ("json", "csv", "text")})
 _OUT = ("--out", None, {"help": "write output to a file"})
 _N = ("--N", 20, {"type": int, "help": "truncation index"})
@@ -188,7 +202,8 @@ _COMMON = (
     ("--series", None, {"help": "JSON series file {m, coefficients}"}),
     ("--builtin", None, {"help": f"built-in series ({', '.join(BUILTIN_SERIES)}) or oracle "
                                  f"evaluator ({', '.join(BUILTIN_EVALUATORS)})"}),
-    ("--depth", 160, {"type": int, "help": "coefficient depth for built-in series"}),
+    ("--depth", 160, {"type": _at_most(MAX_DEPTH),
+                      "help": "coefficient depth for built-in series"}),
     ("--method", None, {"choices": METHODS, "required": True}),
     ("--lambda", 1.0, {"type": float, "help": "homothety factor of the factorial expansion"}),
     ("--theta", 0.0, {"type": float, "help": "summation direction"}),
@@ -282,7 +297,8 @@ def _parser() -> _Parser:
               ("--z-mod", None, {"type": _at_least(0, float, strict=True),
                                  "help": "|z| (default |10+10i|)"}),
               ("--z-arg", None, {"type": float, "help": "arg z (default pi/4)"}),
-              ("--n-max", 30, {"type": _at_least(0)}), _PRECISION, _FORMAT, _OUT]),
+              ("--n-max", 30, {"type": _at_most(MAX_N_MAX, _at_least(0))}), _PRECISION, _FORMAT,
+               _OUT]),
             ("reproduce", _reproduce,
              "Re-run a stored reference configuration and grade each row.",
              [("target", None, {"choices": [*repro.TARGETS, "all"]}), _PRECISION, _OUT])):

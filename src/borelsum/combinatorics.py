@@ -16,18 +16,21 @@ where B_{j,p} are partial exponential Bell polynomials.  For rational r the
 gamma factors collapse to rational rising/falling products, so d_{r,j} is an
 exact rational; 1/Gamma(r-p) at a pole contributes an exact zero factor.
 
-The library evaluates d only through the row recurrence of
-:func:`d_coefficient_row`, cached per r.  It runs in integer arithmetic:
-the coefficients of a row are integer numerators over one shared
-denominator, so an entry takes a few gcds in place of a Fraction sum's
-gcds for every term.  The results are the same exact Fractions.  The Bell
-form above is the definition the test suite checks those rows against;
-:func:`bell_partial` gives its B_{j,p} at x_l = l!/(l+1), cached.
+The library evaluates d only as one triangle per residue class r0 in (0, 1]
+(docs/d-coefficient-triangle.md): the base row r0 runs the power recurrence
+of :func:`d_coefficient_row`, and each row r0 + k above it grows from the
+one below by d_{R,n} = (R+n-2) d_{R,n-1} + d_{R-1,n}.  Every entry is an
+integer over a denominator den_n that the whole class shares, so a step is
+one integer multiply-add, and the coefficient rows of ``classical`` read
+those integers directly.  :func:`d_coefficient_row` returns the same exact
+Fractions.  The Bell form above is the definition the test suite checks
+those rows against; :func:`bell_partial` gives its B_{j,p} at
+x_l = l!/(l+1), cached.
 
-Every cached recurrence (Stirling rows, d-rows, the coefficient and term rows of
-``classical``, the psi coefficients of ``oracle``, the kernel chains of
-``numerics``) is a ``numerics._GrowingRow``, grown in place under its
-``PRECISION_LOCK``.  At every m a coefficient row reads integer r = l/m off
+Every cached recurrence (Stirling rows, the base d-rows, the coefficient and
+term rows of ``classical``, the psi coefficients of ``oracle``, the kernel
+chains of ``numerics``) is a ``numerics._GrowingRow``, grown in place under
+its ``PRECISION_LOCK``; the rows above a base d-row grow under it too.  At every m a coefficient row reads integer r = l/m off
 the Stirling rows, d_{k,j} = |s(k+j-1, k-1)|, and only fractional r off d-rows.
 """
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm
+from math import ceil, comb, factorial, gcd, lcm
 from operator import mul
 
 import mpmath as mp
@@ -109,20 +112,25 @@ _STIRLING = _StirlingRows([1])
 
 
 class _DRow(_GrowingRow):
-    """Exact d_{r,0}, d_{r,1}, ... for one r.
+    """The base row of a residue class r0 = p/q in (0, 1]: E_n = d_{r0,n} den_n
+    over den_n = q^n B_n, B_n the lcm of the reduced denominators of
+    q^j d_{r0,j} for j <= n.  ``den`` lists den_n, ``growth`` B_n / B_{n-1}.
 
-    Keeps c_n = [w^n] h(w)^(r-1) as integer numerators over one shared
-    denominator, the integer q^n r(r+1)...(r+n-1) (r = p/q) and lcm(1..n+1),
-    so growing resumes the power recurrence instead of restarting it.
+    Keeps c_n = [w^n] h(w)^(r0-1) as integer numerators over one shared
+    denominator, the integer p (p+q) ... (p+(n-1)q) and lcm(1..n+1), so growing
+    resumes the power recurrence instead of restarting it.  It is the one place
+    that recurrence runs: the rows above the base are the triangle of
+    :class:`_DClass`.
     """
 
-    def __init__(self, r: Fraction):
-        super().__init__(Fraction(1))
-        self.r = r
+    def __init__(self, r0: Fraction):
+        super().__init__(1)
+        self.r = r0
         self.c = _SharedDenominatorRow(Fraction(1))
-        self.rising = self.lcm = 1
+        self.rising = self.lcm = self.b = 1
+        self.den, self.growth = [1], [1]
 
-    def step(self, n: int) -> Fraction:
+    def step(self, n: int) -> int:
         c, p, q = self.c, self.r.numerator, self.r.denominator
         # n c_n = sum_{k=1}^{n} (r k - n) h_k c_{n-k},  h_k = 1/(k+1); with
         # L = lcm(2..n+1) every L h_k is an integer, so the sum is one
@@ -133,10 +141,60 @@ class _DRow(_GrowingRow):
         cn = Fraction(s, n * q * L * c.den)
         c.append(cn)
         self.rising *= p + (n - 1) * q
-        return Fraction(cn.numerator * self.rising, cn.denominator * q ** n)
+        v = Fraction(cn.numerator * self.rising, cn.denominator)  # q^n d_{r0,n}, reduced
+        b = lcm(self.b, v.denominator)
+        self.growth.append(b // self.b)
+        self.b = b
+        self.den.append(q ** n * b)
+        return v.numerator * (b // v.denominator)
 
 
-_D_ROWS: dict[Fraction, _DRow] = {}
+class _DClass:
+    """The d-rows of one residue class r0 = p/q in (0, 1]: row k holds the
+    integers E_{r0+k,n} = d_{r0+k,n} den_n over the base row's den_n, shared by
+    every row of the class (docs/d-coefficient-triangle.md).
+
+    Row 0 is the base row.  Above it d_{R,n} = (R+n-2) d_{R,n-1} + d_{R-1,n}, so
+    with den_n / den_{n-1} = q B_n / B_{n-1} every entry is one exact step,
+
+        E_{r0+k,n} = (p + (k+n-2) q) (B_n / B_{n-1}) E_{r0+k,n-1} + E_{r0+k-1,n},
+
+    and an integer, as q (R+n-2) is.  Rows only ever grow, each from the one
+    below, so whatever the order of the requests every entry is the same.
+    """
+
+    def __init__(self, r0: Fraction):
+        self.base = _DRow(r0)
+        self.rows = [self.base.values]
+
+    def row(self, k: int, n: int) -> list[int]:
+        """The live list E_{r0+k,0..}, holding at least n + 1 entries; call
+        under ``PRECISION_LOCK``, read it, never change it."""
+        base, rows = self.base, self.rows
+        base.upto(n)
+        p, q, growth = base.r.numerator, base.r.denominator, base.growth
+        while len(rows) <= k:
+            rows.append([1])
+        for i in range(1, k + 1):
+            below, row = rows[i - 1], rows[i]
+            for j in range(len(row), n + 1):
+                row.append((p + (i + j - 2) * q) * growth[j] * row[j - 1] + below[j])
+        return rows[k]
+
+
+_D_ROWS: dict[Fraction, _DClass] = {}
+
+
+def _d_integers(r: Fraction, j_max: int) -> tuple[list[int], list[int]]:
+    """(E, den) with d_{r,j} = E[j] / den[j] for j <= j_max, r > 0 rational: the
+    live lists of r's row and of its class's denominators.  Read them, never
+    change them."""
+    k = ceil(r) - 1
+    with PRECISION_LOCK:
+        cls = _D_ROWS.get(r - k)
+        if cls is None:
+            cls = _D_ROWS[r - k] = _DClass(r - k)
+        return cls.row(k, j_max), cls.base.den
 
 
 def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
@@ -147,21 +205,20 @@ def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
 
         sum_p B_{j,p}(1!/2, ...) Gamma(r)/Gamma(r-p) = j! [w^j] h(w)^(r-1),
 
-    so d_{r,j} = [w^j] h(w)^(r-1) * r(r+1)...(r+j-1), and the row comes out
-    of the power recurrence for h^(r-1) (Knuth, TAOCP vol. 2, 4.7) in
-    O(j_max^2) integer operations and one reduced Fraction per entry.  Rows
-    are cached per r and only ever extended, so a deeper request continues
-    where the last one stopped.
+    so d_{r,j} = [w^j] h(w)^(r-1) * r(r+1)...(r+j-1).  That power recurrence
+    (Knuth, TAOCP vol. 2, 4.7) runs once per residue class, on its base row
+    r0 = r - ceil(r) + 1 in (0, 1]; the rows r0 + 1, r0 + 2, ... grow from it by
+    d_{R,n} = (R+n-2) d_{R,n-1} + d_{R-1,n}, one exact integer step per entry
+    over the class's shared denominators (docs/d-coefficient-triangle.md).
+    Rows are cached and only ever extended, so a deeper request continues
+    where the last one stopped; the Fractions are read off those integers.
     """
     r = as_fraction(r, "d_coefficient_row needs a finite rational r")
     if r <= 0:
         raise DomainError("d_coefficient_row requires r > 0")
     j_max = as_index(j_max, "d_coefficient_row", "j_max")
-    with PRECISION_LOCK:
-        row = _D_ROWS.get(r)
-        if row is None:
-            row = _D_ROWS[r] = _DRow(r)
-    return row.upto(j_max)[:j_max + 1]
+    e, den = _d_integers(r, j_max)
+    return list(map(Fraction, e[:j_max + 1], den))
 
 
 def d_coefficient_exact(r: Fraction | int, j: int) -> Fraction:

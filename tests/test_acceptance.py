@@ -124,7 +124,7 @@ def test_criterion_06_table5():
 def test_a_repeated_target_reads_its_own_series_again(monkeypatch):
     # table5 asks for a deeper example2 than table4; table4 run again must still
     # read the series it grew its lambda = 1 row on, and fetch no d-row
-    from borelsum import classical, ramified
+    from borelsum import classical, combinatorics, ramified
     monkeypatch.setattr(repro, "_BUILT", {})
     summed, fetched = [], []
 
@@ -134,10 +134,10 @@ def test_a_repeated_target_reads_its_own_series_again(monkeypatch):
 
     def fetching(*args):
         fetched.append(args)
-        return d_coefficient_row(*args)
+        return combinatorics._d_integers(*args)
 
     monkeypatch.setattr(ramified, "generalized_factorial_sum", summing)  # what summate reads
-    monkeypatch.setattr(classical, "d_coefficient_row", fetching)
+    monkeypatch.setattr(classical, "_d_integers", fetching)  # what the coefficient row reads
     first = repro.run_target("table4", PREC)
     series = summed[0]
     repro.run_target("table5", PREC)

@@ -19,7 +19,7 @@ from borelsum import (PSI_LAMBDA_SUP, DomainError, FactorialExpansion, FormalSer
                       least_term_index, least_term_sum_ramified, partial_sum, psi_series,
                       r_as, r_fact, r_fact_asymptotic, rotate, scale, stirling_first,
                       stirling_transform, working_precision)
-from borelsum import classical, numerics
+from borelsum import classical, combinatorics, numerics
 from borelsum.classical import _CoefficientRow, _TermRow
 from borelsum.numerics import _Chain, as_mpc, as_mpf
 from borelsum.oracle import BUILTIN_EVALUATORS
@@ -123,7 +123,11 @@ def _row(f, lam, theta, n_max, prec):
 
 def _assert_row_is_the_exact_sums(f, lam, theta, n_max, prec):
     row, want = _row(f, lam, theta, n_max, prec), _rows_by_exact_sums(f, lam, theta, n_max, prec)
-    assert [(c._mpc_, k._mpf_) for c, k in row] == [(c._mpc_, k._mpf_) for c, k in want]
+    assert _raw(row) == _raw(want)
+
+
+def _raw(row):
+    return [(c._mpc_, k._mpf_) for c, k in row]
 
 
 def _extreme_series(depth, prec):
@@ -216,6 +220,65 @@ def test_a_coefficient_row_rounds_once_per_coefficient(monkeypatch):
         _CoefficientRow(f, lam, theta, prec).upto(depth)
         assert len(divisions) == 3 * depth
     assert products == []
+
+
+def test_a_rotated_example2_row_runs_the_power_recurrence_on_its_base_row_only(monkeypatch):
+    # the d-rows 1/2, 3/2, ..., 149/2 that c_1..c_151 read are one triangle: its
+    # base row 1/2 steps the power recurrence to j = 75, every row above it takes
+    # one integer step per entry, and a coefficient step reads those integers and
+    # builds no Fraction (a power recurrence per row made 2775 steps)
+    steps, built, inside = [], [], [False]
+    step, row_step, new = combinatorics._DRow.step, _CoefficientRow.step, Fraction.__new__
+
+    def counted_row_step(self, n):
+        inside[0] = True
+        try:
+            return row_step(self, n)
+        finally:
+            inside[0] = False
+
+    def counted_new(cls, *args, **kwargs):
+        if inside[0]:
+            built.append(args)
+        return new(cls, *args, **kwargs)
+
+    prec = PrecisionConfig(256)
+    f = example2_series(151, prec)
+    with working_precision(prec):
+        row = _CoefficientRow(f, mp.mpf("0.6"), mp.pi / 3, prec)
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics._DRow, "step",
+                        lambda self, n: (steps.append((self.r, n)), step(self, n))[1])
+    monkeypatch.setattr(_CoefficientRow, "step", counted_row_step)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    row.upto(151)
+    assert len(steps) <= 76 and {r for r, _ in steps} == {Fraction(1, 2)}
+    assert built == [] and len(row.values) == 152
+    assert list(combinatorics._D_ROWS) == [Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("series, lam, theta", [
+    (lambda p: example2_series(151, p), "0.6", "pi/3"),
+    (lambda p: psi_series(151, p), PSI_LAMBDA_SUP, "0.5"),
+    (lambda p: binomial_series(4, "1/2", 1, 151, p), "0.7", "0.4"),
+    (lambda p: binomial_series(5, "3/2", 1, 151, p), "1.3", None),
+], ids=["example2", "psi", "binomial-4", "binomial-5"])
+def test_coefficient_rows_grown_in_steps_are_fresh_rows_and_the_exact_sums(
+        monkeypatch, series, lam, theta):
+    # m = 2..5: the triangle grown across three requests, and from nothing at once,
+    # gives every c_n and condition number the Fraction sums give, rounded once
+    prec = PrecisionConfig(256)
+    f = series(prec)
+    with working_precision(prec):
+        lam, theta = as_mpf(lam), theta and (mp.pi / 3 if theta == "pi/3" else as_mpf(theta))
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    grown = _CoefficientRow(f, lam, theta, prec)
+    for n in (11, 41, 151):
+        grown.upto(n)
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    fresh = _row(f, lam, theta, 151, prec)
+    assert _raw(grown.values[1:]) == _raw(fresh) == _raw(_rows_by_exact_sums(f, lam, theta,
+                                                                             151, prec))
 
 
 # ---------------------------------------------------------------------------

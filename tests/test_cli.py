@@ -216,6 +216,36 @@ def test_precision_below_53_bits_is_a_usage_error():
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("--builtin", "psi", "--method", "branch", "--z-mod", "12", "--N", "10",
+     "--precision-bits", "100000000"),
+    ("--builtin", "euler", "--method", "factorial", "--z-mod", "3", "--N", "10",
+     "--depth", "99999999999999999999")], ids=["precision-bits", "depth"])
+def test_a_size_over_its_limit_is_a_usage_error_before_any_work(monkeypatch, args):
+    # once each ran without bound; now the parser refuses them, and no series is
+    # built and nothing summed
+    from borelsum import cli
+    work = []
+    monkeypatch.setattr(cli, "_load_input", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "summate", lambda *a, **k: work.append(a))
+    proc = run_cli("sum", *args, expect=1)
+    assert f"argument {args[-2]}: {args[-1]} is over the limit" in proc.stderr
+    assert proc.stdout == "" and work == []
+
+
+def test_the_size_limits_admit_their_largest_values():
+    # compare-bounds at the largest --n-max; the largest depth and precision parse
+    from borelsum import cli
+    records = json.loads(run_cli("compare-bounds", "--n-max", str(cli.MAX_N_MAX),
+                                 "--format", "json").stdout)
+    assert records[-1]["n"] == cli.MAX_N_MAX
+    run_cli("compare-bounds", "--n-max", str(cli.MAX_N_MAX + 1), expect=1)
+    args = cli._parser().parse_args(["sum", "--builtin", "euler", "--method", "oracle",
+                                     "--z-mod", "3", "--depth", str(cli.MAX_DEPTH),
+                                     "--precision-bits", str(cli.MAX_PRECISION_BITS)])
+    assert (args.depth, args.precision_bits) == (cli.MAX_DEPTH, cli.MAX_PRECISION_BITS)
+
+
 def test_reproduce_clean_targets_exit_0():
     run_cli("reproduce", "table3", expect=0)
     run_cli("reproduce", "fig2", expect=0)

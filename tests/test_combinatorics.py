@@ -231,9 +231,37 @@ _WORKLOAD_ROWS = ([(Fraction(l, 2), (151 - l) // 2) for l in range(1, 151)]
 
 
 def test_d_rows_equal_the_fraction_power_recurrence(monkeypatch):
+    # above its class's base row r - ceil(r) + 1 a row grows by the triangle's step,
+    # never by the power recurrence the reference runs; at small r and j the Bell
+    # definition agrees too
     monkeypatch.setattr(combinatorics, "_D_ROWS", {})
     for r, j_max in _WORKLOAD_ROWS:
-        assert d_coefficient_row(r, j_max) == _d_power_recurrence(r, j_max), (r, j_max)
+        row = d_coefficient_row(r, j_max)
+        assert row == _d_power_recurrence(r, j_max), (r, j_max)
+        if r <= 4:
+            assert row[:13] == [_d_bell(r, j) for j in range(min(j_max, 12) + 1)], r
+
+
+# the same rows requested in three orders: descending r inside one class,
+# interleaved classes (4/3 and 5/3 sit above 1/3 and 2/3), shallow then deep
+_REQUEST_ORDERS = {
+    "descending": [(Fraction(l, 2), (121 - l) // 2) for l in range(119, 0, -2)],
+    "interleaved": [(Fraction(l, 3), j) for j in (5, 40, 17, 60, 2) for l in (1, 2, 4, 5)],
+    "shallow-then-deep": [(Fraction(l, m), j) for j in (3, 50) for m in (2, 5)
+                          for l in range(1, 4 * m) if l % m],
+}
+
+
+@pytest.mark.parametrize("order", list(_REQUEST_ORDERS))
+def test_d_rows_are_the_same_in_any_request_order(monkeypatch, order):
+    requests = _REQUEST_ORDERS[order]
+    depth = {r: max(j for s, j in requests if s == r) for r, _ in requests}
+    want = {r: _d_power_recurrence(r, j) for r, j in depth.items()}
+    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    for r, j in requests:
+        assert d_coefficient_row(r, j) == want[r][:j + 1], (r, j)
+    # one cache entry per residue class, keyed by its base row in (0, 1]
+    assert set(combinatorics._D_ROWS) == {r - (r.numerator // r.denominator) for r in depth}
 
 
 def test_d_rows_grown_in_steps_equal_fresh_rows(monkeypatch):
@@ -300,7 +328,7 @@ def test_generalized_passes_build_no_integer_d_row(monkeypatch, prec):
     rotated_generalized_sum(example2_series(61, prec), "0.5", "0.6", z, 60, prec)
     generalized_factorial_sum(psi_series(61, prec), PSI_LAMBDA_SUP, z, 60, prec)
     assert combinatorics._D_ROWS
-    assert all(r.denominator > 1 for r in combinatorics._D_ROWS)
+    assert all(0 < r < 1 for r in combinatorics._D_ROWS)
 
 
 # each row kind: (give it an empty cache, its requests, one read through the API)
