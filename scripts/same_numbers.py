@@ -74,14 +74,15 @@ from test_cli import GOLDEN_COMMANDS, REFUSED_FLAGS, USAGE_ERRORS  # noqa: E402
 # theta = 0, which must stay the unrotated generalized sum, the rotated m = 1
 # generalized route, the first gated m = 1 row whose coefficients have nonzero
 # imaginary parts, the rotated psi generalized route, which makes complex parts
-# at m = 3, on the Stirling rows and on the fractional d-rows, a gated path, the
+# at m = 3, on the Stirling and on the fractional antidiagonals, a gated path, the
 # euler oracle at tol 1e-3, whose quadrature runs at its 53-bit floor, and the
 # usage errors of tests/test_cli.py (``REFUSED_FLAGS``, ``USAGE_ERRORS``):
 # abbreviated and unknown flags, no or an unknown command, a missing target, an
 # unknown format and a non-integer N, each of which exits 1 with empty stdout,
 # and the index domain errors of its ``test_domain_error_exits_2``, which exit 2
 # with a message naming the route and the index: a negative N for the factorial
-# and the branch route and a negative psi depth
+# and the branch route and a negative psi depth, and two walks past the
+# benchmark's depths, factorial Euler at N = 600 and generalized example2 at N = 400
 _JSON = ("--format", "json")
 EXTRA = [
     ("table", "--builtin", "psi", "--method", "generalized", "--lambda", "2.885390081777927",
@@ -123,6 +124,10 @@ EXTRA = [
     *(("sum", "--builtin", "euler", "--method", method, "--z-mod", "3", "--N", "-1")
       for method in ("factorial", "branch")),
     ("sum", "--builtin", "psi", "--method", "branch", "--z-mod", "12", "--depth", "-3"),
+    ("sum", "--builtin", "euler", "--method", "factorial", "--z-mod", "3", "--N", "600",
+     "--depth", "601", *_JSON),
+    ("sum", "--builtin", "example2", "--method", "generalized", "--z-mod", "6", "--N", "400",
+     "--depth", "402", *_JSON),
 ]
 
 
@@ -164,8 +169,8 @@ for name in spec.WORKLOADS:
         print(key, mp.nstr(v, 90))
         roundoff(key, c, v)
 
-# an m = 3 member, where c_n at n = 0 mod 3 reads the Stirling rows and every other
-# c_n the fractional d-rows: its c_1..c_120 at lambda = 1, unrotated and at theta = 0.4
+# an m = 3 member, where c_n at n = 0 mod 3 reads a Stirling antidiagonal and every
+# other c_n a fractional one: its c_1..c_120 at lambda = 1, unrotated and at theta = 0.4
 from borelsum import binomial_series, working_precision
 from borelsum.classical import _expansion
 with working_precision(None) as cfg:

@@ -23,8 +23,8 @@ on the series, serves both, and one body, ``_kernel_sum``, forms every
 factorial-type result from such rows, with its chains, tail and bound.  Each
 coefficient carries its condition number, as the transform cancels
 factorially large terms; work at 53 bits and the stored reference tables
-below some depth are simply unreachable.  At every m an integer l/m reads the
-Stirling row, a fractional l/m its exact d-row, and each coefficient is one
+below some depth are simply unreachable.  At every m each coefficient reads
+one antidiagonal of exact d-weights, the Stirling row at m = 1, and is one
 exact sum of its weighted parts over the rounded a_l, rounded once (N. Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 4),
 then divided by Gamma(n/m).
@@ -43,7 +43,7 @@ import mpmath as mp
 from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_mul, mpf_div, mpf_lt, mpf_pos, mpf_shift,
                           mpf_sum)
 
-from .combinatorics import _STIRLING, _d_integers
+from .combinatorics import _base_row, _next_antidiagonal
 from .errors import DomainError, InsufficientCoefficientsError
 from .numerics import (PRECISION_LOCK, PrecisionConfig, _Chain, _GrowingRow, _positive, as_index,
                        as_mpc, as_mpf, ensure_finite, working_precision)
@@ -114,22 +114,21 @@ class _CoefficientRow(_GrowingRow):
         c_n = sum_{l <= n, l = n mod m} d_{l/m, (n-l)/m} a_l / Gamma(n/m)
 
     of the a_l with the factors of ``rotate`` (unless theta is None) and
-    ``scale`` on them.  At n = 0 mod m every l/m is an integer k, read off one
-    Stirling row, d_{k, n/m-k} = |s(n/m-1, k-1)| (every n at m = 1, where
-    c_n = b_{n-1}); at other n every l/m is fractional, of one residue class,
-    its d-row fetched once per growth as the integers E_{l/m,j} = d den_j over
-    the class's shared den_j (``combinatorics._d_integers``).  A step writes each
-    weight as an integer k over one D per c_n: k = |s| and D = 1 on a Stirling
-    row, k = E_{l/m,j} (den_J / den_j) and D = den_J on a d-row, J the largest
-    j present.  Each part Re a_l, Im a_l times k is exact, a raw
-    mpf tuple; ``mpf_sum`` at precision 0 sums the real parts, the imaginary
-    parts and their moduli exactly, and one ``mpf_div`` by D rounds each sum
-    once.  So c_n is the correctly rounded exact sum over the rounded a_l,
-    whatever the order or the exponent gaps of its parts (up to the 10^6 bits
-    ``mpf_sum`` keeps), divided by Gamma(n/m).  The condition number is sum_l |d| (|Re a_l| +
-    |Im a_l|) over |sum_l d a_l|: sum |t| over |sum t| on real terms t, within
-    sqrt 2 of it on complex ones.  The row holds f's m and coefficients, not f,
-    so f pickles with it.
+    ``scale`` on them; at m = 1, c_n = b_{n-1}.  The l of c_n are l0, l0 + m,
+    ..., n, and its weights antidiagonal s = (n - 1) // m of the class
+    r0 = l0/m (``combinatorics._next_antidiagonal``): d_{l/m,(n-l)/m} den_s,
+    integers over one D = den_s, the Stirling row |s(s, .)| over D = 1 at
+    r0 = 1.  The row keeps the last antidiagonal of each class and steps it
+    once per c_n; ``upto`` grows the classes' shared base rows first.  Each
+    part Re a_l, Im a_l times its weight k is exact, a raw mpf tuple;
+    ``mpf_sum`` at precision 0 sums the real parts, the imaginary parts and
+    their moduli exactly, and one ``mpf_div`` by D rounds each sum once.  So
+    c_n is the correctly rounded exact sum over the rounded a_l, whatever the
+    order or the exponent gaps of its parts (up to the 10^6 bits ``mpf_sum``
+    keeps), divided by Gamma(n/m).  The condition number is sum_l |d|
+    (|Re a_l| + |Im a_l|) over |sum_l d a_l|: sum |t| over |sum t| on real
+    terms t, within sqrt 2 of it on complex ones.  The row holds f's m and
+    coefficients, not f, so f pickles with it.
     """
 
     def __init__(self, f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None,
@@ -137,18 +136,18 @@ class _CoefficientRow(_GrowingRow):
         self.m, self.coefficients = f.m, f.coefficients
         self.lam, self.theta, self.prec = lam, theta, prec
         self.a = [None]  # the rotated and scaled a_1..a_n, from index 1
-        self.d_rows: dict[int, tuple[list[int], list[int]]] = {}
+        self.bases = [None]  # the base row of each class l0 = 1, 2, ... read so far
+        self.walks: dict[int, list[int]] = {}  # the last antidiagonal of each class l0
         super().__init__(None)
 
     def upto(self, n: int) -> list:
         if len(self.values) <= n:
-            with working_precision(self.prec):
-                # d_{l/m, j} enters c_k at k = l + jm <= n: each fractional row once
-                m = self.m
-                self.d_rows = {l: _d_integers(Fraction(l, m), (n - l) // m)
-                               for l in range(1, n + 1) if l % m and self.coefficients[l] != 0}
+            with working_precision(self.prec):  # which holds PRECISION_LOCK
+                m, bases = self.m, self.bases
+                bases += [_base_row(Fraction(l0, m)) for l0 in range(len(bases), min(m, n) + 1)]
+                for l0, base in enumerate(bases[1:], 1):  # grown here: a step builds no Fraction
+                    base.upto((n - l0) // m)  # the last antidiagonal that class l0 reads
                 super().upto(n)
-                self.d_rows = {}
         return self.values
 
     def step(self, n: int) -> tuple[mp.mpc, mp.mpf]:
@@ -157,13 +156,11 @@ class _CoefficientRow(_GrowingRow):
         if self.theta is not None:
             an = an * _rotation(self.theta, n, m)
         a.append(_homothety(self.lam, n, m) * an)
-        if n % m == 0:  # the weight |s| of each a_l, over D = 1
-            D, weights = 1, zip(map(abs, _STIRLING.upto(n // m - 1)[n // m - 1]), a[m::m])
-        else:  # the weight E_{l/m,j} (den_J / den_j) of each a_l, over D = den_J
-            rows = self.d_rows
-            d = [(*rows[l], (n - l) // m, a[l]) for l in range(n % m, n + 1, m) if l in rows]
-            D = d[0][1][d[0][2]] if d else 1  # den_J: the first l read has the largest j
-            weights = ((e[j] * (D // den[j]), x) for e, den, j, x in d)
+        s = (n - 1) // m
+        l0 = n - s * m  # c_n sums a_l0, a_(l0+m), ..., a_n
+        base = self.bases[l0]
+        walk = self.walks[l0] = _next_antidiagonal(base, s, self.walks[l0]) if s else [1]
+        D, weights = base.den[s], zip(walk, a[l0::m])
         # Re a_l and Im a_l times k, exact and unnormalised: mpf_sum at precision 0
         # takes a mantissa of any size and reads the bit count only to drop a part
         # past a 10^6-bit gap.  A zero part stays (., 0, 0, .), which mpf_sum skips;

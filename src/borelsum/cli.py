@@ -72,7 +72,7 @@ def _load_input(series_path, builtin, depth, prec) -> FormalSeries:
                 f"unknown builtin {builtin!r}; choose from {sorted(BUILTIN_SERIES)}")
         return BUILTIN_SERIES[builtin](depth, prec)
     try:
-        return load_series(series_path, prec)
+        return load_series(series_path, prec, MAX_DEPTH + 1)
     except OSError as exc:
         raise UsageError(f"cannot read series file: {exc}")
     except DomainError as exc:
@@ -188,7 +188,8 @@ def _at_most(high, convert=int):
 
 
 # the largest sizes a command accepts, so that each ends in bounded time and
-# memory (README § Size limits gives the measured cost of the largest sums)
+# memory (README § Size limits gives the measured cost of the largest sums); a
+# --series file holds at most a_0..a_MAX_DEPTH, as a --builtin series does
 MAX_DEPTH, MAX_N_MAX, MAX_PRECISION_BITS = 1000, 1000, 4096
 
 # (flag, default, argparse keywords)

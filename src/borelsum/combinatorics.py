@@ -16,22 +16,24 @@ where B_{j,p} are partial exponential Bell polynomials.  For rational r the
 gamma factors collapse to rational rising/falling products, so d_{r,j} is an
 exact rational; 1/Gamma(r-p) at a pole contributes an exact zero factor.
 
-The library evaluates d only as one triangle per residue class r0 in (0, 1]
-(docs/d-coefficient-triangle.md): the base row r0 runs the power recurrence
-of :func:`d_coefficient_row`, and each row r0 + k above it grows from the
-one below by d_{R,n} = (R+n-2) d_{R,n-1} + d_{R-1,n}.  Every entry is an
-integer over a denominator den_n that the whole class shares, so a step is
-one integer multiply-add, and the coefficient rows of ``classical`` read
-those integers directly.  :func:`d_coefficient_row` returns the same exact
-Fractions.  The Bell form above is the definition the test suite checks
-those rows against; :func:`bell_partial` gives its B_{j,p} at
-x_l = l!/(l+1), cached.
+The library evaluates d along the antidiagonals of one triangle per residue
+class r0 in (0, 1] (docs/d-coefficient-triangle.md).  The base row r0 runs the
+power recurrence of :func:`d_coefficient_row` and is shared by the process.
+Antidiagonal s, the entries d_{r0+k,s-k}, grows from antidiagonal s - 1 by
+d_{R,n} = (R+n-2) d_{R,n-1} + d_{R-1,n}; over the one denominator den_s of its
+base entry every entry is an integer, so a step is one integer multiply-add
+per entry.  At r0 = 1 the base row is 1, 0, 0, ... over den 1 and antidiagonal
+s is the unsigned Stirling row |s(s, k)|.  A coefficient row of ``classical``
+reads one antidiagonal per c_n, so it keeps the last one of each class and
+steps it; the public functions here walk the same step along the rows of a
+fresh triangle, and nothing above a base row outlives its walk.  The Bell
+form above is the definition the test suite checks the rows against;
+:func:`bell_partial` gives its B_{j,p} at x_l = l!/(l+1), cached.
 
-Every cached recurrence (Stirling rows, the base d-rows, the coefficient and
-term rows of ``classical``, the psi coefficients of ``oracle``, the kernel
-chains of ``numerics``) is a ``numerics._GrowingRow``, grown in place under
-its ``PRECISION_LOCK``; the rows above a base d-row grow under it too.  At every m a coefficient row reads integer r = l/m off
-the Stirling rows, d_{k,j} = |s(k+j-1, k-1)|, and only fractional r off d-rows.
+Every cached recurrence (the base d-rows, the coefficient and term rows of
+``classical``, the psi coefficients of ``oracle``, the kernel chains of
+``numerics``) is a ``numerics._GrowingRow``, grown in place under its
+``PRECISION_LOCK``.
 """
 
 from __future__ import annotations
@@ -51,12 +53,14 @@ from .numerics import (PRECISION_LOCK, PrecisionConfig, _GrowingRow, as_fraction
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k), exact.
 
-    Convention: prod_{i=0}^{n-1} (x - i) = sum_k s(n, k) x^k.
+    Convention: prod_{i=0}^{n-1} (x - i) = sum_k s(n, k) x^k.  |s(n, k)| is entry
+    k of antidiagonal n of the class r0 = 1, entry n - k of row k, read off a
+    fresh walk of O(k (n - k)) integer steps.
     """
     n, k = as_index(n, "stirling_first", "n"), as_index(k, "stirling_first", "k")
     if k > n:
         raise DomainError(f"stirling_first requires 0 <= k <= n, got ({n}, {k})")
-    return _STIRLING.upto(n)[n][k]
+    return (-1) ** (n - k) * _triangle_row(Fraction(1), k, n - k)[0][-1]
 
 
 def bell_partial(j: int, p: int) -> Fraction:
@@ -99,18 +103,6 @@ class _SharedDenominatorRow:
         self.num.append(value.numerator * (self.den // value.denominator))
 
 
-class _StirlingRows(_GrowingRow):
-    """Row n is [s(n, 0), ..., s(n, n)], by s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)."""
-
-    def step(self, n: int) -> list[int]:
-        prev = self.values[n - 1]
-        return [(prev[k - 1] if k else 0) - (n - 1) * (prev[k] if k < n else 0)
-                for k in range(n + 1)]
-
-
-_STIRLING = _StirlingRows([1])
-
-
 class _DRow(_GrowingRow):
     """The base row of a residue class r0 = p/q in (0, 1]: E_n = d_{r0,n} den_n
     over den_n = q^n B_n, B_n the lcm of the reduced denominators of
@@ -119,8 +111,8 @@ class _DRow(_GrowingRow):
     Keeps c_n = [w^n] h(w)^(r0-1) as integer numerators over one shared
     denominator, the integer p (p+q) ... (p+(n-1)q) and lcm(1..n+1), so growing
     resumes the power recurrence instead of restarting it.  It is the one place
-    that recurrence runs: the rows above the base are the triangle of
-    :class:`_DClass`.
+    that recurrence runs: every entry above the base comes from the step of
+    :func:`_next_antidiagonal`.
     """
 
     def __init__(self, r0: Fraction):
@@ -149,52 +141,63 @@ class _DRow(_GrowingRow):
         return v.numerator * (b // v.denominator)
 
 
-class _DClass:
-    """The d-rows of one residue class r0 = p/q in (0, 1]: row k holds the
-    integers E_{r0+k,n} = d_{r0+k,n} den_n over the base row's den_n, shared by
-    every row of the class (docs/d-coefficient-triangle.md).
+class _UnitRow(_DRow):
+    """The base row of the class r0 = 1: 1/z = Gamma(z)/Gamma(z+1), so d_{1,n} = 0
+    for n >= 1, over den_n = 1; its antidiagonals are the unsigned Stirling rows."""
 
-    Row 0 is the base row.  Above it d_{R,n} = (R+n-2) d_{R,n-1} + d_{R-1,n}, so
-    with den_n / den_{n-1} = q B_n / B_{n-1} every entry is one exact step,
-
-        E_{r0+k,n} = (p + (k+n-2) q) (B_n / B_{n-1}) E_{r0+k,n-1} + E_{r0+k-1,n},
-
-    and an integer, as q (R+n-2) is.  Rows only ever grow, each from the one
-    below, so whatever the order of the requests every entry is the same.
-    """
-
-    def __init__(self, r0: Fraction):
-        self.base = _DRow(r0)
-        self.rows = [self.base.values]
-
-    def row(self, k: int, n: int) -> list[int]:
-        """The live list E_{r0+k,0..}, holding at least n + 1 entries; call
-        under ``PRECISION_LOCK``, read it, never change it."""
-        base, rows = self.base, self.rows
-        base.upto(n)
-        p, q, growth = base.r.numerator, base.r.denominator, base.growth
-        while len(rows) <= k:
-            rows.append([1])
-        for i in range(1, k + 1):
-            below, row = rows[i - 1], rows[i]
-            for j in range(len(row), n + 1):
-                row.append((p + (i + j - 2) * q) * growth[j] * row[j - 1] + below[j])
-        return rows[k]
+    def step(self, n: int) -> int:
+        self.den.append(1)
+        self.growth.append(1)
+        return 0
 
 
-_D_ROWS: dict[Fraction, _DClass] = {}
+# the base row of each residue class r0 in (0, 1] read so far, O(n) integers each
+_BASE_ROWS: dict[Fraction, _DRow] = {}
 
 
-def _d_integers(r: Fraction, j_max: int) -> tuple[list[int], list[int]]:
-    """(E, den) with d_{r,j} = E[j] / den[j] for j <= j_max, r > 0 rational: the
-    live lists of r's row and of its class's denominators.  Read them, never
-    change them."""
-    k = ceil(r) - 1
+def _base_row(r0: Fraction) -> _DRow:
+    """The shared base row of the class r0 in (0, 1], made on first use."""
     with PRECISION_LOCK:
-        cls = _D_ROWS.get(r - k)
-        if cls is None:
-            cls = _D_ROWS[r - k] = _DClass(r - k)
-        return cls.row(k, j_max), cls.base.den
+        row = _BASE_ROWS.get(r0)
+        if row is None:
+            row = _BASE_ROWS[r0] = (_UnitRow if r0 == 1 else _DRow)(r0)
+        return row
+
+
+def _next_antidiagonal(base: _DRow, s: int, prev: list[int]) -> list[int]:
+    """Antidiagonal s >= 1 of the class of ``base`` from antidiagonal s - 1, ``prev``.
+
+    Antidiagonal s holds the integers F_s[k] = d_{r0+k,s-k} den_s, k = 0..s, over
+    the one denominator den_s of its base entry (docs/d-coefficient-triangle.md).
+    F_s[0] is the base row's E_s.  Above it d_{R,n} = (R+n-2) d_{R,n-1} + d_{R-1,n}
+    and den_s = q (B_s / B_{s-1}) den_{s-1} make each entry one exact step,
+
+        F_s[k] = (B_s / B_{s-1}) ((p + (s-2) q) F_{s-1}[k] + q F_{s-1}[k-1]),
+
+    with F_{s-1}[s] = 0, so F_s[s] = den_s (d_{R,0} = 1).  The result is one entry
+    longer than ``prev``: the first w entries of antidiagonal s - 1 give the first
+    w of antidiagonal s.
+    """
+    e, g = base.upto(s)[s], base.growth[s]
+    q = base.r.denominator
+    a, b = g * (base.r.numerator + (s - 2) * q), g * q
+    return [e, *[a * x + b * y for x, y in zip([*prev[1:], 0], prev)]]
+
+
+def _triangle_row(r0: Fraction, k: int, j_max: int) -> tuple[list[int], list[int]]:
+    """(G, den) with d_{r0+k,j} = G[j] / den[j] for j <= j_max: row k of class
+    r0 over its antidiagonals' den_{k+j}, grown from the base row by the step
+    of :func:`_next_antidiagonal` read along a row, G_i[0] = den_i and
+    G_i[j] = (B_{i+j} / B_{i+j-1}) ((p + (i+j-2) q) G_i[j-1] + q G_{i-1}[j]),
+    keeping only the last row: O(k j_max) integer steps."""
+    base, p, q = _base_row(r0), r0.numerator, r0.denominator
+    row = base.upto(k + j_max)[:j_max + 1]
+    den, growth = base.den, base.growth
+    for i in range(1, k + 1):
+        x = row[0] = den[i]
+        for j in range(1, j_max + 1):
+            x = row[j] = growth[i + j] * ((p + (i + j - 2) * q) * x + q * row[j])
+    return row, den[k:k + j_max + 1]
 
 
 def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
@@ -206,23 +209,22 @@ def d_coefficient_row(r: Fraction | int, j_max: int) -> list[Fraction]:
         sum_p B_{j,p}(1!/2, ...) Gamma(r)/Gamma(r-p) = j! [w^j] h(w)^(r-1),
 
     so d_{r,j} = [w^j] h(w)^(r-1) * r(r+1)...(r+j-1).  That power recurrence
-    (Knuth, TAOCP vol. 2, 4.7) runs once per residue class, on its base row
-    r0 = r - ceil(r) + 1 in (0, 1]; the rows r0 + 1, r0 + 2, ... grow from it by
-    d_{R,n} = (R+n-2) d_{R,n-1} + d_{R-1,n}, one exact integer step per entry
-    over the class's shared denominators (docs/d-coefficient-triangle.md).
-    Rows are cached and only ever extended, so a deeper request continues
-    where the last one stopped; the Fractions are read off those integers.
+    (Knuth, TAOCP vol. 2, 4.7) runs once per residue class, on its shared base
+    row r0 = r - ceil(r) + 1 in (0, 1]; row r = r0 + k is row k of a fresh walk
+    from it, one exact integer step per entry, O(k j_max) in all
+    (docs/d-coefficient-triangle.md), and the Fractions are read off those
+    integers over their denominators.
     """
     r = as_fraction(r, "d_coefficient_row needs a finite rational r")
     if r <= 0:
         raise DomainError("d_coefficient_row requires r > 0")
     j_max = as_index(j_max, "d_coefficient_row", "j_max")
-    e, den = _d_integers(r, j_max)
-    return list(map(Fraction, e[:j_max + 1], den))
+    k = ceil(r) - 1
+    return list(map(Fraction, *_triangle_row(r - k, k, j_max)))
 
 
 def d_coefficient_exact(r: Fraction | int, j: int) -> Fraction:
-    """d_{r,j} as an exact rational (r rational, r > 0), read off the cached row."""
+    """d_{r,j} as an exact rational (r rational, r > 0), read off a fresh walk."""
     return d_coefficient_row(r, j)[j]
 
 

@@ -221,8 +221,10 @@ def _partial_sum(f: FormalSeries, z: RamifiedPoint, N: int) -> mp.mpc:
 # with decimal strings so coefficients survive beyond double precision.
 # ---------------------------------------------------------------------------
 
-def load_series(path: str, prec: PrecisionConfig | None = None) -> FormalSeries:
-    """Read a series file; every coefficient is rounded once, at ``prec``."""
+def load_series(path: str, prec: PrecisionConfig | None = None,
+                max_length: int | None = None) -> FormalSeries:
+    """Read a series file; every coefficient is rounded once, at ``prec``.  A file
+    of more than ``max_length`` coefficients is refused before any is rounded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -236,6 +238,8 @@ def load_series(path: str, prec: PrecisionConfig | None = None) -> FormalSeries:
     rows = payload["coefficients"]
     if type(m) is not int or not isinstance(rows, list):
         raise DomainError("series file has wrong field types")
+    if max_length is not None and len(rows) > max_length:
+        raise DomainError(f"series file has {len(rows)} coefficients, over the limit {max_length}")
     if not all(isinstance(row, (list, tuple)) and len(row) == 2 for row in rows):
         raise DomainError("each coefficient must be a [re, im] pair")
     with working_precision(prec):

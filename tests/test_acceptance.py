@@ -123,29 +123,30 @@ def test_criterion_06_table5():
 
 def test_a_repeated_target_reads_its_own_series_again(monkeypatch):
     # table5 asks for a deeper example2 than table4; table4 run again must still
-    # read the series it grew its lambda = 1 row on, and fetch no d-row
-    from borelsum import classical, combinatorics, ramified
+    # read the series it grew its lambda = 1 row on, and step no antidiagonal
+    from borelsum import classical, ramified
     monkeypatch.setattr(repro, "_BUILT", {})
-    summed, fetched = [], []
+    summed, stepped = [], []
 
     def summing(f, *args, **kwargs):
         summed.append(f)
         return generalized_factorial_sum(f, *args, **kwargs)
 
-    def fetching(*args):
-        fetched.append(args)
-        return combinatorics._d_integers(*args)
+    def stepping(base, s, prev, step=classical._next_antidiagonal):
+        stepped.append(s)
+        return step(base, s, prev)
 
     monkeypatch.setattr(ramified, "generalized_factorial_sum", summing)  # what summate reads
-    monkeypatch.setattr(classical, "_d_integers", fetching)  # what the coefficient row reads
+    monkeypatch.setattr(classical, "_next_antidiagonal", stepping)  # what the coefficient row steps
     first = repro.run_target("table4", PREC)
     series = summed[0]
     repro.run_target("table5", PREC)
+    assert stepped
     summed.clear()
-    fetched.clear()
+    stepped.clear()
     assert repro.run_target("table4", PREC) == first
     assert summed and all(f is series for f in summed)
-    assert fetched == []
+    assert stepped == []
 
 
 def test_an_unknown_target_is_a_domain_error():

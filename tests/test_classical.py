@@ -1,6 +1,8 @@
+import gc
 import pickle
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -15,10 +17,10 @@ from borelsum import (PSI_LAMBDA_SUP, DomainError, FactorialExpansion, FormalSer
                       RamifiedPoint, SummationResult, b_bound, binomial_series,
                       bound_comparison_table, branch_split, d_coefficient_row, euler_series,
                       example2_series, factorial_expansion, factorial_series_sum,
-                      gamma_ratio, generalized_factorial_sum, laplace_quadrature,
-                      least_term_index, least_term_sum_ramified, partial_sum, psi_series,
-                      r_as, r_fact, r_fact_asymptotic, rotate, scale, stirling_first,
-                      stirling_transform, working_precision)
+                      gamma_ratio, generalized_coefficients, generalized_factorial_sum,
+                      laplace_quadrature, least_term_index, least_term_sum_ramified,
+                      partial_sum, psi_series, r_as, r_fact, r_fact_asymptotic, rotate,
+                      scale, stirling_transform, working_precision)
 from borelsum import classical, combinatorics, numerics
 from borelsum.classical import _CoefficientRow, _TermRow
 from borelsum.numerics import _Chain, as_mpc, as_mpf
@@ -93,19 +95,30 @@ def test_transform_condition_number(workprec):
 # ---------------------------------------------------------------------------
 
 
+def _unsigned_stirling(n_max):
+    """|s(n, k)| for n <= n_max by |s(n+1, k)| = n |s(n, k)| + |s(n, k-1)|: rows of
+    this file's own, as a fresh walk of ``stirling_first`` per weight would cost
+    O(n^2) each."""
+    rows = [[1]]
+    for n in range(n_max):
+        prev = [*rows[-1], 0]
+        rows.append([n * prev[k] + (prev[k - 1] if k else 0) for k in range(n + 2)])
+    return rows
+
+
 def _rows_by_exact_sums(f, lam, theta, n_max, prec):
     """(c_n, condition number of c_n) for n = 1..n_max as Fraction sums: on the
     coefficients a_l of ``scale(rotate(f, theta), lam)``, each weight w = P/Q is
-    |s(n/m-1, l/m-1)| at integer l/m and the d-row entry d_{l/m,(n-l)/m} at
-    fractional l/m; sum w Re a_l, sum w Im a_l and sum |w| (|Re a_l| + |Im a_l|)
+    |s(n/m-1, l/m-1)| (``_unsigned_stirling``) at integer l/m and the d-row entry
+    d_{l/m,(n-l)/m} at fractional l/m; sum w Re a_l, sum w Im a_l and sum |w| (|Re a_l| + |Im a_l|)
     are exact, each rounded once, then divided by Gamma(n/m)."""
     with working_precision(prec):
         a = scale(rotate(f, theta, prec) if theta else f, lam, prec).coefficients
-        m, rows = f.m, []
+        m, rows, stirling = f.m, [], _unsigned_stirling(n_max // f.m)
         for n in range(1, n_max + 1):
             re = im = gross = Fraction(0)
             for l in range(n - (n - 1) // m * m, n + 1, m):
-                w = (Fraction(abs(stirling_first(n // m - 1, l // m - 1))) if l % m == 0 else
+                w = (Fraction(stirling[n // m - 1][l // m - 1]) if l % m == 0 else
                      d_coefficient_row(Fraction(l, m), (n - l) // m)[-1])
                 x, y = exact(a[l].real), exact(a[l].imag)
                 re, im, gross = re + w * x, im + w * y, gross + abs(w) * (abs(x) + abs(y))
@@ -224,9 +237,9 @@ def test_a_coefficient_row_rounds_once_per_coefficient(monkeypatch):
 
 def test_a_rotated_example2_row_runs_the_power_recurrence_on_its_base_row_only(monkeypatch):
     # the d-rows 1/2, 3/2, ..., 149/2 that c_1..c_151 read are one triangle: its
-    # base row 1/2 steps the power recurrence to j = 75, every row above it takes
-    # one integer step per entry, and a coefficient step reads those integers and
-    # builds no Fraction (a power recurrence per row made 2775 steps)
+    # base row 1/2 steps the power recurrence to j = 75, every entry above it is one
+    # integer step of an antidiagonal, and a coefficient step steps and reads those
+    # integers and builds no Fraction (a power recurrence per row made 2775 steps)
     steps, built, inside = [], [], [False]
     step, row_step, new = combinatorics._DRow.step, _CoefficientRow.step, Fraction.__new__
 
@@ -246,7 +259,7 @@ def test_a_rotated_example2_row_runs_the_power_recurrence_on_its_base_row_only(m
     f = example2_series(151, prec)
     with working_precision(prec):
         row = _CoefficientRow(f, mp.mpf("0.6"), mp.pi / 3, prec)
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
     monkeypatch.setattr(combinatorics._DRow, "step",
                         lambda self, n: (steps.append((self.r, n)), step(self, n))[1])
     monkeypatch.setattr(_CoefficientRow, "step", counted_row_step)
@@ -254,7 +267,7 @@ def test_a_rotated_example2_row_runs_the_power_recurrence_on_its_base_row_only(m
     row.upto(151)
     assert len(steps) <= 76 and {r for r, _ in steps} == {Fraction(1, 2)}
     assert built == [] and len(row.values) == 152
-    assert list(combinatorics._D_ROWS) == [Fraction(1, 2)]
+    assert list(combinatorics._BASE_ROWS) == [Fraction(1, 2), Fraction(1)]
 
 
 @pytest.mark.parametrize("series, lam, theta", [
@@ -271,14 +284,44 @@ def test_coefficient_rows_grown_in_steps_are_fresh_rows_and_the_exact_sums(
     f = series(prec)
     with working_precision(prec):
         lam, theta = as_mpf(lam), theta and (mp.pi / 3 if theta == "pi/3" else as_mpf(theta))
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
     grown = _CoefficientRow(f, lam, theta, prec)
     for n in (11, 41, 151):
         grown.upto(n)
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
     fresh = _row(f, lam, theta, 151, prec)
     assert _raw(grown.values[1:]) == _raw(fresh) == _raw(_rows_by_exact_sums(f, lam, theta,
                                                                              151, prec))
+
+
+def _traced(build):
+    """(peak, left) in bytes that tracemalloc traces while ``build()`` runs and
+    once it has returned and its garbage is collected, over what it traced before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        build()
+        gc.collect()
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start, left - start
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: factorial_expansion(euler_series(401, p), 1, 400, p),
+    lambda p: generalized_coefficients(example2_series(600, p), 600, p),
+], ids=["euler-factorial", "example2-generalized"])
+def test_a_deep_coefficient_row_keeps_one_antidiagonal_per_class(build):
+    # c_n reads one antidiagonal of its class, so a row keeps the last one of each:
+    # the Euler row to 400 peaks near 0.9 MB and the example2 row to 600 near
+    # 1.3 MB, where the Stirling triangle kept for the process held 9-16 MB at
+    # n = 400 (~50 MB at 600) and example2's d-rows ~10 MB.  Once the series is
+    # dropped only the shared base rows are left, O(n) integers per class
+    peak, left = _traced(lambda: build(PrecisionConfig(256)))
+    assert peak < 3e6
+    assert left < 0.5e6
 
 
 # ---------------------------------------------------------------------------

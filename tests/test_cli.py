@@ -233,6 +233,24 @@ def test_a_size_over_its_limit_is_a_usage_error_before_any_work(monkeypatch, arg
     assert proc.stdout == "" and work == []
 
 
+def test_a_series_file_over_the_depth_limit_is_a_usage_error(monkeypatch, tmp_path):
+    # a file's length bounds a sum as --depth bounds a built-in series: one
+    # coefficient past a_0..a_MAX_DEPTH is refused at load, before any row is built
+    from borelsum import cli
+    rows, work = [["1", "0"]] * (cli.MAX_DEPTH + 2), []
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"m": 1, "coefficients": rows}))
+    monkeypatch.setattr(cli, "summate", lambda *a, **k: work.append(a))
+    proc = run_cli("sum", "--series", str(path), "--method", "factorial", "--z-mod", "3",
+                   "--N", "5", expect=1)
+    assert f"series file has {cli.MAX_DEPTH + 2} coefficients, over the limit " \
+           f"{cli.MAX_DEPTH + 1}" in proc.stderr
+    assert proc.stdout == "" and work == []
+    monkeypatch.undo()
+    path.write_text(json.dumps({"m": 1, "coefficients": rows[1:]}))
+    run_cli("sum", "--series", str(path), "--method", "factorial", "--z-mod", "3", "--N", "5")
+
+
 def test_the_size_limits_admit_their_largest_values():
     # compare-bounds at the largest --n-max; the largest depth and precision parse
     from borelsum import cli

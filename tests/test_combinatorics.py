@@ -234,7 +234,7 @@ def test_d_rows_equal_the_fraction_power_recurrence(monkeypatch):
     # above its class's base row r - ceil(r) + 1 a row grows by the triangle's step,
     # never by the power recurrence the reference runs; at small r and j the Bell
     # definition agrees too
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
     for r, j_max in _WORKLOAD_ROWS:
         row = d_coefficient_row(r, j_max)
         assert row == _d_power_recurrence(r, j_max), (r, j_max)
@@ -257,21 +257,21 @@ def test_d_rows_are_the_same_in_any_request_order(monkeypatch, order):
     requests = _REQUEST_ORDERS[order]
     depth = {r: max(j for s, j in requests if s == r) for r, _ in requests}
     want = {r: _d_power_recurrence(r, j) for r, j in depth.items()}
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
     for r, j in requests:
         assert d_coefficient_row(r, j) == want[r][:j + 1], (r, j)
-    # one cache entry per residue class, keyed by its base row in (0, 1]
-    assert set(combinatorics._D_ROWS) == {r - (r.numerator // r.denominator) for r in depth}
+    # one shared base row per residue class, keyed by r0 in (0, 1]
+    assert set(combinatorics._BASE_ROWS) == {r - (r.numerator // r.denominator) for r in depth}
 
 
 def test_d_rows_grown_in_steps_equal_fresh_rows(monkeypatch):
     # each growth resumes over the shared denominator left by the last one
     rs = (Fraction(1, 2), Fraction(2, 3), Fraction(7, 3), Fraction(149, 2), Fraction(3))
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
     grown = {}
     for j in (0, 1, 2, 5, 6, 17, 40, 41, 75):
         grown = {r: d_coefficient_row(r, j) for r in rs}
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
     assert grown == {r: d_coefficient_row(r, 75) for r in rs}
     assert all(grown[r] == _d_power_recurrence(r, 75) for r in rs)
 
@@ -310,34 +310,37 @@ def test_generalized_coefficients_match_bell_definition(series, n_max, prec):
 def test_d_rows_grow_to_the_same_values(monkeypatch, prec):
     # the table4/table5 call pattern: a shallow request, then a deeper one
     f = example2_series(41, prec)
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
     shallow = generalized_coefficients(f, 11, prec)
     grown = generalized_coefficients(f, 41, prec)
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
     fresh = generalized_coefficients(f, 41, prec)
     assert grown == fresh
     assert shallow == fresh[:11]
 
 
 def test_generalized_passes_build_no_integer_d_row(monkeypatch, prec):
-    # d_{k,j} at integer k is read off the Stirling rows, so a generalized pass
-    # (rotated too) leaves only fractional r in the d-row cache
-    monkeypatch.setattr(combinatorics, "_D_ROWS", {})
+    # d_{k,j} at integer k is the Stirling antidiagonal of the class r0 = 1, whose
+    # base row is 1, 0, 0, ...: a generalized pass (rotated too) runs the power
+    # recurrence on fractional base rows only
+    recurred, step = set(), combinatorics._DRow.step
+    monkeypatch.setattr(combinatorics, "_BASE_ROWS", {})
+    monkeypatch.setattr(combinatorics._DRow, "step",
+                        lambda self, n: (recurred.add(self.r), step(self, n))[1])
     z = RamifiedPoint(8, 0)
     generalized_factorial_sum(example2_series(61, prec), 1, z, 60, prec)
     rotated_generalized_sum(example2_series(61, prec), "0.5", "0.6", z, 60, prec)
     generalized_factorial_sum(psi_series(61, prec), PSI_LAMBDA_SUP, z, 60, prec)
-    assert combinatorics._D_ROWS
-    assert all(0 < r < 1 for r in combinatorics._D_ROWS)
+    assert recurred and all(0 < r < 1 for r in recurred)
+    assert Fraction(1) in combinatorics._BASE_ROWS
 
 
 # each row kind: (give it an empty cache, its requests, one read through the API)
 _ROW_KINDS = {
-    "d-rows": (lambda patch: patch.setattr(combinatorics, "_D_ROWS", {}),
+    "d-rows": (lambda patch: patch.setattr(combinatorics, "_BASE_ROWS", {}),
                [(Fraction(l, 3), j) for l in (1, 2, 4) for j in (30, 120, 45, 150, 80)],
                d_coefficient_row),
-    "stirling": (lambda patch: patch.setattr(combinatorics, "_STIRLING",
-                                             combinatorics._StirlingRows([1])),
+    "stirling": (lambda patch: patch.setattr(combinatorics, "_BASE_ROWS", {}),
                  [(n, k) for n in (60, 250, 150, 400, 20) for k in (0, 1, n // 3, n)],
                  stirling_first),
     "psi": (lambda patch: patch.setattr(oracle, "_PSI", oracle._PsiRow()),
