@@ -37,18 +37,22 @@ factorial sums at |z| = 5, N = 5..60, of a hand-built ``FactorialExpansion``
 of ``binomial_series(1, 1/2, -1)``, whose term row is fresh each call, and
 the quadratures at theta = 0.4 and z = 4, 5 + i of the evaluators of
 ``binomial_series(3, -1, 1/2)`` and ``binomial_series(4, 1/2, 1)``, whose c or
-alpha is read as an mpf.  Last it prints the line count of src/borelsum/*.py
-on each side.  Exits 1 when any command, error message, value or condition
+alpha is read as an mpf.  Last it prints two line counts of src/borelsum/*.py on
+each side: code lines, those holding a token outside comments and docstrings,
+and raw lines.  Exits 1 when any command, error message, value or condition
 number differs.
 
     python3 scripts/same_numbers.py REV
 """
 
+import ast
+import io
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import tokenize
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
@@ -305,9 +309,27 @@ def compare_conditions(here: list[str], there: list[str], rev: str) -> bool:
     return same == total
 
 
-def source_lines(src: Path) -> int:
-    return sum(len(p.read_text(encoding="utf-8").splitlines())
-               for p in (src / "borelsum").glob("*.py"))
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_NO_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER)
+
+
+def source_lines(src: Path) -> tuple[int, int]:
+    """(code lines, raw lines) of src/borelsum/*.py: a code line holds a token
+    that is no comment and lies in no docstring, so blank lines, comments and
+    docstrings are left out of the first count."""
+    code = raw = 0
+    for path in (src / "borelsum").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        raw += len(text.splitlines())
+        docstrings = {line for node in ast.walk(ast.parse(text)) if isinstance(node, _DOCUMENTED)
+                      and ast.get_docstring(node, clean=False) is not None
+                      for line in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        lines = {line for tok in tokens if tok.type not in _NO_CODE
+                 for line in range(tok.start[0], tok.end[0] + 1)}
+        code += len(lines - docstrings)
+    return code, raw
 
 
 def main(rev: str) -> int:
@@ -361,7 +383,9 @@ def main(rev: str) -> int:
         print(f"{len(in_roundoffs)} moved values have a condition number; the largest move is "
               f"{max(in_roundoffs):.3g} x cond 2^-bits |value|")
     conds_same = compare_conditions(conds, rev_conds, rev)
-    print(f"src/borelsum/*.py: {lines[0]} lines here, {lines[1]} at {rev}")
+    (code, raw), (rev_code, rev_raw) = lines
+    print(f"src/borelsum/*.py: {code} code lines ({raw} raw) here, "
+          f"{rev_code} ({rev_raw} raw) at {rev}")
     return 1 if differ or errors or moved or not conds_same else 0
 
 

@@ -36,7 +36,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import mpmath as mp
@@ -45,8 +45,8 @@ from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_mul, mpf_div, mpf_lt, mp
 
 from .combinatorics import _base_row, _next_antidiagonal
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PRECISION_LOCK, PrecisionConfig, _Chain, _GrowingRow, _positive, as_index,
-                       as_mpc, as_mpf, ensure_finite, working_precision)
+from .numerics import (PRECISION_LOCK, PrecisionConfig, _Chain, _GrowingRow, _finite, _positive,
+                       as_index, as_mpc, as_mpf, ensure_finite, working_precision)
 from .series import (FormalSeries, GrowthEnvelope, PointLike, RamifiedPoint, _homothety,
                      _rotation)
 
@@ -183,8 +183,7 @@ def _expansion(f: FormalSeries, lam: mp.mpf, theta: mp.mpf | None, n: int,
     """c_1..c_n with their condition numbers, from the coefficient row cached
     on ``f`` at lambda, theta (0 shares the unrotated row) and precision.
     Call inside ``working_precision(cfg)``."""
-    if not (mp.isfinite(lam) and lam > 0):
-        raise DomainError("lambda must be finite and positive")
+    _finite(lam, "lambda", positive=True)
     f.require_depth(n)
     theta = theta or None
     row = f._derived((lam, theta, cfg.mantissa_bits),
@@ -251,13 +250,19 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
     sum is claimed.  ``heuristic_error`` is the first-omitted-term estimate
     |b_{N+1}| (N+1) |K_N| / Re z (needs b_{N+1}), which matches the printed
     error columns of the reference tables to their two significant digits;
-    a region envelope gives ``rigorous_bound``, ``r_fact`` at N.
+    a region envelope gives ``rigorous_bound``, ``r_fact`` at N.  A hand-built
+    ``e`` is checked: lambda finite and positive, one condition number per
+    b_n, and numbers in every field (``_number``), else a DomainError.
     """
     N = as_index(N, "factorial_series_sum")
+    if len(e.condition) != len(e.b):
+        raise DomainError(f"expansion has {len(e.b)} b_n and {len(e.condition)} condition numbers")
     if N + 1 > e.depth:
         raise InsufficientCoefficientsError(
             f"expansion stores b_0..b_{e.depth}; N = {N} needs b_{N + 1} for its estimate")
     with working_precision(prec):
+        _positive("factorial_series_sum", lam=_number(e.lam, "a number lambda"))
+        _number(e.a0, "a number a0")
         zc = _halfplane(z, 0, prec)
         return _kernel_sum("factorial", N, [(1, e)], 0, N + 1, 1, zc, prec, envelope)
 
@@ -267,26 +272,26 @@ def factorial_series_sum(e: FactorialExpansion, z: PointLike, N: int,
 _KERNEL_CHAINS = lru_cache(maxsize=1)(lambda w, m, bits: ({}, {}))
 
 
-def _beta_kernels(w, m: int, count: int) -> list[mp.mpc]:
-    """[Gamma(w) Gamma(n/m) / Gamma(w + n/m) for n = 1..count] at the ambient precision.
+def _kernel(w, m: int, n: int) -> mp.mpc:
+    """K_n = Gamma(w) Gamma(n/m) / Gamma(w + n/m), n >= 1, at the ambient precision.
 
     Each residue class n = l + jm is one kernel chain at offset l/m, the
-    factorial kernel's recurrence with l/m in place of 1: the kernel at n is
-    chain element j, ``gamma_ratio(w, j, Fraction(l, m))``.  The chains of the
-    last (w, m, precision) are kept and grown, built when first read, so a sweep
-    over N at one point, and ``r_fact`` at each N (m = 1), read prefixes of them.
-    Beside them the entry keeps the point's term rows (``_terms``), so one
-    eviction drops both.
+    factorial kernel's recurrence with l/m in place of 1: K_n is chain element
+    j, ``gamma_ratio(w, j, Fraction(l, m))``.  The chains of the last (w, m,
+    precision) are kept, built when first read.  A call grows every class chain
+    l <= min(m, n) to flat index n, element (n - l) // m, so the point's term
+    rows (``_terms``) can read K_1..K_n after it; a sweep over N at one point,
+    and ``r_fact`` at each N (m = 1), read prefixes of the chains.  One
+    eviction drops the chains and the term rows together.
     """
     w = as_mpc(w)
     chains, _ = _KERNEL_CHAINS(w, m, mp.mp.prec)
-    out = [None] * count
-    for l in range(1, min(m, count) + 1):  # classes past count hold no n
+    for l in range(1, min(m, n) + 1):  # classes past n hold no index <= n
         if l not in chains:
             chains[l] = _Chain(w, as_mpf(Fraction(l, m)))
-        j = len(range(l, count + 1, m))
-        out[l - 1::m] = chains[l].upto(j - 1)[:j]
-    return out
+        chains[l].upto((n - l) // m)
+    j, l = divmod(n - 1, m)
+    return chains[l + 1].values[j]
 
 
 class _TermRow(_GrowingRow):
@@ -294,12 +299,14 @@ class _TermRow(_GrowingRow):
     n >= 1 (v_0 holds the empty maximum 0): the kernel terms of one list of
     (c_n, condition number) pairs, from index 1, on the class chains of one
     point at m.  Each product is formed once, at the ambient precision, so a
-    sweep over N at the point reads prefixes of the row.  The chains must
-    already reach n.  A step runs on raw mpmath tuples with the bits of
-    ``K * c``, ``abs`` and ``max``: ``mpc_mul`` of the chain element and c_n,
-    ``mpc_abs`` of the term and ``mpf_lt`` for the maximum, which keeps the
-    first of equal values.  So each c_n is an mpc and each condition number an
-    mpf; ``_terms`` converts a hand-built expansion's numbers once.
+    sweep over N at the point reads prefixes of the row.  A step reads chain
+    elements only, so before ``upto(n)`` or ``read(n)`` the chains must reach
+    flat index n: ``_kernel(w, m, n)`` (or any later index) grows them there.
+    A step runs on raw mpmath tuples with the bits of ``K * c``, ``abs`` and
+    ``max``: ``mpc_mul`` of the chain element and c_n, ``mpc_abs`` of the term
+    and ``mpf_lt`` for the maximum, which keeps the first of equal values.  So
+    each c_n is an mpc and each condition number an mpf; ``_terms`` converts a
+    hand-built expansion's numbers once.
 
     Beside the row it keeps a read mark: the index of the last ``read`` and the
     exact state of the prefix 1..mark, the unrounded sums of Re, Im and |.| of
@@ -365,16 +372,32 @@ def _terms(parts: Sequence[tuple[object, FactorialExpansion]], w: mp.mpc, m: int
     for _, e in parts:
         if e._row is not None and e._row not in rows:
             rows[e._row] = _TermRow(e._row.values, chains, m)
-    return [_TermRow([None, *zip(map(_operand, e.b), map(mp.convert, e.condition))], chains, m)
+    return [_TermRow([None, *zip(map(_operand, e.b), map(_condition, e.condition))], chains, m)
             if e._row is None else rows[e._row] for _, e in parts]
 
 
+def _number(x, what: str, kind=object):
+    """A hand-built number as mpmath's operators read it: ``mp.convert`` takes an
+    int, a float or a complex exactly.  Text, which ``mp.convert`` would parse
+    and the operators refuse, None, and anything else that reads as no ``kind``
+    is a DomainError naming ``what``."""
+    try:
+        if not isinstance(x, str) and isinstance(v := mp.convert(x), kind):
+            return v
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"a factorial expansion needs {what}, got {x!r}")
+
+
 def _operand(x) -> mp.mpc:
-    """A hand-built coefficient as an mpc, read as mpmath's operators read it:
-    ``mp.convert`` takes an int, a float or a complex exactly, and an mpf
+    """A hand-built coefficient as an mpc, read as ``_number`` reads it: an mpf
     times an mpc is the same product as (mpf, 0) times it."""
-    x = mp.convert(x)
+    x = _number(x, "numbers in b")
     return mp.make_mpc((x._mpf_, fzero)) if hasattr(x, "_mpf_") else x
+
+
+# a hand-built condition number as an mpf, read as ``_number`` reads it
+_condition = partial(_number, what="real condition numbers", kind=mp.mpf)
 
 
 def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpansion]],
@@ -399,7 +422,7 @@ def _kernel_sum(method: str, N: int, parts: Sequence[tuple[object, FactorialExpa
     rigorous = None if envelope is None else (  # before the chain: Re z <= B raises
         r_fact(lam, envelope.A, envelope.B, n - 1, zc, prec) * mp.fsum(abs(p[0]) for p in parts))
     w = lam * zc
-    tail = abs(_beta_kernels(w, m, n + 1)[n] * (w + mp.mpf(n + 1) / m - 1))
+    tail = abs(_kernel(w, m, n + 1) * (w + mp.mpf(n + 1) / m - 1))
     value, heuristic, cond_max, diverging = mp.mpc(a0), mp.mpf(0), mp.mpf(0), False
     for (weight, e), row in zip(parts, _terms(parts, w, m)):
         total, mags, flag = row.read(n)
@@ -450,7 +473,7 @@ def r_fact(lam, A, B, N: int, z: PointLike, prec: PrecisionConfig | None = None)
         zc = _halfplane(z, Bv, prec)
         lB = lv * Bv
         shape = mp.power(N + lB + 1, N + lB + 1) / mp.power(N + 1, N)
-        kernel = abs(_beta_kernels(lv * zc, 1, N + 1)[N])
+        kernel = abs(_kernel(lv * zc, 1, N + 1))
         return ensure_finite(Av / mp.power(lB, lB) * shape * kernel / (mp.re(zc) - Bv))
 
 

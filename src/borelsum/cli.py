@@ -24,10 +24,10 @@ import mpmath as mp
 from . import reproduce as repro
 from .classical import SummationResult, bound_comparison_table
 from .errors import BorelSumError, DomainError
-from .numerics import PrecisionConfig, working_precision
+from .numerics import DEFAULT_BITS, MIN_BITS, PrecisionConfig, working_precision
 from .oracle import BUILTIN_EVALUATORS, BUILTIN_SERIES, PSI_LAMBDA_SUP
 from .ramified import summate
-from .series import FormalSeries, GrowthEnvelope, RamifiedPoint, load_series
+from .series import MAX_DEPTH, FormalSeries, GrowthEnvelope, RamifiedPoint, load_series
 
 # the flags each method reads beyond those every method reads (--builtin, the
 # point, the precision and the output); given with another method, each is a
@@ -72,7 +72,7 @@ def _load_input(series_path, builtin, depth, prec) -> FormalSeries:
                 f"unknown builtin {builtin!r}; choose from {sorted(BUILTIN_SERIES)}")
         return BUILTIN_SERIES[builtin](depth, prec)
     try:
-        return load_series(series_path, prec, MAX_DEPTH + 1)
+        return load_series(series_path, prec)
     except OSError as exc:
         raise UsageError(f"cannot read series file: {exc}")
     except DomainError as exc:
@@ -167,33 +167,26 @@ def _parse_range(spec_str: str) -> list[int] | range:
     return Ns
 
 
-def _at_least(low, cast=int, strict=False):
-    """argparse type: ``cast`` of the text, at least ``low`` (over it if strict); nan passes."""
+def _within(low=-float("inf"), high=float("inf"), cast=int, strict=False):
+    """argparse type: ``cast`` of the text, at least ``low`` (over it if strict),
+    then at most ``high``, the size limits below; nan passes."""
     def convert(text):
         if (value := cast(text)) < low or strict and value == low:
             raise argparse.ArgumentTypeError(f"{value} is not {'>' if strict else '>='} {low}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"{value} is over the limit {high}")
         return value
     convert.__name__ = cast.__name__  # argparse's "invalid int value" names it
     return convert
 
 
-def _at_most(high, convert=int):
-    """argparse type: ``convert`` of the text, at most ``high``; the size limits below."""
-    def limited(text):
-        if (value := convert(text)) > high:
-            raise argparse.ArgumentTypeError(f"{value} is over the limit {high}")
-        return value
-    limited.__name__ = convert.__name__
-    return limited
-
-
 # the largest sizes a command accepts, so that each ends in bounded time and
 # memory (README § Size limits gives the measured cost of the largest sums); a
-# --series file holds at most a_0..a_MAX_DEPTH, as a --builtin series does
-MAX_DEPTH, MAX_N_MAX, MAX_PRECISION_BITS = 1000, 1000, 4096
+# --depth reaches MAX_DEPTH, as a --series file does (``load_series``)
+MAX_N_MAX, MAX_PRECISION_BITS = 1000, 4096
 
 # (flag, default, argparse keywords)
-_PRECISION = ("--precision-bits", 256, {"type": _at_most(MAX_PRECISION_BITS, _at_least(53))})
+_PRECISION = ("--precision-bits", DEFAULT_BITS, {"type": _within(MIN_BITS, MAX_PRECISION_BITS)})
 _FORMAT = ("--format", "text", {"choices": ("json", "csv", "text")})
 _OUT = ("--out", None, {"help": "write output to a file"})
 _N = ("--N", 20, {"type": int, "help": "truncation index"})
@@ -203,7 +196,7 @@ _COMMON = (
     ("--series", None, {"help": "JSON series file {m, coefficients}"}),
     ("--builtin", None, {"help": f"built-in series ({', '.join(BUILTIN_SERIES)}) or oracle "
                                  f"evaluator ({', '.join(BUILTIN_EVALUATORS)})"}),
-    ("--depth", 160, {"type": _at_most(MAX_DEPTH),
+    ("--depth", 160, {"type": _within(high=MAX_DEPTH),
                       "help": "coefficient depth for built-in series"}),
     ("--method", None, {"choices": METHODS, "required": True}),
     ("--lambda", 1.0, {"type": float, "help": "homothety factor of the factorial expansion"}),
@@ -295,10 +288,10 @@ def _parser() -> _Parser:
             ("compare-bounds", _compare_bounds,
              "Tabulate log10 of the two strip bounds and the factorial bound.",
              [("--A", 1.0, {"type": float}), ("--B", 1.0, {"type": float}),
-              ("--z-mod", None, {"type": _at_least(0, float, strict=True),
+              ("--z-mod", None, {"type": _within(0, cast=float, strict=True),
                                  "help": "|z| (default |10+10i|)"}),
               ("--z-arg", None, {"type": float, "help": "arg z (default pi/4)"}),
-              ("--n-max", 30, {"type": _at_most(MAX_N_MAX, _at_least(0))}), _PRECISION, _FORMAT,
+              ("--n-max", 30, {"type": _within(0, MAX_N_MAX)}), _PRECISION, _FORMAT,
                _OUT]),
             ("reproduce", _reproduce,
              "Re-run a stored reference configuration and grade each row.",

@@ -106,7 +106,8 @@ class _SharedDenominatorRow:
 class _DRow(_GrowingRow):
     """The base row of a residue class r0 = p/q in (0, 1]: E_n = d_{r0,n} den_n
     over den_n = q^n B_n, B_n the lcm of the reduced denominators of
-    q^j d_{r0,j} for j <= n.  ``den`` lists den_n, ``growth`` B_n / B_{n-1}.
+    q^j d_{r0,j} for j <= n.  Of each index it keeps E_n (``values``) and den_n
+    (``den``) only: a step above it reads B_n / B_{n-1} = den_n / (q den_{n-1}).
 
     Keeps c_n = [w^n] h(w)^(r0-1) as integer numerators over one shared
     denominator, the integer p (p+q) ... (p+(n-1)q) and lcm(1..n+1), so growing
@@ -120,7 +121,7 @@ class _DRow(_GrowingRow):
         self.r = r0
         self.c = _SharedDenominatorRow(Fraction(1))
         self.rising = self.lcm = self.b = 1
-        self.den, self.growth = [1], [1]
+        self.den = [1]
 
     def step(self, n: int) -> int:
         c, p, q = self.c, self.r.numerator, self.r.denominator
@@ -134,9 +135,7 @@ class _DRow(_GrowingRow):
         c.append(cn)
         self.rising *= p + (n - 1) * q
         v = Fraction(cn.numerator * self.rising, cn.denominator)  # q^n d_{r0,n}, reduced
-        b = lcm(self.b, v.denominator)
-        self.growth.append(b // self.b)
-        self.b = b
+        self.b = b = lcm(self.b, v.denominator)
         self.den.append(q ** n * b)
         return v.numerator * (b // v.denominator)
 
@@ -147,7 +146,6 @@ class _UnitRow(_DRow):
 
     def step(self, n: int) -> int:
         self.den.append(1)
-        self.growth.append(1)
         return 0
 
 
@@ -178,8 +176,8 @@ def _next_antidiagonal(base: _DRow, s: int, prev: list[int]) -> list[int]:
     longer than ``prev``: the first w entries of antidiagonal s - 1 give the first
     w of antidiagonal s.
     """
-    e, g = base.upto(s)[s], base.growth[s]
-    q = base.r.denominator
+    e, den, q = base.upto(s)[s], base.den, base.r.denominator
+    g = den[s] // (q * den[s - 1])  # B_s / B_{s-1}
     a, b = g * (base.r.numerator + (s - 2) * q), g * q
     return [e, *[a * x + b * y for x, y in zip([*prev[1:], 0], prev)]]
 
@@ -192,11 +190,12 @@ def _triangle_row(r0: Fraction, k: int, j_max: int) -> tuple[list[int], list[int
     keeping only the last row: O(k j_max) integer steps."""
     base, p, q = _base_row(r0), r0.numerator, r0.denominator
     row = base.upto(k + j_max)[:j_max + 1]
-    den, growth = base.den, base.growth
+    den = base.den
+    g = [1, *(den[t] // (q * den[t - 1]) for t in range(1, k + j_max + 1))]
     for i in range(1, k + 1):
         x = row[0] = den[i]
         for j in range(1, j_max + 1):
-            x = row[j] = growth[i + j] * ((p + (i + j - 2) * q) * x + q * row[j])
+            x = row[j] = g[i + j] * ((p + (i + j - 2) * q) * x + q * row[j])
     return row, den[k:k + j_max + 1]
 
 

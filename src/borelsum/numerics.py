@@ -14,13 +14,17 @@ exactly 1/z when s = 1).  Single gammas are called from mpmath directly:
 is (n-1)! at m = 1), in ``r_fact_asymptotic`` and in ``binomial_series``.
 
 Values are ``mpmath`` numbers.  A :class:`PrecisionConfig` names the working
-mantissa size.  A public function enters ``working_precision`` once, so its
-results carry that precision whatever the caller's mpmath state; a private
-helper, and the conversions ``as_mpf`` and ``as_mpc``, run at their caller's
-and round once.  A cached row that keeps its own precision (a coefficient row,
-a chain) enters it to grow, never growing at another caller's.  Every index of
-the public API (N, a depth, a count, m) is read by ``as_index``, every exact
-rational (a d-row's r, a binomial's alpha and c) by ``as_fraction``.
+mantissa size: ``DEFAULT_BITS`` unless given, never below ``MIN_BITS``, the
+53-bit floor; the CLI's --precision-bits and the quadrature's precision read
+their default and their floor from these two constants.  A public function
+enters ``working_precision`` once, so its results carry that precision
+whatever the caller's mpmath state; a private helper, and the conversions
+``as_mpf`` and ``as_mpc``, run at their caller's and round once.  A cached row
+that keeps its own precision (a coefficient row, a chain) enters it to grow,
+never growing at another caller's.  Every index of the public API (N, a
+depth, a count, m) is read by ``as_index``, every exact rational (a d-row's r,
+a binomial's alpha and c) by ``as_fraction``, and the theta of a rotation, the
+lambda of a scale or an expansion and a quadrature's tol by ``_finite``.
 
 mpmath's precision is process-global, so ``working_precision`` holds the
 reentrant ``PRECISION_LOCK``: library calls from several threads run one at
@@ -44,8 +48,10 @@ from .errors import DomainError, PoleError
 
 # 256 bits covers every stored reference table here; the worst case (the branch
 # factorial sums at per-branch depth 40) cancels roughly 52 decimal digits
-# and still needs ~20 significant digits in the result.
-DEFAULT_BITS = 256
+# and still needs ~20 significant digits in the result.  53 bits, a double's
+# mantissa, is the floor: of a PrecisionConfig, of --precision-bits and of the
+# precision a quadrature runs at.
+DEFAULT_BITS, MIN_BITS = 256, 53
 
 Numeric = Union[int, float, str, Fraction, mp.mpf, mp.mpc, complex]
 
@@ -73,8 +79,8 @@ class PrecisionConfig:
     mantissa_bits: int = DEFAULT_BITS
 
     def __post_init__(self):
-        object.__setattr__(self, "mantissa_bits",
-                           as_index(self.mantissa_bits, "PrecisionConfig", "mantissa_bits", 53))
+        object.__setattr__(self, "mantissa_bits", as_index(
+            self.mantissa_bits, "PrecisionConfig", "mantissa_bits", MIN_BITS))
 
     @property
     def default_tolerance(self) -> mp.mpf:
@@ -131,6 +137,15 @@ def _positive(fn: str, infinite: bool = False, **values) -> list[mp.mpf]:
     if not all(v > 0 and (infinite or mp.isfinite(v)) for v in out):
         raise error
     return out
+
+
+def _finite(x, what: str, positive: bool = False) -> mp.mpf:
+    """``as_mpf(x)``, finite and, when ``positive``, > 0: the one check of a
+    lambda, a theta or a tol, which says that ``what`` must be so."""
+    v = as_mpf(x)
+    if not (mp.isfinite(v) and (v > 0 or not positive)):
+        raise DomainError(f"{what} must be finite{' and positive' if positive else ''}")
+    return v
 
 
 def ensure_finite(value):

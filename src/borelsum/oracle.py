@@ -51,8 +51,8 @@ from mpmath.libmp import (ComplexResult, fone, fzero, mpc_add_mpf, mpc_exp, mpc_
 
 from .combinatorics import _SharedDenominatorRow
 from .errors import DomainError, QuadratureError
-from .numerics import (PrecisionConfig, _GrowingRow, as_fraction, as_index, as_mpc, as_mpf,
-                       ensure_finite, working_precision)
+from .numerics import (MIN_BITS, PrecisionConfig, _finite, _GrowingRow, as_fraction, as_index,
+                       as_mpc, as_mpf, ensure_finite, working_precision)
 from .series import FormalSeries
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
 
     Requires Re(z e^(i theta)) > B for the evaluator's growth rate.  One
     tanh-sinh call on [0, T] runs 16 bits below ``tol`` (default: the precision's
-    default tolerance), capped at the precision + 16 and at least 53 bits; its
+    default tolerance), capped at the precision + 16 and at least ``MIN_BITS``; its
     error estimate must reach tol/2, else :class:`QuadratureError`.
 
     ``g.fn`` is called once per node.  The integrand is the bits of
@@ -91,12 +91,8 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
     ``mpc_mul_mpf``, an mpc by ``mpc_mul`` and any other number as
     ``mp.convert`` reads it."""
     with working_precision(prec) as cfg:
-        tolv = as_mpf(tol) if tol is not None else cfg.default_tolerance
-        if not (mp.isfinite(tolv) and tolv > 0):
-            raise DomainError("tol must be finite and positive")
-        th = as_mpf(theta)
-        if not mp.isfinite(th):
-            raise DomainError("theta must be finite")
+        tolv = cfg.default_tolerance if tol is None else _finite(tol, "tol", positive=True)
+        th = _finite(theta, "theta")
         w = as_mpc(z) * mp.exp(1j * th)
         c = mp.re(w)
         if not c > g.B:
@@ -119,7 +115,7 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
                                else mpc_mul_mpf(e, v._mpf_, prec, rnd))
 
         # the rule refines to its own epsilon; 1 - frexp's exponent is ceil(-log2 tol)
-        with mp.workprec(max(53, min(1 - mp.frexp(tolv)[1], cfg.mantissa_bits) + 16)):
+        with mp.workprec(max(MIN_BITS, min(1 - mp.frexp(tolv)[1], cfg.mantissa_bits) + 16)):
             val, err = mp.quad(integrand, [0, T], error=True, maxdegree=12)
         if not err < tolv / 2:
             raise QuadratureError(f"quadrature error estimate {mp.nstr(err, 3)} did not "

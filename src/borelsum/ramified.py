@@ -44,7 +44,7 @@ import mpmath as mp
 from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
                         factorial_expansion, factorial_series_sum, least_term_index, r_as)
 from .errors import DomainError
-from .numerics import PrecisionConfig, as_index, as_mpf, working_precision
+from .numerics import PrecisionConfig, _finite, as_index, as_mpf, working_precision
 from .oracle import BorelEvaluator, laplace_quadrature
 from .series import (FormalSeries, GrowthEnvelope, RamifiedPoint, _partial_sum, _power,
                      branch_split)
@@ -119,9 +119,7 @@ def _generalized_sum(f: FormalSeries, theta, lam, z: RamifiedPoint, N: int,
     N = as_index(N, "generalized_factorial_sum" if theta is None else "rotated_generalized_sum")
     with working_precision(prec) as cfg:
         if theta is not None:
-            theta = as_mpf(theta)
-            if not mp.isfinite(theta):
-                raise DomainError("theta must be finite")
+            theta = _finite(theta, "theta")
             z = z.rotated(theta)
         lv = as_mpf(lam)
         zdot = _halfplane(z, 0, prec)

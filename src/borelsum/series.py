@@ -26,8 +26,8 @@ from typing import Callable, Union
 import mpmath as mp
 
 from .errors import DomainError, InsufficientCoefficientsError
-from .numerics import (PRECISION_LOCK, PrecisionConfig, _positive, as_index, as_mpc, as_mpf,
-                       ensure_finite, working_precision)
+from .numerics import (PRECISION_LOCK, PrecisionConfig, _finite, _positive, as_index, as_mpc,
+                       as_mpf, ensure_finite, working_precision)
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,7 @@ def rotate(f: FormalSeries, theta, prec: PrecisionConfig | None = None) -> Forma
     fixes the sign of the phase factor.
     """
     with working_precision(prec):
-        th = as_mpf(theta)
-        if not mp.isfinite(th):
-            raise DomainError("theta must be finite")
+        th = _finite(theta, "theta")
         return FormalSeries(f.m, (a * _rotation(th, n, f.m)
                                   for n, a in enumerate(f.coefficients)))
 
@@ -167,9 +165,7 @@ def rotate(f: FormalSeries, theta, prec: PrecisionConfig | None = None) -> Forma
 def scale(f: FormalSeries, lam, prec: PrecisionConfig | None = None) -> FormalSeries:
     """Homothety coefficients: a_n -> lambda^(n/m - 1) a_n, lambda finite and > 0."""
     with working_precision(prec):
-        lv = as_mpf(lam)
-        if not (mp.isfinite(lv) and lv > 0):
-            raise DomainError("lambda must be finite and positive")
+        lv = _finite(lam, "lambda", positive=True)
         return FormalSeries(f.m, (_homothety(lv, n, f.m) * a
                                   for n, a in enumerate(f.coefficients)))
 
@@ -221,10 +217,14 @@ def _partial_sum(f: FormalSeries, z: RamifiedPoint, N: int) -> mp.mpc:
 # with decimal strings so coefficients survive beyond double precision.
 # ---------------------------------------------------------------------------
 
-def load_series(path: str, prec: PrecisionConfig | None = None,
-                max_length: int | None = None) -> FormalSeries:
+# a series file holds at most a_0..a_MAX_DEPTH, as a CLI --builtin series does
+# (README § Size limits)
+MAX_DEPTH = 1000
+
+
+def load_series(path: str, prec: PrecisionConfig | None = None) -> FormalSeries:
     """Read a series file; every coefficient is rounded once, at ``prec``.  A file
-    of more than ``max_length`` coefficients is refused before any is rounded."""
+    of more than ``MAX_DEPTH + 1`` coefficients is refused before any is rounded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -238,8 +238,9 @@ def load_series(path: str, prec: PrecisionConfig | None = None,
     rows = payload["coefficients"]
     if type(m) is not int or not isinstance(rows, list):
         raise DomainError("series file has wrong field types")
-    if max_length is not None and len(rows) > max_length:
-        raise DomainError(f"series file has {len(rows)} coefficients, over the limit {max_length}")
+    if len(rows) > MAX_DEPTH + 1:
+        raise DomainError(f"series file has {len(rows)} coefficients, over the limit "
+                          f"{MAX_DEPTH + 1}")
     if not all(isinstance(row, (list, tuple)) and len(row) == 2 for row in rows):
         raise DomainError("each coefficient must be a [re, im] pair")
     with working_precision(prec):

@@ -536,12 +536,12 @@ def test_term_rows_are_their_operator_form_bit_for_bit(prec):
         with working_precision(prec) as cfg:
             e = classical._expansion(f, as_mpf(lam), theta, 60, cfg)
             w = e.lam * z
-            kernels = classical._beta_kernels(w, m, 60)
+            classical._kernel(w, m, 60)
             row, = classical._terms([(1, e)], w, m)
             top = mp.mpf(0)
             for n, (term, mag, largest) in enumerate(row.upto(60)[1:], 1):
                 c, cond = e._row.values[n]
-                want = kernels[n - 1] * c
+                want = classical._kernel(w, m, n) * c
                 top = max(top, cond)
                 assert (term._mpc_, mag._mpf_) == (want._mpc_, abs(want)._mpf_), (m, n)
                 assert largest is top, (m, n)
@@ -573,6 +573,34 @@ def test_a_hand_built_expansion_of_python_numbers_sums_as_mpmath_numbers(prec):
         for field in ("estimate", "rigorous_bound", "heuristic_error", "condition_number",
                       "diverging"):
             assert _raw(getattr(got, field)) == _raw(getattr(want, field)), (N, field)
+
+
+def _hand_built(**fields):
+    """A hand-built expansion of b_n = 1/(n+1), n <= 9, at lambda = 1, with ``fields`` in place."""
+    b = tuple(mp.mpf(1) / (n + 1) for n in range(10))
+    return FactorialExpansion(**{"lam": mp.mpf(1), "b": b, "a0": mp.mpf(0),
+                                 "condition": (mp.mpf(1),) * 10, **fields})
+
+
+@pytest.mark.parametrize("z, fields", [
+    (3, {"lam": -1.5}),  # w = lambda z = -4.5 was summed
+    (5, {"lam": "0.5"}),
+    (5, {"lam": None}),
+    (5, {"lam": 1j}),
+    (5, {"b": (1, 0.5, None, *(mp.mpf(1),) * 7)}),
+    (5, {"b": ("0.5",) * 10}),  # mp.convert parses text; mpmath's operators do not
+    (5, {"a0": "x"}),
+    (5, {"a0": None}),
+    (5, {"condition": (1, 2, "x", *(mp.mpf(1),) * 7)}),
+    (5, {"condition": (1j,) * 10}),
+    (5, {"condition": (mp.mpf(1),) * 4}),  # shorter than b
+    (5, {"condition": (mp.mpf(1),) * 11}),  # longer than b
+], ids=["negative-lambda", "str-lambda", "none-lambda", "complex-lambda",
+        "none-in-b", "str-b", "str-a0", "none-a0", "str-condition", "complex-condition",
+        "short-condition", "long-condition"])
+def test_a_malformed_hand_built_expansion_is_a_domain_error(z, fields, prec):
+    with pytest.raises(DomainError):
+        factorial_series_sum(_hand_built(**fields), z, 5, prec=prec)
 
 
 _OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",

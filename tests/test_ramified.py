@@ -25,7 +25,7 @@ from borelsum import (DomainError, FactorialExpansion, FormalSeries, GrowthEnvel
                       stirling_transform, summate, working_precision)
 from borelsum import classical, ramified
 from borelsum.oracle import BUILTIN_EVALUATORS, _binomial_evaluator
-from borelsum.classical import _CoefficientRow, _TermRow, _beta_kernels
+from borelsum.classical import _CoefficientRow, _TermRow, _kernel
 from borelsum.ramified import _branch_weights
 
 
@@ -1011,7 +1011,8 @@ def test_branch_split_is_cached_per_precision(prec):
 
 def test_generalized_kernels_equal_gamma_ratio_bit_for_bit():
     # the kernel at n = l + jm is element j of the chain at offset l/m:
-    # psi (m = 3), example2 (m = 2), m = 5 and 7, and a count below m
+    # psi (m = 3), example2 (m = 2), m = 5 and 7, and a count below m; the
+    # chains grow to count in one block, then every n <= count reads them
     for prec in map(PrecisionConfig, (53, 113, 256, 512)):
         with working_precision(prec):
             psi_w = mp.mpf(2.885390081777927) * 12
@@ -1021,7 +1022,22 @@ def test_generalized_kernels_equal_gamma_ratio_bit_for_bit():
             for w, m, count in cases:
                 singles = [gamma_ratio(w, (n - 1) // m, Fraction((n - 1) % m + 1, m), prec)
                            for n in range(1, count + 1)]
-                assert _beta_kernels(w, m, count) == singles, (prec, m)
+                assert [_kernel(w, m, n) for n in range(count, 0, -1)][::-1] == singles, \
+                    (prec, m)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 30), (3, 2), (3, 3), (3, 76), (5, 61), (7, 4)])
+def test_kernel_grows_every_class_chain_to_its_index(m, n, prec):
+    # _kernel(w, m, n) leaves each class chain l <= min(m, n) holding flat index n,
+    # element (n - l) // m, and no element past it, so a term row can read K_1..K_n
+    classical._KERNEL_CHAINS.cache_clear()
+    with working_precision(prec):
+        w = mp.mpc("7.5", "-2")
+        _kernel(w, m, n)
+        chains, _ = classical._KERNEL_CHAINS(w, m, prec.mantissa_bits)
+    assert sorted(chains) == list(range(1, min(m, n) + 1))
+    assert [len(chains[l].values) for l in sorted(chains)] == \
+        [(n - l) // m + 1 for l in range(1, min(m, n) + 1)]
 
 
 def test_psi_generalized_sum_carries_250_bits():

@@ -1,3 +1,5 @@
+import json
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,4 +263,17 @@ def test_load_series_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     with pytest.raises(DomainError):
+        load_series(str(path))
+
+
+def test_load_series_refuses_more_than_max_depth_plus_one_coefficients(tmp_path):
+    # the library holds a file to the CLI's length limit, with the CLI's message
+    from borelsum import series
+    path = tmp_path / "long.json"
+    rows = [["1", "0"]] * (series.MAX_DEPTH + 2)
+    path.write_text(json.dumps({"m": 1, "coefficients": rows[1:]}))
+    assert load_series(str(path)).n_max == series.MAX_DEPTH
+    path.write_text(json.dumps({"m": 1, "coefficients": rows}))
+    with pytest.raises(DomainError, match=f"series file has {series.MAX_DEPTH + 2} "
+                                          f"coefficients, over the limit {series.MAX_DEPTH + 1}"):
         load_series(str(path))
