@@ -24,6 +24,11 @@ such estimate and coefficient, each c_n of the m = 3 member below and each
 sum of the sweeps) also has a roundoff scale cond·2^-bits·|value| at its
 precision, and a moved one is printed as |difference| over the scale at REV,
 so a deliberate rounding change can be shown to stay below its roundoff.
+Every moved number of an oracle command, and every moved value that a
+``laplace_quadrature`` call of the pass returned, is also printed as
+|difference| over its tolerance: the command's ``--tol`` or the call's
+``tol``, else the precision's default tolerance, so a change to the
+quadrature can be shown to move its values far below what they promise.
 It compares every c_n and condition number of ``binomial_series(3, -1,
 1/2)`` to depth 120 at lambda = 1, unrotated and at theta = 0.4, the same
 way, and every field of
@@ -47,6 +52,7 @@ number differs.
 
 import ast
 import io
+import json
 import os
 import re
 import subprocess
@@ -163,11 +169,23 @@ def conditions(x, at):  # (where, method, condition number, value key, value) in
 def roundoff(key, cond, value, bits=spec.PRECISION_BITS):
     print("roundoff", key, mp.nstr(cond * mp.ldexp(abs(value), -bits), 5))
 
+import borelsum
+from borelsum.numerics import DEFAULT_PRECISION
+quadratures, quadrature = {}, borelsum.laplace_quadrature  # id -> (value, its tol)
+
+def recorded(g, theta, z, tol=None, prec=None):  # the workloads call borelsum's name
+    v = quadrature(g, theta, z, tol, prec)
+    quadratures[id(v)] = v, (prec or DEFAULT_PRECISION).default_tolerance if tol is None else tol
+    return v
+borelsum.laplace_quadrature = recorded
+
 for name in spec.WORKLOADS:
     w = workloads.BY_NAME[name](spec.points(name, 1))
     out = w.run_pass()[0]
     for i, v in enumerate(w.values(out)):
         print(f"{name}[{i}]", mp.nstr(v, 90) if isinstance(v, (mp.mpf, mp.mpc)) else repr(v))
+        if id(v) in quadratures:
+            print("tolerance", f"{name}[{i}]", mp.nstr(quadratures[id(v)][1], 20))
     for at, method, c, key, v in conditions(out, name):
         print("condition", at, method, mp.nstr(c, 90))
         print(key, mp.nstr(v, 90))
@@ -238,7 +256,9 @@ for m, alpha, c in ((3, -1, Fraction(1, 2)), (4, Fraction(1, 2), 1)):
     g = _binomial_evaluator(m, Fraction(alpha), Fraction(c), 3, 0.5)
     for z in (4, mp.mpc(5, 1)):
         v = laplace_quadrature(g, mp.mpf("0.4"), z, None, prec)
-        print(f"quadrature binomial({m},{alpha},{c})@theta=0.4,z={z}", mp.nstr(v, 90))
+        at = f"quadrature-binomial({m},{alpha},{c})@theta=0.4,z={mp.nstr(z, 5).replace(' ', '')}"
+        print(at, mp.nstr(v, 90))
+        print("tolerance", at, mp.nstr(prec.default_tolerance, 20))
 """
 
 
@@ -258,12 +278,16 @@ def largest_differences(out: str, rev_out: str) -> tuple[Fraction, Fraction] | N
 
 def differences(line: str | None, rev_line: str | None) -> tuple[float | None, float] | None:
     """(|a - b| / |b|, |a - b|) for the value of two library lines, a complex
-    value taken as its (re, im) pair, the relative one None when b = 0; None
-    when a line is missing or the text differs."""
-    if line is None or rev_line is None or _NUMBER.split(line) != _NUMBER.split(rev_line):
+    value taken as its (re, im) pair, the sign of its imaginary part read
+    with it, the relative one None when b = 0; None when a line is missing or
+    the text differs."""
+    if line is None or rev_line is None:
         return None
-    a, b = ([Fraction(x) for x in _NUMBER.findall(v.split(" ", 1)[1])]
-            for v in (line, rev_line))
+    (key, value), (rev_key, rev_value) = (v.replace(" + ", " +").replace(" - ", " -")
+                                          .split(" ", 1) for v in (line, rev_line))
+    if key != rev_key or _NUMBER.split(value) != _NUMBER.split(rev_value):
+        return None
+    a, b = ([Fraction(x) for x in _NUMBER.findall(v)] for v in (value, rev_value))
     norm, moved = sum(y * y for y in b), sum((x - y) ** 2 for x, y in zip(a, b))
     return float(moved / norm) ** 0.5 if norm else None, float(moved) ** 0.5
 
@@ -280,17 +304,70 @@ def cli(src: Path, argv) -> tuple[int, str, str]:
     return run(src, ["-m", "borelsum.cli", *argv])
 
 
-def library_values(src: Path) -> tuple[list[str], list[str], dict[str, float]]:
-    """(value lines, condition lines, roundoff scale by value key) of the seed-1
-    library passes."""
+def library_values(src: Path) -> tuple[list[str], list[str], dict[str, float],
+                                        dict[str, Fraction]]:
+    """(value lines, condition lines, roundoff scale by value key, tolerance by
+    the key of a quadrature value) of the seed-1 library passes."""
     code, out, _ = run(src, ["-c", VALUES], str(ROOT / "perfbench"))
     if code:
         sys.exit(f"the library pass on {src} exited {code}")
     lines = out.splitlines()
     scales = dict(line.split()[1:] for line in lines if line.startswith("roundoff "))
-    return ([line for line in lines if not line.startswith(("condition ", "roundoff "))],
+    tolerances = dict(line.split()[1:] for line in lines if line.startswith("tolerance "))
+    return ([line for line in lines
+             if not line.startswith(("condition ", "roundoff ", "tolerance "))],
             [line for line in lines if line.startswith("condition ")],
-            {key: float(scale) for key, scale in scales.items()})
+            {key: float(scale) for key, scale in scales.items()},
+            {label: Fraction(tol) for label, tol in tolerances.items()})
+
+
+# the default tolerance of each precision given as an argument ("" for the
+# default precision), as "mantissa exponent"
+DEFAULT_TOLERANCES = """
+import sys
+from borelsum import PrecisionConfig
+from borelsum.numerics import DEFAULT_PRECISION
+for bits in sys.argv[1:]:
+    print(*(PrecisionConfig(int(bits)) if bits else DEFAULT_PRECISION).default_tolerance.man_exp)
+"""
+
+
+def flag(argv, name: str) -> str | None:
+    """The value of ``name`` in ``argv``, given as ``name value`` or ``name=value``."""
+    for arg, value in zip(argv, argv[1:]):
+        if arg == name:
+            return value
+    return next((arg.split("=", 1)[1] for arg in argv if arg.startswith(name + "=")), None)
+
+
+def oracle_tolerances(src: Path, argvs) -> dict[tuple[str, ...], Fraction]:
+    """The tolerance of each json oracle command in ``argvs``: its ``--tol``, else
+    the default tolerance of its ``--precision-bits`` as the library at ``src``
+    forms it."""
+    argvs = [a for a in argvs
+             if flag(a, "--method") == "oracle" and flag(a, "--format") == "json"]
+    bits = sorted({flag(a, "--precision-bits") or "" for a in argvs if not flag(a, "--tol")})
+    code, out, _ = run(src, ["-c", DEFAULT_TOLERANCES, *bits])
+    if code:
+        sys.exit(f"the default tolerances on {src} exited {code}")
+    default = {b: Fraction(int(man)) * Fraction(2) ** int(exp)
+               for b, (man, exp) in zip(bits, map(str.split, out.splitlines()))}
+    return {a: Fraction(flag(a, "--tol") or default[flag(a, "--precision-bits") or ""])
+            for a in argvs}
+
+
+def moved_numbers(out: str, rev_out: str) -> list[tuple[str, Fraction]]:
+    """(where, |a - b|) of each numeric string that moved between two JSON
+    outputs, at the same place in both."""
+    def leaves(x, at=""):
+        if isinstance(x, (list, dict)):
+            for k, v in (x.items() if isinstance(x, dict) else enumerate(x)):
+                yield from leaves(v, f"{at}[{k!r}]")
+        elif isinstance(x, str) and _NUMBER.fullmatch(x):
+            yield at, Fraction(x)
+    here, there = (dict(leaves(json.loads(o))) for o in (out, rev_out))
+    return [(at, abs(here[at] - there[at])) for at in here
+            if at in there and here[at] != there[at]]
 
 
 def compare_conditions(here: list[str], there: list[str], rev: str) -> bool:
@@ -341,8 +418,10 @@ def main(rev: str) -> int:
             sys.exit(f"git archive {rev} failed")
         argvs = commands()
         results = [(a, cli(ROOT / "src", a), cli(Path(tmp) / "src", a)) for a in argvs]
-        (values, conds, _), (rev_values, rev_conds, scales) = (
+        (values, conds, _, _), (rev_values, rev_conds, scales, tolerances) = (
             library_values(ROOT / "src"), library_values(Path(tmp) / "src"))
+        oracle_tols = oracle_tolerances(ROOT / "src", [a for a, here, there in results
+                                                       if here[0] == there[0] == 0])
         lines = source_lines(ROOT / "src"), source_lines(Path(tmp) / "src")
     differ = [r for r in results if r[1][:2] != r[2][:2]]
     for argv, (code, out, _), (rev_code, rev_out, _) in differ:
@@ -355,6 +434,10 @@ def main(rev: str) -> int:
         print("  the text between the numbers differs" if sizes is None else
               f"  largest difference between numbers: relative {float(sizes[0]):.3g}, "
               f"absolute {float(sizes[1]):.3g}")
+        if argv in oracle_tols:
+            tol = oracle_tols[argv]
+            for at, moved_by in moved_numbers(out, rev_out):
+                print(f"  {at} moved by {float(moved_by / tol):.3g} x tol ({float(tol):.3g})")
     print(f"{len(argvs) - len(differ)} of {len(argvs)} commands give the same stdout and exit code")
     failing = [r for r in results if r[1][0] or r[2][0]]
     errors = [r for r in failing if r[1][2] != r[2][2]]
@@ -377,6 +460,9 @@ def main(rev: str) -> int:
             if scale is not None:
                 in_roundoffs.append(sizes[1] / scale if scale else float("inf"))
                 print(f"  in roundoffs: {in_roundoffs[-1]:.3g} x cond 2^-bits |value| at {rev}")
+            tol = tolerances.get(there.split(" ", 1)[0])
+            if tol is not None:
+                print(f"  over its tolerance: {sizes[1] / float(tol):.3g} x tol ({float(tol):.3g})")
     print(f"{len(pairs) - len(moved)} of {len(pairs)} library values of the seed-1 workload "
           "passes are identical")
     if in_roundoffs:

@@ -56,11 +56,12 @@ class SummationResult:
     """Outcome of one summation: estimate, truncation, and error information.
 
     Non-oracle methods always carry at least one of ``rigorous_bound`` /
-    ``heuristic_error``.  ``condition_number`` is the worst cancellation
-    ratio met, the larger of two parts: the coefficients' own (of the b_n or
-    d_n read, from the coefficient row) and the sum's, (|a_0| + lambda sum
-    |term|) / |estimate|, the worst over a branch sum's branches.  Every
-    factorial-type result comes from ``_kernel_sum`` and sets ``diverging``.
+    ``heuristic_error``; the oracle's ``heuristic_error`` is its quadrature's.
+    ``condition_number`` is the worst cancellation ratio met, the larger of two
+    parts: the coefficients' own (of the b_n or d_n read, from the coefficient
+    row) and the sum's, (|a_0| + lambda sum |term|) / |estimate|, the worst
+    over a branch sum's branches.  Every factorial-type result comes from
+    ``_kernel_sum`` and sets ``diverging``.
     """
 
     estimate: mp.mpc
@@ -160,18 +161,21 @@ class _CoefficientRow(_GrowingRow):
         l0 = n - s * m  # c_n sums a_l0, a_(l0+m), ..., a_n
         base = self.bases[l0]
         walk = self.walks[l0] = _next_antidiagonal(base, s, self.walks[l0]) if s else [1]
-        D, weights = base.den[s], zip(walk, a[l0::m])
-        # Re a_l and Im a_l times k, exact and unnormalised: mpf_sum at precision 0
-        # takes a mantissa of any size and reads the bit count only to drop a part
-        # past a 10^6-bit gap.  A zero part stays (., 0, 0, .), which mpf_sum skips;
-        # a zero weight is left out, as a zero mantissa with an exponent is inf or nan
-        parts = [(sign ^ (k < 0), man * abs(k), exp, bc + k.bit_length())
-                 for k, x in weights if k for sign, man, exp, bc in x._mpc_]
+        # Re a_l and Im a_l times k, exact and unnormalised, into a list each:
+        # mpf_sum at precision 0 takes a mantissa of any size and reads the bit
+        # count only to drop a part past a 10^6-bit gap.  A zero part or weight is
+        # left out (mpf_sum would skip it), so a real series builds no imaginary part
+        re_parts, im_parts = parts = [], []
+        for k, x in zip(walk, a[l0::m]):
+            if k:
+                for part, (sign, man, exp, bc) in zip(parts, x._mpc_):
+                    if man:
+                        part.append((sign ^ (k < 0), man * abs(k), exp, bc + k.bit_length()))
         prec, rnd = mp.mp._prec_rounding
-        den = from_int(D)
-        re = mpf_div(mpf_sum(parts[0::2], 0), den, prec, rnd)
-        im = mpf_div(mpf_sum(parts[1::2], 0), den, prec, rnd)
-        gross = mpf_div(mpf_sum(parts, 0, absolute=True), den, prec, rnd)
+        den = from_int(base.den[s])
+        re = mpf_div(mpf_sum(re_parts, 0), den, prec, rnd)
+        im = mpf_div(mpf_sum(im_parts, 0), den, prec, rnd)
+        gross = mpf_div(mpf_sum(re_parts + im_parts, 0, absolute=True), den, prec, rnd)
         gamma = mp.gamma(mp.mpf(n) / m)
         c = mp.make_mpc((re, im)) / gamma
         gross = mp.make_mpf(gross) / gamma

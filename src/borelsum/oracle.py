@@ -1,20 +1,24 @@
 """Ground truth: direct Laplace-integral quadrature and built-in test series.
 
 ``laplace_quadrature`` evaluates the Borel sum of a series with a_0 = 0,
-int_0^(inf e^(i theta)) g(zeta) e^(-z zeta) dzeta, by one call of a
-double-exponential (tanh-sinh) rule on one segment [0, T], with T chosen from
-the evaluator's growth envelope so the dropped tail A e^((B - c) T)/(c - B),
-c = Re(z e^(i theta)), sits far below the requested tolerance.  The rule
-raises its degree until it meets its own epsilon, so it runs 16 bits below
-the tolerance, not at the result's precision.  The tanh-sinh change of
-variable never evaluates the integrand at the endpoints, which is what makes
-integrable zeta^(1/m - 1) behaviour at 0 harmless.  Such a rule's cost is
-almost all integrand evaluation (D. H. Bailey, K. Jeyabalan, X. S. Li, "A
-comparison of three high-precision quadrature schemes", Experimental Math. 14,
-2005), so the integrand and the built-in evaluators run on raw mpmath tuples,
-with the libmp calls and operands that their forms through mpmath's operators
-make: every value has the bits of those forms, which tests/test_oracle.py keeps
-as the reference.
+int_0^(inf e^(i theta)) g(zeta) e^(-z zeta) dzeta, cut at T and mapped onto
+[-1, 1] by rho = (T/2)(1 + x), by one call of a double-exponential
+(tanh-sinh) rule on the rule's standard interval, with T chosen from the
+evaluator's growth envelope so the dropped tail A e^((B - c) T)/(c - B),
+c = Re(z e^(i theta)), sits far below the requested tolerance.  Mapping the
+segment in the integrand keeps mpmath to one node set per degree and
+precision, where a segment [0, T] per point would keep a transformed copy of
+the nodes per point.  The rule raises its degree until it meets its own
+epsilon, so it runs 16 bits below the tolerance, not at the result's
+precision; its error estimate plus the tail bound is the oracle's error.
+The tanh-sinh change of variable never evaluates the integrand at the
+endpoints, which is what makes integrable zeta^(1/m - 1) behaviour at 0
+harmless.  Such a rule's cost is almost all integrand evaluation (D. H.
+Bailey, K. Jeyabalan, X. S. Li, "A comparison of three high-precision
+quadrature schemes", Experimental Math. 14, 2005), so the integrand and the
+built-in evaluators run on raw mpmath tuples, with the libmp calls and
+operands that their forms through mpmath's operators make: every value has
+the bits of those forms, which tests/test_oracle.py keeps as the reference.
 
 Built-in series:
 
@@ -79,17 +83,28 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
                        prec: PrecisionConfig | None = None) -> mp.mpc:
     """int over the ray arg zeta = theta of g(zeta) e^(-z zeta) dzeta.
 
-    Requires Re(z e^(i theta)) > B for the evaluator's growth rate.  One
-    tanh-sinh call on [0, T] runs 16 bits below ``tol`` (default: the precision's
-    default tolerance), capped at the precision + 16 and at least ``MIN_BITS``; its
-    error estimate must reach tol/2, else :class:`QuadratureError`.
+    Requires Re(z e^(i theta)) > B for the evaluator's growth rate.  The ray is
+    cut at T and rho = (T/2)(1 + x) maps the segment [0, T] onto the rule's
+    standard interval [-1, 1]: one tanh-sinh call there runs 16 bits below
+    ``tol`` (default: the precision's default tolerance), capped at the
+    precision + 16 and at least ``MIN_BITS``, and its value and error estimate
+    are scaled by T/2; the estimate must reach tol/2, else
+    :class:`QuadratureError`.  mpmath keeps the rule's nodes per degree and
+    precision only, never a copy per segment, so a process that integrates at
+    many points keeps one node set.
 
     ``g.fn`` is called once per node.  The integrand is the bits of
-    ``g.fn((rho, theta)) * mp.exp(-w * rho)``, w = z e^(i theta): -w is formed
-    once at the rule's precision, e^(-w rho) is ``mpc_exp`` of two ``mpf_mul``
-    products, and the value multiplies it as mpmath's operators do, an mpf by
-    ``mpc_mul_mpf``, an mpc by ``mpc_mul`` and any other number as
-    ``mp.convert`` reads it."""
+    ``g.fn((rho, theta)) * mp.exp(-w * rho)``, w = z e^(i theta), rho =
+    (T/2) * (1 + x) at the rule's precision: -w is formed once at that
+    precision, e^(-w rho) is ``mpc_exp`` of two ``mpf_mul`` products, and the
+    value multiplies it as mpmath's operators do, an mpf by ``mpc_mul_mpf``, an
+    mpc by ``mpc_mul`` and any other number as ``mp.convert`` reads it."""
+    return _quadrature(g, theta, z, tol, prec)[0]
+
+
+def _quadrature(g: BorelEvaluator, theta, z, tol, prec) -> tuple[mp.mpc, mp.mpf]:
+    """(value, error) of :func:`laplace_quadrature`: the error is the rule's
+    estimate plus the tail bound A e^((B - c) T)/(c - B) dropped at T."""
     with working_precision(prec) as cfg:
         tolv = cfg.default_tolerance if tol is None else _finite(tol, "tol", positive=True)
         th = _finite(theta, "theta")
@@ -101,26 +116,29 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
         # truncation point: tail bound A e^((B-c)T)/(c-B) <= tol/8, and T >= 8/c
         gap = c - as_mpf(g.B)
         T = max(mp.log(8 * as_mpf(g.A) / (tolv * gap)) / gap, 8 / c)
+        h = T / 2
 
         # -w at the rule's precision, formed at its first node
         fn, neg = g.fn, lru_cache(maxsize=1)(lambda prec, rnd: mpc_neg(w._mpc_, prec, rnd))
 
-        def integrand(rho):
-            v = mp.convert(fn((rho, th)))  # an int, a float or a complex exactly
+        def integrand(x):
             prec, rnd = mp.mp._prec_rounding
+            r = mpf_mul(h._mpf_, mpf_add(x._mpf_, fone, prec, rnd), prec, rnd)
+            v = mp.convert(fn((mp.make_mpf(r), th)))  # an int, a float or a complex exactly
             re, im = neg(prec, rnd)
-            r = rho._mpf_
             e = mpc_exp((mpf_mul(re, r, prec, rnd), mpf_mul(im, r, prec, rnd)), prec, rnd)
             return mp.make_mpc(mpc_mul(v._mpc_, e, prec, rnd) if hasattr(v, "_mpc_")
                                else mpc_mul_mpf(e, v._mpf_, prec, rnd))
 
         # the rule refines to its own epsilon; 1 - frexp's exponent is ceil(-log2 tol)
         with mp.workprec(max(MIN_BITS, min(1 - mp.frexp(tolv)[1], cfg.mantissa_bits) + 16)):
-            val, err = mp.quad(integrand, [0, T], error=True, maxdegree=12)
+            val, err = mp.quad(integrand, [-1, 1], error=True, maxdegree=12)
+            val, err = val * h, err * h
         if not err < tolv / 2:
             raise QuadratureError(f"quadrature error estimate {mp.nstr(err, 3)} did not "
                                   f"reach tol = {mp.nstr(tolv, 3)}")
-        return ensure_finite(mp.exp(1j * th) * mp.mpc(val))
+        tail = as_mpf(g.A) * mp.exp(-gap * T) / gap
+        return ensure_finite(mp.exp(1j * th) * mp.mpc(val)), err + tail
 
 
 def _binomial_evaluator(m: int, alpha: Fraction, c: Fraction,

@@ -45,7 +45,7 @@ from .classical import (SummationResult, _expansion, _halfplane, _kernel_sum,
                         factorial_expansion, factorial_series_sum, least_term_index, r_as)
 from .errors import DomainError
 from .numerics import PrecisionConfig, _finite, as_index, as_mpf, working_precision
-from .oracle import BorelEvaluator, laplace_quadrature
+from .oracle import BorelEvaluator, _quadrature
 from .series import (FormalSeries, GrowthEnvelope, RamifiedPoint, _partial_sum, _power,
                      branch_split)
 
@@ -176,7 +176,8 @@ def summate(f: FormalSeries | None, method: str, z: RamifiedPoint, N: int = 0, *
     """One summation of ``f`` at ``z`` by ``method`` through its route, which forms the
     bound from ``envelope``: on the strip ``r`` for least-term (no N or lam), on the
     lambda-region for factorial and branch; generalized (rotated when ``theta`` != 0)
-    takes none, and the oracle reads no series but ``evaluator`` on the ray ``theta``."""
+    takes none, and the oracle reads no series but ``evaluator`` on the ray ``theta``;
+    its ``heuristic_error`` is the rule's error estimate plus the tail dropped at T."""
     if method == "least-term":
         if r is None:
             raise DomainError("the least-term method needs a strip half-width r")
@@ -195,5 +196,5 @@ def summate(f: FormalSeries | None, method: str, z: RamifiedPoint, N: int = 0, *
     if evaluator is None:
         raise DomainError("the oracle method needs a Borel evaluator")
     zc = z.projection(prec) if isinstance(z, RamifiedPoint) else z  # as the factorial route
-    return SummationResult(laplace_quadrature(evaluator, theta, zc, tol, prec),
-                           N=0, method="oracle")
+    value, error = _quadrature(evaluator, theta, zc, tol, prec)
+    return SummationResult(value, N=0, method="oracle", heuristic_error=error)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from mpmath.libmp import mpf_pos, mpf_sum
+from mpmath.libmp import from_int, mpf_div, mpf_pos, mpf_sum
 
 from borelsum import (PSI_LAMBDA_SUP, DomainError, FactorialExpansion, FormalSeries,
                       GrowthEnvelope, InsufficientCoefficientsError, PrecisionConfig,
@@ -23,8 +23,10 @@ from borelsum import (PSI_LAMBDA_SUP, DomainError, FactorialExpansion, FormalSer
                       scale, stirling_transform, working_precision)
 from borelsum import classical, combinatorics, numerics
 from borelsum.classical import _CoefficientRow, _TermRow
+from borelsum.combinatorics import _next_antidiagonal
 from borelsum.numerics import _Chain, as_mpc, as_mpf
 from borelsum.oracle import BUILTIN_EVALUATORS
+from borelsum.series import _homothety, _rotation
 
 from conftest import exact, rounded, sampled_region_envelope_euler
 
@@ -292,6 +294,53 @@ def test_coefficient_rows_grown_in_steps_are_fresh_rows_and_the_exact_sums(
     fresh = _row(f, lam, theta, 151, prec)
     assert _raw(grown.values[1:]) == _raw(fresh) == _raw(_rows_by_exact_sums(f, lam, theta,
                                                                              151, prec))
+
+
+class _InterleavedRow(_CoefficientRow):
+    """The coefficient step with Re and Im of every weighted a_l interleaved in
+    one part list, zero parts kept for ``mpf_sum`` to skip: the form the row's
+    two lists of nonzero parts replace."""
+
+    def step(self, n):
+        m, a = self.m, self.a
+        an = self.coefficients[n]
+        if self.theta is not None:
+            an = an * _rotation(self.theta, n, m)
+        a.append(_homothety(self.lam, n, m) * an)
+        s = (n - 1) // m
+        l0 = n - s * m
+        base = self.bases[l0]
+        walk = self.walks[l0] = _next_antidiagonal(base, s, self.walks[l0]) if s else [1]
+        parts = [(sign ^ (k < 0), man * abs(k), exp, bc + k.bit_length())
+                 for k, x in zip(walk, a[l0::m]) if k for sign, man, exp, bc in x._mpc_]
+        prec, rnd = mp.mp._prec_rounding
+        den = from_int(base.den[s])
+        re = mpf_div(mpf_sum(parts[0::2], 0), den, prec, rnd)
+        im = mpf_div(mpf_sum(parts[1::2], 0), den, prec, rnd)
+        gross = mpf_div(mpf_sum(parts, 0, absolute=True), den, prec, rnd)
+        gamma = mp.gamma(mp.mpf(n) / m)
+        c = mp.make_mpc((re, im)) / gamma
+        gross = mp.make_mpf(gross) / gamma
+        return c, gross / abs(c) if c != 0 else mp.inf if gross != 0 else mp.mpf(1)
+
+
+@pytest.mark.parametrize("series, lam, theta", [
+    (euler_series, 1, None),
+    (euler_series, "0.6", "0.3"),
+    (lambda depth, p: FormalSeries(1, [1j * a for a in euler_series(depth, p).coefficients]),
+     1, None),
+    (example2_series, "0.6", "pi/3"),
+], ids=["euler", "euler-rotated", "i-euler", "example2-rotated"])
+def test_a_row_of_nonzero_parts_is_the_interleaved_step_bit_for_bit(series, lam, theta):
+    # Euler's imaginary parts and i Euler's real parts are all zero, the rotated rows
+    # have both parts nonzero: dropping the zeros changes no c_n or condition number
+    prec = PrecisionConfig(256)
+    with working_precision(prec):
+        f = series(61, prec)
+        lam, theta = as_mpf(lam), theta and (mp.pi / 3 if theta == "pi/3" else as_mpf(theta))
+    rows = [[(c._mpc_, k._mpf_) for c, k in row(f, lam, theta, prec).upto(60)[1:]]
+            for row in (_CoefficientRow, _InterleavedRow)]
+    assert rows[0] == rows[1]
 
 
 def _traced(build):

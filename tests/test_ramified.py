@@ -24,7 +24,7 @@ from borelsum import (DomainError, FactorialExpansion, FormalSeries, GrowthEnvel
                       r_as_ramified, r_fact, rotated_generalized_sum,
                       stirling_transform, summate, working_precision)
 from borelsum import classical, ramified
-from borelsum.oracle import BUILTIN_EVALUATORS, _binomial_evaluator
+from borelsum.oracle import BUILTIN_EVALUATORS, _binomial_evaluator, _quadrature
 from borelsum.classical import _CoefficientRow, _TermRow, _kernel
 from borelsum.ramified import _branch_weights
 
@@ -972,7 +972,9 @@ def test_summate_equals_each_route_bit_for_bit(prec):
     oracle = summate(None, "oracle", z, theta="0.5", evaluator=BUILTIN_EVALUATORS["euler"],
                      prec=prec)
     quad = laplace_quadrature(BUILTIN_EVALUATORS["euler"], "0.5", z.projection(prec), prec=prec)
-    assert _fields(oracle) == (quad, 0, "oracle", None, None, None, None)
+    value, error = _quadrature(BUILTIN_EVALUATORS["euler"], "0.5", z.projection(prec), None, prec)
+    assert _fields(oracle) == (quad, 0, "oracle", None, error, None, None)
+    assert value._mpc_ == quad._mpc_ and oracle.heuristic_error._mpf_ == error._mpf_
 
 
 def test_summate_oracle_reads_a_complex_point_as_itself(prec):
