@@ -85,7 +85,10 @@ from test_cli import GOLDEN_COMMANDS, REFUSED_FLAGS, USAGE_ERRORS  # noqa: E402
 # generalized route, the first gated m = 1 row whose coefficients have nonzero
 # imaginary parts, the rotated psi generalized route, which makes complex parts
 # at m = 3, on the Stirling and on the fractional antidiagonals, a gated path, the
-# euler oracle at tol 1e-3, whose quadrature runs at its 53-bit floor, and the
+# euler oracle at tol 1e-3, whose quadrature runs at its 53-bit floor, the
+# oracle at the edges of the quadrature's node cut (a gap c - B of 0.01, where T is
+# ~1.5e4, |z| = 10^6, a ray near the imaginary axis, tol 0.5, where T is 8/c, and
+# rotated example2 at pi/3 at the benchmark's anchor |z| = 4.5), and the
 # usage errors of tests/test_cli.py (``REFUSED_FLAGS``, ``USAGE_ERRORS``):
 # abbreviated and unknown flags, no or an unknown command, a missing target, an
 # unknown format and a non-integer N, each of which exits 1 with empty stdout,
@@ -129,6 +132,11 @@ EXTRA = [
      "2.885390081777927", "--z-mod", "11.25", "--N", "60", *_JSON),
     ("sum", "--builtin", "euler", "--method", "oracle", "--z-mod", "3", "--tol", "1e-3",
      *_JSON),
+    *(("sum", "--builtin", "euler", "--method", "oracle", *where, *_JSON) for where in (
+        ("--z-mod", "0.06"), ("--z-mod", "1e6"), ("--z-mod", "3", "--z-arg", "1.5"),
+        ("--z-mod", "3", "--tol", "0.5"))),
+    ("sum", "--builtin", "example2", "--method", "oracle", "--theta", "1.0471975511965976",
+     "--z-mod", "4.5", *_JSON),
     *(args for args, _ in REFUSED_FLAGS.values()),
     *USAGE_ERRORS.values(),
     *(("sum", "--builtin", "euler", "--method", method, "--z-mod", "3", "--N", "-1")

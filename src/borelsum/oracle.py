@@ -5,12 +5,18 @@ int_0^(inf e^(i theta)) g(zeta) e^(-z zeta) dzeta, cut at T and mapped onto
 [-1, 1] by rho = (T/2)(1 + x), by one call of a double-exponential
 (tanh-sinh) rule on the rule's standard interval, with T chosen from the
 evaluator's growth envelope so the dropped tail A e^((B - c) T)/(c - B),
-c = Re(z e^(i theta)), sits far below the requested tolerance.  Mapping the
-segment in the integrand keeps mpmath to one node set per degree and
-precision, where a segment [0, T] per point would keep a transformed copy of
-the nodes per point.  The rule raises its degree until it meets its own
-epsilon, so it runs 16 bits below the tolerance, not at the result's
-precision; its error estimate plus the tail bound is the oracle's error.
+c = Re(z e^(i theta)), is at most tol/16.  Mapping the segment in the
+integrand keeps mpmath to one node set per degree and precision, where a
+segment [0, T] per point would keep a transformed copy of the nodes per
+point.  The same envelope bounds each node's term w(x) f(x) by
+b(x) = w(x) A e^((B - c)(T/2)(1 + x)), w the rule's weight, which decreases
+towards x = 1; past the abscissa x_cut where b falls below
+min(tol/(16 * 41 * T/2), 2^-bits), bits the rule's precision, the integrand
+is an exact zero, not evaluated, and all skipped terms together weigh at most
+tol/16.  The rule raises its degree
+until it meets its own epsilon, so it runs 16 bits below the tolerance, not
+at the result's precision; its error estimate plus the tail bound plus the
+tol/16 of the skipped nodes is the oracle's error.
 The tanh-sinh change of variable never evaluates the integrand at the
 endpoints, which is what makes integrable zeta^(1/m - 1) behaviour at 0
 harmless.  Such a rule's cost is almost all integrand evaluation (D. H.
@@ -43,6 +49,7 @@ Built-in series:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +57,7 @@ from typing import Callable
 
 import mpmath as mp
 from mpmath.libmp import (ComplexResult, fone, fzero, mpc_add_mpf, mpc_exp, mpc_mul, mpc_mul_mpf,
-                          mpc_neg, mpc_pow, mpc_pow_int, mpc_pow_mpf, mpf_add, mpf_mul,
+                          mpc_neg, mpc_pow, mpc_pow_int, mpc_pow_mpf, mpf_add, mpf_lt, mpf_mul,
                           mpf_mul_int, mpf_nthroot, mpf_pos, mpf_pow, mpf_pow_int)
 
 from .combinatorics import _SharedDenominatorRow
@@ -71,12 +78,17 @@ class BorelEvaluator:
     ``fn`` maps the cover point zeta = rho e^(i theta), passed as the pair
     (rho, theta) with theta unreduced, to a complex value; (A, B) bounds
     |fn| <= A e^(B rho) on the rays it is integrated along and drives the
-    truncation of the Laplace integral.
+    truncation of the Laplace integral and the nodes it skips, so A must be
+    finite and > 0 and B finite, else :class:`DomainError`.
     """
 
     fn: Callable[[tuple[mp.mpf, mp.mpf]], mp.mpc]
     A: float = 1.0
     B: float = 0.0
+
+    def __post_init__(self):
+        _finite(self.A, "the envelope's A", positive=True)
+        _finite(self.B, "the envelope's B")
 
 
 def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
@@ -84,27 +96,68 @@ def laplace_quadrature(g: BorelEvaluator, theta, z, tol: float | None = None,
     """int over the ray arg zeta = theta of g(zeta) e^(-z zeta) dzeta.
 
     Requires Re(z e^(i theta)) > B for the evaluator's growth rate.  The ray is
-    cut at T and rho = (T/2)(1 + x) maps the segment [0, T] onto the rule's
-    standard interval [-1, 1]: one tanh-sinh call there runs 16 bits below
-    ``tol`` (default: the precision's default tolerance), capped at the
-    precision + 16 and at least ``MIN_BITS``, and its value and error estimate
-    are scaled by T/2; the estimate must reach tol/2, else
-    :class:`QuadratureError`.  mpmath keeps the rule's nodes per degree and
-    precision only, never a copy per segment, so a process that integrates at
-    many points keeps one node set.
+    cut at T, where the tail bound A e^((B - c) T)/(c - B) is tol/16, and
+    rho = (T/2)(1 + x) maps the segment [0, T] onto the rule's standard
+    interval [-1, 1]: one tanh-sinh call there runs 16 bits below ``tol``
+    (default: the precision's default tolerance), capped at the precision + 16
+    and at least ``MIN_BITS``, and its value and error estimate are scaled by
+    T/2; the estimate must reach tol/2, else :class:`QuadratureError`.  mpmath
+    keeps the rule's nodes per degree and precision only, never a copy per
+    segment, so a process that integrates at many points keeps one node set.
 
-    ``g.fn`` is called once per node.  The integrand is the bits of
-    ``g.fn((rho, theta)) * mp.exp(-w * rho)``, w = z e^(i theta), rho =
-    (T/2) * (1 + x) at the rule's precision: -w is formed once at that
-    precision, e^(-w rho) is ``mpc_exp`` of two ``mpf_mul`` products, and the
-    value multiplies it as mpmath's operators do, an mpf by ``mpc_mul_mpf``, an
-    mpc by ``mpc_mul`` and any other number as ``mp.convert`` reads it."""
+    ``g.fn`` is called once per node x <= x_cut (see :func:`_node_cut`); a node
+    past it adds an exact zero, and the envelope bounds all of them together
+    by tol/16.  The integrand is the bits of ``g.fn((rho, theta)) *
+    mp.exp(-w * rho)``, w = z e^(i theta), rho = (T/2) * (1 + x) at the rule's
+    precision: -w is formed once at that precision, e^(-w rho) is ``mpc_exp``
+    of two ``mpf_mul`` products, and the value multiplies it as mpmath's
+    operators do, an mpf by ``mpc_mul_mpf``, an mpc by ``mpc_mul`` and any
+    other number as ``mp.convert`` reads it."""
     return _quadrature(g, theta, z, tol, prec)[0]
+
+
+# mpmath's tanh-sinh result at degree D is 2^-D sum_k w_k f(x_k) over every node
+# through D, and degree d adds at most 20 2^d + 1 positive nodes, so 2^-D times
+# the positive nodes through D is below 41
+_NODE_MASS = 41
+
+
+def _node_cut(A, gap, h, tol, bits: int) -> float:
+    """The abscissa x_cut in [1/2, 1] (1 skips nothing) past which every node's
+    term bound b(x) = w(x) A e^(-gap h (1 + x)) is at most
+    theta = min(tol/(16 * _NODE_MASS * h), 2^-bits), w(x) = (pi/2)(1 - x^2)
+    sqrt(1 + (2 atanh(x)/pi)^2) the tanh-sinh weight at abscissa x.
+
+    With k = h gap > 0, d/dx ln b <= (1/pi - 2x)/(1 - x^2) - k < 0 on
+    (1/(2 pi), 1), so b decreases past x_cut, and a float bisection for
+    ln b <= ln theta - 1 (the unit covers the doubles' rounding) finds it.
+    The rule weighs its nodes through degree D by 2^-D, and fewer than
+    _NODE_MASS 2^D of them are positive, so the skipped terms weigh at most
+    _NODE_MASS theta, at most tol/16 once scaled by h.  The cut moves the
+    result at degree D by about 2^-D b(x_cut), which the rule's error estimate
+    reads as a difference between degrees; theta <= 2^-bits, ``bits`` the
+    rule's precision, keeps that below the rule's epsilon, where at tol 1e-3
+    tol/(16 _NODE_MASS h) alone kept the rule refining to its last degree."""
+    k = float(h * gap)
+    target = min(float(mp.log(tol / (16 * _NODE_MASS * h))), -bits * math.log(2))
+    target -= float(mp.log(as_mpf(A))) + 1
+
+    def above(x: float) -> bool:  # ln(b(x)/A) above the target
+        return (math.log(math.pi / 2 * (1 - x) * (1 + x)) - k * (1 + x)
+                + math.log1p((2 * math.atanh(x) / math.pi) ** 2) / 2 > target)
+
+    lo, hi = 0.5, 1.0
+    if not above(lo):
+        return lo
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
 
 
 def _quadrature(g: BorelEvaluator, theta, z, tol, prec) -> tuple[mp.mpc, mp.mpf]:
     """(value, error) of :func:`laplace_quadrature`: the error is the rule's
-    estimate plus the tail bound A e^((B - c) T)/(c - B) dropped at T."""
+    estimate plus the tail bound A e^((B - c) T)/(c - B) dropped at T (at most
+    tol/16) plus the tol/16 that bounds the nodes skipped past x_cut."""
     with working_precision(prec) as cfg:
         tolv = cfg.default_tolerance if tol is None else _finite(tol, "tol", positive=True)
         th = _finite(theta, "theta")
@@ -113,15 +166,20 @@ def _quadrature(g: BorelEvaluator, theta, z, tol, prec) -> tuple[mp.mpc, mp.mpf]
         if not c > g.B:
             raise DomainError(
                 f"laplace_quadrature needs Re(z e^(i theta)) > B = {g.B}, got {c}")
-        # truncation point: tail bound A e^((B-c)T)/(c-B) <= tol/8, and T >= 8/c
+        # truncation point: tail bound A e^((B-c)T)/(c-B) <= tol/16, and T >= 8/c
         gap = c - as_mpf(g.B)
-        T = max(mp.log(8 * as_mpf(g.A) / (tolv * gap)) / gap, 8 / c)
+        T = max(mp.log(16 * as_mpf(g.A) / (tolv * gap)) / gap, 8 / c)
         h = T / 2
+        # the rule refines to its own epsilon; 1 - frexp's exponent is ceil(-log2 tol)
+        bits = max(MIN_BITS, min(1 - mp.frexp(tolv)[1], cfg.mantissa_bits) + 16)
+        cut = mp.mpf(_node_cut(g.A, gap, h, tolv, bits))._mpf_
 
         # -w at the rule's precision, formed at its first node
         fn, neg = g.fn, lru_cache(maxsize=1)(lambda prec, rnd: mpc_neg(w._mpc_, prec, rnd))
 
         def integrand(x):
+            if mpf_lt(cut, x._mpf_):
+                return mp.mp.zero
             prec, rnd = mp.mp._prec_rounding
             r = mpf_mul(h._mpf_, mpf_add(x._mpf_, fone, prec, rnd), prec, rnd)
             v = mp.convert(fn((mp.make_mpf(r), th)))  # an int, a float or a complex exactly
@@ -130,15 +188,14 @@ def _quadrature(g: BorelEvaluator, theta, z, tol, prec) -> tuple[mp.mpc, mp.mpf]
             return mp.make_mpc(mpc_mul(v._mpc_, e, prec, rnd) if hasattr(v, "_mpc_")
                                else mpc_mul_mpf(e, v._mpf_, prec, rnd))
 
-        # the rule refines to its own epsilon; 1 - frexp's exponent is ceil(-log2 tol)
-        with mp.workprec(max(MIN_BITS, min(1 - mp.frexp(tolv)[1], cfg.mantissa_bits) + 16)):
+        with mp.workprec(bits):
             val, err = mp.quad(integrand, [-1, 1], error=True, maxdegree=12)
             val, err = val * h, err * h
         if not err < tolv / 2:
             raise QuadratureError(f"quadrature error estimate {mp.nstr(err, 3)} did not "
                                   f"reach tol = {mp.nstr(tolv, 3)}")
         tail = as_mpf(g.A) * mp.exp(-gap * T) / gap
-        return ensure_finite(mp.exp(1j * th) * mp.mpc(val)), err + tail
+        return ensure_finite(mp.exp(1j * th) * mp.mpc(val)), err + tail + tolv / 16
 
 
 def _binomial_evaluator(m: int, alpha: Fraction, c: Fraction,

@@ -142,6 +142,7 @@ def _assert_row_is_the_exact_sums(f, lam, theta, n_max, prec):
 
 
 def _raw(row):
+    """The raw tuples of a coefficient row's (c_n, cond(c_n)) pairs."""
     return [(c._mpc_, k._mpf_) for c, k in row]
 
 
@@ -596,7 +597,7 @@ def test_term_rows_are_their_operator_form_bit_for_bit(prec):
                 assert largest is top, (m, n)
 
 
-def _raw(v):
+def _bits(v):
     """The type and the raw tuple of an mpmath number."""
     return type(v).__name__, getattr(v, "_mpc_", None) or getattr(v, "_mpf_", v)
 
@@ -621,7 +622,7 @@ def test_a_hand_built_expansion_of_python_numbers_sums_as_mpmath_numbers(prec):
                      for e in (python, mpmath))
         for field in ("estimate", "rigorous_bound", "heuristic_error", "condition_number",
                       "diverging"):
-            assert _raw(getattr(got, field)) == _raw(getattr(want, field)), (N, field)
+            assert _bits(getattr(got, field)) == _bits(getattr(want, field)), (N, field)
 
 
 def _hand_built(**fields):

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import importlib
 import os
 import random
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath.calculus.quadrature import TanhSinh
 
 from borelsum import (DomainError, PSI_LAMBDA_SUP, PrecisionConfig,
                       QuadratureError, RamifiedPoint, binomial_series,
@@ -16,7 +19,8 @@ from borelsum import (DomainError, PSI_LAMBDA_SUP, PrecisionConfig,
                       partial_sum, psi_scaled_coefficients, psi_series, r_as, summate,
                       working_precision)
 from borelsum.numerics import as_mpc, as_mpf
-from borelsum.oracle import BUILTIN_EVALUATORS, BorelEvaluator, _binomial_evaluator, _quadrature
+from borelsum.oracle import (BUILTIN_EVALUATORS, BorelEvaluator, _binomial_evaluator, _node_cut,
+                             _quadrature)
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -245,20 +249,34 @@ def _reference_binomial(m, alpha, c):
     return fn
 
 
-def _reference_quadrature(g, fn, theta, z, tol, prec):
-    """laplace_quadrature with its integrand fn((rho, theta)) * mp.exp(-w * rho),
-    rho = h * (1 + x) on [-1, 1] and h = T/2, through mpmath's operators."""
+def _envelope_cut(g, theta, z, tol, prec):
+    """(w, h, tolv, bits, x_cut) of laplace_quadrature through mpmath's operators:
+    w = z e^(i theta), h = T/2 for the T whose tail bound is tol/16, the rule's
+    bits and the abscissa ``_node_cut`` places from the envelope."""
     with working_precision(prec) as cfg:
-        tolv, th = (as_mpf(tol) if tol else cfg.default_tolerance), as_mpf(theta)
-        w = as_mpc(z) * mp.exp(1j * th)
+        tolv = as_mpf(tol) if tol else cfg.default_tolerance
+        w = as_mpc(z) * mp.exp(1j * as_mpf(theta))
         c = mp.re(w)
         gap = c - as_mpf(g.B)
-        h = max(mp.log(8 * as_mpf(g.A) / (tolv * gap)) / gap, 8 / c) / 2
+        h = max(mp.log(16 * as_mpf(g.A) / (tolv * gap)) / gap, 8 / c) / 2
+        bits = max(53, min(1 - mp.frexp(tolv)[1], cfg.mantissa_bits) + 16)
+        return w, h, tolv, bits, _node_cut(g.A, gap, h, tolv, bits)
+
+
+def _reference_quadrature(g, fn, theta, z, tol, prec):
+    """laplace_quadrature with its integrand fn((rho, theta)) * mp.exp(-w * rho),
+    rho = h * (1 + x) on [-1, 1] and h = T/2, and zero past x_cut, through
+    mpmath's operators."""
+    w, h, _, bits, x_cut = _envelope_cut(g, theta, z, tol, prec)
+    with working_precision(prec):
+        th = as_mpf(theta)
 
         def integrand(x):
+            if x > x_cut:
+                return mp.mpf(0)
             rho = h * (1 + x)
             return fn((rho, th)) * mp.exp(-w * rho)
-        with mp.workprec(max(53, min(1 - mp.frexp(tolv)[1], cfg.mantissa_bits) + 16)):
+        with mp.workprec(bits):
             val = mp.quad(integrand, [-1, 1], maxdegree=12) * h
         return mp.exp(1j * th) * mp.mpc(val)
 
@@ -321,6 +339,98 @@ def test_the_quadrature_and_the_evaluators_are_their_operator_forms(bits, monkey
                 values.clear()
                 want = _bits(_reference_quadrature(g, fn, theta, z, tol, prec))
                 assert lean == values and got == want, (name, theta, z)
+
+
+# ---------------------------------------------------------------------------
+# the node cut: the envelope bounds every skipped node's term, checked on
+# mpmath's own node lists, and the cut skips a share of the nodes
+# ---------------------------------------------------------------------------
+
+
+def _seed1_points(workload):
+    """The projections of a benchmark workload's seed-1 points
+    (perfbench/spec.py, read-only)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        spec = importlib.import_module("spec")
+    finally:
+        sys.path.pop(0)
+    return [RamifiedPoint(mod, arg).projection(PrecisionConfig(256))
+            for mod, arg in spec.points(workload, 1)]
+
+
+def _rule_calls(monkeypatch) -> list:
+    """The abscissa of each later integrand call under mp.quad."""
+    calls, quad = [], mp.quad
+    def counting(f, *args, **kwargs):
+        return quad(lambda x: (calls.append(x), f(x))[1], *args, **kwargs)
+    monkeypatch.setattr(mp, "quad", counting)
+    return calls
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+def test_every_node_past_the_cut_has_its_term_bound_below_theta(tol, monkeypatch, prec):
+    # the Euler and rotated example2 benchmark points, const1 and an m = 3 member:
+    # on a fresh rule's node lists at the rule's precision, for every degree the
+    # rule reaches, b(x) = w A e^(-gap h (1 + x)) <= theta at twice the bits for
+    # every node past x_cut, with both the list's weight and w(x) in closed form,
+    # and 2^-D times the positive nodes through D stays below 41
+    calls, rule = _rule_calls(monkeypatch), TanhSinh(mp.mp)
+    cases = ([(BUILTIN_EVALUATORS["euler"], 0, z) for z in _seed1_points("euler-factorial-oracle")]
+             + [(BUILTIN_EVALUATORS["example2"], mp.pi / 3, z)
+                for z in _seed1_points("ex2-generalized")]
+             + [(BUILTIN_EVALUATORS["const1"], 0, 2),
+                (_EVALUATORS["binomial(3,-1,1/2)"][0], mp.mpf("0.4"), mp.mpc(4, 1))])
+    assert len(cases) == 14
+    for g, theta, z in cases:
+        calls.clear()
+        _quadrature(g, theta, z, tol, prec)
+        w, h, tolv, bits, x_cut = _envelope_cut(g, theta, z, tol, prec)
+        nodes, degree = [], 0
+        while len(nodes) < len(calls):
+            degree += 1
+            nodes += rule.get_nodes(-1, 1, degree, bits)
+        assert [x for x, _ in nodes] == calls and degree <= 12, (g, z)
+        assert sum(x > 0 for x, _ in nodes) < 41 * 2 ** degree
+        skipped = [(x, wk) for x, wk in nodes if x > x_cut]
+        assert skipped, (g, z, tol)  # else the bound below checks nothing
+        with mp.workprec(2 * bits):
+            theta_b = min(tolv / (16 * 41 * h), mp.mpf(2) ** -bits)
+            decay = -(mp.re(w) - as_mpf(g.B)) * h
+            for x, wk in skipped:
+                closed = mp.pi / 2 * (1 - x * x) * mp.sqrt(1 + (2 * mp.atanh(x) / mp.pi) ** 2)
+                b = max(wk, closed) * as_mpf(g.A) * mp.exp(decay * (1 + x))
+                assert b <= theta_b, (g, z, tol, x)
+
+
+def test_the_cut_skips_a_fifth_of_the_euler_anchor_nodes():
+    # the benchmark's Euler anchor z = 2.5 at the default tol: 589 evaluations
+    # without the cut, at most 0.8 of them with it, and the same count each time
+    calls, fn = [], BUILTIN_EVALUATORS["euler"].fn
+    g = dataclasses.replace(BUILTIN_EVALUATORS["euler"],
+                            fn=lambda zeta: (calls.append(zeta), fn(zeta))[1])
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        laplace_quadrature(g, 0, mp.mpf("2.5"), None, PrecisionConfig(256))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 0.8 * 589, counts
+
+
+def test_an_envelope_must_be_finite_with_A_positive():
+    # A = 0 made a zero tail bound and a tiny error on a wrong value, a negative A
+    # a raw TypeError, and a non-finite A or B a QuadratureError quoting nan or inf
+    fn = BUILTIN_EVALUATORS["euler"].fn
+    for A, B in ((0.0, 0.05), (-1.0, 0.05), (mp.mpf(0), 0), (float("nan"), 0.05),
+                 (float("inf"), 0.05), (mp.inf, 0), (4.0, float("nan")), (4.0, float("inf")),
+                 (4.0, -mp.inf)):
+        with pytest.raises(DomainError, match="envelope"):
+            BorelEvaluator(fn=fn, A=A, B=B)
+        with pytest.raises(DomainError, match="envelope"):
+            dataclasses.replace(BUILTIN_EVALUATORS["euler"], A=A, B=B)
+    assert BorelEvaluator(fn=fn, A=mp.mpf("1e-300"), B=-2).B == -2
+    assert {name: (g.A, g.B) for name, g in BUILTIN_EVALUATORS.items()} == {
+        "euler": (4.0, 0.05), "example2": (2.0, 0.25), "const1": (1.0, 0.0)}
 
 
 # ---------------------------------------------------------------------------
